@@ -6,13 +6,13 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from revclass.corpus import Category, N_CATEGORIES
-from revclass.feature_select import CHI2, METHODS, rank_features
+from revclass.corpus import Category, N_CATEGORIES, write_json_atomic
+from revclass.feature_select import CHI2, METHODS, FeatureRanking, rank_features
 from revclass.preprocess import VectorizedCorpus
 
 NB = "nb"
@@ -320,7 +320,9 @@ class BinaryMember:
     """One one-vs-rest member: its class, selected vocabulary, and model.
 
     Degenerate training data (a class with no positives, or one covering
-    the whole corpus) yields a flagged constant-decision stub.
+    the whole corpus) yields a flagged constant-decision stub.  ``ranking``
+    is the class's feature ranking when :func:`train_ovr` built the member;
+    it is not serialized, so it is ``None`` after :func:`load_ovr`.
     """
 
     category: Category
@@ -328,6 +330,7 @@ class BinaryMember:
     terms: tuple[str, ...]
     model: Optional[NbModel | LrModel | SvmModel]
     stub: Optional[str] = None
+    ranking: Optional[FeatureRanking] = field(default=None, repr=False, compare=False)
     _positions: dict[str, int] = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self):
@@ -338,7 +341,8 @@ class BinaryMember:
         return sorted({pos[t] for t in tokens if t in pos})
 
     def score(self, tokens: Iterable[str]) -> float:
-        """Cross-member comparable score: NB log-odds, LR sigma - 0.5, SVM margin."""
+        """Cross-member comparable score: NB log-odds, LR and SVM decision
+        value z = w.x + w0 (LR's sigma(z) saturates to exact ties)."""
         if self.stub == STUB_NO_POSITIVES:
             return float("-inf")
         if self.stub == STUB_NO_NEGATIVES:
@@ -346,10 +350,7 @@ class BinaryMember:
         active = self._active(tokens)
         if self.method == NB:
             return self.model.log_odds_active(active)
-        z = float(self.model.weights[active].sum() + self.model.bias) if active else self.model.bias
-        if self.method == LR:
-            return float(_sigmoid(z)) - 0.5
-        return z
+        return float(self.model.weights[active].sum() + self.model.bias) if active else self.model.bias
 
     def decide(self, tokens: Iterable[str]) -> bool:
         """Positive decision for this member's class (ties resolve positive)."""
@@ -379,6 +380,36 @@ class OvrModel:
         raise KeyError(cat)
 
 
+def train_member(
+    corpus: VectorizedCorpus,
+    category: Category | int,
+    terms: Sequence[str],
+    method: str,
+    hp: Hyperparams,
+    seed: int,
+) -> BinaryMember:
+    """Train the one-vs-rest member for one class on the given terms.
+
+    Relevance is (label == category).  A class with no positives, or one
+    covering the whole corpus, yields a flagged constant stub with an empty
+    vocabulary.  The SVM samples with ``seed + category``.
+    """
+    cat = Category(int(category))
+    rel = np.asarray(corpus.labels) == int(cat)
+    if not rel.any():
+        return BinaryMember(cat, method, (), None, stub=STUB_NO_POSITIVES)
+    if rel.all():
+        return BinaryMember(cat, method, (), None, stub=STUB_NO_NEGATIVES)
+    X = corpus.dense_matrix([corpus.vocab.index[t] for t in terms])
+    if method == NB:
+        model = train_nb(X, np.where(rel, 1, -1), l=hp.l)
+    elif method == LR:
+        model = train_lr(X, rel.astype(np.float64), eta=hp.eta, lam=hp.lam, epochs=hp.lr_epochs)
+    else:
+        model = train_svm(X, np.where(rel, 1.0, -1.0), C=hp.C, epochs=hp.svm_epochs, seed=seed + int(cat))
+    return BinaryMember(cat, method, tuple(terms), model)
+
+
 def train_ovr(
     corpus: VectorizedCorpus,
     method: str = SVM,
@@ -389,9 +420,11 @@ def train_ovr(
 ) -> OvrModel:
     """Train the eight one-vs-rest members, each on its own selected features.
 
-    Relevance for member c is (label == c); feature selection runs per class
-    at that class's budget (clamped to the vocabulary size).  A degenerate
-    class trains a flagged constant stub instead of a model.
+    Relevance for member c is (label == c); feature selection runs once per
+    class at that class's budget (clamped to the vocabulary size), and each
+    member keeps its ranking in ``BinaryMember.ranking``.  A degenerate
+    class trains a flagged constant stub instead of a model, but is still
+    ranked.
     """
     if method not in CLASSIFIERS:
         raise ValueError(f"unknown method {method!r}; expected one of {CLASSIFIERS}")
@@ -401,31 +434,12 @@ def train_ovr(
     if len(budgets) != N_CATEGORIES:
         raise ValueError(f"need {N_CATEGORIES} per-class feature sizes, got {len(budgets)}")
     hp = hyperparams or Hyperparams()
-    labels = np.asarray(corpus.labels)
     V = len(corpus.vocab)
-
     members = []
     for cat in Category:
-        rel = labels == int(cat)
-        n_pos = int(rel.sum())
-        if n_pos == 0:
-            members.append(BinaryMember(cat, method, (), None, stub=STUB_NO_POSITIVES))
-            continue
-        if n_pos == len(labels):
-            members.append(BinaryMember(cat, method, (), None, stub=STUB_NO_NEGATIVES))
-            continue
-        k = min(budgets[int(cat)], V)
-        ranking = rank_features(corpus, cat, method=selector, k=k)
-        terms = ranking.terms()
-        positions = [corpus.vocab.index[t] for t in terms]
-        X = corpus.dense_matrix(positions)
-        if method == NB:
-            model = train_nb(X, np.where(rel, 1, -1), l=hp.l)
-        elif method == LR:
-            model = train_lr(X, rel.astype(np.float64), eta=hp.eta, lam=hp.lam, epochs=hp.lr_epochs)
-        else:
-            model = train_svm(X, np.where(rel, 1.0, -1.0), C=hp.C, epochs=hp.svm_epochs, seed=seed + int(cat))
-        members.append(BinaryMember(cat, method, terms, model))
+        ranking = rank_features(corpus, cat, method=selector, k=min(budgets[int(cat)], V))
+        member = train_member(corpus, cat, ranking.terms(), method, hp, seed)
+        members.append(replace(member, ranking=ranking))
     return OvrModel(members=tuple(members), method=method, selector=selector, budgets=budgets, seed=seed)
 
 
@@ -449,43 +463,35 @@ def predict(m: OvrModel, tokens: Iterable[str]) -> Category:
 # ---------------------------------------------------------------------------
 
 
+# Per method: the model type and the fields of a member file's "parameters"
+# and "hyperparameters" objects, named as the model's constructor arguments
+# (NB also writes its smoothing as hyperparameter "l", which is not read).
+_MEMBER_FIELDS = {
+    NB: (NbModel, ("log_prior_pos", "log_prior_neg", "cond_pos", "cond_neg", "smoothing"), ()),
+    LR: (LrModel, ("weights", "bias"), ("eta", "lam", "epochs")),
+    SVM: (SvmModel, ("weights", "bias"), ("C", "epochs", "seed")),
+}
+# Parameters with one value per vocabulary term.
+_VECTOR_FIELDS = ("cond_pos", "cond_neg", "weights")
+
+
 def _member_parameters(member: BinaryMember) -> dict:
     if member.stub:
         return {"stub": member.stub}
-    model = member.model
-    if member.method == NB:
-        return {
-            "log_prior_pos": model.log_prior_pos,
-            "log_prior_neg": model.log_prior_neg,
-            "cond_pos": [float(v) for v in model.cond_pos],
-            "cond_neg": [float(v) for v in model.cond_neg],
-            "smoothing": model.smoothing,
-        }
-    return {"weights": [float(v) for v in model.weights], "bias": float(model.bias)}
+    params = {key: getattr(member.model, key) for key in _MEMBER_FIELDS[member.method][1]}
+    return {key: [float(v) for v in value] if key in _VECTOR_FIELDS else value for key, value in params.items()}
 
 
 def _member_hyperparameters(member: BinaryMember) -> dict:
     if member.stub:
         return {}
-    model = member.model
     if member.method == NB:
-        return {"l": model.smoothing}
-    if member.method == LR:
-        return {"eta": model.eta, "lam": model.lam, "epochs": model.epochs}
-    return {"C": model.C, "epochs": model.epochs, "seed": model.seed}
-
-
-def _dump_json_atomic(path: str, doc: dict) -> None:
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, ensure_ascii=False, sort_keys=True, indent=2)
-        fh.write("\n")
-    os.replace(tmp, path)
+        return {"l": member.model.smoothing}
+    return {key: getattr(member.model, key) for key in _MEMBER_FIELDS[member.method][2]}
 
 
 def save_ovr(m: OvrModel, out_dir) -> list[str]:
     """Write one JSON file per member plus a manifest; returns written paths."""
-    os.makedirs(out_dir, exist_ok=True)
     paths = []
     for member in m.members:
         doc = {
@@ -498,7 +504,7 @@ def save_ovr(m: OvrModel, out_dir) -> list[str]:
             "seed": m.seed,
         }
         path = os.path.join(out_dir, f"member_{int(member.category)}.json")
-        _dump_json_atomic(path, doc)
+        write_json_atomic(path, doc)
         paths.append(path)
     manifest = {
         "members": [os.path.basename(p) for p in paths],
@@ -508,51 +514,79 @@ def save_ovr(m: OvrModel, out_dir) -> list[str]:
         "seed": m.seed,
     }
     manifest_path = os.path.join(out_dir, "model_manifest.json")
-    _dump_json_atomic(manifest_path, manifest)
+    write_json_atomic(manifest_path, manifest)
     paths.append(manifest_path)
     return paths
 
 
+class ModelFormatError(ValueError):
+    """Raised when a model directory holds a file unlike the ones
+    :func:`save_ovr` writes; the message names the file and the field."""
+
+
+def _checked(path, obj, names, section="") -> dict:
+    """``obj`` when it is a JSON object holding every named field; ``section``
+    is the field that holds ``obj``, empty for the top level of a file."""
+    if not isinstance(obj, dict):
+        what = f"field {section!r}" if section else "the file"
+        raise ModelFormatError(f"{path}: {what} must be a JSON object")
+    for name in names:
+        if name not in obj:
+            qualified = f"{section}.{name}" if section else name
+            raise ModelFormatError(f"{path}: missing field {qualified!r}")
+    return obj
+
+
+def _load_model_json(path, names) -> dict:
+    with open(path, encoding="utf-8") as fh:
+        try:
+            obj = json.load(fh)
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise ModelFormatError(f"{path}: invalid JSON ({exc})") from None
+    return _checked(path, obj, names)
+
+
 def load_ovr(model_dir) -> OvrModel:
-    """Reload an OvrModel written by :func:`save_ovr`."""
-    with open(os.path.join(model_dir, "model_manifest.json"), encoding="utf-8") as fh:
-        manifest = json.load(fh)
+    """Reload an OvrModel written by :func:`save_ovr`.
+
+    Every file is checked on load: it must be valid JSON with the fields
+    the loader reads, each member's method must be the manifest's, and
+    every parameter vector needs one value per vocabulary term.  A failed
+    check raises :class:`ModelFormatError` naming the file and the field.
+    """
+    manifest_path = os.path.join(model_dir, "model_manifest.json")
+    manifest = _load_model_json(manifest_path, ("members", "method", "selector", "budgets", "seed"))
+    if manifest["method"] not in CLASSIFIERS:
+        raise ModelFormatError(f"{manifest_path}: field 'method' must be one of {CLASSIFIERS}")
+    model_type, param_names, hyper_names = _MEMBER_FIELDS[manifest["method"]]
     members = []
     for name in manifest["members"]:
-        with open(os.path.join(model_dir, name), encoding="utf-8") as fh:
-            doc = json.load(fh)
-        cat = Category(doc["category"])
+        path = os.path.join(model_dir, name)
+        doc = _load_model_json(path, ("method", "category", "vocabulary", "parameters", "hyperparameters"))
         method = doc["method"]
-        params = doc["parameters"]
+        if method != manifest["method"]:
+            raise ModelFormatError(f"{path}: field 'method' is {method!r}, but the manifest's is {manifest['method']!r}")
+        if doc["category"] not in range(N_CATEGORIES):
+            raise ModelFormatError(f"{path}: field 'category' must be an index in [0, {N_CATEGORIES - 1}]")
+        cat = Category(doc["category"])
         terms = tuple(doc["vocabulary"])
+        params = _checked(path, doc["parameters"], (), "parameters")
         if "stub" in params:
+            if params["stub"] not in (STUB_NO_POSITIVES, STUB_NO_NEGATIVES):
+                raise ModelFormatError(f"{path}: field 'parameters.stub' has unknown value {params['stub']!r}")
             members.append(BinaryMember(cat, method, terms, None, stub=params["stub"]))
             continue
-        hp = doc["hyperparameters"]
-        if method == NB:
-            model = NbModel(
-                log_prior_pos=params["log_prior_pos"],
-                log_prior_neg=params["log_prior_neg"],
-                cond_pos=np.asarray(params["cond_pos"]),
-                cond_neg=np.asarray(params["cond_neg"]),
-                smoothing=params["smoothing"],
-            )
-        elif method == LR:
-            model = LrModel(
-                weights=np.asarray(params["weights"]),
-                bias=params["bias"],
-                eta=hp["eta"],
-                lam=hp["lam"],
-                epochs=hp["epochs"],
-            )
-        else:
-            model = SvmModel(
-                weights=np.asarray(params["weights"]),
-                bias=params["bias"],
-                C=hp["C"],
-                epochs=hp["epochs"],
-                seed=hp["seed"],
-            )
+        _checked(path, params, param_names, "parameters")
+        hp = _checked(path, doc["hyperparameters"], hyper_names, "hyperparameters")
+        fields = {**{key: params[key] for key in param_names}, **{key: hp[key] for key in hyper_names}}
+        for key in _VECTOR_FIELDS:
+            if key in fields:
+                if not isinstance(fields[key], list) or len(fields[key]) != len(terms):
+                    raise ModelFormatError(
+                        f"{path}: field 'parameters.{key}' must hold one value per vocabulary term ({len(terms)})"
+                    )
+                fields[key] = np.asarray(fields[key])
+        model = model_type(**fields)
         members.append(BinaryMember(cat, method, terms, model))
     return OvrModel(
         members=tuple(members),

@@ -14,20 +14,29 @@ import hashlib
 import json
 import os
 import sys
-import tempfile
 
 from revclass import __version__
 from revclass.classify import (
     CLASSIFIERS,
     DEFAULT_BUDGETS,
     Hyperparams,
+    ModelFormatError,
     SVM,
     load_ovr,
     predict,
     save_ovr,
     train_ovr,
 )
-from revclass.corpus import Category, Corpus, CorpusFormatError, N_CATEGORIES, agreement_filter, load_corpus
+from revclass.corpus import (
+    Category,
+    Corpus,
+    CorpusFormatError,
+    N_CATEGORIES,
+    agreement_filter,
+    load_corpus,
+    write_json_atomic,
+    write_text_atomic,
+)
 from revclass.evaluate import (
     ExperimentConfig,
     SURROGATE_OFF,
@@ -40,7 +49,7 @@ from revclass.evaluate import (
     generate_synthetic,
     tokenize_corpus,
 )
-from revclass.feature_select import CHI2, METHODS, rank_features
+from revclass.feature_select import CHI2, METHODS
 from revclass.preprocess import (
     KnowledgeBase,
     KnowledgeBaseError,
@@ -78,24 +87,6 @@ def _sha256(path) -> str:
     return digest.hexdigest()
 
 
-def _atomic_write_text(path, text: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=os.path.basename(path))
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
-def _atomic_write_json(path, obj) -> None:
-    _atomic_write_text(path, json.dumps(obj, ensure_ascii=False, sort_keys=True, indent=2) + "\n")
-
-
 def _load_config_file(path) -> dict:
     if path is None:
         return {}
@@ -110,12 +101,13 @@ def _load_config_file(path) -> dict:
 
 
 def _resolve_config(args, defaults: dict) -> dict:
-    """Merge flag values over config-file values over defaults."""
+    """Merge flag values over config-file values over defaults; a config-file
+    key the command does not know is an error, not a silent default."""
     file_config = _load_config_file(getattr(args, "config", None))
-    effective = dict(defaults)
-    for key, value in file_config.items():
-        if key in effective:
-            effective[key] = value
+    unknown = sorted(set(file_config) - set(defaults))
+    if unknown:
+        raise CliError(f"config file {args.config}: unknown key(s) {', '.join(map(repr, unknown))}")
+    effective = {**defaults, **file_config}
     for key in defaults:
         value = getattr(args, key, None)
         if value is not None:
@@ -133,7 +125,7 @@ def _write_manifest(args, out_dir, command: str, config: dict, inputs: list, out
         "seed": config.get("seed"),
         "tool_version": __version__,
     }
-    _atomic_write_json(os.path.join(out_dir, MANIFEST_NAME), manifest)
+    write_json_atomic(os.path.join(out_dir, MANIFEST_NAME), manifest)
     _say(args, f"wrote {os.path.join(out_dir, MANIFEST_NAME)}")
 
 
@@ -153,7 +145,7 @@ def _review_record(review, label=None) -> dict:
 
 def _write_corpus(corpus: Corpus, path) -> None:
     lines = [json.dumps(_review_record(r), ensure_ascii=False, sort_keys=True) for r in corpus.reviews]
-    _atomic_write_text(path, "\n".join(lines) + ("\n" if lines else ""))
+    write_text_atomic(path, "\n".join(lines) + ("\n" if lines else ""))
 
 
 def _load_filtered(path) -> Corpus:
@@ -241,7 +233,7 @@ def cmd_ingest(args) -> None:
         "per_series_kept": {s: len(ix) for s, ix in filtered.series_index.items()},
     }
     report_out = os.path.join(out_dir, "ingest_report.json")
-    _atomic_write_json(report_out, report)
+    write_json_atomic(report_out, report)
     _say(args, f"kept {len(filtered)}/{len(corpus)} reviews (drops: {drops})")
     _write_manifest(args, out_dir, "ingest", config, [args.corpus], [corpus_out, report_out])
 
@@ -263,7 +255,7 @@ def cmd_preprocess(args) -> None:
     except ValueError as exc:
         raise CliError(str(exc)) from None
     tokens_out = os.path.join(out_dir, "tokens.jsonl")
-    _atomic_write_text(tokens_out, tokenized.to_jsonl())
+    tokenized.save(tokens_out)
     inputs = [args.corpus, *kb_files]
     if args.stopwords:
         inputs.append(args.stopwords)
@@ -291,20 +283,17 @@ def cmd_lda(args) -> None:
         model = fit_lda(list(tokenized.docs), cfg, doc_ids=list(tokenized.ids))
     except ValueError as exc:
         raise CliError(str(exc)) from None
-    os.makedirs(out_dir, exist_ok=True)
     model_out = os.path.join(out_dir, "lda_model.json")
-    _atomic_write_json(model_out, model.to_dict())
+    model.save(model_out)
     heatmap_out = os.path.join(out_dir, "heatmap.csv")
-    tmp_heatmap = heatmap_out + ".tmp"
-    export_heatmap(model, tmp_heatmap)
-    os.replace(tmp_heatmap, heatmap_out)
+    export_heatmap(model, heatmap_out)
     n_top = min(config["top_words"], len(model.vocab))
     listing = []
     for k in range(cfg.K):
         pairs = top_words(model, k, n_top)
         listing.append(f"topic_{k}\t" + " ".join(f"{w}:{p:.6f}" for w, p in pairs))
     words_out = os.path.join(out_dir, "top_words.txt")
-    _atomic_write_text(words_out, "\n".join(listing) + "\n")
+    write_text_atomic(words_out, "\n".join(listing) + "\n")
     # config echo with the derived alpha, for reproducibility
     config["alpha"] = cfg.alpha
     _say(args, f"fitted {cfg.K}-topic model on {model.n_docs} documents")
@@ -359,22 +348,15 @@ def cmd_train(args) -> None:
         )
     except ValueError as exc:
         raise CliError(str(exc)) from None
-    model_dir = os.path.join(out_dir, "model")
-    outputs = save_ovr(model, model_dir)
-    rankings_dir = os.path.join(out_dir, "rankings")
-    os.makedirs(rankings_dir, exist_ok=True)
-    V = len(vc.vocab)
-    for cat in Category:
-        ranking = rank_features(vc, cat, method=config["selector"], k=min(budgets[int(cat)], V))
-        path = os.path.join(rankings_dir, f"class_{int(cat)}.json")
-        _atomic_write_text(
-            path, json.dumps(ranking.to_dict(), ensure_ascii=False, sort_keys=True, indent=2) + "\n"
-        )
+    outputs = save_ovr(model, os.path.join(out_dir, "model"))
+    for member in model.members:
+        path = os.path.join(out_dir, "rankings", f"class_{int(member.category)}.json")
+        member.ranking.save(path)
         outputs.append(path)
     stubs = [int(m.category) for m in model.members if m.stub]
     if stubs:
         _say(args, f"warning: degenerate categories trained as stubs: {stubs}")
-    _say(args, f"trained 8 {config['method']} members over {V}-term vocabulary")
+    _say(args, f"trained 8 {config['method']} members over {len(vc.vocab)}-term vocabulary")
     _write_manifest(args, out_dir, "train", config, [args.tokens], outputs)
 
 
@@ -392,7 +374,7 @@ def cmd_evaluate(args) -> None:
     multi = accuracy(preds, tokenized.labels)
     lines.append(f"multiclass,{multi:.6f}")
     eval_out = os.path.join(out_dir, "evaluation.csv")
-    _atomic_write_text(eval_out, "\n".join(lines) + "\n")
+    write_text_atomic(eval_out, "\n".join(lines) + "\n")
     model_inputs = sorted(glob.glob(os.path.join(args.model, "*.json")))
     _say(args, f"multiclass accuracy {multi:.4f} on {len(tokenized)} reviews")
     _write_manifest(args, out_dir, "evaluate", config, [args.tokens, *model_inputs], [eval_out])
@@ -448,16 +430,11 @@ def cmd_sweep(args) -> None:
     corpus, kbs, seg, inputs = _prepare_experiment(args, config)
     rotation = _parse_rotation(args.rotation) if args.rotation else None
     exp = _experiment_config(config, rotation=rotation)
-    os.makedirs(out_dir, exist_ok=True)
     sweep_out = os.path.join(out_dir, "sweep.csv")
-    tmp = sweep_out + ".tmp"
     try:
-        feature_size_sweep(corpus, exp, kbs=kbs, seg=seg, out_csv=tmp)
+        feature_size_sweep(corpus, exp, kbs=kbs, seg=seg, out_csv=sweep_out)
     except ValueError as exc:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
         raise CliError(str(exc)) from None
-    os.replace(tmp, sweep_out)
     config.pop("_stoplist")
     _say(args, f"swept {len(exp.feature_sizes)} feature sizes x 8 categories")
     _write_manifest(args, out_dir, "sweep", config, inputs, [sweep_out])
@@ -471,21 +448,16 @@ def cmd_cross_series(args) -> None:
         raise CliError("cross-series requires --kb-dir (the surrogate-on arm needs knowledge bases)")
     rotations = _parse_rotations(args.rotations)
     exp = _experiment_config(config, rotations=rotations)
-    os.makedirs(out_dir, exist_ok=True)
     table_out = os.path.join(out_dir, "crossseries.csv")
-    tmp = table_out + ".tmp"
     try:
-        table = cross_series_experiment(corpus, kbs, exp, seg=seg, out_csv=tmp)
+        table = cross_series_experiment(corpus, kbs, exp, seg=seg, out_csv=table_out)
     except ValueError as exc:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
         raise CliError(str(exc)) from None
-    os.replace(tmp, table_out)
     multi_lines = ["rotation,surrogate,accuracy"]
     for (rotation, mode), value in sorted(table.multiclass.items()):
         multi_lines.append(f"{rotation},{mode},{value:.6f}")
     multi_out = os.path.join(out_dir, "crossseries_multiclass.csv")
-    _atomic_write_text(multi_out, "\n".join(multi_lines) + "\n")
+    write_text_atomic(multi_out, "\n".join(multi_lines) + "\n")
     config.pop("_stoplist")
     _say(args, f"cross-series table: {len(table.generalization)} cells")
     _write_manifest(args, out_dir, "cross-series", config, inputs, [table_out, multi_out])
@@ -525,10 +497,10 @@ def cmd_synth(args) -> None:
             ],
         }
         path = os.path.join(kb_dir, f"{series}.json")
-        _atomic_write_json(path, doc)
+        write_json_atomic(path, doc)
         outputs.append(path)
     spec_out = os.path.join(out_dir, "synth_spec.json")
-    _atomic_write_json(spec_out, spec.to_dict())
+    write_json_atomic(spec_out, spec.to_dict())
     outputs.append(spec_out)
     config["seed"] = spec.seed
     inputs = [args.spec] if args.spec else []
@@ -644,7 +616,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         args.func(args)
-    except (CliError, CorpusFormatError, KnowledgeBaseError, OSError) as exc:
+    except (CliError, CorpusFormatError, KnowledgeBaseError, ModelFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # noqa: BLE001 - runtime failures exit 1

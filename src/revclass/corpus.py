@@ -1,9 +1,11 @@
-"""Labeled review corpora: loading, annotator-agreement filtering, series splits."""
+"""Labeled review corpora: loading, annotator-agreement filtering, series splits,
+and the atomic file writers that every output of the package goes through."""
 
 from __future__ import annotations
 
 import enum
 import json
+import os
 import unicodedata
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
@@ -212,3 +214,27 @@ def split_by_series(corpus: Corpus, train: set[str], test: set[str]) -> tuple[Co
         )
 
     return take(set(train)), take(set(test))
+
+
+def write_text_atomic(path, text: str) -> None:
+    """Write ``text`` as UTF-8 to ``path`` (creating its directory) through a
+    uniquely named temporary file in the same directory and a rename: readers
+    see the old file or the new one, and a failed write leaves nothing behind.
+    """
+    directory, name = os.path.split(os.path.abspath(path))
+    os.makedirs(directory, exist_ok=True)
+    tmp = os.path.join(directory, f".tmp-{os.urandom(8).hex()}-{name}")
+    # Exclusive create, unlike mkstemp, keeps the mode a plain open() gives.
+    fh = open(tmp, "x", encoding="utf-8", newline="\n")
+    try:
+        with fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
+def write_json_atomic(path, obj) -> None:
+    """Write ``obj`` atomically as indented, key-sorted JSON plus a newline."""
+    write_text_atomic(path, json.dumps(obj, ensure_ascii=False, sort_keys=True, indent=2) + "\n")

@@ -13,20 +13,15 @@ import numpy as np
 from revclass.classify import (
     CLASSIFIERS,
     DEFAULT_BUDGETS,
-    LR,
-    NB,
-    STUB_NO_NEGATIVES,
-    STUB_NO_POSITIVES,
     SVM,
     BinaryMember,
     Hyperparams,
     predict,
-    train_lr,
-    train_nb,
+    train_member,
     train_ovr,
-    train_svm,
+    train_svm,  # unused here; perfbench's tracing self-test reads this binding
 )
-from revclass.corpus import Category, Corpus, N_CATEGORIES, Review
+from revclass.corpus import Category, Corpus, N_CATEGORIES, Review, write_text_atomic
 from revclass.feature_select import CHI2, METHODS, rank_features
 from revclass.preprocess import (
     KnowledgeBase,
@@ -355,16 +350,14 @@ def write_sweep_csv(table: ResultTable, path) -> None:
     lines = ["category,size,train_acc,test_acc"]
     for (cat, _requested), cell in sorted(table.sweep.items()):
         lines.append(f"{cat},{cell.actual_size},{cell.train_acc:.6f},{cell.test_acc:.6f}")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_text_atomic(path, "\n".join(lines) + "\n")
 
 
 def write_generalization_csv(table: ResultTable, path) -> None:
     lines = ["category,rotation,surrogate,accuracy"]
     for (cat, rotation, mode), value in sorted(table.generalization.items()):
         lines.append(f"{cat},{rotation},{mode},{value:.6f}")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_text_atomic(path, "\n".join(lines) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -477,7 +470,7 @@ def feature_size_sweep(
                     stacklevel=2,
                 )
             terms = full_terms[:actual]
-            member = _train_member(vc_train, cat, terms, config.sweep_method, hp, config.seed)
+            member = train_member(vc_train, cat, terms, config.sweep_method, hp, config.seed)
             table.sweep[(int(cat), size)] = SweepCell(
                 actual_size=actual,
                 train_acc=binary_accuracy(member, train, cat),
@@ -487,33 +480,6 @@ def feature_size_sweep(
     if out_csv is not None:
         write_sweep_csv(table, out_csv)
     return table
-
-
-def _train_member(
-    vc: VectorizedCorpus,
-    cat: Category,
-    terms: tuple[str, ...],
-    method: str,
-    hp: Hyperparams,
-    seed: int,
-) -> BinaryMember:
-    # Single-category trainer mirroring train_ovr's per-member path, for the
-    # sweep where only one class budget varies at a time.
-    labels = np.asarray(vc.labels)
-    rel = labels == int(cat)
-    if not rel.any():
-        return BinaryMember(cat, method, (), None, stub=STUB_NO_POSITIVES)
-    if rel.all():
-        return BinaryMember(cat, method, (), None, stub=STUB_NO_NEGATIVES)
-    positions = [vc.vocab.index[t] for t in terms]
-    X = vc.dense_matrix(positions)
-    if method == NB:
-        model = train_nb(X, np.where(rel, 1, -1), l=hp.l)
-    elif method == LR:
-        model = train_lr(X, rel.astype(np.float64), eta=hp.eta, lam=hp.lam, epochs=hp.lr_epochs)
-    else:
-        model = train_svm(X, np.where(rel, 1.0, -1.0), C=hp.C, epochs=hp.svm_epochs, seed=seed + int(cat))
-    return BinaryMember(cat, method, tuple(terms), model)
 
 
 def cross_series_experiment(

@@ -2,14 +2,13 @@
 
 from __future__ import annotations
 
-import json
 import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from revclass.corpus import Category
+from revclass.corpus import Category, write_json_atomic
 from revclass.preprocess import VectorizedCorpus
 
 CHI2 = "chi2"
@@ -128,9 +127,7 @@ class FeatureRanking:
         }
 
     def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, ensure_ascii=False, indent=2)
-            fh.write("\n")
+        write_json_atomic(path, self.to_dict())
 
 
 def _class_tables(corpus: VectorizedCorpus, cat: int) -> tuple[np.ndarray, np.ndarray, int, int]:

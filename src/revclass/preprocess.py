@@ -10,6 +10,8 @@ from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
+from revclass.corpus import write_text_atomic
+
 Segmenter = Callable[[str], list[str]]
 
 ROLE_TAG = "role_{rank}"
@@ -368,8 +370,7 @@ class TokenizedCorpus:
         return "\n".join(lines) + ("\n" if lines else "")
 
     def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(self.to_jsonl())
+        write_text_atomic(path, self.to_jsonl())
 
     @classmethod
     def load(cls, path) -> "TokenizedCorpus":

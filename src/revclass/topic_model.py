@@ -7,13 +7,13 @@ by the seed and document order.
 
 from __future__ import annotations
 
-import json
 import warnings
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
+from revclass.corpus import write_json_atomic, write_text_atomic
 from revclass.preprocess import Vocabulary
 
 try:
@@ -87,9 +87,7 @@ class LdaModel:
         }
 
     def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, ensure_ascii=False, sort_keys=True, indent=2)
-            fh.write("\n")
+        write_json_atomic(path, self.to_dict())
 
 
 @njit(cache=True)
@@ -243,5 +241,4 @@ def export_heatmap(model: LdaModel, path) -> None:
     lines = [header]
     for doc_id, row in zip(model.doc_ids, model.doc_topic):
         lines.append(doc_id + "," + ",".join(f"{v:.6f}" for v in row))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_text_atomic(path, "\n".join(lines) + "\n")

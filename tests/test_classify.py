@@ -7,6 +7,7 @@ from revclass.classify import (
     DEFAULT_BUDGETS,
     BinaryMember,
     Hyperparams,
+    LrModel,
     OvrModel,
     STUB_NO_NEGATIVES,
     STUB_NO_POSITIVES,
@@ -445,3 +446,21 @@ class TestSerialization:
         loaded = load_ovr(tmp_path / "model")
         assert loaded.member_for(0).stub == STUB_NO_NEGATIVES
         assert loaded.member_for(5).stub == STUB_NO_POSITIVES
+
+
+class TestLrMemberScore:
+    @staticmethod
+    def _member(cat, bias):
+        model = LrModel(weights=np.zeros(1), bias=bias, eta=0.1, lam=0.1, epochs=1)
+        return BinaryMember(Category(cat), "lr", ("a",), model)
+
+    def test_saturated_members_rank_by_decision_value(self):
+        # sigma(40) and sigma(50) both round to exactly 1.0
+        biases = {2: 40.0, 6: 50.0}
+        members = tuple(self._member(c, biases.get(c, -5.0)) for c in range(8))
+        model = OvrModel(members=members, method="lr", selector="chi2", budgets=(1,) * 8, seed=0)
+        assert predict(model, ["a"]) is Category.THUMB
+
+    def test_tiny_negative_decision_value_decides_negative(self):
+        # sigma(-1e-17) rounds to exactly 0.5
+        assert not self._member(0, -1e-17).decide(["a"])

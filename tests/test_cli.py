@@ -1,11 +1,15 @@
 import json
 import os
+import shutil
 import subprocess
 import sys
 
 import pytest
 
+from revclass import classify, cli, feature_select
 from revclass.cli import main
+from revclass.corpus import Category
+from revclass.preprocess import TokenizedCorpus, VectorizedCorpus
 from conftest import review_record, write_jsonl
 
 
@@ -431,3 +435,122 @@ class TestConsoleScript:
         )
         assert proc.returncode == 0
         assert "revclass" in proc.stdout
+
+
+class TestOneRankingPerClass:
+    def test_train_ranks_each_class_once(self, pipeline, tmp_path, monkeypatch):
+        ranked = []
+
+        def counting(corpus, category, *args, **kwargs):
+            ranked.append(int(category))
+            return feature_select.rank_features(corpus, category, *args, **kwargs)
+
+        monkeypatch.setattr(classify, "rank_features", counting)
+        # a binding the CLI might hold of its own is counted too
+        monkeypatch.setattr(cli, "rank_features", counting, raising=False)
+        code = run(
+            [
+                "train",
+                "--tokens", pipeline["tokens"] / "tokens.jsonl",
+                "--method", "nb",
+                "--sizes", "30",
+                "--out-dir", tmp_path,
+                "--quiet",
+            ]
+        )
+        assert code == 0
+        assert sorted(ranked) == list(range(8))
+
+    def test_rankings_are_feature_ranking_save_output_stubs_included(self, pipeline, tmp_path):
+        lines = (pipeline["tokens"] / "tokens.jsonl").read_text(encoding="utf-8").splitlines(keepends=True)
+        tokens = tmp_path / "two_labels.jsonl"
+        tokens.write_text("".join(l for l in lines if json.loads(l)["label"] in (0, 1)), encoding="utf-8")
+        out = tmp_path / "train"
+        code = run(
+            [
+                "train",
+                "--tokens", tokens,
+                "--method", "nb",
+                "--selector", "drc",
+                "--sizes", "20",
+                "--out-dir", out,
+                "--quiet",
+            ]
+        )
+        assert code == 0
+        members = [json.loads((out / "model" / f"member_{c}.json").read_text(encoding="utf-8")) for c in range(8)]
+        stubs = [c for c in range(8) if "stub" in members[c]["parameters"]]
+        assert stubs == [2, 3, 4, 5, 6, 7]
+        tokenized = TokenizedCorpus.load(tokens)
+        vc = VectorizedCorpus.from_tokens(tokenized.docs, tokenized.labels)
+        for cat in Category:
+            expected = tmp_path / f"expected_{int(cat)}.json"
+            feature_select.rank_features(vc, cat, method="drc", k=min(20, len(vc.vocab))).save(expected)
+            assert (out / "rankings" / f"class_{int(cat)}.json").read_bytes() == expected.read_bytes()
+
+
+def _truncate(path):
+    path.write_text(path.read_text(encoding="utf-8")[:200], encoding="utf-8")
+
+
+def _edit(change):
+    def apply(path):
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        change(doc)
+        path.write_text(json.dumps(doc), encoding="utf-8")
+
+    return apply
+
+
+class TestBoundaryValidation:
+    def test_unknown_config_key_exits_2_naming_file_and_key(self, pipeline, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"method": "nb", "sizs": "40"}), encoding="utf-8")
+        out = tmp_path / "train"
+        code = run(["train", "--tokens", pipeline["tokens"] / "tokens.jsonl", "--config", config, "--out-dir", out])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert str(config) in err and "'sizs'" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "corrupt, field",
+        [
+            (_truncate, "invalid JSON"),
+            (_edit(lambda d: d["parameters"].update(cond_pos=d["parameters"]["cond_pos"][:-5])), "'parameters.cond_pos'"),
+            (_edit(lambda d: d["parameters"].pop("cond_neg")), "'parameters.cond_neg'"),
+            (_edit(lambda d: d.update(method="svm")), "'method'"),
+        ],
+        ids=["truncated", "short_cond_pos", "missing_field", "other_method"],
+    )
+    def test_bad_model_exits_2_naming_file_and_field(self, pipeline, tmp_path, capsys, corrupt, field):
+        model = tmp_path / "model"
+        shutil.copytree(pipeline["train"] / "model", model)
+        corrupt(model / "member_3.json")
+        out = tmp_path / "eval"
+        code = run(["evaluate", "--model", model, "--tokens", pipeline["tokens"] / "tokens.jsonl", "--out-dir", out])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert str(model / "member_3.json") in err and field in err
+        assert not out.exists()
+
+
+class TestAtomicOutputs:
+    def test_failing_sweep_leaves_no_csv_and_no_temp_file(self, pipeline, tmp_path, monkeypatch):
+        def failing_replace(src, dst):
+            raise OSError("no space left on device")
+
+        monkeypatch.setattr(os, "replace", failing_replace)
+        out = tmp_path / "sweep"
+        code = run(
+            [
+                "sweep",
+                "--corpus", pipeline["ingest"] / "corpus.filtered.jsonl",
+                "--sizes", "10",
+                "--method", "nb",
+                "--out-dir", out,
+                "--quiet",
+            ]
+        )
+        assert code == 2
+        assert not out.exists() or os.listdir(out) == []
