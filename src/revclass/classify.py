@@ -248,7 +248,17 @@ def train_svm(
     under which the per-sample stochastic objective is the primal scaled by
     a positive constant.  The bias rides along as an augmented coordinate
     (sharing the contraction), which keeps the iteration strongly convex.
-    Runs epochs * N steps.
+    Runs epochs * N steps, sampling one row per step with one
+    ``rng.integers(0, N, N)`` draw per epoch.
+
+    Each step costs O(nonzeros of the row).  Under this schedule the
+    contraction w <- (1 - 1/t) w turns v_t = t * w_t into a plain sum,
+    v_t = v_{t-1} + [margin < 1] * C * N * y_i * x_i, so only v is stored
+    and the margin test y_i * (v.x_i + v_0) < t - 1 needs no division
+    (with 0/1 features and an integer C * N it is exact).  The suffix
+    average is kept lazily: with H(t) the sum of 1/s over averaged steps
+    s <= t, sum_t v_t / t = v_T * H(T) - sum over changes of delta * H(t - 1),
+    so a change adds one term to the second sum of its coordinate only.
     """
     if C <= 0:
         raise ValueError("C must be > 0")
@@ -259,32 +269,45 @@ def train_svm(
     n, d = X.shape
     if not (np.any(y > 0) and np.any(y < 0)):
         raise ValueError("training set must contain both labels")
-    lam = 1.0 / (C * n)
+    # Each row as its nonzero columns and values, with the bias as column d.
+    rows = []
+    for x in X:
+        cols = np.flatnonzero(x)
+        rows.append((cols.tolist() + [d], x[cols].tolist() + [1.0]))
+    labels = y.tolist()
+    gain = C * n
     rng = np.random.default_rng(seed)
-    w = np.zeros(d)
-    w0 = 0.0
     steps = epochs * n
     # Suffix averaging: the early iterates under the 1/(lam*t) schedule are
     # far from the optimum, so only the second half enters the average.
     start = steps // 2
-    w_avg = np.zeros(d)
-    w0_avg = 0.0
-    averaged = 0
-    for t in range(1, steps + 1):
-        i = int(rng.integers(0, n))
-        eta = 1.0 / (lam * t)
-        margin = y[i] * (w @ X[i] + w0)
-        shrink = 1.0 - 1.0 / t  # = (1 - eta * lam)
-        w *= shrink
-        w0 *= shrink
-        if margin < 1.0:
-            w += eta * y[i] * X[i]
-            w0 += eta * y[i]
-        if t > start:
-            averaged += 1
-            w_avg += (w - w_avg) / averaged
-            w0_avg += (w0 - w0_avg) / averaged
-    return SvmModel(weights=w_avg, bias=w0_avg, C=C, epochs=epochs, seed=seed)
+    # harmonic[k] = H(start + k), the sum of 1/s for s in (start, start + k].
+    harmonic = [0.0] * (steps - start + 1)
+    for k in range(1, steps - start + 1):
+        harmonic[k] = harmonic[k - 1] + 1.0 / (start + k)
+    v = [0.0] * (d + 1)
+    late = [0.0] * (d + 1)  # per coordinate: sum of delta * H(t - 1) over changes
+    t = 0
+    for _ in range(epochs):
+        for i in rng.integers(0, n, n).tolist():
+            t += 1
+            cols, vals = rows[i]
+            z = 0.0
+            for j, x in zip(cols, vals):
+                z += v[j] * x
+            yi = labels[i]
+            if t == 1 or yi * z < t - 1:
+                g = gain * yi
+                if t > start:
+                    gh = g * harmonic[t - 1 - start]
+                    for j, x in zip(cols, vals):
+                        v[j] += g * x
+                        late[j] += gh * x
+                else:
+                    for j, x in zip(cols, vals):
+                        v[j] += g * x
+    averaged = (np.array(v) * harmonic[-1] - np.array(late)) / (steps - start)
+    return SvmModel(weights=averaged[:d], bias=float(averaged[d]), C=C, epochs=epochs, seed=seed)
 
 
 def svm_decision(m: SvmModel, x: np.ndarray) -> float:
@@ -550,9 +573,10 @@ def load_ovr(model_dir) -> OvrModel:
     """Reload an OvrModel written by :func:`save_ovr`.
 
     Every file is checked on load: it must be valid JSON with the fields
-    the loader reads, each member's method must be the manifest's, and
-    every parameter vector needs one value per vocabulary term.  A failed
-    check raises :class:`ModelFormatError` naming the file and the field.
+    the loader reads, each member's method must be the manifest's, every
+    parameter vector needs one value per vocabulary term, and the manifest
+    must list one member file per category.  A failed check raises
+    :class:`ModelFormatError` naming the file and the field.
     """
     manifest_path = os.path.join(model_dir, "model_manifest.json")
     manifest = _load_model_json(manifest_path, ("members", "method", "selector", "budgets", "seed"))
@@ -560,6 +584,7 @@ def load_ovr(model_dir) -> OvrModel:
         raise ModelFormatError(f"{manifest_path}: field 'method' must be one of {CLASSIFIERS}")
     model_type, param_names, hyper_names = _MEMBER_FIELDS[manifest["method"]]
     members = []
+    files = {}  # category -> member file that holds it
     for name in manifest["members"]:
         path = os.path.join(model_dir, name)
         doc = _load_model_json(path, ("method", "category", "vocabulary", "parameters", "hyperparameters"))
@@ -569,6 +594,11 @@ def load_ovr(model_dir) -> OvrModel:
         if doc["category"] not in range(N_CATEGORIES):
             raise ModelFormatError(f"{path}: field 'category' must be an index in [0, {N_CATEGORIES - 1}]")
         cat = Category(doc["category"])
+        if cat in files:
+            raise ModelFormatError(
+                f"{manifest_path}: field 'members' lists category {int(cat)} twice ({files[cat]} and {name})"
+            )
+        files[cat] = name
         terms = tuple(doc["vocabulary"])
         params = _checked(path, doc["parameters"], (), "parameters")
         if "stub" in params:
@@ -588,6 +618,10 @@ def load_ovr(model_dir) -> OvrModel:
                 fields[key] = np.asarray(fields[key])
         model = model_type(**fields)
         members.append(BinaryMember(cat, method, terms, model))
+    if len(members) != N_CATEGORIES:
+        raise ModelFormatError(
+            f"{manifest_path}: field 'members' must list {N_CATEGORIES} member files, got {len(members)}"
+        )
     return OvrModel(
         members=tuple(members),
         method=manifest["method"],

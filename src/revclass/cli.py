@@ -337,6 +337,8 @@ def cmd_train(args) -> None:
     tokenized = TokenizedCorpus.load(args.tokens)
     _require_labeled(tokenized, args.tokens)
     vc = VectorizedCorpus.from_tokens(tokenized.docs, tokenized.labels)
+    if not len(vc.vocab):
+        raise CliError(f"the vocabulary built from {args.tokens} is empty (every review has no tokens)")
     try:
         model = train_ovr(
             vc,

@@ -10,7 +10,7 @@ from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
-from revclass.corpus import write_text_atomic
+from revclass.corpus import CorpusFormatError, write_text_atomic
 
 Segmenter = Callable[[str], list[str]]
 
@@ -374,6 +374,8 @@ class TokenizedCorpus:
 
     @classmethod
     def load(cls, path) -> "TokenizedCorpus":
+        """Read a file written by :meth:`save`; a malformed line raises
+        :class:`CorpusFormatError` naming the file, the line and the field."""
         ids, series, docs, labels = [], [], [], []
         with open(path, encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, start=1):
@@ -382,15 +384,20 @@ class TokenizedCorpus:
                 try:
                     obj = json.loads(line)
                 except json.JSONDecodeError as exc:
-                    raise ValueError(f"{path}: line {lineno}: invalid JSON ({exc.msg})") from None
+                    raise CorpusFormatError(f"{path}: line {lineno}: invalid JSON ({exc.msg})") from None
+                if not isinstance(obj, dict):
+                    raise CorpusFormatError(f"{path}: line {lineno}: expected a JSON object")
                 for name in ("id", "series", "tokens"):
                     if name not in obj:
-                        raise ValueError(f"{path}: line {lineno}: missing field {name!r}")
+                        raise CorpusFormatError(f"{path}: line {lineno}: missing field {name!r}")
                 label = obj.get("label")
                 if label is not None and (isinstance(label, bool) or not isinstance(label, int)):
-                    raise ValueError(f"{path}: line {lineno}: field 'label' must be an integer or null")
+                    raise CorpusFormatError(f"{path}: line {lineno}: field 'label' must be an integer or null")
+                tokens = obj["tokens"]
+                if not isinstance(tokens, list) or not all(isinstance(t, str) for t in tokens):
+                    raise CorpusFormatError(f"{path}: line {lineno}: field 'tokens' must be a list of strings")
                 ids.append(obj["id"])
                 series.append(obj["series"])
-                docs.append(tuple(obj["tokens"]))
+                docs.append(tuple(tokens))
                 labels.append(label)
         return cls(ids=tuple(ids), series=tuple(series), docs=tuple(docs), labels=tuple(labels))

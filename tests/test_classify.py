@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -308,6 +309,115 @@ class TestSvmDecision:
         X = np.array([[1.0], [-1.0]])
         model = train_svm(X, np.array([1.0, -1.0]), C=100.0, epochs=20000, seed=42)
         assert svm_decision(model, np.array([0.5])) == pytest.approx(0.5, abs=0.1)
+
+
+def _dense_svm_reference(X, y, C, epochs, seed):
+    """The averaged SGD of train_svm as a dense O(d) loop, one scalar draw per
+    step.  Its shrink-then-add rounding decides margins that are exactly 1."""
+    n, d = X.shape
+    lam = 1.0 / (C * n)
+    rng = np.random.default_rng(seed)
+    w = np.zeros(d)
+    w0 = 0.0
+    steps = epochs * n
+    start = steps // 2
+    w_avg = np.zeros(d)
+    w0_avg = 0.0
+    averaged = 0
+    for t in range(1, steps + 1):
+        i = int(rng.integers(0, n))
+        eta = 1.0 / (lam * t)
+        margin = y[i] * (w @ X[i] + w0)
+        shrink = 1.0 - 1.0 / t
+        w *= shrink
+        w0 *= shrink
+        if margin < 1.0:
+            w += eta * y[i] * X[i]
+            w0 += eta * y[i]
+        if t > start:
+            averaged += 1
+            w_avg += (w - w_avg) / averaged
+            w0_avg += (w0 - w0_avg) / averaged
+    return np.append(w_avg, w0_avg)
+
+
+def _exact_svm_reference(X, y, C, epochs, seed):
+    """_dense_svm_reference in exact rational arithmetic."""
+    n, d = X.shape
+    X = [[Fraction(float(v)) for v in row] for row in X]
+    y = [Fraction(float(v)) for v in y]
+    rng = np.random.default_rng(seed)
+    w = [Fraction(0)] * (d + 1)  # the bias is coordinate d, with x_d = 1
+    steps = epochs * n
+    start = steps // 2
+    w_avg = [Fraction(0)] * (d + 1)
+    for t in range(1, steps + 1):
+        i = int(rng.integers(0, n))
+        x = X[i] + [Fraction(1)]
+        margin = y[i] * sum(wj * xj for wj, xj in zip(w, x))
+        shrink = 1 - Fraction(1, t)
+        w = [wj * shrink for wj in w]
+        if margin < 1:
+            eta = Fraction(C) * n / t
+            w = [wj + eta * y[i] * xj for wj, xj in zip(w, x)]
+        if t > start:
+            averaged = t - start
+            w_avg = [aj + (wj - aj) / averaged for aj, wj in zip(w_avg, w)]
+    return np.array([float(a) for a in w_avg])
+
+
+def _relative_gap(model, reference):
+    got = np.append(model.weights, model.bias)
+    return float(np.max(np.abs(got - reference)) / np.max(np.abs(reference)))
+
+
+def _binary_fixture(seed):
+    rng = np.random.default_rng(seed)
+    X = (rng.random((12, 5)) < 0.4).astype(float)
+    y = np.where(np.arange(12) % 3 == 0, 1.0, -1.0)
+    return X, y
+
+
+# (fixture seed, C, epochs): C * N is an integer for N = 12.
+BINARY_CASES = [
+    (0, 0.25, 3), (4, 1.0, 3), (7, 1.0, 3), (5, 2.0, 3), (1, 0.5, 6),
+    (3, 1.0, 6), (2, 0.25, 10), (4, 0.5, 10), (1, 1.0, 10), (6, 1.0, 20),
+]
+
+
+@pytest.mark.parametrize("fixture_seed, C, epochs", BINARY_CASES)
+def test_svm_matches_exact_transcription_on_binary_features(fixture_seed, C, epochs):
+    X, y = _binary_fixture(fixture_seed)
+    model = train_svm(X, y, C=C, epochs=epochs, seed=fixture_seed)
+    assert _relative_gap(model, _exact_svm_reference(X, y, C, epochs, fixture_seed)) <= 1e-12
+
+
+def test_binary_fixtures_hold_margin_ties_that_the_dense_loop_rounds():
+    gaps = []
+    for fixture_seed, C, epochs in BINARY_CASES:
+        X, y = _binary_fixture(fixture_seed)
+        exact = _exact_svm_reference(X, y, C, epochs, fixture_seed)
+        dense = _dense_svm_reference(X, y, C, epochs, fixture_seed)
+        gaps.append(float(np.max(np.abs(dense - exact)) / np.max(np.abs(exact))))
+    assert max(gaps) > 1e-3, gaps
+
+
+@pytest.mark.parametrize("density", [1.0, 0.03], ids=["dense", "sparse"])
+@pytest.mark.parametrize("C, epochs", [(1.0, 3), (10.0, 2)])
+def test_svm_matches_dense_reference_on_gaussian_features(density, C, epochs):
+    rng = np.random.default_rng(17)
+    X = rng.normal(size=(200, 400)) * (rng.random((200, 400)) < density)
+    y = np.where(rng.random(200) < 0.3, 1.0, -1.0)
+    model = train_svm(X, y, C=C, epochs=epochs, seed=5)
+    assert _relative_gap(model, _dense_svm_reference(X, y, C, epochs, 5)) <= 1e-9
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 200, 201, 4001])
+def test_per_epoch_index_draws_equal_per_step_draws(n):
+    per_step = np.random.default_rng(11)
+    per_epoch = np.random.default_rng(11)
+    for _ in range(3):
+        assert per_epoch.integers(0, n, n).tolist() == [int(per_step.integers(0, n)) for _ in range(n)]
 
 
 # ---------------------------------------------------------------------------

@@ -535,6 +535,62 @@ class TestBoundaryValidation:
         assert not out.exists()
 
 
+    @pytest.mark.parametrize("command", ["train", "lda", "evaluate"])
+    @pytest.mark.parametrize(
+        "line, field",
+        [
+            ("not json", "invalid JSON"),
+            ('{"id": "r0", "series": "s", "label": 0, "tokens": "plot twist"}', "'tokens'"),
+        ],
+        ids=["invalid_json", "string_tokens"],
+    )
+    def test_bad_tokens_file_exits_2_naming_file_line_and_field(self, pipeline, tmp_path, capsys, command, line, field):
+        tokens = tmp_path / "tokens.jsonl"
+        good = (pipeline["tokens"] / "tokens.jsonl").read_text(encoding="utf-8").splitlines()
+        tokens.write_text("\n".join(good[:2] + [line] + good[2:]) + "\n", encoding="utf-8")
+        out = tmp_path / "out"
+        extra = ["--model", pipeline["train"] / "model"] if command == "evaluate" else []
+        code = run([command, "--tokens", tokens, *extra, "--out-dir", out, "--quiet"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"{tokens}: line 3:" in err and field in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            (lambda d: d["members"].__setitem__(1, "member_0.json"), "lists category 0 twice"),
+            (lambda d: d["members"].pop(), "must list 8 member files, got 7"),
+        ],
+        ids=["duplicate", "missing"],
+    )
+    def test_bad_manifest_members_exit_2_naming_manifest(self, pipeline, tmp_path, capsys, change, message):
+        model = tmp_path / "model"
+        shutil.copytree(pipeline["train"] / "model", model)
+        _edit(change)(model / "model_manifest.json")
+        out = tmp_path / "eval"
+        code = run(["evaluate", "--model", model, "--tokens", pipeline["tokens"] / "tokens.jsonl", "--out-dir", out])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert str(model / "model_manifest.json") in err and message in err
+        assert not out.exists()
+
+    def test_empty_vocabulary_exits_2_naming_tokens_file(self, tmp_path, capsys):
+        tokens = tmp_path / "tokens.jsonl"
+        TokenizedCorpus(
+            ids=tuple(f"r{i}" for i in range(6)),
+            series=("s",) * 6,
+            docs=((),) * 6,
+            labels=tuple(range(6)),
+        ).save(tokens)
+        out = tmp_path / "train"
+        code = run(["train", "--tokens", tokens, "--out-dir", out, "--quiet"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"the vocabulary built from {tokens} is empty" in err
+        assert not out.exists()
+
+
 class TestAtomicOutputs:
     def test_failing_sweep_leaves_no_csv_and_no_temp_file(self, pipeline, tmp_path, monkeypatch):
         def failing_replace(src, dst):

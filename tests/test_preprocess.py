@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from revclass.corpus import CorpusFormatError
 from revclass.preprocess import (
     DictionarySegmenter,
     KnowledgeBase,
@@ -229,3 +230,21 @@ class TestTokenizedCorpus:
         )
         with pytest.raises(ValueError, match="label"):
             TokenizedCorpus.load(path)
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("not json", "line 2: invalid JSON"),
+            ('["r1", "s", 0, []]', "line 2: expected a JSON object"),
+            ('{"id": "r1", "series": "s", "label": 0, "tokens": "plot twist"}', "line 2: field 'tokens'"),
+            ('{"id": "r1", "series": "s", "label": 0, "tokens": ["plot", 3]}', "line 2: field 'tokens'"),
+            ('{"id": "r1", "series": "s", "label": 0}', "line 2: missing field 'tokens'"),
+        ],
+        ids=["invalid_json", "not_an_object", "string_tokens", "non_string_token", "missing_tokens"],
+    )
+    def test_load_rejects_malformed_line_naming_file_line_and_field(self, tmp_path, line, message):
+        path = tmp_path / "tokens.jsonl"
+        path.write_text('{"id": "r0", "series": "s", "label": 0, "tokens": ["a"]}\n' + line + "\n", encoding="utf-8")
+        with pytest.raises(CorpusFormatError) as info:
+            TokenizedCorpus.load(path)
+        assert str(info.value).startswith(f"{path}: {message}")
