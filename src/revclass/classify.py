@@ -13,7 +13,7 @@ import numpy as np
 
 from revclass.corpus import Category, N_CATEGORIES, write_json_atomic
 from revclass.feature_select import CHI2, METHODS, FeatureRanking, rank_features
-from revclass.preprocess import VectorizedCorpus
+from revclass.preprocess import VectorizedCorpus, Vocabulary
 
 NB = "nb"
 LR = "lr"
@@ -42,6 +42,15 @@ def hinge(z: float) -> float:
     return max(0.0, 1.0 - z)
 
 
+def _decision_value(m: NbModel | LrModel | SvmModel, x: np.ndarray) -> float:
+    """bias + weights.x for one dense feature vector; every model is this
+    linear form (see :func:`score_documents`)."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.shape != m.weights.shape:
+        raise ValueError(f"expected {len(m.weights)} features, got shape {x.shape}")
+    return float(m.weights @ x + m.bias)
+
+
 # ---------------------------------------------------------------------------
 # Naive Bayes (Bernoulli event model)
 # ---------------------------------------------------------------------------
@@ -56,25 +65,17 @@ class NbModel:
     cond_pos: np.ndarray  # p(x_j = 1 | positive)
     cond_neg: np.ndarray  # p(x_j = 1 | negative)
     smoothing: float
-    # Log-odds decomposes into an all-absent baseline plus per-present-term
-    # deltas, which makes sparse scoring O(tokens).
-    _base: float = field(init=False, repr=False, compare=False, default=0.0)
-    _delta: np.ndarray = field(init=False, repr=False, compare=False, default=None)
+    # The log-odds as a linear form over present terms, like LR's and the
+    # SVM's: the log prior odds plus the all-absent baseline as bias, and
+    # per term the present-minus-absent log-odds as weight.
+    bias: float = field(init=False, repr=False, compare=False, default=0.0)
+    weights: np.ndarray = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self):
         absent = np.log1p(-self.cond_pos) - np.log1p(-self.cond_neg)
         present = np.log(self.cond_pos) - np.log(self.cond_neg)
-        object.__setattr__(self, "_base", float(absent.sum()) + self.log_prior_pos - self.log_prior_neg)
-        object.__setattr__(self, "_delta", present - absent)
-
-    @property
-    def n_features(self) -> int:
-        return len(self.cond_pos)
-
-    def log_odds_active(self, active: Sequence[int]) -> float:
-        if len(active) == 0:
-            return self._base
-        return self._base + float(self._delta[np.asarray(active, dtype=np.intp)].sum())
+        object.__setattr__(self, "bias", float(absent.sum()) + self.log_prior_pos - self.log_prior_neg)
+        object.__setattr__(self, "weights", present - absent)
 
 
 def train_nb(X: np.ndarray, y: np.ndarray, l: float = 1.0) -> NbModel:
@@ -110,10 +111,7 @@ def nb_log_odds(m: NbModel, x: np.ndarray) -> float:
     Both present terms (p(x=1|.)) and absent terms (p(x=0|.)) contribute;
     predict positive iff the result is >= 0.
     """
-    x = np.asarray(x)
-    if x.shape != (m.n_features,):
-        raise ValueError(f"expected {m.n_features} features, got shape {x.shape}")
-    return m.log_odds_active(np.flatnonzero(x))
+    return _decision_value(m, x)
 
 
 # ---------------------------------------------------------------------------
@@ -131,13 +129,6 @@ class LrModel:
     lam: float
     epochs: int
     history: tuple[float, ...] = ()  # penalized log-likelihood per step, index 0 = init
-
-    @property
-    def n_features(self) -> int:
-        return len(self.weights)
-
-    def decision_value(self, x: np.ndarray) -> float:
-        return float(self.weights @ x + self.bias)
 
 
 def _lr_objective(w: np.ndarray, w0: float, X: np.ndarray, y: np.ndarray, lam: float) -> float:
@@ -201,10 +192,7 @@ def train_lr(
 
 def lr_prob(m: LrModel, x: np.ndarray) -> float:
     """sigma(w.x + w0), clamped inside (0, 1); predict positive iff >= 0.5."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (m.n_features,):
-        raise ValueError(f"expected {m.n_features} features, got shape {x.shape}")
-    p = float(_sigmoid(m.decision_value(x)))
+    p = float(_sigmoid(_decision_value(m, x)))
     return min(max(p, 1e-15), 1.0 - 1e-15)
 
 
@@ -222,10 +210,6 @@ class SvmModel:
     C: float
     epochs: int
     seed: int
-
-    @property
-    def n_features(self) -> int:
-        return len(self.weights)
 
 
 def svm_objective(w: np.ndarray, w0: float, X: np.ndarray, y: np.ndarray, C: float) -> float:
@@ -312,10 +296,7 @@ def train_svm(
 
 def svm_decision(m: SvmModel, x: np.ndarray) -> float:
     """Decision value w.x + w0; positive class iff >= 0."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (m.n_features,):
-        raise ValueError(f"expected {m.n_features} features, got shape {x.shape}")
-    return float(m.weights @ x + m.bias)
+    return _decision_value(m, x)
 
 
 # ---------------------------------------------------------------------------
@@ -354,26 +335,10 @@ class BinaryMember:
     model: Optional[NbModel | LrModel | SvmModel]
     stub: Optional[str] = None
     ranking: Optional[FeatureRanking] = field(default=None, repr=False, compare=False)
-    _positions: dict[str, int] = field(init=False, repr=False, compare=False, default=None)
-
-    def __post_init__(self):
-        object.__setattr__(self, "_positions", {t: j for j, t in enumerate(self.terms)})
-
-    def _active(self, tokens: Iterable[str]) -> list[int]:
-        pos = self._positions
-        return sorted({pos[t] for t in tokens if t in pos})
 
     def score(self, tokens: Iterable[str]) -> float:
-        """Cross-member comparable score: NB log-odds, LR and SVM decision
-        value z = w.x + w0 (LR's sigma(z) saturates to exact ties)."""
-        if self.stub == STUB_NO_POSITIVES:
-            return float("-inf")
-        if self.stub == STUB_NO_NEGATIVES:
-            return float("inf")
-        active = self._active(tokens)
-        if self.method == NB:
-            return self.model.log_odds_active(active)
-        return float(self.model.weights[active].sum() + self.model.bias) if active else self.model.bias
+        """Cross-member comparable score of one review (see :func:`score_documents`)."""
+        return float(score_documents([self], [tuple(tokens)])[0, 0])
 
     def decide(self, tokens: Iterable[str]) -> bool:
         """Positive decision for this member's class (ties resolve positive)."""
@@ -401,6 +366,38 @@ class OvrModel:
             if int(member.category) == cat:
                 return member
         raise KeyError(cat)
+
+    def scores(self, docs: Sequence[Sequence[str]]) -> np.ndarray:
+        """Member scores of token documents, column c for category c, so a
+        row's first maximum is its best category, ties to the lowest index."""
+        return score_documents([self.member_for(c) for c in Category], docs)
+
+
+def score_documents(members: Sequence[BinaryMember], docs: Sequence[Sequence[str]]) -> np.ndarray:
+    """Scores of token documents under members, shape ``(len(docs), len(members))``.
+
+    Every member is one linear form, bias plus the weights of its terms
+    present: NB's log-odds, LR's and the SVM's z = w.x + w0 (LR's sigma(z)
+    saturates to exact ties), or a stub's -inf/+inf.  The documents are
+    vectorized once, over their own vocabulary in sorted order (so a score
+    depends only on a document's set of tokens), and each member is one
+    weighted bincount over the stored positions.
+    """
+    vocab = Vocabulary(tuple(sorted({t for doc in docs for t in doc})))
+    # The labels are placeholders: scoring reads only the presence matrix.
+    vc = VectorizedCorpus.from_tokens(docs, [-1] * len(docs), vocab)
+    rows = vc.rows
+    scores = np.empty((len(docs), len(members)))
+    for j, member in enumerate(members):
+        if member.stub:
+            scores[:, j] = -math.inf if member.stub == STUB_NO_POSITIVES else math.inf
+            continue
+        pos = np.array([vocab.index.get(t, -1) for t in member.terms], dtype=np.int64)
+        seen = pos >= 0
+        w = np.zeros(len(vocab))
+        w[pos[seen]] = member.model.weights[seen]
+        scores[:, j] = member.model.bias + np.bincount(rows, weights=w[vc.indices], minlength=len(docs))
+    return scores
 
 
 def train_member(
@@ -470,15 +467,7 @@ def predict(m: OvrModel, tokens: Iterable[str]) -> Category:
     """Single-label assignment: every member scores the review on its own
     vocabulary projection; highest score wins, ties go to the lowest
     category index (invariant under member order)."""
-    token_set = set(tokens)
-    best_cat: Optional[Category] = None
-    best_score = float("-inf")
-    for member in m.members:
-        score = member.score(token_set)
-        if best_cat is None or score > best_score or (score == best_score and member.category < best_cat):
-            best_cat = member.category
-            best_score = score
-    return best_cat
+    return Category(int(m.scores([tuple(tokens)])[0].argmax()))
 
 
 # ---------------------------------------------------------------------------

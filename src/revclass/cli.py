@@ -23,12 +23,10 @@ from revclass.classify import (
     ModelFormatError,
     SVM,
     load_ovr,
-    predict,
     save_ovr,
     train_ovr,
 )
 from revclass.corpus import (
-    Category,
     Corpus,
     CorpusFormatError,
     N_CATEGORIES,
@@ -42,11 +40,10 @@ from revclass.evaluate import (
     SURROGATE_OFF,
     SURROGATE_ON,
     SyntheticSpec,
-    accuracy,
-    binary_accuracy,
     cross_series_experiment,
     feature_size_sweep,
     generate_synthetic,
+    ovr_accuracies,
     tokenize_corpus,
 )
 from revclass.feature_select import CHI2, METHODS
@@ -244,23 +241,15 @@ def cmd_preprocess(args) -> None:
     if mode not in (SURROGATE_ON, SURROGATE_OFF):
         raise CliError(f"--surrogates must be 'on' or 'off', got {mode!r}")
     out_dir = args.out_dir
-    corpus = _load_filtered(args.corpus)
-    kbs, kb_files = _load_kb_dir(args.kb_dir)
+    corpus, kbs, stoplist, seg, inputs = _load_text_inputs(args)
     if mode == SURROGATE_ON and not kbs:
         raise CliError("surrogates on requires --kb-dir")
-    stoplist = load_stopwords(args.stopwords) if args.stopwords else frozenset()
-    seg = _build_segmenter(args.dict)
     try:
-        tokenized = tokenize_corpus(corpus, seg, stoplist, kbs or None, mode)
+        tokenized = tokenize_corpus(corpus, seg, stoplist, kbs, mode)
     except ValueError as exc:
         raise CliError(str(exc)) from None
     tokens_out = os.path.join(out_dir, "tokens.jsonl")
     tokenized.save(tokens_out)
-    inputs = [args.corpus, *kb_files]
-    if args.stopwords:
-        inputs.append(args.stopwords)
-    if args.dict:
-        inputs.append(args.dict)
     _say(args, f"tokenized {len(tokenized)} reviews (surrogates {mode})")
     _write_manifest(args, out_dir, "preprocess", config, inputs, [tokens_out])
 
@@ -271,15 +260,17 @@ def cmd_lda(args) -> None:
         {"topics": 8, "alpha": None, "beta": 0.01, "iterations": 1000, "top_words": 15, "seed": 42},
     )
     out_dir = args.out_dir
+    if config["top_words"] < 1:
+        raise CliError(f"--top-words must be >= 1, got {config['top_words']}")
     tokenized = TokenizedCorpus.load(args.tokens)
-    cfg = LdaConfig(
-        K=config["topics"],
-        alpha=config["alpha"],
-        beta=config["beta"],
-        iterations=config["iterations"],
-        seed=config["seed"],
-    )
     try:
+        cfg = LdaConfig(
+            K=config["topics"],
+            alpha=config["alpha"],
+            beta=config["beta"],
+            iterations=config["iterations"],
+            seed=config["seed"],
+        )
         model = fit_lda(list(tokenized.docs), cfg, doc_ids=list(tokenized.ids))
     except ValueError as exc:
         raise CliError(str(exc)) from None
@@ -368,13 +359,8 @@ def cmd_evaluate(args) -> None:
     model = load_ovr(args.model)
     tokenized = TokenizedCorpus.load(args.tokens)
     _require_labeled(tokenized, args.tokens)
-    lines = ["category,accuracy"]
-    for cat in Category:
-        acc = binary_accuracy(model.member_for(cat), tokenized, cat)
-        lines.append(f"{int(cat)},{acc:.6f}")
-    preds = [int(predict(model, doc)) for doc in tokenized.docs]
-    multi = accuracy(preds, tokenized.labels)
-    lines.append(f"multiclass,{multi:.6f}")
+    per_category, multi = ovr_accuracies(model, tokenized)
+    lines = ["category,accuracy", *(f"{c},{acc:.6f}" for c, acc in enumerate(per_category)), f"multiclass,{multi:.6f}"]
     eval_out = os.path.join(out_dir, "evaluation.csv")
     write_text_atomic(eval_out, "\n".join(lines) + "\n")
     model_inputs = sorted(glob.glob(os.path.join(args.model, "*.json")))
@@ -382,7 +368,7 @@ def cmd_evaluate(args) -> None:
     _write_manifest(args, out_dir, "evaluate", config, [args.tokens, *model_inputs], [eval_out])
 
 
-def _experiment_config(config: dict, rotation=None, rotations=None) -> ExperimentConfig:
+def _experiment_config(config: dict, stoplist, rotation=None, rotations=None) -> ExperimentConfig:
     return ExperimentConfig(
         methods=tuple(config["methods"].split(",")) if isinstance(config["methods"], str) else tuple(config["methods"]),
         selector=config["selector"],
@@ -393,7 +379,7 @@ def _experiment_config(config: dict, rotation=None, rotations=None) -> Experimen
         sweep_method=config["method"],
         per_class_budgets=_parse_sizes(config["budgets"], n=N_CATEGORIES),
         hyperparams=_hyperparams_from_config(config),
-        stopwords=config["_stoplist"],
+        stopwords=stoplist,
         per_series_cap=config["per_series_cap"],
         seed=config["seed"],
     )
@@ -412,32 +398,27 @@ _EXPERIMENT_DEFAULTS = {
 }
 
 
-def _prepare_experiment(args, config):
+def _load_text_inputs(args):
+    """The filtered corpus, knowledge bases, stoplist and segmenter that the
+    text pipeline reads, and the input files they came from."""
     corpus = _load_filtered(args.corpus)
-    kbs, kb_files = _load_kb_dir(getattr(args, "kb_dir", None))
-    stoplist = load_stopwords(args.stopwords) if getattr(args, "stopwords", None) else frozenset()
-    seg = _build_segmenter(getattr(args, "dict", None))
-    config["_stoplist"] = stoplist
-    inputs = [args.corpus, *kb_files]
-    if getattr(args, "stopwords", None):
-        inputs.append(args.stopwords)
-    if getattr(args, "dict", None):
-        inputs.append(args.dict)
-    return corpus, (kbs or None), seg, inputs
+    kbs, kb_files = _load_kb_dir(args.kb_dir)
+    stoplist = load_stopwords(args.stopwords) if args.stopwords else frozenset()
+    inputs = [args.corpus, *kb_files, *(path for path in (args.stopwords, args.dict) if path)]
+    return corpus, (kbs or None), stoplist, _build_segmenter(args.dict), inputs
 
 
 def cmd_sweep(args) -> None:
     config = _resolve_config(args, dict(_EXPERIMENT_DEFAULTS))
     out_dir = args.out_dir
-    corpus, kbs, seg, inputs = _prepare_experiment(args, config)
+    corpus, kbs, stoplist, seg, inputs = _load_text_inputs(args)
     rotation = _parse_rotation(args.rotation) if args.rotation else None
-    exp = _experiment_config(config, rotation=rotation)
+    exp = _experiment_config(config, stoplist, rotation=rotation)
     sweep_out = os.path.join(out_dir, "sweep.csv")
     try:
         feature_size_sweep(corpus, exp, kbs=kbs, seg=seg, out_csv=sweep_out)
     except ValueError as exc:
         raise CliError(str(exc)) from None
-    config.pop("_stoplist")
     _say(args, f"swept {len(exp.feature_sizes)} feature sizes x 8 categories")
     _write_manifest(args, out_dir, "sweep", config, inputs, [sweep_out])
 
@@ -445,11 +426,11 @@ def cmd_sweep(args) -> None:
 def cmd_cross_series(args) -> None:
     config = _resolve_config(args, dict(_EXPERIMENT_DEFAULTS))
     out_dir = args.out_dir
-    corpus, kbs, seg, inputs = _prepare_experiment(args, config)
+    corpus, kbs, stoplist, seg, inputs = _load_text_inputs(args)
     if not kbs:
         raise CliError("cross-series requires --kb-dir (the surrogate-on arm needs knowledge bases)")
     rotations = _parse_rotations(args.rotations)
-    exp = _experiment_config(config, rotations=rotations)
+    exp = _experiment_config(config, stoplist, rotations=rotations)
     table_out = os.path.join(out_dir, "crossseries.csv")
     try:
         table = cross_series_experiment(corpus, kbs, exp, seg=seg, out_csv=table_out)
@@ -460,7 +441,6 @@ def cmd_cross_series(args) -> None:
         multi_lines.append(f"{rotation},{mode},{value:.6f}")
     multi_out = os.path.join(out_dir, "crossseries_multiclass.csv")
     write_text_atomic(multi_out, "\n".join(multi_lines) + "\n")
-    config.pop("_stoplist")
     _say(args, f"cross-series table: {len(table.generalization)} cells")
     _write_manifest(args, out_dir, "cross-series", config, inputs, [table_out, multi_out])
 

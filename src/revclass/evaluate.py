@@ -16,7 +16,8 @@ from revclass.classify import (
     SVM,
     BinaryMember,
     Hyperparams,
-    predict,
+    OvrModel,
+    score_documents,
     train_member,
     train_ovr,
     train_svm,  # unused here; perfbench's tracing self-test reads this binding
@@ -30,7 +31,6 @@ from revclass.preprocess import (
     SurrogateMap,
     TokenizedCorpus,
     VectorizedCorpus,
-    Vocabulary,
     WhitespaceSegmenter,
     build_surrogate_map,
     preprocess_text,
@@ -51,10 +51,13 @@ def accuracy(predictions: Sequence[int], gold: Sequence[int]) -> float:
     """Fraction of exact matches between two equal-length label lists."""
     if len(predictions) != len(gold):
         raise ValueError(f"length mismatch: {len(predictions)} vs {len(gold)}")
-    if not predictions:
+    if len(predictions) == 0:
         raise ValueError("empty input")
-    hits = sum(1 for p, g in zip(predictions, gold) if int(p) == int(g))
-    return hits / len(predictions)
+    return _hit_rate(np.asarray(predictions, dtype=np.int64), np.asarray(gold, dtype=np.int64))
+
+
+def _hit_rate(got: np.ndarray, want: np.ndarray) -> float:
+    return int(np.count_nonzero(got == want)) / len(want)
 
 
 def binary_accuracy(member: BinaryMember, test: TokenizedCorpus, category: Category | int) -> float:
@@ -62,12 +65,19 @@ def binary_accuracy(member: BinaryMember, test: TokenizedCorpus, category: Categ
     (label == category) on a labeled test corpus."""
     if len(test) == 0:
         raise ValueError("empty test set")
-    cat = int(category)
-    hits = 0
-    for doc, label in zip(test.docs, test.labels):
-        if member.decide(set(doc)) == (label == cat):
-            hits += 1
-    return hits / len(test)
+    scores = score_documents([member], test.docs)[:, 0]
+    return _hit_rate(scores >= 0.0, np.asarray(test.labels) == int(category))
+
+
+def ovr_accuracies(model: OvrModel, test: TokenizedCorpus) -> tuple[list[float], float]:
+    """Per-category binary accuracies and the multiclass accuracy of a model
+    on a labeled test corpus, read from one documents x categories score matrix."""
+    if len(test) == 0:
+        raise ValueError("empty test set")
+    scores = model.scores(test.docs)
+    gold = np.asarray(test.labels)
+    per_category = [_hit_rate(scores[:, c] >= 0.0, gold == c) for c in range(N_CATEGORIES)]
+    return per_category, accuracy(scores.argmax(axis=1), gold)
 
 
 # ---------------------------------------------------------------------------
@@ -396,6 +406,7 @@ def tokenize_corpus(
     a missing knowledge base is an error.
     """
     seg = seg or WhitespaceSegmenter()
+    stoplist = frozenset(stoplist)  # one object, so its stop sets are built once
     maps: dict[str, SurrogateMap] = {}
     if surrogate_mode == SURROGATE_ON:
         if kbs is None:
@@ -404,14 +415,10 @@ def tokenize_corpus(
         if missing:
             raise ValueError(f"missing knowledge base for series: {sorted(missing)}")
         maps = {s: build_surrogate_map(kbs[s]) for s in corpus.series_index}
-    docs = []
-    for review in corpus.reviews:
-        surrogates = maps.get(review.series) if surrogate_mode == SURROGATE_ON else None
-        docs.append(tuple(preprocess_text(review.text, seg, stoplist, surrogates)))
     return TokenizedCorpus(
         ids=tuple(r.id for r in corpus.reviews),
         series=tuple(r.series for r in corpus.reviews),
-        docs=tuple(docs),
+        docs=tuple(tuple(preprocess_text(r.text, seg, stoplist, maps.get(r.series))) for r in corpus.reviews),
         labels=tuple(None if lab is None else int(lab) for lab in corpus.labels),
     )
 
@@ -452,9 +459,8 @@ def feature_size_sweep(
     tokenized = tokenize_corpus(corpus, seg, config.stopwords, kbs, config.surrogate_mode)
     _require_labels(tokenized)
     train, test = _split_tokenized(tokenized, rotation)
-    vocab = Vocabulary.from_documents(train.docs)
-    vc_train = VectorizedCorpus.from_tokens(train.docs, train.labels, vocab)
-    V = len(vocab)
+    vc_train = VectorizedCorpus.from_tokens(train.docs, train.labels)
+    V = len(vc_train.vocab)
     max_size = min(max(config.feature_sizes), V)
     hp = config.hyperparams
 
@@ -503,8 +509,7 @@ def cross_series_experiment(
         for rot in rotations:
             label = rotation_label(rot)
             train, test = _split_tokenized(tokenized, rot)
-            vocab = Vocabulary.from_documents(train.docs)
-            vc_train = VectorizedCorpus.from_tokens(train.docs, train.labels, vocab)
+            vc_train = VectorizedCorpus.from_tokens(train.docs, train.labels)
             per_cat = np.zeros((len(config.methods), N_CATEGORIES))
             multi = np.zeros(len(config.methods))
             for mi, method in enumerate(config.methods):
@@ -516,10 +521,7 @@ def cross_series_experiment(
                     hyperparams=config.hyperparams,
                     seed=config.seed,
                 )
-                for cat in Category:
-                    per_cat[mi, int(cat)] = binary_accuracy(ovr.member_for(cat), test, cat)
-                preds = [int(predict(ovr, doc)) for doc in test.docs]
-                multi[mi] = accuracy(preds, test.labels)
+                per_cat[mi], multi[mi] = ovr_accuracies(ovr, test)
             for cat in Category:
                 table.generalization[(int(cat), label, mode)] = float(per_cat[:, int(cat)].mean())
             table.multiclass[(label, mode)] = float(multi.mean())

@@ -130,30 +130,15 @@ class FeatureRanking:
         write_json_atomic(path, self.to_dict())
 
 
-def _class_tables(corpus: VectorizedCorpus, cat: int) -> tuple[np.ndarray, np.ndarray, int, int]:
-    """Vectorized per-term A and B counts for one binary class task."""
-    V = len(corpus.vocab)
-    A = np.zeros(V, dtype=np.int64)
-    B = np.zeros(V, dtype=np.int64)
-    n_rel = 0
-    for present, label in zip(corpus.doc_terms, corpus.labels):
-        idx = np.fromiter(present, dtype=np.int64, count=len(present))
-        if label == cat:
-            n_rel += 1
-            A[idx] += 1
-        else:
-            B[idx] += 1
-    return A, B, n_rel, len(corpus) - n_rel
-
-
 def score_terms(corpus: VectorizedCorpus, category: Category | int, method: str) -> np.ndarray:
     """Score of every vocabulary term for one class task, in vocabulary order."""
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
-    cat = int(category)
-    A, B, n_rel, n_irr = _class_tables(corpus, cat)
-    A = A.astype(np.float64)
-    B = B.astype(np.float64)
+    cat = int(Category(category))
+    A = corpus.class_term_counts[cat].astype(np.float64)
+    B = np.bincount(corpus.indices, minlength=len(corpus.vocab)) - A  # document frequency - A
+    n_rel = corpus.labels.count(cat)
+    n_irr = len(corpus) - n_rel
     C = n_rel - A
     D = n_irr - B
     N = float(len(corpus))

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import functools
+import itertools
 import json
 import re
 import unicodedata
@@ -10,7 +12,7 @@ from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
-from revclass.corpus import CorpusFormatError, write_text_atomic
+from revclass.corpus import N_CATEGORIES, CorpusFormatError, write_text_atomic
 
 Segmenter = Callable[[str], list[str]]
 
@@ -34,8 +36,12 @@ class PersonEntry:
     def __post_init__(self):
         if self.kind not in ("role", "actor"):
             raise KnowledgeBaseError(f"kind must be 'role' or 'actor', got {self.kind!r}")
+        if isinstance(self.rank, bool) or not isinstance(self.rank, int):
+            raise KnowledgeBaseError(f"rank must be an integer, got {self.rank!r}")
         if self.rank < 1:
             raise KnowledgeBaseError(f"{self.canonical_name!r}: rank must be >= 1")
+        if not isinstance(self.aliases, (list, tuple)):
+            raise KnowledgeBaseError(f"aliases must be a list of strings, got {self.aliases!r}")
         object.__setattr__(self, "canonical_name", _nfc_nonempty(self.canonical_name, "canonical_name"))
         object.__setattr__(self, "aliases", tuple(_nfc_nonempty(a, "alias") for a in self.aliases))
 
@@ -45,6 +51,8 @@ class PersonEntry:
 
 
 def _nfc_nonempty(s: str, what: str) -> str:
+    if not isinstance(s, str):
+        raise KnowledgeBaseError(f"{what} must be a string, got {s!r}")
     s = unicodedata.normalize("NFC", s)
     if not s:
         raise KnowledgeBaseError(f"{what} must be non-empty")
@@ -74,25 +82,31 @@ class KnowledgeBase:
 
 
 def load_knowledge_base(path) -> KnowledgeBase:
-    """Load a knowledge-base JSON file: {"series", "roles": [...], "actors": [...]}."""
-    with open(path, encoding="utf-8") as fh:
-        obj = json.load(fh)
+    """Load a knowledge-base JSON file: {"series", "roles": [...], "actors": [...]}.
+
+    A malformed file raises :class:`KnowledgeBaseError` naming the file and
+    the field.
+    """
+    try:
+        with open(path, encoding="utf-8") as fh:
+            obj = json.load(fh)
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise KnowledgeBaseError(f"{path}: invalid JSON ({exc})") from None
     if not isinstance(obj, dict) or not isinstance(obj.get("series"), str):
         raise KnowledgeBaseError(f"{path}: expected an object with a 'series' string")
 
     def entries(key: str, kind: str) -> tuple[PersonEntry, ...]:
+        items = obj.get(key, [])
+        if not isinstance(items, list):
+            raise KnowledgeBaseError(f"{path}: field {key!r} must be a list")
         out = []
-        for item in obj.get(key, []):
+        for i, item in enumerate(items):
             if not isinstance(item, dict) or "name" not in item or "rank" not in item:
-                raise KnowledgeBaseError(f"{path}: every {key} entry needs 'name' and 'rank'")
-            out.append(
-                PersonEntry(
-                    canonical_name=item["name"],
-                    kind=kind,
-                    rank=int(item["rank"]),
-                    aliases=tuple(item.get("aliases", ())),
-                )
-            )
+                raise KnowledgeBaseError(f"{path}: field '{key}[{i}]' needs 'name' and 'rank'")
+            try:
+                out.append(PersonEntry(item["name"], kind, item["rank"], item.get("aliases", ())))
+            except KnowledgeBaseError as exc:
+                raise KnowledgeBaseError(f"{path}: field '{key}[{i}]': {exc}") from None
         return tuple(out)
 
     return KnowledgeBase(series=obj["series"], roles=entries("roles", "role"), actors=entries("actors", "actor"))
@@ -220,9 +234,14 @@ def remove_stopwords(tokens: Sequence[str], stoplist: Iterable[str]) -> list[str
     Latin-script tokens (pure ASCII) match case-insensitively so forum slang
     like "LOL"/"lol" is caught either way; other scripts match exactly.
     """
-    exact = set(stoplist)
-    lowered = {w.lower() for w in exact if w.isascii()}
+    exact, lowered = _stop_sets(frozenset(stoplist))
     return [t for t in tokens if t not in exact and not (t.isascii() and t.lower() in lowered)]
+
+
+@functools.lru_cache(maxsize=16)
+def _stop_sets(stoplist: frozenset[str]) -> tuple[frozenset[str], frozenset[str]]:
+    """The exact and lower-cased ASCII stop sets, built once per stoplist."""
+    return stoplist, frozenset(w.lower() for w in stoplist if w.isascii())
 
 
 @dataclass(frozen=True)
@@ -268,20 +287,44 @@ def vectorize(tokens: Sequence[str], vocab: Vocabulary) -> np.ndarray:
 class VectorizedCorpus:
     """Binary bag-of-words view of a labeled corpus.
 
-    ``doc_terms[i]`` is the set of vocabulary positions present in document
-    i; ``labels[i]`` its resolved category index.
+    ``doc_terms[i]`` holds the distinct vocabulary positions present in
+    document i and ``labels[i]`` its resolved category index.  Ranking,
+    member matrices and scoring read the same matrix in CSR form, built
+    once: document i's positions are ``indices[indptr[i]:indptr[i + 1]]``.
     """
 
     vocab: Vocabulary
-    doc_terms: tuple[frozenset[int], ...]
+    doc_terms: tuple[tuple[int, ...], ...]
     labels: tuple[int, ...]
+    indptr: np.ndarray = field(init=False, repr=False, compare=False)
+    indices: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.doc_terms) != len(self.labels):
             raise ValueError("doc_terms and labels must align")
+        indptr = np.zeros(len(self.doc_terms) + 1, dtype=np.int64)
+        np.cumsum(np.fromiter(map(len, self.doc_terms), np.int64, len(self.doc_terms)), out=indptr[1:])
+        indices = np.fromiter(itertools.chain.from_iterable(self.doc_terms), np.int64, int(indptr[-1]))
+        object.__setattr__(self, "indptr", indptr)
+        object.__setattr__(self, "indices", indices)
 
     def __len__(self) -> int:
         return len(self.doc_terms)
+
+    @property
+    def rows(self) -> np.ndarray:
+        """The document of every stored position, aligned with ``indices``."""
+        return np.repeat(np.arange(len(self)), np.diff(self.indptr))
+
+    @functools.cached_property
+    def class_term_counts(self) -> np.ndarray:
+        """``N_CATEGORIES`` x V counts of the documents labeled c that hold term
+        t; a label outside the categories is counted in no row."""
+        V = len(self.vocab)
+        y = np.asarray(self.labels, dtype=np.int64)[self.rows]
+        known = (y >= 0) & (y < N_CATEGORIES)
+        keys = y[known] * V + self.indices[known]
+        return np.bincount(keys, minlength=N_CATEGORIES * V).reshape(N_CATEGORIES, V)
 
     @classmethod
     def from_tokens(
@@ -292,20 +335,19 @@ class VectorizedCorpus:
     ) -> "VectorizedCorpus":
         if vocab is None:
             vocab = Vocabulary.from_documents(docs)
-        doc_terms = tuple(
-            frozenset(vocab.index[t] for t in doc if t in vocab.index) for doc in docs
-        )
+        index = vocab.index
+        doc_terms = tuple(tuple(sorted({index[t] for t in doc if t in index})) for doc in docs)
         return cls(vocab=vocab, doc_terms=doc_terms, labels=tuple(int(y) for y in labels))
 
     def dense_matrix(self, term_positions: Sequence[int]) -> np.ndarray:
-        """Documents x selected-terms binary matrix (float64, for training)."""
-        cols = {int(t): j for j, t in enumerate(term_positions)}
-        X = np.zeros((len(self.doc_terms), len(cols)))
-        for i, present in enumerate(self.doc_terms):
-            for t in present:
-                j = cols.get(t)
-                if j is not None:
-                    X[i, j] = 1.0
+        """Documents x selected-terms binary matrix (float64, for training);
+        column j is vocabulary position ``term_positions[j]``."""
+        column = np.full(len(self.vocab), -1, dtype=np.int64)
+        column[np.asarray(term_positions, dtype=np.int64)] = np.arange(len(term_positions))
+        cols = column[self.indices]
+        selected = cols >= 0
+        X = np.zeros((len(self), len(term_positions)))
+        X[self.rows[selected], cols[selected]] = 1.0
         return X
 
 
@@ -314,18 +356,15 @@ def preprocess_text(
     seg: Segmenter,
     stoplist: Iterable[str] = (),
     surrogates: Optional[SurrogateMap] = None,
-    drop_whitespace_tokens: bool = True,
 ) -> list[str]:
     """Full text pipeline: substitute (when a map is given), tokenize, remove stop words.
 
     Whitespace-only fallback tokens from the dictionary segmenter carry no
-    signal and are dropped by default.
+    signal and are dropped.
     """
     if surrogates is not None:
         text = substitute(text, surrogates)
-    tokens = tokenize(text, seg)
-    if drop_whitespace_tokens:
-        tokens = [t for t in tokens if t.strip()]
+    tokens = [t for t in tokenize(text, seg) if t.strip()]
     return remove_stopwords(tokens, stoplist)
 
 

@@ -134,7 +134,6 @@ def fit_lda(
     docs: Sequence[Sequence[str]],
     cfg: LdaConfig,
     doc_ids: Optional[Sequence[str]] = None,
-    vocab: Optional[Vocabulary] = None,
     check_counts: bool = True,
 ) -> LdaModel:
     """Run collapsed Gibbs sampling from a seeded random initialization.
@@ -157,10 +156,7 @@ def fit_lda(
         doc_ids = [doc_ids[i] for i in keep]
     if not docs:
         raise ValueError("corpus is empty after excluding empty documents")
-    if vocab is None:
-        vocab = Vocabulary.from_documents(docs)
-    if len(vocab) < 1:
-        raise ValueError("vocabulary is empty")
+    vocab = Vocabulary.from_documents(docs)
 
     K = cfg.K
     V = len(vocab)

@@ -19,6 +19,7 @@ from revclass.classify import (
     nb_log_odds,
     predict,
     save_ovr,
+    score_documents,
     svm_decision,
     svm_objective,
     train_lr,
@@ -574,3 +575,116 @@ class TestLrMemberScore:
     def test_tiny_negative_decision_value_decides_negative(self):
         # sigma(-1e-17) rounds to exactly 0.5
         assert not self._member(0, -1e-17).decide(["a"])
+
+
+# ---------------------------------------------------------------------------
+# Batch scoring against the per-document reference
+# ---------------------------------------------------------------------------
+
+
+def _reference_summands(member, tokens):
+    """The per-document score as computed before the batch scorer, split into
+    its bias and the weights of the present terms: the member's own term
+    positions, sorted, and NB's form rebuilt from its conditional tables."""
+    positions = {t: j for j, t in enumerate(member.terms)}
+    active = sorted({positions[t] for t in tokens if t in positions})
+    m = member.model
+    if member.method == "nb":
+        absent = np.log1p(-m.cond_pos) - np.log1p(-m.cond_neg)
+        present = np.log(m.cond_pos) - np.log(m.cond_neg)
+        return float(absent.sum()) + m.log_prior_pos - m.log_prior_neg, (present - absent)[active]
+    return m.bias, m.weights[active]
+
+
+def _reference_score(member, tokens):
+    if member.stub:
+        return -math.inf if member.stub == STUB_NO_POSITIVES else math.inf
+    bias, weights = _reference_summands(member, tokens)
+    return bias + float(weights.sum()) if len(weights) else bias
+
+
+def _reference_predict(model, tokens):
+    """The per-document one-vs-rest loop: highest score wins, ties go to the
+    lowest category."""
+    best_cat, best_score = None, -math.inf
+    for member in model.members:
+        score = _reference_score(member, tokens)
+        if best_cat is None or score > best_score or (score == best_score and member.category < best_cat):
+            best_cat, best_score = member.category, score
+    return best_cat
+
+
+def _probe_docs(rng, n=150):
+    """Token documents with planted, background and unknown terms, repeated
+    tokens and empty documents."""
+    words = [f"c{c}w{i}" for c in range(8) for i in range(6)] + [f"bg{i}" for i in range(10)] + ["unknown", "zz"]
+    docs = [[words[j] for j in rng.integers(0, len(words), rng.integers(0, 9))] for _ in range(n)]
+    docs[:3] = [[], ["unknown"], ["c1w0", "c1w0", "bg2", "c1w0"]]
+    return [tuple(doc) for doc in docs]
+
+
+def _stub_models():
+    """Models with members of both stub kinds: two categories only, and one only."""
+    rng = np.random.default_rng(40)
+    vc = _synthetic_vc(rng)
+    models = []
+    for keep in ({0, 1}, {3}):
+        rows = [i for i, label in enumerate(vc.labels) if label in keep]
+        sub = VectorizedCorpus(vc.vocab, tuple(vc.doc_terms[i] for i in rows), tuple(vc.labels[i] for i in rows))
+        for method in ("nb", "lr", "svm"):
+            models.append(train_ovr(sub, method=method, hyperparams=Hyperparams(lr_epochs=20, svm_epochs=3)))
+    return models
+
+
+class TestBatchScores:
+    @pytest.mark.parametrize("method", ["nb", "lr", "svm"])
+    def test_batch_scores_match_per_document_reference(self, method):
+        vc = _synthetic_vc(np.random.default_rng(41))
+        model = train_ovr(
+            vc, method=method, per_class_feature_sizes=(5, 9, 20, 60, 3, 12, 40, 7),
+            hyperparams=Hyperparams(lr_epochs=30, svm_epochs=5),
+        )
+        docs = _probe_docs(np.random.default_rng(42))
+        scores = score_documents(model.members, docs)
+        assert scores.shape == (len(docs), 8)
+        for i, doc in enumerate(docs):
+            for j, member in enumerate(model.members):
+                bias, weights = _reference_summands(member, doc)
+                want = bias + float(weights.sum()) if len(weights) else bias
+                # Relative to the summands: the order of the additions changed.
+                assert abs(scores[i, j] - want) <= 1e-12 * (abs(bias) + float(np.abs(weights).sum()))
+                assert (scores[i, j] >= 0.0) == (want >= 0.0) == member.decide(doc)
+            assert predict(model, doc) is _reference_predict(model, doc)
+        assert scores.argmax(axis=1).tolist() == [int(_reference_predict(model, doc)) for doc in docs]
+
+    def test_stub_scores_are_infinite_and_argmax_matches_reference(self):
+        docs = _probe_docs(np.random.default_rng(43), n=40)
+        for model in _stub_models():
+            assert {m.stub for m in model.members} - {None}
+            scores = model.scores(docs)
+            for c in range(8):
+                member = model.member_for(c)
+                if member.stub:
+                    assert (scores[:, c] == _reference_score(member, ())).all()
+                else:
+                    want = [_reference_score(member, doc) for doc in docs]
+                    assert np.allclose(scores[:, c], want, rtol=1e-12, atol=1e-12)
+            assert scores.argmax(axis=1).tolist() == [int(_reference_predict(model, doc)) for doc in docs]
+
+    def test_score_depends_only_on_the_set_of_tokens(self):
+        vc = _synthetic_vc(np.random.default_rng(44))
+        model = train_ovr(vc, method="nb")
+        docs = _probe_docs(np.random.default_rng(45), n=30)
+        batch = model.scores(docs)
+        rng = np.random.default_rng(46)
+        for i, doc in enumerate(docs):
+            shuffled = list(doc) * 2
+            rng.shuffle(shuffled)
+            for member in model.members:
+                # One document alone, reordered and repeated, scores bit-identically.
+                assert member.score(shuffled) == batch[i, int(member.category)]
+
+    def test_no_documents(self):
+        vc = _synthetic_vc(np.random.default_rng(47))
+        model = train_ovr(vc, method="svm", hyperparams=Hyperparams(svm_epochs=2))
+        assert model.scores([]).shape == (0, 8)

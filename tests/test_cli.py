@@ -591,6 +591,51 @@ class TestBoundaryValidation:
         assert not out.exists()
 
 
+    @pytest.mark.parametrize(
+        "change, field",
+        [
+            (lambda kb: kb["roles"][0].update(aliases="ab"), "'roles[0]': aliases must be a list of strings"),
+            (lambda kb: kb["actors"][1].update(rank="one"), "'actors[1]': rank must be an integer"),
+            (lambda kb: kb["roles"][2].update(name=7), "'roles[2]': canonical_name must be a string"),
+            (lambda kb: kb.update(roles={"name": "alpha_hero1", "rank": 1}), "field 'roles' must be a list"),
+            (lambda kb: kb.update(actors="alpha_star1"), "field 'actors' must be a list"),
+            (None, "invalid JSON"),
+        ],
+        ids=["string_aliases", "string_rank", "number_name", "roles_object", "actors_string", "invalid_json"],
+    )
+    def test_bad_knowledge_base_exits_2_naming_file_and_field(self, pipeline, tmp_path, capsys, change, field):
+        kb_dir = tmp_path / "kb"
+        shutil.copytree(pipeline["synth"] / "kb", kb_dir)
+        if change is None:
+            (kb_dir / "alpha.json").write_text('{"series": "alpha", "roles": [', encoding="utf-8")
+        else:
+            _edit(change)(kb_dir / "alpha.json")
+        out = tmp_path / "pre"
+        corpus = pipeline["ingest"] / "corpus.filtered.jsonl"
+        code = run(["preprocess", "--corpus", corpus, "--kb-dir", kb_dir, "--surrogates", "on", "--out-dir", out])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {kb_dir / 'alpha.json'}: ") and field in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--topics", 0, "K must be >= 1"),
+            ("--iterations", 0, "iterations must be >= 1"),
+            ("--top-words", -3, "--top-words must be >= 1, got -3"),
+            ("--top-words", 0, "--top-words must be >= 1, got 0"),
+        ],
+        ids=["topics_0", "iterations_0", "top_words_negative", "top_words_0"],
+    )
+    def test_bad_lda_flag_exits_2(self, pipeline, tmp_path, capsys, flag, value, message):
+        out = tmp_path / "lda"
+        code = run(["lda", "--tokens", pipeline["tokens"] / "tokens.jsonl", flag, value, "--out-dir", out])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert not out.exists()
+
 class TestAtomicOutputs:
     def test_failing_sweep_leaves_no_csv_and_no_temp_file(self, pipeline, tmp_path, monkeypatch):
         def failing_replace(src, dst):

@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from revclass.classify import BinaryMember, Hyperparams, STUB_NO_POSITIVES, train_ovr
+from revclass.classify import BinaryMember, Hyperparams, OvrModel, STUB_NO_POSITIVES, predict, train_ovr
 from revclass.corpus import Category
 from revclass.evaluate import (
     ExperimentConfig,
@@ -16,6 +16,7 @@ from revclass.evaluate import (
     derive_rotations,
     feature_size_sweep,
     generate_synthetic,
+    ovr_accuracies,
     rotation_label,
     tokenize_corpus,
     write_generalization_csv,
@@ -333,3 +334,47 @@ class TestCsvWriters:
             "0,a&b-c,off,0.250000",
             "0,a&b-c,on,0.500000",
         ]
+
+
+class TestOvrAccuracies:
+    @pytest.mark.parametrize("method", ["nb", "lr", "svm"])
+    def test_equal_to_per_member_and_per_review_evaluation(self, method):
+        corpus, _ = generate_synthetic(_small_spec(reviews_per_series=64))
+        tokenized = tokenize_corpus(corpus)
+        train = tokenized.subset(tokenized.series_indices(("alpha", "beta")))
+        test = tokenized.subset(tokenized.series_indices(("gamma",)))
+        # Categories 6 and 7 are absent from training, so their members are stubs.
+        keep = [i for i, label in enumerate(train.labels) if label < 6]
+        vc = VectorizedCorpus.from_tokens([train.docs[i] for i in keep], [train.labels[i] for i in keep])
+        model = train_ovr(vc, method=method, per_class_feature_sizes=(30,) * 8, hyperparams=FAST_HP)
+        per_category, multi = ovr_accuracies(model, test)
+        assert per_category == [binary_accuracy(model.member_for(c), test, c) for c in range(8)]
+        assert multi == accuracy([predict(model, doc) for doc in test.docs], test.labels)
+
+    def test_ties_go_to_the_lowest_category(self):
+        members = tuple(BinaryMember(Category(c), "nb", (), None, stub=STUB_NO_POSITIVES) for c in range(8))
+        model = OvrModel(members=members, method="nb", selector="chi2", budgets=(1,) * 8, seed=0)
+        test = TokenizedCorpus(ids=("a", "b", "c", "d"), series=("s",) * 4, docs=(("w",),) * 4, labels=(0, 0, 3, 7))
+        per_category, multi = ovr_accuracies(model, test)
+        assert per_category == [0.5, 1.0, 1.0, 0.75, 1.0, 1.0, 1.0, 0.75]
+        assert multi == 0.5  # every review goes to category 0
+
+    def test_empty_test_set(self):
+        corpus, _ = generate_synthetic(_small_spec())
+        tokenized = tokenize_corpus(corpus)
+        model = train_ovr(VectorizedCorpus.from_tokens(tokenized.docs, tokenized.labels), method="nb")
+        with pytest.raises(ValueError, match="empty"):
+            ovr_accuracies(model, tokenized.subset([]))
+
+
+class TestTokenizeCorpus:
+    def test_stop_sets_are_built_once_per_stoplist(self):
+        from revclass.preprocess import _stop_sets, remove_stopwords
+
+        corpus, _ = generate_synthetic(_small_spec())
+        stoplist = ["n1", "N2", "cat0_w3"]
+        _stop_sets.cache_clear()
+        tokenized = tokenize_corpus(corpus, stoplist=stoplist)
+        assert _stop_sets.cache_info().misses == 1
+        assert tokenized.docs == tuple(tuple(remove_stopwords(r.text.split(), stoplist)) for r in corpus.reviews)
+        assert not {"n1", "n2", "cat0_w3"} & {t for doc in tokenized.docs for t in doc}

@@ -260,3 +260,21 @@ class TestRankFeatures:
         obj = json.loads(path.read_text(encoding="utf-8"))
         assert obj["class"] == 1 and obj["method"] == "chi2" and obj["k"] == 5
         assert [t["term"] for t in obj["terms"]] == list(ranking.terms())
+
+
+class TestClassTermCounts:
+    def test_counts_equal_contingency_for_every_class_and_term(self):
+        rng = np.random.default_rng(21)
+        terms = [f"w{i}" for i in range(15)]
+        docs = [[terms[j] for j in rng.integers(0, 15, rng.integers(0, 6))] for _ in range(60)]
+        docs[:4] = [[], [], ["w0", "w0", "w3"], []]  # empty documents, a repeated token
+        labels = [int(v) for v in rng.integers(0, 8, 60)]
+        labels[1] = labels[7] = 9  # relevant to no class
+        vc = _corpus(docs, labels, terms)
+        table = vc.class_term_counts
+        assert table.shape == (8, len(terms))
+        for cat in Category:
+            tables = [contingency(vc, term, cat) for term in terms]
+            assert table[int(cat)].tolist() == [t.A for t in tables]
+            assert score_terms(vc, cat, "chi2") == pytest.approx([chi_square(t) for t in tables], rel=1e-12, abs=0)
+            assert score_terms(vc, cat, "drc") == pytest.approx([drc(t) for t in tables], rel=1e-12, abs=0)

@@ -9,6 +9,7 @@ from revclass.preprocess import (
     PersonEntry,
     SurrogateMap,
     TokenizedCorpus,
+    VectorizedCorpus,
     Vocabulary,
     WhitespaceSegmenter,
     build_surrogate_map,
@@ -209,6 +210,43 @@ class TestVectorize:
         vocab = Vocabulary.from_documents([["b", "a"], ["a", "c"]])
         assert vocab.terms == ("b", "a", "c")
         assert vocab.index == {"b": 0, "a": 1, "c": 2}
+
+
+def _dense_reference(vc, term_positions):
+    """The per-document loop over ``doc_terms`` that ``dense_matrix`` replaced."""
+    X = np.zeros((len(vc.doc_terms), len(term_positions)))
+    for i, present in enumerate(vc.doc_terms):
+        for j, t in enumerate(term_positions):
+            if t in present:
+                X[i, j] = 1.0
+    return X
+
+
+class TestVectorizedCorpus:
+    def test_csr_arrays_hold_the_document_terms(self):
+        vc = VectorizedCorpus.from_tokens([["b", "a", "b", "x"], [], ["c"]], [0, 1, 2], Vocabulary(("a", "b", "c")))
+        assert vc.doc_terms == ((0, 1), (), (2,))
+        assert vc.indptr.tolist() == [0, 2, 2, 3]
+        assert vc.indices.tolist() == [0, 1, 2]
+        assert vc.rows.tolist() == [0, 0, 2]
+
+    def test_dense_matrix_equals_reference_built_from_doc_terms(self):
+        rng = np.random.default_rng(5)
+        terms = [f"t{i}" for i in range(12)]
+        # Repeated and out-of-vocabulary tokens, and empty documents.
+        docs = [[(terms + ["oov"])[j] for j in rng.integers(0, 13, rng.integers(0, 9))] for _ in range(50)]
+        docs[:2] = [[], ["t3", "t3", "t3"]]
+        vc = VectorizedCorpus.from_tokens(docs, [0] * len(docs), Vocabulary(tuple(terms)))
+        for selected in ([7, 2, 11, 0, 3], list(range(12)), [5], []):
+            X = vc.dense_matrix(selected)
+            assert X.dtype == np.float64
+            assert np.array_equal(X, _dense_reference(vc, selected))
+
+    def test_constructor_takes_sets_of_positions(self):
+        vocab = Vocabulary(("a", "b", "c"))
+        vc = VectorizedCorpus(vocab, (frozenset({2, 0}), frozenset()), (1, 1))
+        assert vc.dense_matrix([0, 1, 2]).tolist() == [[1.0, 0.0, 1.0], [0.0, 0.0, 0.0]]
+        assert vc.class_term_counts[1].tolist() == [1, 0, 1]
 
 
 class TestTokenizedCorpus:
