@@ -13,7 +13,7 @@ import numpy as np
 
 from revclass.corpus import Category, N_CATEGORIES, write_json_atomic
 from revclass.feature_select import CHI2, METHODS, FeatureRanking, rank_features
-from revclass.preprocess import VectorizedCorpus, Vocabulary
+from revclass.preprocess import SparseRows, VectorizedCorpus, Vocabulary
 
 NB = "nb"
 LR = "lr"
@@ -35,6 +35,21 @@ def _sigmoid(z: np.ndarray | float) -> np.ndarray:
     ez = np.exp(flat[~pos])
     out[~pos] = ez / (1.0 + ez)
     return out.reshape(z.shape)
+
+
+def _sparse(X: np.ndarray | SparseRows) -> SparseRows:
+    """A training matrix as :class:`SparseRows`: one passes through, and a
+    dense array becomes its nonzeros in row-major order."""
+    if isinstance(X, SparseRows):
+        return X
+    X = np.asarray(X, dtype=np.float64)
+    rows, cols = np.nonzero(X)
+    return SparseRows(rows, cols, X[rows, cols], X.shape)
+
+
+def _times(X: SparseRows, w: np.ndarray) -> np.ndarray:
+    """The matrix-vector product X @ w."""
+    return np.bincount(X.rows, weights=X.vals * w[X.cols], minlength=X.shape[0])
 
 
 def hinge(z: float) -> float:
@@ -78,23 +93,28 @@ class NbModel:
         object.__setattr__(self, "weights", present - absent)
 
 
-def train_nb(X: np.ndarray, y: np.ndarray, l: float = 1.0) -> NbModel:
-    """Fit smoothed Bernoulli NB from binary vectors X and labels y in {-1, +1}.
+def train_nb(X: np.ndarray | SparseRows, y: np.ndarray, l: float = 1.0) -> NbModel:
+    """Fit smoothed Bernoulli NB from binary vectors X (dense or
+    :class:`SparseRows`) and labels y in {-1, +1}.
 
     Conditional estimates follow (count(x_j=1, side) + l) / (count(side) + 2l);
     priors are empirical label frequencies.
     """
     if l <= 0:
         raise ValueError("smoothing l must be > 0")
-    X = np.asarray(X, dtype=np.float64)
+    X = _sparse(X)
     y = np.asarray(y)
+    if len(y) != X.shape[0]:
+        raise ValueError(f"X has {X.shape[0]} rows but y has {len(y)} labels")
     pos = y > 0
     n_pos = int(pos.sum())
     n_neg = len(y) - n_pos
     if n_pos == 0 or n_neg == 0:
         raise ValueError("training set must contain both labels")
-    cond_pos = (X[pos].sum(axis=0) + l) / (n_pos + 2 * l)
-    cond_neg = (X[~pos].sum(axis=0) + l) / (n_neg + 2 * l)
+    on_pos = pos[X.rows]
+    d = X.shape[1]
+    cond_pos = (np.bincount(X.cols[on_pos], weights=X.vals[on_pos], minlength=d) + l) / (n_pos + 2 * l)
+    cond_neg = (np.bincount(X.cols[~on_pos], weights=X.vals[~on_pos], minlength=d) + l) / (n_neg + 2 * l)
     n = n_pos + n_neg
     return NbModel(
         log_prior_pos=math.log(n_pos / n),
@@ -131,11 +151,11 @@ class LrModel:
     history: tuple[float, ...] = ()  # penalized log-likelihood per step, index 0 = init
 
 
-def _lr_objective(w: np.ndarray, w0: float, X: np.ndarray, y: np.ndarray, lam: float) -> float:
+def _lr_objective(w: np.ndarray, w0: float, X: SparseRows, y: np.ndarray, lam: float) -> float:
     # Overflow here just means the iterate diverged; the caller turns the
     # resulting non-finite value into an abort.
     with np.errstate(over="ignore", invalid="ignore"):
-        z = X @ w + w0
+        z = _times(X, w) + w0
         # sum of log sigma(s) with s = +z for y=1 and -z for y=0, computed stably
         s = np.where(y > 0, z, -z)
         loglik = -np.logaddexp(0.0, -s).sum()
@@ -143,16 +163,18 @@ def _lr_objective(w: np.ndarray, w0: float, X: np.ndarray, y: np.ndarray, lam: f
 
 
 def lr_gradient(
-    w: np.ndarray, w0: float, X: np.ndarray, y: np.ndarray, lam: float
+    w: np.ndarray, w0: float, X: np.ndarray | SparseRows, y: np.ndarray, lam: float
 ) -> tuple[np.ndarray, float]:
     """Gradient of the penalized log-likelihood: (d/dw, d/dw0)."""
+    X = _sparse(X)
     with np.errstate(over="ignore", invalid="ignore"):
-        residual = y - _sigmoid(X @ w + w0)
-        return X.T @ residual - lam * w, float(residual.sum())
+        residual = y - _sigmoid(_times(X, w) + w0)
+        grad_w = np.bincount(X.cols, weights=X.vals * residual[X.rows], minlength=X.shape[1]) - lam * w
+        return grad_w, float(residual.sum())
 
 
 def train_lr(
-    X: np.ndarray,
+    X: np.ndarray | SparseRows,
     y: np.ndarray,
     eta: float = 0.1,
     lam: float = 0.1,
@@ -171,10 +193,9 @@ def train_lr(
         raise ValueError("lambda must be >= 0")
     if epochs < 1:
         raise ValueError("epochs must be >= 1")
-    X = np.asarray(X, dtype=np.float64)
+    X = _sparse(X)
     y = np.asarray(y, dtype=np.float64)
-    n, d = X.shape
-    w = np.zeros(d)
+    w = np.zeros(X.shape[1])
     w0 = 0.0
     history = [_lr_objective(w, w0, X, y, lam)]
     for step in range(epochs):
@@ -219,7 +240,7 @@ def svm_objective(w: np.ndarray, w0: float, X: np.ndarray, y: np.ndarray, C: flo
 
 
 def train_svm(
-    X: np.ndarray,
+    X: np.ndarray | SparseRows,
     y: np.ndarray,
     C: float = 1.0,
     epochs: int = 50,
@@ -248,16 +269,17 @@ def train_svm(
         raise ValueError("C must be > 0")
     if epochs < 1:
         raise ValueError("epochs must be >= 1")
-    X = np.asarray(X, dtype=np.float64)
+    X = _sparse(X)
     y = np.asarray(y, dtype=np.float64)
     n, d = X.shape
+    if len(y) != n:
+        raise ValueError(f"X has {n} rows but y has {len(y)} labels")
     if not (np.any(y > 0) and np.any(y < 0)):
         raise ValueError("training set must contain both labels")
     # Each row as its nonzero columns and values, with the bias as column d.
-    rows = []
-    for x in X:
-        cols = np.flatnonzero(x)
-        rows.append((cols.tolist() + [d], x[cols].tolist() + [1.0]))
+    ends = [0, *np.cumsum(np.bincount(X.rows, minlength=n)).tolist()]
+    cols, vals = X.cols.tolist(), X.vals.tolist()
+    rows = [(cols[a:b] + [d], vals[a:b] + [1.0]) for a, b in zip(ends, ends[1:])]
     labels = y.tolist()
     gain = C * n
     rng = np.random.default_rng(seed)
@@ -381,12 +403,11 @@ def score_documents(members: Sequence[BinaryMember], docs: Sequence[Sequence[str
     saturates to exact ties), or a stub's -inf/+inf.  The documents are
     vectorized once, over their own vocabulary in sorted order (so a score
     depends only on a document's set of tokens), and each member is one
-    weighted bincount over the stored positions.
+    sparse product with the member's columns of that matrix.
     """
     vocab = Vocabulary(tuple(sorted({t for doc in docs for t in doc})))
     # The labels are placeholders: scoring reads only the presence matrix.
     vc = VectorizedCorpus.from_tokens(docs, [-1] * len(docs), vocab)
-    rows = vc.rows
     scores = np.empty((len(docs), len(members)))
     for j, member in enumerate(members):
         if member.stub:
@@ -394,9 +415,7 @@ def score_documents(members: Sequence[BinaryMember], docs: Sequence[Sequence[str
             continue
         pos = np.array([vocab.index.get(t, -1) for t in member.terms], dtype=np.int64)
         seen = pos >= 0
-        w = np.zeros(len(vocab))
-        w[pos[seen]] = member.model.weights[seen]
-        scores[:, j] = member.model.bias + np.bincount(rows, weights=w[vc.indices], minlength=len(docs))
+        scores[:, j] = member.model.bias + _times(vc.select(pos[seen]), member.model.weights[seen])
     return scores
 
 
@@ -420,7 +439,7 @@ def train_member(
         return BinaryMember(cat, method, (), None, stub=STUB_NO_POSITIVES)
     if rel.all():
         return BinaryMember(cat, method, (), None, stub=STUB_NO_NEGATIVES)
-    X = corpus.dense_matrix([corpus.vocab.index[t] for t in terms])
+    X = corpus.select([corpus.vocab.index[t] for t in terms])
     if method == NB:
         model = train_nb(X, np.where(rel, 1, -1), l=hp.l)
     elif method == LR:

@@ -291,25 +291,21 @@ def cmd_lda(args) -> None:
     _write_manifest(args, out_dir, "lda", config, [args.tokens], [model_out, heatmap_out, words_out])
 
 
-def _hyperparams_from_config(config: dict) -> Hyperparams:
-    return Hyperparams(
-        l=config["nb_smoothing"],
-        eta=config["lr_eta"],
-        lam=config["lr_lambda"],
-        lr_epochs=config["lr_epochs"],
-        C=config["svm_c"],
-        svm_epochs=config["svm_epochs"],
-    )
-
-
-_HYPER_DEFAULTS = {
-    "nb_smoothing": 1.0,
-    "lr_eta": 0.1,
-    "lr_lambda": 0.1,
-    "lr_epochs": 200,
-    "svm_c": 1.0,
-    "svm_epochs": 50,
+# Config key -> Hyperparams field.  Each key is also a flag (--nb-smoothing
+# for nb_smoothing) typed as the field's default.
+_HYPER_FIELDS = {
+    "nb_smoothing": "l",
+    "lr_eta": "eta",
+    "lr_lambda": "lam",
+    "lr_epochs": "lr_epochs",
+    "svm_c": "C",
+    "svm_epochs": "svm_epochs",
 }
+_HYPER_DEFAULTS = {key: getattr(Hyperparams(), name) for key, name in _HYPER_FIELDS.items()}
+
+
+def _hyperparams_from_config(config: dict) -> Hyperparams:
+    return Hyperparams(**{name: config[key] for key, name in _HYPER_FIELDS.items()})
 
 
 def cmd_train(args) -> None:
@@ -585,12 +581,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _add_hyper_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--nb-smoothing", type=float, default=None, dest="nb_smoothing")
-    parser.add_argument("--lr-eta", type=float, default=None, dest="lr_eta")
-    parser.add_argument("--lr-lambda", type=float, default=None, dest="lr_lambda")
-    parser.add_argument("--lr-epochs", type=int, default=None, dest="lr_epochs")
-    parser.add_argument("--svm-c", type=float, default=None, dest="svm_c")
-    parser.add_argument("--svm-epochs", type=int, default=None, dest="svm_epochs")
+    for key, default in _HYPER_DEFAULTS.items():
+        parser.add_argument("--" + key.replace("_", "-"), type=type(default), default=None, dest=key)
 
 
 def main(argv=None) -> int:

@@ -5,7 +5,7 @@ the feature-size sweep, and the cross-series surrogate ablation."""
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Optional, Sequence
 
 import numpy as np
@@ -104,6 +104,14 @@ def _default_noise() -> tuple[str, ...]:
     return tuple(f"noise_{i}" for i in range(300))
 
 
+def _as_lists(value):
+    return [_as_lists(v) for v in value] if isinstance(value, tuple) else value
+
+
+def _as_tuples(value):
+    return tuple(_as_tuples(v) for v in value) if isinstance(value, list) else value
+
+
 @dataclass(frozen=True)
 class SyntheticSpec:
     """Recipe for a seeded synthetic review corpus.
@@ -145,32 +153,13 @@ class SyntheticSpec:
             raise ValueError("planted_fraction must lie in [0, 1]")
 
     def to_dict(self) -> dict:
-        return {
-            "series": list(self.series),
-            "reviews_per_series": self.reviews_per_series,
-            "tokens_per_review": self.tokens_per_review,
-            "planted_vocab": [list(g) for g in self.planted_vocab],
-            "noise_vocab": list(self.noise_vocab),
-            "roles_per_series": self.roles_per_series,
-            "actors_per_series": self.actors_per_series,
-            "mention_rate": list(self.mention_rate),
-            "mentions_per_hit": self.mentions_per_hit,
-            "planted_fraction": self.planted_fraction,
-            "seed": self.seed,
-        }
+        """The fields in declaration order, tuples as JSON lists."""
+        return {f.name: _as_lists(getattr(self, f.name)) for f in fields(self)}
 
     @classmethod
     def from_dict(cls, obj: dict) -> "SyntheticSpec":
-        kwargs = dict(obj)
-        if "series" in kwargs:
-            kwargs["series"] = tuple(kwargs["series"])
-        if "planted_vocab" in kwargs:
-            kwargs["planted_vocab"] = tuple(tuple(g) for g in kwargs["planted_vocab"])
-        if "noise_vocab" in kwargs:
-            kwargs["noise_vocab"] = tuple(kwargs["noise_vocab"])
-        if "mention_rate" in kwargs:
-            kwargs["mention_rate"] = tuple(kwargs["mention_rate"])
-        return cls(**kwargs)
+        """Inverse of :meth:`to_dict`; omitted fields take their defaults."""
+        return cls(**{key: _as_tuples(value) for key, value in obj.items()})
 
     @classmethod
     def ablation_default(cls) -> "SyntheticSpec":
@@ -452,7 +441,8 @@ def feature_size_sweep(
     out_csv=None,
 ) -> ResultTable:
     """Train every category's member at each feature size and record
-    train/test accuracy; optionally emit the grid as CSV."""
+    train/test accuracy; optionally emit the grid as CSV.  All members are
+    scored together, so each split is vectorized once."""
     corpus = _apply_series_cap(corpus, config.per_series_cap)
     rotation = config.rotation or derive_rotations(list(corpus.series_index))[0]
     _check_rotation(rotation)
@@ -464,24 +454,26 @@ def feature_size_sweep(
     max_size = min(max(config.feature_sizes), V)
     hp = config.hyperparams
 
-    table = ResultTable()
+    members = {}  # (category, requested size) -> member
     for cat in Category:
-        full_ranking = rank_features(vc_train, cat, method=config.selector, k=max_size)
-        full_terms = full_ranking.terms()
+        full_terms = rank_features(vc_train, cat, method=config.selector, k=max_size).terms()
         for size in config.feature_sizes:
-            actual = min(size, V)
             if size > V:
                 warnings.warn(
                     f"feature size {size} exceeds vocabulary size {V}; using full vocabulary",
                     stacklevel=2,
                 )
-            terms = full_terms[:actual]
-            member = train_member(vc_train, cat, terms, config.sweep_method, hp, config.seed)
-            table.sweep[(int(cat), size)] = SweepCell(
-                actual_size=actual,
-                train_acc=binary_accuracy(member, train, cat),
-                test_acc=binary_accuracy(member, test, cat),
-            )
+            terms = full_terms[: min(size, V)]
+            members[(int(cat), size)] = train_member(vc_train, cat, terms, config.sweep_method, hp, config.seed)
+    train_scores = score_documents(list(members.values()), train.docs)
+    test_scores = score_documents(list(members.values()), test.docs)
+    table = ResultTable()
+    for j, (cat, size) in enumerate(members):
+        table.sweep[(cat, size)] = SweepCell(
+            actual_size=min(size, V),
+            train_acc=_hit_rate(train_scores[:, j] >= 0.0, np.asarray(train.labels) == cat),
+            test_acc=_hit_rate(test_scores[:, j] >= 0.0, np.asarray(test.labels) == cat),
+        )
     table.validate()
     if out_csv is not None:
         write_sweep_csv(table, out_csv)

@@ -8,7 +8,7 @@ import json
 import re
 import unicodedata
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -84,8 +84,8 @@ class KnowledgeBase:
 def load_knowledge_base(path) -> KnowledgeBase:
     """Load a knowledge-base JSON file: {"series", "roles": [...], "actors": [...]}.
 
-    A malformed file raises :class:`KnowledgeBaseError` naming the file and
-    the field.
+    A malformed file, ranks that are not contiguous or a surface claimed by
+    two entries raises :class:`KnowledgeBaseError` naming the file.
     """
     try:
         with open(path, encoding="utf-8") as fh:
@@ -109,7 +109,13 @@ def load_knowledge_base(path) -> KnowledgeBase:
                 raise KnowledgeBaseError(f"{path}: field '{key}[{i}]': {exc}") from None
         return tuple(out)
 
-    return KnowledgeBase(series=obj["series"], roles=entries("roles", "role"), actors=entries("actors", "actor"))
+    roles, actors = entries("roles", "role"), entries("actors", "actor")
+    try:
+        kb = KnowledgeBase(series=obj["series"], roles=roles, actors=actors)
+        build_surrogate_map(kb)
+    except KnowledgeBaseError as exc:
+        raise KnowledgeBaseError(f"{path}: {exc}") from None
+    return kb
 
 
 @dataclass(frozen=True)
@@ -283,14 +289,24 @@ def vectorize(tokens: Sequence[str], vocab: Vocabulary) -> np.ndarray:
     return x
 
 
+class SparseRows(NamedTuple):
+    """The nonzeros of a documents x terms matrix in row order, entry k being
+    ``vals[k]`` at ``(rows[k], cols[k])``; a row's columns need not be sorted."""
+
+    rows: np.ndarray
+    cols: np.ndarray
+    vals: np.ndarray
+    shape: tuple[int, int]
+
+
 @dataclass(frozen=True)
 class VectorizedCorpus:
     """Binary bag-of-words view of a labeled corpus.
 
     ``doc_terms[i]`` holds the distinct vocabulary positions present in
     document i and ``labels[i]`` its resolved category index.  Ranking,
-    member matrices and scoring read the same matrix in CSR form, built
-    once: document i's positions are ``indices[indptr[i]:indptr[i + 1]]``.
+    training and scoring read the same matrix in CSR form, built once:
+    document i's positions are ``indices[indptr[i]:indptr[i + 1]]``.
     """
 
     vocab: Vocabulary
@@ -339,16 +355,22 @@ class VectorizedCorpus:
         doc_terms = tuple(tuple(sorted({index[t] for t in doc if t in index})) for doc in docs)
         return cls(vocab=vocab, doc_terms=doc_terms, labels=tuple(int(y) for y in labels))
 
-    def dense_matrix(self, term_positions: Sequence[int]) -> np.ndarray:
-        """Documents x selected-terms binary matrix (float64, for training);
-        column j is vocabulary position ``term_positions[j]``."""
+    def select(self, term_positions: Sequence[int]) -> SparseRows:
+        """Documents x selected-terms binary matrix, the matrix members train
+        on; column j is vocabulary position ``term_positions[j]``, and a row
+        keeps its terms in vocabulary order."""
         column = np.full(len(self.vocab), -1, dtype=np.int64)
         column[np.asarray(term_positions, dtype=np.int64)] = np.arange(len(term_positions))
         cols = column[self.indices]
-        selected = cols >= 0
-        X = np.zeros((len(self), len(term_positions)))
-        X[self.rows[selected], cols[selected]] = 1.0
-        return X
+        at = np.flatnonzero(cols >= 0)
+        return SparseRows(self.rows[at], cols[at], np.ones(len(at)), (len(self), len(term_positions)))
+
+    def dense_matrix(self, term_positions: Sequence[int]) -> np.ndarray:
+        """:meth:`select` as a dense float64 array."""
+        X = self.select(term_positions)
+        dense = np.zeros(X.shape)
+        dense[X.rows, X.cols] = X.vals
+        return dense
 
 
 def preprocess_text(
@@ -430,8 +452,10 @@ class TokenizedCorpus:
                     if name not in obj:
                         raise CorpusFormatError(f"{path}: line {lineno}: missing field {name!r}")
                 label = obj.get("label")
-                if label is not None and (isinstance(label, bool) or not isinstance(label, int)):
-                    raise CorpusFormatError(f"{path}: line {lineno}: field 'label' must be an integer or null")
+                if label is not None and (type(label) is not int or label not in range(N_CATEGORIES)):
+                    raise CorpusFormatError(
+                        f"{path}: line {lineno}: field 'label' must be an integer in [0, {N_CATEGORIES - 1}] or null"
+                    )
                 tokens = obj["tokens"]
                 if not isinstance(tokens, list) or not all(isinstance(t, str) for t in tokens):
                     raise CorpusFormatError(f"{path}: line {lineno}: field 'tokens' must be a list of strings")

@@ -28,7 +28,7 @@ from revclass.classify import (
     train_svm,
 )
 from revclass.corpus import Category
-from revclass.preprocess import VectorizedCorpus, Vocabulary
+from revclass.preprocess import SparseRows, VectorizedCorpus, Vocabulary
 
 
 # ---------------------------------------------------------------------------
@@ -688,3 +688,122 @@ class TestBatchScores:
         vc = _synthetic_vc(np.random.default_rng(47))
         model = train_ovr(vc, method="svm", hyperparams=Hyperparams(svm_epochs=2))
         assert model.scores([]).shape == (0, 8)
+
+
+# ---------------------------------------------------------------------------
+# Training from sparse rows
+# ---------------------------------------------------------------------------
+
+
+def _dense_nb_reference(X, y, l):
+    """train_nb's counts over a dense matrix, as they were computed before
+    training read sparse rows."""
+    X = np.asarray(X, dtype=np.float64)
+    pos = np.asarray(y) > 0
+    n_pos = int(pos.sum())
+    n_neg = len(y) - n_pos
+    cond_pos = (X[pos].sum(axis=0) + l) / (n_pos + 2 * l)
+    cond_neg = (X[~pos].sum(axis=0) + l) / (n_neg + 2 * l)
+    return cond_pos, cond_neg, math.log(n_pos / len(y)), math.log(n_neg / len(y))
+
+
+def _dense_lr_reference(X, y, eta, lam, epochs):
+    """train_lr's full-batch ascent with dense products X @ w and X.T @ r."""
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+
+    def objective(w, w0):
+        z = X @ w + w0
+        return float(-np.logaddexp(0.0, -np.where(y > 0, z, -z)).sum() - 0.5 * lam * (w @ w))
+
+    w, w0 = np.zeros(X.shape[1]), 0.0
+    history = [objective(w, w0)]
+    for _ in range(epochs):
+        residual = y - 1.0 / (1.0 + np.exp(-(X @ w + w0)))
+        w, w0 = w + eta * (X.T @ residual - lam * w), w0 + eta * float(residual.sum())
+        history.append(objective(w, w0))
+    return w, w0, np.array(history)
+
+
+def _training_fixture(kind, seed):
+    """A 60 x 25 matrix with an empty row (0) and an all-zero column (3)."""
+    rng = np.random.default_rng(seed)
+    if kind == "binary":
+        X = (rng.random((60, 25)) < 0.15).astype(float)
+    else:
+        X = rng.normal(size=(60, 25)) * (rng.random((60, 25)) < 0.3)
+    X[0, :] = 0.0
+    X[:, 3] = 0.0
+    y = np.where(rng.random(60) < 0.35, 1.0, -1.0)
+    y[:2] = (1.0, -1.0)
+    return X, y
+
+
+def _shuffled_rows(X):
+    """SparseRows of X with the columns inside each row in a scrambled order."""
+    rows, cols = np.nonzero(X)
+    order = np.lexsort((np.random.default_rng(0).random(len(rows)), rows))
+    return SparseRows(rows[order], cols[order], X[rows[order], cols[order]], X.shape)
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("kind", ["binary", "gaussian"])
+class TestSparseTrainingMatchesDenseReference:
+    def test_nb_is_bit_identical(self, kind, seed):
+        X, y = _training_fixture(kind, seed)
+        want = _dense_nb_reference(X, y, 0.5)
+        for given in (X, _shuffled_rows(X)):
+            # Gaussian counts make no probabilities; only the counting is compared.
+            with np.errstate(invalid="ignore", divide="ignore"):
+                model = train_nb(given, y, l=0.5)
+            assert np.array_equal(model.cond_pos, want[0]) and np.array_equal(model.cond_neg, want[1])
+            assert (model.log_prior_pos, model.log_prior_neg) == want[2:]
+
+    def test_lr_history_and_weights_within_1e_9(self, kind, seed):
+        X, y = _training_fixture(kind, seed)
+        y01 = (y > 0).astype(float)
+        w, w0, history = _dense_lr_reference(X, y01, 0.05, 0.1, 60)
+        for given in (X, _shuffled_rows(X)):
+            model = train_lr(given, y01, eta=0.05, lam=0.1, epochs=60)
+            assert np.max(np.abs(np.array(model.history) - history) / np.abs(history)) <= 1e-9
+            assert np.max(np.abs(np.append(model.weights, model.bias) - np.append(w, w0))) <= 1e-9
+
+    def test_lr_gradient_takes_both_forms(self, kind, seed):
+        X, y = _training_fixture(kind, seed)
+        w = np.random.default_rng(seed).normal(size=X.shape[1])
+        dense = lr_gradient(w, 0.3, X, (y > 0).astype(float), 0.1)
+        sparse = lr_gradient(w, 0.3, _shuffled_rows(X), (y > 0).astype(float), 0.1)
+        assert np.allclose(dense[0], sparse[0], rtol=1e-12, atol=1e-12) and dense[1] == pytest.approx(sparse[1])
+
+
+def test_svm_on_selected_rows_equals_svm_on_the_dense_matrix():
+    vc = _synthetic_vc(np.random.default_rng(12))
+    y = np.where(np.asarray(vc.labels) == 2, 1.0, -1.0)
+    # Columns in reverse vocabulary order, so no row's columns are sorted.
+    selected = list(range(len(vc.vocab)))[::-1]
+    X = vc.select(selected)
+    assert any(np.any(np.diff(X.cols[X.rows == i]) < 0) for i in range(len(vc)))
+    for C, epochs in ((1.0, 5), (0.5, 3)):
+        got = train_svm(X, y, C=C, epochs=epochs, seed=3)
+        want = train_svm(vc.dense_matrix(selected), y, C=C, epochs=epochs, seed=3)
+        assert np.array_equal(got.weights, want.weights) and got.bias == want.bias
+
+
+@pytest.mark.parametrize("method", ["nb", "lr", "svm"])
+def test_train_ovr_builds_no_dense_matrix(method, monkeypatch):
+    vc = _synthetic_vc(np.random.default_rng(13))
+
+    def refuse(self, term_positions):
+        raise AssertionError("training built a dense matrix")
+
+    monkeypatch.setattr(VectorizedCorpus, "dense_matrix", refuse)
+    model = train_ovr(vc, method=method, hyperparams=Hyperparams(lr_epochs=20, svm_epochs=3))
+    assert all(m.stub is None for m in model.members)
+
+
+@pytest.mark.parametrize("train", [train_nb, train_svm])
+@pytest.mark.parametrize("n_labels", [2, 4])
+def test_labels_must_match_the_rows(train, n_labels):
+    X = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+    with pytest.raises(ValueError, match=f"X has 3 rows but y has {n_labels} labels"):
+        train(X, np.array([1.0, -1.0, 1.0, -1.0][:n_labels]))

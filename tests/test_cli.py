@@ -635,6 +635,71 @@ class TestBoundaryValidation:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
         assert not out.exists()
+    @pytest.mark.parametrize("command", ["train", "lda", "evaluate"])
+    @pytest.mark.parametrize("label", [9, -1])
+    def test_label_outside_the_categories_exits_2_naming_file_line_and_field(
+        self, pipeline, tmp_path, capsys, command, label
+    ):
+        tokens = tmp_path / "tokens.jsonl"
+        good = (pipeline["tokens"] / "tokens.jsonl").read_text(encoding="utf-8").splitlines()
+        bad = json.dumps({**json.loads(good[3]), "label": label})
+        tokens.write_text("\n".join(good[:3] + [bad] + good[4:]) + "\n", encoding="utf-8")
+        out = tmp_path / "out"
+        extra = ["--model", pipeline["train"] / "model"] if command == "evaluate" else []
+        code = run([command, "--tokens", tokens, *extra, "--out-dir", out, "--quiet"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {tokens}: line 4: field 'label'") and "[0, 7]" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            (lambda kb: kb["roles"][0].update(rank=9), "role ranks must be unique and contiguous from 1"),
+            (
+                lambda kb: kb["actors"][0].update(aliases=[kb["roles"][0]["name"]]),
+                "is ambiguous: maps to both role_",
+            ),
+        ],
+        ids=["rank_gap", "ambiguous_surface"],
+    )
+    @pytest.mark.parametrize("surrogates", ["on", "off"])
+    def test_inconsistent_knowledge_base_exits_2_naming_file(self, pipeline, tmp_path, capsys, change, message, surrogates):
+        kb_dir = tmp_path / "kb"
+        shutil.copytree(pipeline["synth"] / "kb", kb_dir)
+        _edit(change)(kb_dir / "beta.json")
+        out = tmp_path / "pre"
+        corpus = pipeline["ingest"] / "corpus.filtered.jsonl"
+        code = run(["preprocess", "--corpus", corpus, "--kb-dir", kb_dir, "--surrogates", surrogates, "--out-dir", out])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {kb_dir / 'beta.json'}: ") and message in err
+        assert not out.exists()
+
+
+class TestHyperparameterFlags:
+    def test_flags_and_config_keys_default_to_hyperparams(self, pipeline, tmp_path):
+        parser = cli.build_parser()
+        flags = {
+            "--nb-smoothing": ("nb_smoothing", "l"),
+            "--lr-eta": ("lr_eta", "eta"),
+            "--lr-lambda": ("lr_lambda", "lam"),
+            "--lr-epochs": ("lr_epochs", "lr_epochs"),
+            "--svm-c": ("svm_c", "C"),
+            "--svm-epochs": ("svm_epochs", "svm_epochs"),
+        }
+        argv = ["train", "--tokens", "t", "--out-dir", "o"]
+        for flag, (key, name) in flags.items():
+            default = getattr(classify.Hyperparams(), name)
+            args = parser.parse_args(argv + [flag, "3"])
+            assert getattr(args, key) == 3 and type(getattr(args, key)) is type(default)
+        out = tmp_path / "train"
+        assert run(["train", "--tokens", pipeline["tokens"] / "tokens.jsonl", "--method", "nb", "--sizes", "5",
+                    "--lr-epochs", "7", "--out-dir", out, "--quiet"]) == 0
+        config = _read_manifest(out)["config"]
+        want = {key: getattr(classify.Hyperparams(), name) for key, name in flags.values()}
+        assert {key: config[key] for key in want} == {**want, "lr_epochs": 7}
+
 
 class TestAtomicOutputs:
     def test_failing_sweep_leaves_no_csv_and_no_temp_file(self, pipeline, tmp_path, monkeypatch):

@@ -1,9 +1,10 @@
 import dataclasses
+import json
 
 import numpy as np
 import pytest
 
-from revclass.classify import BinaryMember, Hyperparams, OvrModel, STUB_NO_POSITIVES, predict, train_ovr
+from revclass.classify import BinaryMember, Hyperparams, OvrModel, STUB_NO_POSITIVES, predict, train_member, train_ovr
 from revclass.corpus import Category
 from revclass.evaluate import (
     ExperimentConfig,
@@ -22,6 +23,7 @@ from revclass.evaluate import (
     write_generalization_csv,
     write_sweep_csv,
 )
+from revclass.feature_select import rank_features
 from revclass.preprocess import TokenizedCorpus, VectorizedCorpus
 
 FAST_HP = Hyperparams(lr_epochs=30, svm_epochs=10)
@@ -154,6 +156,24 @@ class TestGenerateSynthetic:
                 assert tokens & own
 
 
+class TestSyntheticSpecDict:
+    @pytest.mark.parametrize(
+        "spec", [SyntheticSpec.ablation_default(), SyntheticSpec.sweep_default(), _small_spec(series=("x", "y", "z"))]
+    )
+    def test_to_dict_is_plain_json_and_from_dict_inverts_it(self, spec):
+        d = spec.to_dict()
+        assert list(d) == [f.name for f in dataclasses.fields(SyntheticSpec)]
+        assert json.loads(json.dumps(d)) == d  # lists all the way down, no tuples
+        assert all(isinstance(g, list) for g in d["planted_vocab"]) and isinstance(d["series"], list)
+        assert SyntheticSpec.from_dict(json.loads(json.dumps(d))) == spec
+        assert SyntheticSpec.from_dict({**d, "seed": 99}) == dataclasses.replace(spec, seed=99)
+
+    def test_from_dict_keeps_defaults_and_rejects_unknown_fields(self):
+        assert SyntheticSpec.from_dict({"seed": 3}) == SyntheticSpec(seed=3)
+        with pytest.raises(TypeError):
+            SyntheticSpec.from_dict({"sed": 3})
+
+
 class TestRotations:
     def test_derive_three(self):
         rotations = derive_rotations(["b", "a", "c"])
@@ -234,6 +254,36 @@ class TestFeatureSizeSweep:
                 baseline = ranking.terms()
             else:
                 assert ranking.terms() == baseline
+
+    @pytest.mark.parametrize("method", ["nb", "svm"])
+    def test_scores_every_member_at_once_with_the_per_member_accuracies(self, method, monkeypatch):
+        corpus, _ = generate_synthetic(_small_spec(mention_rate=(0.0,) * 8))
+        config = ExperimentConfig(feature_sizes=(5, 20), sweep_method=method, hyperparams=FAST_HP)
+        calls = []
+        from_tokens = VectorizedCorpus.from_tokens.__func__
+
+        def counted(cls, *args, **kwargs):
+            calls.append(1)
+            return from_tokens(cls, *args, **kwargs)
+
+        monkeypatch.setattr(VectorizedCorpus, "from_tokens", classmethod(counted))
+        table = feature_size_sweep(corpus, config)
+        assert len(calls) == 3  # the training split, then each split once for scoring
+        monkeypatch.undo()
+        # Reference: one member at a time, each scored by binary_accuracy.
+        tokenized = tokenize_corpus(corpus)
+        rotation = derive_rotations(list(corpus.series_index))[0]
+        train = tokenized.subset(tokenized.series_indices(rotation[0]))
+        test = tokenized.subset(tokenized.series_indices((rotation[1],)))
+        vc = VectorizedCorpus.from_tokens(train.docs, train.labels)
+        for cat in Category:
+            terms = rank_features(vc, cat, method=config.selector, k=20).terms()
+            for size in config.feature_sizes:
+                member = train_member(vc, cat, terms[:size], method, FAST_HP, config.seed)
+                cell = table.sweep[(int(cat), size)]
+                assert cell.actual_size == size
+                assert cell.train_acc == binary_accuracy(member, train, cat)
+                assert cell.test_acc == binary_accuracy(member, test, cat)
 
 
 class TestCrossSeries:

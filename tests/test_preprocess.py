@@ -242,6 +242,25 @@ class TestVectorizedCorpus:
             assert X.dtype == np.float64
             assert np.array_equal(X, _dense_reference(vc, selected))
 
+    def test_select_scattered_equals_reference_built_from_doc_terms(self):
+        rng = np.random.default_rng(6)
+        terms = [f"t{i}" for i in range(12)]
+        # Repeated and out-of-vocabulary tokens, and empty documents.
+        docs = [[(terms + ["oov"])[j] for j in rng.integers(0, 13, rng.integers(0, 9))] for _ in range(50)]
+        docs[:2] = [[], ["t3", "t3", "t3"]]
+        vc = VectorizedCorpus.from_tokens(docs, [0] * len(docs), Vocabulary(tuple(terms)))
+        for selected in ([7, 2, 11, 0, 3], list(range(12)), [5], []):
+            X = vc.select(selected)
+            assert X.shape == (50, len(selected))
+            assert np.all(np.diff(X.rows) >= 0) and X.vals.dtype == np.float64 and np.all(X.vals == 1.0)
+            dense = np.zeros(X.shape)
+            dense[X.rows, X.cols] = X.vals
+            assert len(X.rows) == np.count_nonzero(dense)
+            assert np.array_equal(dense, _dense_reference(vc, selected))
+            # Each row keeps its terms in vocabulary order.
+            for i in range(len(vc)):
+                assert [selected[j] for j in X.cols[X.rows == i]] == [t for t in vc.doc_terms[i] if t in selected]
+
     def test_constructor_takes_sets_of_positions(self):
         vocab = Vocabulary(("a", "b", "c"))
         vc = VectorizedCorpus(vocab, (frozenset({2, 0}), frozenset()), (1, 1))
