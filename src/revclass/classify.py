@@ -3,7 +3,6 @@ and their one-vs-rest composition into an 8-way predictor."""
 
 from __future__ import annotations
 
-import json
 import math
 import os
 from dataclasses import dataclass, field, replace
@@ -11,7 +10,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from revclass.corpus import Category, N_CATEGORIES, write_json_atomic
+from revclass.corpus import Category, N_CATEGORIES, read_json, write_json_atomic
 from revclass.feature_select import CHI2, METHODS, FeatureRanking, rank_features
 from revclass.preprocess import SparseRows, VectorizedCorpus, Vocabulary
 
@@ -559,8 +558,7 @@ def _checked(path, obj, names, section="") -> dict:
     """``obj`` when it is a JSON object holding every named field; ``section``
     is the field that holds ``obj``, empty for the top level of a file."""
     if not isinstance(obj, dict):
-        what = f"field {section!r}" if section else "the file"
-        raise ModelFormatError(f"{path}: {what} must be a JSON object")
+        raise ModelFormatError(f"{path}: field {section!r} must be a JSON object")
     for name in names:
         if name not in obj:
             qualified = f"{section}.{name}" if section else name
@@ -569,12 +567,7 @@ def _checked(path, obj, names, section="") -> dict:
 
 
 def _load_model_json(path, names) -> dict:
-    with open(path, encoding="utf-8") as fh:
-        try:
-            obj = json.load(fh)
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            raise ModelFormatError(f"{path}: invalid JSON ({exc})") from None
-    return _checked(path, obj, names)
+    return _checked(path, read_json(path, ModelFormatError), names)
 
 
 def load_ovr(model_dir) -> OvrModel:

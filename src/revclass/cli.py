@@ -32,6 +32,7 @@ from revclass.corpus import (
     N_CATEGORIES,
     agreement_filter,
     load_corpus,
+    read_json,
     write_json_atomic,
     write_text_atomic,
 )
@@ -84,32 +85,37 @@ def _sha256(path) -> str:
     return digest.hexdigest()
 
 
-def _load_config_file(path) -> dict:
-    if path is None:
-        return {}
-    try:
-        with open(path, encoding="utf-8") as fh:
-            obj = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise CliError(f"config file {path}: invalid JSON ({exc.msg})") from None
-    if not isinstance(obj, dict):
-        raise CliError(f"config file {path}: expected a JSON object")
-    return obj
+def _accepts(action: argparse.Action, default, value) -> bool:
+    """Whether a setting's flag would take ``value`` from a config file: one of
+    its choices, an integer (not a bool) for an int flag, any number for a
+    float flag, a string or a list for an untyped one, and null only where
+    the default is None."""
+    if value is None:
+        return default is None
+    if action.choices:
+        return value in action.choices
+    if action.type in (int, float):
+        return isinstance(value, (int, action.type)) and not isinstance(value, bool)
+    return isinstance(value, (str, list))
 
 
-def _resolve_config(args, defaults: dict) -> dict:
-    """Merge flag values over config-file values over defaults; a config-file
-    key the command does not know is an error, not a silent default."""
-    file_config = _load_config_file(getattr(args, "config", None))
-    unknown = sorted(set(file_config) - set(defaults))
+def _resolve_config(args) -> dict:
+    """The command's settings (see :func:`_setting`): a flag's value over the
+    config file's over the default.  A config-file key the command does not
+    have, or a value its flag would not accept, is an error naming the file
+    and the key, not a silent default."""
+    file_config = read_json(args.config, CliError) if args.config else {}
+    unknown = sorted(set(file_config) - set(args.settings))
     if unknown:
         raise CliError(f"config file {args.config}: unknown key(s) {', '.join(map(repr, unknown))}")
-    effective = {**defaults, **file_config}
-    for key in defaults:
-        value = getattr(args, key, None)
-        if value is not None:
-            effective[key] = value
-    return effective
+    config = {}
+    for key, (default, action) in args.settings.items():
+        if key in file_config and not _accepts(action, default, file_config[key]):
+            value = json.dumps(file_config[key])
+            raise CliError(f"config file {args.config}: key {key!r}: {value} is not a valid {action.option_strings[0]} value")
+        flag = getattr(args, key)
+        config[key] = file_config.get(key, default) if flag is None else flag
+    return config
 
 
 def _write_manifest(args, out_dir, command: str, config: dict, inputs: list, outputs: list) -> None:
@@ -126,7 +132,7 @@ def _write_manifest(args, out_dir, command: str, config: dict, inputs: list, out
     _say(args, f"wrote {os.path.join(out_dir, MANIFEST_NAME)}")
 
 
-def _review_record(review, label=None) -> dict:
+def _review_record(review) -> dict:
     record = {
         "id": review.id,
         "series": review.series,
@@ -135,20 +141,12 @@ def _review_record(review, label=None) -> dict:
     }
     if review.episode is not None:
         record["episode"] = review.episode
-    if label is not None:
-        record["label"] = int(label)
     return record
 
 
 def _write_corpus(corpus: Corpus, path) -> None:
     lines = [json.dumps(_review_record(r), ensure_ascii=False, sort_keys=True) for r in corpus.reviews]
     write_text_atomic(path, "\n".join(lines) + ("\n" if lines else ""))
-
-
-def _load_filtered(path) -> Corpus:
-    corpus = load_corpus(path)
-    filtered, _ = agreement_filter(corpus)
-    return filtered
 
 
 def _load_kb_dir(path) -> tuple[dict[str, KnowledgeBase], list[str]]:
@@ -166,18 +164,12 @@ def _load_kb_dir(path) -> tuple[dict[str, KnowledgeBase], list[str]]:
     return kbs, files
 
 
-def _build_segmenter(dict_path):
-    return load_dictionary(dict_path) if dict_path else WhitespaceSegmenter()
-
-
 def _parse_sizes(raw, n: int | None = None) -> tuple[int, ...]:
-    if isinstance(raw, (list, tuple)):
-        sizes = tuple(int(v) for v in raw)
-    else:
-        try:
-            sizes = tuple(int(part) for part in str(raw).split(",") if part.strip())
-        except ValueError:
-            raise CliError(f"invalid size list {raw!r}") from None
+    text = ",".join(map(str, raw)) if isinstance(raw, list) else raw
+    try:
+        sizes = tuple(int(part) for part in text.split(",") if part.strip())
+    except ValueError:
+        raise CliError(f"invalid size list {raw!r}") from None
     if not sizes or any(s < 1 for s in sizes):
         raise CliError(f"sizes must be positive integers, got {raw!r}")
     if n is not None:
@@ -197,14 +189,6 @@ def _parse_rotation(raw: str):
     return ((a.strip(), b.strip()), test.strip())
 
 
-def _parse_rotations(raw):
-    if raw is None:
-        return None
-    if isinstance(raw, (list, tuple)):
-        return tuple(_parse_rotation(r) if isinstance(r, str) else ((r[0][0], r[0][1]), r[1]) for r in raw)
-    return tuple(_parse_rotation(part) for part in str(raw).split(";") if part.strip())
-
-
 def _require_labeled(tokenized: TokenizedCorpus, source: str) -> None:
     missing = sum(1 for lab in tokenized.labels if lab is None)
     if missing:
@@ -217,7 +201,7 @@ def _require_labeled(tokenized: TokenizedCorpus, source: str) -> None:
 
 
 def cmd_ingest(args) -> None:
-    config = _resolve_config(args, {"seed": 42})
+    config = _resolve_config(args)
     out_dir = args.out_dir
     corpus = load_corpus(args.corpus)
     filtered, drops = agreement_filter(corpus)
@@ -236,10 +220,8 @@ def cmd_ingest(args) -> None:
 
 
 def cmd_preprocess(args) -> None:
-    config = _resolve_config(args, {"surrogates": SURROGATE_OFF, "seed": 42})
+    config = _resolve_config(args)
     mode = config["surrogates"]
-    if mode not in (SURROGATE_ON, SURROGATE_OFF):
-        raise CliError(f"--surrogates must be 'on' or 'off', got {mode!r}")
     out_dir = args.out_dir
     corpus, kbs, stoplist, seg, inputs = _load_text_inputs(args)
     if mode == SURROGATE_ON and not kbs:
@@ -255,10 +237,7 @@ def cmd_preprocess(args) -> None:
 
 
 def cmd_lda(args) -> None:
-    config = _resolve_config(
-        args,
-        {"topics": 8, "alpha": None, "beta": 0.01, "iterations": 1000, "top_words": 15, "seed": 42},
-    )
+    config = _resolve_config(args)
     out_dir = args.out_dir
     if config["top_words"] < 1:
         raise CliError(f"--top-words must be >= 1, got {config['top_words']}")
@@ -291,8 +270,8 @@ def cmd_lda(args) -> None:
     _write_manifest(args, out_dir, "lda", config, [args.tokens], [model_out, heatmap_out, words_out])
 
 
-# Config key -> Hyperparams field.  Each key is also a flag (--nb-smoothing
-# for nb_smoothing) typed as the field's default.
+# Setting -> Hyperparams field.  Each setting's flag (--nb-smoothing for
+# nb_smoothing) is typed as the field's default.
 _HYPER_FIELDS = {
     "nb_smoothing": "l",
     "lr_eta": "eta",
@@ -301,7 +280,6 @@ _HYPER_FIELDS = {
     "svm_c": "C",
     "svm_epochs": "svm_epochs",
 }
-_HYPER_DEFAULTS = {key: getattr(Hyperparams(), name) for key, name in _HYPER_FIELDS.items()}
 
 
 def _hyperparams_from_config(config: dict) -> Hyperparams:
@@ -309,16 +287,7 @@ def _hyperparams_from_config(config: dict) -> Hyperparams:
 
 
 def cmd_train(args) -> None:
-    config = _resolve_config(
-        args,
-        {
-            "method": SVM,
-            "selector": CHI2,
-            "sizes": ",".join(str(s) for s in DEFAULT_BUDGETS),
-            "seed": 42,
-            **_HYPER_DEFAULTS,
-        },
-    )
+    config = _resolve_config(args)
     out_dir = args.out_dir
     budgets = _parse_sizes(config["sizes"], n=N_CATEGORIES)
     tokenized = TokenizedCorpus.load(args.tokens)
@@ -350,7 +319,7 @@ def cmd_train(args) -> None:
 
 
 def cmd_evaluate(args) -> None:
-    config = _resolve_config(args, {"seed": 42})
+    config = _resolve_config(args)
     out_dir = args.out_dir
     model = load_ovr(args.model)
     tokenized = TokenizedCorpus.load(args.tokens)
@@ -364,54 +333,45 @@ def cmd_evaluate(args) -> None:
     _write_manifest(args, out_dir, "evaluate", config, [args.tokens, *model_inputs], [eval_out])
 
 
-def _experiment_config(config: dict, stoplist, rotation=None, rotations=None) -> ExperimentConfig:
+def _experiment_config(config: dict, stoplist, **fields) -> ExperimentConfig:
+    """The settings that sweep and cross-series share, plus a command's own
+    ``fields``; any other ExperimentConfig field keeps its default."""
     return ExperimentConfig(
-        methods=tuple(config["methods"].split(",")) if isinstance(config["methods"], str) else tuple(config["methods"]),
         selector=config["selector"],
-        feature_sizes=_parse_sizes(config["sizes"]),
-        rotation=rotation,
-        rotations=rotations,
-        surrogate_mode=config["surrogates"],
-        sweep_method=config["method"],
-        per_class_budgets=_parse_sizes(config["budgets"], n=N_CATEGORIES),
         hyperparams=_hyperparams_from_config(config),
         stopwords=stoplist,
         per_series_cap=config["per_series_cap"],
         seed=config["seed"],
+        **fields,
     )
-
-
-_EXPERIMENT_DEFAULTS = {
-    "methods": "nb,lr,svm",
-    "method": SVM,
-    "selector": CHI2,
-    "sizes": "250,500,1000,2000,4000",
-    "budgets": ",".join(str(s) for s in DEFAULT_BUDGETS),
-    "surrogates": SURROGATE_OFF,
-    "per_series_cap": 5000,
-    "seed": 42,
-    **_HYPER_DEFAULTS,
-}
 
 
 def _load_text_inputs(args):
     """The filtered corpus, knowledge bases, stoplist and segmenter that the
     text pipeline reads, and the input files they came from."""
-    corpus = _load_filtered(args.corpus)
+    corpus, _ = agreement_filter(load_corpus(args.corpus))
     kbs, kb_files = _load_kb_dir(args.kb_dir)
     stoplist = load_stopwords(args.stopwords) if args.stopwords else frozenset()
+    seg = load_dictionary(args.dict) if args.dict else WhitespaceSegmenter()
     inputs = [args.corpus, *kb_files, *(path for path in (args.stopwords, args.dict) if path)]
-    return corpus, (kbs or None), stoplist, _build_segmenter(args.dict), inputs
+    return corpus, (kbs or None), stoplist, seg, inputs
 
 
 def cmd_sweep(args) -> None:
-    config = _resolve_config(args, dict(_EXPERIMENT_DEFAULTS))
+    config = _resolve_config(args)
     out_dir = args.out_dir
     corpus, kbs, stoplist, seg, inputs = _load_text_inputs(args)
     rotation = _parse_rotation(args.rotation) if args.rotation else None
-    exp = _experiment_config(config, stoplist, rotation=rotation)
     sweep_out = os.path.join(out_dir, "sweep.csv")
     try:
+        exp = _experiment_config(
+            config,
+            stoplist,
+            feature_sizes=_parse_sizes(config["sizes"]),
+            rotation=rotation,
+            surrogate_mode=config["surrogates"],
+            sweep_method=config["method"],
+        )
         feature_size_sweep(corpus, exp, kbs=kbs, seg=seg, out_csv=sweep_out)
     except ValueError as exc:
         raise CliError(str(exc)) from None
@@ -420,15 +380,20 @@ def cmd_sweep(args) -> None:
 
 
 def cmd_cross_series(args) -> None:
-    config = _resolve_config(args, dict(_EXPERIMENT_DEFAULTS))
+    config = _resolve_config(args)
     out_dir = args.out_dir
     corpus, kbs, stoplist, seg, inputs = _load_text_inputs(args)
-    if not kbs:
-        raise CliError("cross-series requires --kb-dir (the surrogate-on arm needs knowledge bases)")
-    rotations = _parse_rotations(args.rotations)
-    exp = _experiment_config(config, stoplist, rotations=rotations)
+    rotations = tuple(_parse_rotation(part) for part in (args.rotations or "").split(";") if part.strip())
+    methods = config["methods"]
     table_out = os.path.join(out_dir, "crossseries.csv")
     try:
+        exp = _experiment_config(
+            config,
+            stoplist,
+            methods=tuple(methods.split(",") if isinstance(methods, str) else methods),
+            per_class_budgets=_parse_sizes(config["budgets"], n=N_CATEGORIES),
+            rotations=rotations,
+        )
         table = cross_series_experiment(corpus, kbs, exp, seg=seg, out_csv=table_out)
     except ValueError as exc:
         raise CliError(str(exc)) from None
@@ -442,38 +407,24 @@ def cmd_cross_series(args) -> None:
 
 
 def cmd_synth(args) -> None:
-    config = _resolve_config(args, {"preset": "ablation", "seed": None})
+    config = _resolve_config(args)
     out_dir = args.out_dir
-    if args.spec:
-        with open(args.spec, encoding="utf-8") as fh:
-            try:
-                spec = SyntheticSpec.from_dict(json.load(fh))
-            except (json.JSONDecodeError, TypeError, ValueError) as exc:
-                raise CliError(f"invalid synthetic spec {args.spec}: {exc}") from None
-    elif config["preset"] == "sweep":
-        spec = SyntheticSpec.sweep_default()
-    elif config["preset"] == "ablation":
-        spec = SyntheticSpec.ablation_default()
-    else:
-        raise CliError(f"unknown preset {config['preset']!r}; expected 'ablation' or 'sweep'")
-    if config["seed"] is not None:
-        spec = SyntheticSpec.from_dict({**spec.to_dict(), "seed": config["seed"]})
-    corpus, kbs = generate_synthetic(spec)
+    try:
+        spec = SyntheticSpec.from_dict(read_json(args.spec, CliError)) if args.spec else _PRESETS[config["preset"]]()
+        if config["seed"] is not None:
+            spec = SyntheticSpec.from_dict({**spec.to_dict(), "seed": config["seed"]})
+        corpus, kbs = generate_synthetic(spec)
+    except (TypeError, ValueError) as exc:
+        raise CliError(f"invalid synthetic spec {args.spec or config['preset']}: {exc}") from None
     corpus_out = os.path.join(out_dir, "corpus.jsonl")
     _write_corpus(corpus, corpus_out)
     outputs = [corpus_out]
     kb_dir = os.path.join(out_dir, "kb")
     for series in sorted(kbs):
         kb = kbs[series]
-        doc = {
-            "series": kb.series,
-            "roles": [
-                {"name": e.canonical_name, "aliases": list(e.aliases), "rank": e.rank} for e in kb.roles
-            ],
-            "actors": [
-                {"name": e.canonical_name, "aliases": list(e.aliases), "rank": e.rank} for e in kb.actors
-            ],
-        }
+        doc = {"series": kb.series}
+        for key, entries in (("roles", kb.roles), ("actors", kb.actors)):
+            doc[key] = [{"name": e.canonical_name, "aliases": list(e.aliases), "rank": e.rank} for e in entries]
         path = os.path.join(kb_dir, f"{series}.json")
         write_json_atomic(path, doc)
         outputs.append(path)
@@ -491,11 +442,48 @@ def cmd_synth(args) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--seed", type=int, default=None, help="RNG seed (default 42)")
+def _command(sub, name: str, func, summary: str, seed=42) -> argparse.ArgumentParser:
+    """Subcommand ``name`` run by ``func``, with the flags every command has."""
+    parser = sub.add_parser(name, help=summary)
+    parser.set_defaults(func=func, settings={})
+    _setting(parser, "seed", seed, type=int, help="RNG seed (default 42; synth: the spec's)")
     parser.add_argument("--config", default=None, help="JSON config file; flags take precedence")
     parser.add_argument("--out-dir", required=True, help="output directory")
     parser.add_argument("--quiet", action="store_true", help="suppress progress messages")
+    return parser
+
+
+def _setting(parser: argparse.ArgumentParser, key: str, default, **flag) -> None:
+    """Declare setting ``key`` of a command as its flag ``--key`` (underscores
+    as dashes), the one place the setting and its default are defined.
+    :func:`_resolve_config` reads the default and checks config-file values
+    against the flag's type and choices."""
+    action = parser.add_argument("--" + key.replace("_", "-"), dest=key, default=None, **flag)
+    parser.get_default("settings")[key] = (default, action)
+
+
+def _add_hyper_flags(parser: argparse.ArgumentParser) -> None:
+    for key, name in _HYPER_FIELDS.items():
+        default = getattr(Hyperparams(), name)
+        _setting(parser, key, default, type=type(default))
+
+
+def _add_experiment_settings(parser: argparse.ArgumentParser) -> None:
+    """The settings that :func:`_experiment_config` reads for both experiments."""
+    _setting(parser, "selector", CHI2, choices=METHODS)
+    _setting(parser, "per_series_cap", 5000, type=int)
+    _add_hyper_flags(parser)
+
+
+def _add_text_inputs(parser: argparse.ArgumentParser, kb_required: bool = False) -> None:
+    parser.add_argument("--corpus", required=True)
+    parser.add_argument("--kb-dir", required=kb_required, help="directory of per-series knowledge-base JSON files")
+    parser.add_argument("--stopwords", default=None)
+    parser.add_argument("--dict", default=None, help="dictionary file for the longest-match segmenter")
+
+
+_BUDGETS = ",".join(str(s) for s in DEFAULT_BUDGETS)
+_PRESETS = {"ablation": SyntheticSpec.ablation_default, "sweep": SyntheticSpec.sweep_default}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -503,86 +491,52 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"revclass {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("ingest", help="validate a corpus and apply the annotator-agreement filter")
+    p = _command(sub, "ingest", cmd_ingest, "validate a corpus and apply the annotator-agreement filter")
     p.add_argument("--corpus", required=True)
-    _add_common(p)
-    p.set_defaults(func=cmd_ingest)
 
-    p = sub.add_parser("preprocess", help="substitute surrogate tags, tokenize, remove stop words")
-    p.add_argument("--corpus", required=True)
-    p.add_argument("--kb-dir", default=None, help="directory of per-series knowledge-base JSON files")
-    p.add_argument("--stopwords", default=None)
-    p.add_argument("--dict", default=None, help="dictionary file for the longest-match segmenter")
-    p.add_argument("--surrogates", choices=(SURROGATE_ON, SURROGATE_OFF), default=None)
-    _add_common(p)
-    p.set_defaults(func=cmd_preprocess)
+    p = _command(sub, "preprocess", cmd_preprocess, "substitute surrogate tags, tokenize, remove stop words")
+    _add_text_inputs(p)
+    _setting(p, "surrogates", SURROGATE_OFF, choices=(SURROGATE_ON, SURROGATE_OFF))
 
-    p = sub.add_parser("lda", help="fit a collapsed-Gibbs topic model and export heat-map data")
+    p = _command(sub, "lda", cmd_lda, "fit a collapsed-Gibbs topic model and export heat-map data")
     p.add_argument("--tokens", required=True)
-    p.add_argument("--topics", type=int, default=None)
-    p.add_argument("--alpha", type=float, default=None)
-    p.add_argument("--beta", type=float, default=None)
-    p.add_argument("--iterations", type=int, default=None)
-    p.add_argument("--top-words", type=int, default=None, dest="top_words")
-    _add_common(p)
-    p.set_defaults(func=cmd_lda)
+    _setting(p, "topics", 8, type=int)
+    _setting(p, "alpha", None, type=float, help="document-topic prior (default 50/topics)")
+    _setting(p, "beta", 0.01, type=float)
+    _setting(p, "iterations", 1000, type=int)
+    _setting(p, "top_words", 15, type=int)
 
-    p = sub.add_parser("train", help="train the eight one-vs-rest members")
+    p = _command(sub, "train", cmd_train, "train the eight one-vs-rest members")
     p.add_argument("--tokens", required=True)
-    p.add_argument("--method", choices=CLASSIFIERS, default=None)
-    p.add_argument("--selector", choices=METHODS, default=None)
-    p.add_argument("--sizes", default=None, help="per-class feature budgets (1 or 8 comma-separated)")
+    _setting(p, "method", SVM, choices=CLASSIFIERS)
+    _setting(p, "selector", CHI2, choices=METHODS)
+    _setting(p, "sizes", _BUDGETS, help="per-class feature budgets (1 or 8 comma-separated)")
     _add_hyper_flags(p)
-    _add_common(p)
-    p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("evaluate", help="score a trained model on a labeled tokenized corpus")
+    p = _command(sub, "evaluate", cmd_evaluate, "score a trained model on a labeled tokenized corpus")
     p.add_argument("--model", required=True, help="model directory written by 'train'")
     p.add_argument("--tokens", required=True)
-    _add_common(p)
-    p.set_defaults(func=cmd_evaluate)
 
-    p = sub.add_parser("sweep", help="accuracy vs feature size grid")
-    p.add_argument("--corpus", required=True)
-    p.add_argument("--kb-dir", default=None)
-    p.add_argument("--stopwords", default=None)
-    p.add_argument("--dict", default=None)
-    p.add_argument("--surrogates", choices=(SURROGATE_ON, SURROGATE_OFF), default=None)
-    p.add_argument("--sizes", default=None, help="comma-separated feature sizes")
-    p.add_argument("--method", choices=CLASSIFIERS, default=None, help="sweep classifier")
-    p.add_argument("--selector", choices=METHODS, default=None)
+    p = _command(sub, "sweep", cmd_sweep, "accuracy vs feature size grid")
+    _add_text_inputs(p)
+    _setting(p, "surrogates", SURROGATE_OFF, choices=(SURROGATE_ON, SURROGATE_OFF))
+    _setting(p, "sizes", "250,500,1000,2000,4000", help="comma-separated feature sizes")
+    _setting(p, "method", SVM, choices=CLASSIFIERS, help="sweep classifier")
     p.add_argument("--rotation", default=None, help="train pair and test series, 'a,b:c'")
-    p.add_argument("--per-series-cap", type=int, default=None, dest="per_series_cap")
-    _add_hyper_flags(p)
-    _add_common(p)
-    p.set_defaults(func=cmd_sweep)
+    _add_experiment_settings(p)
 
-    p = sub.add_parser("cross-series", help="train-two/test-one rotations, surrogates on vs off")
-    p.add_argument("--corpus", required=True)
-    p.add_argument("--kb-dir", required=True)
-    p.add_argument("--stopwords", default=None)
-    p.add_argument("--dict", default=None)
-    p.add_argument("--methods", default=None, help="comma-separated classifiers to average over")
-    p.add_argument("--selector", choices=METHODS, default=None)
-    p.add_argument("--budgets", default=None, help="per-class feature budgets (1 or 8 values)")
+    p = _command(sub, "cross-series", cmd_cross_series, "train-two/test-one rotations, surrogates on vs off")
+    _add_text_inputs(p, kb_required=True)
+    _setting(p, "methods", ",".join(CLASSIFIERS), help="comma-separated classifiers to average over")
+    _setting(p, "budgets", _BUDGETS, help="per-class feature budgets (1 or 8 values)")
     p.add_argument("--rotations", default=None, help="semicolon-separated rotations 'a,b:c;...'")
-    p.add_argument("--per-series-cap", type=int, default=None, dest="per_series_cap")
-    _add_hyper_flags(p)
-    _add_common(p)
-    p.set_defaults(func=cmd_cross_series)
+    _add_experiment_settings(p)
 
-    p = sub.add_parser("synth", help="generate a seeded synthetic corpus with knowledge bases")
+    p = _command(sub, "synth", cmd_synth, "generate a seeded synthetic corpus with knowledge bases", seed=None)
     p.add_argument("--spec", default=None, help="synthetic-spec JSON file")
-    p.add_argument("--preset", choices=("ablation", "sweep"), default=None)
-    _add_common(p)
-    p.set_defaults(func=cmd_synth)
+    _setting(p, "preset", "ablation", choices=tuple(_PRESETS))
 
     return parser
-
-
-def _add_hyper_flags(parser: argparse.ArgumentParser) -> None:
-    for key, default in _HYPER_DEFAULTS.items():
-        parser.add_argument("--" + key.replace("_", "-"), type=type(default), default=None, dest=key)
 
 
 def main(argv=None) -> int:

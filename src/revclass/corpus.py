@@ -12,7 +12,8 @@ from typing import Iterable, Optional
 
 
 class CorpusFormatError(ValueError):
-    """Raised when a corpus file violates the line-delimited JSON contract."""
+    """Raised when an input file of the text pipeline (corpus, tokens, stop
+    words, dictionary) is malformed; the message names the file."""
 
 
 class Category(enum.IntEnum):
@@ -110,34 +111,34 @@ def _build_series_index(reviews: Iterable[Review]) -> dict[str, tuple[int, ...]]
 _REQUIRED_FIELDS = ("id", "series", "text", "annotations")
 
 
-def _parse_line(obj: dict, lineno: int) -> Review:
+def _parse_line(obj: dict, where: str) -> Review:
     for name in _REQUIRED_FIELDS:
         if name not in obj:
-            raise CorpusFormatError(f"line {lineno}: missing field {name!r}")
+            raise CorpusFormatError(f"{where}: missing field {name!r}")
     rid = obj["id"]
     if not isinstance(rid, str) or not rid:
-        raise CorpusFormatError(f"line {lineno}: field 'id' must be a non-empty string")
+        raise CorpusFormatError(f"{where}: field 'id' must be a non-empty string")
     series = obj["series"]
     if not isinstance(series, str) or not series:
-        raise CorpusFormatError(f"line {lineno}: field 'series' must be a non-empty string")
+        raise CorpusFormatError(f"{where}: field 'series' must be a non-empty string")
     text = obj["text"]
     if not isinstance(text, str):
-        raise CorpusFormatError(f"line {lineno}: field 'text' must be a string")
+        raise CorpusFormatError(f"{where}: field 'text' must be a string")
     text = unicodedata.normalize("NFC", text)
     if not text:
-        raise CorpusFormatError(f"line {lineno}: field 'text' is empty after normalization")
+        raise CorpusFormatError(f"{where}: field 'text' is empty after normalization")
     annotations = obj["annotations"]
     if not isinstance(annotations, list) or not all(
         isinstance(a, int) and not isinstance(a, bool) for a in annotations
     ):
-        raise CorpusFormatError(f"line {lineno}: field 'annotations' must be a list of integers")
+        raise CorpusFormatError(f"{where}: field 'annotations' must be a list of integers")
     if any(not 0 <= a < N_CATEGORIES for a in annotations):
         raise CorpusFormatError(
-            f"line {lineno}: field 'annotations' has a value outside [0, {N_CATEGORIES - 1}]"
+            f"{where}: field 'annotations' has a value outside [0, {N_CATEGORIES - 1}]"
         )
     episode = obj.get("episode")
     if episode is not None and (isinstance(episode, bool) or not isinstance(episode, int) or episode < 0):
-        raise CorpusFormatError(f"line {lineno}: field 'episode' must be a non-negative integer")
+        raise CorpusFormatError(f"{where}: field 'episode' must be a non-negative integer")
     return Review(id=rid, series=series, text=text, annotations=tuple(annotations), episode=episode)
 
 
@@ -145,26 +146,17 @@ def load_corpus(path) -> Corpus:
     """Load a UTF-8, one-JSON-object-per-line corpus file.
 
     Unknown fields are ignored and empty lines skipped.  Text is NFC
-    normalized at load.  Raises :class:`CorpusFormatError` naming the line
-    and field on malformed input, and on duplicate review ids.
+    normalized at load.  Raises :class:`CorpusFormatError` naming the file,
+    the line and the field on malformed input, and on duplicate review ids.
     """
     reviews: list[Review] = []
     seen: set[str] = set()
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise CorpusFormatError(f"line {lineno}: invalid JSON ({exc.msg})") from None
-            if not isinstance(obj, dict):
-                raise CorpusFormatError(f"line {lineno}: expected a JSON object")
-            review = _parse_line(obj, lineno)
-            if review.id in seen:
-                raise CorpusFormatError(f"line {lineno}: duplicate review id {review.id!r}")
-            seen.add(review.id)
-            reviews.append(review)
+    for where, obj in read_json_lines(path, CorpusFormatError):
+        review = _parse_line(obj, where)
+        if review.id in seen:
+            raise CorpusFormatError(f"{where}: duplicate review id {review.id!r}")
+        seen.add(review.id)
+        reviews.append(review)
     return Corpus(reviews=tuple(reviews))
 
 
@@ -214,6 +206,42 @@ def split_by_series(corpus: Corpus, train: set[str], test: set[str]) -> tuple[Co
         )
 
     return take(set(train)), take(set(test))
+
+
+def read_text(path, error: type[Exception]) -> str:
+    """The text of UTF-8 file ``path`` with newlines as ``\\n``; bytes that
+    are not UTF-8 raise ``error`` naming the file."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: invalid UTF-8 at byte {exc.start}") from None
+
+
+def _json_object(text: str, where: str, error: type[Exception]) -> dict:
+    try:
+        obj = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise error(f"{where}: invalid JSON ({exc})") from None
+    if not isinstance(obj, dict):
+        raise error(f"{where}: expected a JSON object")
+    return obj
+
+
+def read_json(path, error: type[Exception]) -> dict:
+    """The JSON object that UTF-8 file ``path`` holds; a file that is not
+    UTF-8, not JSON or not an object raises ``error`` naming the file."""
+    return _json_object(read_text(path, error), str(path), error)
+
+
+def read_json_lines(path, error: type[Exception]):
+    """Yield ``("<path>: line <n>", obj)`` for each non-blank line of a UTF-8
+    JSON-lines file; a line that is not a JSON object, or a file that is not
+    UTF-8, raises ``error`` naming the file (and the line)."""
+    for lineno, line in enumerate(read_text(path, error).split("\n"), start=1):
+        if line.strip():
+            where = f"{path}: line {lineno}"
+            yield where, _json_object(line, where, error)
 
 
 def write_text_atomic(path, text: str) -> None:

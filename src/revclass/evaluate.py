@@ -4,8 +4,9 @@ the feature-size sweep, and the cross-series surrogate ablation."""
 
 from __future__ import annotations
 
+import reprlib
 import warnings
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields
 from typing import Optional, Sequence
 
 import numpy as np
@@ -104,6 +105,20 @@ def _default_noise() -> tuple[str, ...]:
     return tuple(f"noise_{i}" for i in range(300))
 
 
+def _has_type_of(value, like) -> bool:
+    """Whether ``value`` has the type of ``like``: tuples element by element
+    against ``like``'s first, ints not bools, and a float taking an int too."""
+    if isinstance(like, tuple):
+        return isinstance(value, tuple) and all(_has_type_of(v, like[0]) for v in value)
+    if type(like) is float:
+        return type(value) in (int, float)
+    return type(value) is type(like)
+
+
+def _type_name(like) -> str:
+    return f"list of {_type_name(like[0])}" if isinstance(like, tuple) else type(like).__name__
+
+
 def _as_lists(value):
     return [_as_lists(v) for v in value] if isinstance(value, tuple) else value
 
@@ -137,6 +152,14 @@ class SyntheticSpec:
     seed: int = 7
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            like = f.default_factory() if f.default is MISSING else f.default
+            if not _has_type_of(value, like):
+                raise ValueError(f"field {f.name!r} must be {_type_name(like)}, got {reprlib.repr(value)}")
+            least = 1 if f.name in ("reviews_per_series", "tokens_per_review") else 0
+            if type(like) is int and value < least:
+                raise ValueError(f"field {f.name!r} must be >= {least}, got {value}")
         if len(self.planted_vocab) != N_CATEGORIES:
             raise ValueError(f"planted_vocab must have {N_CATEGORIES} groups")
         if len(self.mention_rate) != N_CATEGORIES:

@@ -12,7 +12,7 @@ from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from revclass.corpus import N_CATEGORIES, CorpusFormatError, write_text_atomic
+from revclass.corpus import N_CATEGORIES, CorpusFormatError, read_json, read_json_lines, read_text, write_text_atomic
 
 Segmenter = Callable[[str], list[str]]
 
@@ -87,12 +87,8 @@ def load_knowledge_base(path) -> KnowledgeBase:
     A malformed file, ranks that are not contiguous or a surface claimed by
     two entries raises :class:`KnowledgeBaseError` naming the file.
     """
-    try:
-        with open(path, encoding="utf-8") as fh:
-            obj = json.load(fh)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise KnowledgeBaseError(f"{path}: invalid JSON ({exc})") from None
-    if not isinstance(obj, dict) or not isinstance(obj.get("series"), str):
+    obj = read_json(path, KnowledgeBaseError)
+    if not isinstance(obj.get("series"), str):
         raise KnowledgeBaseError(f"{path}: expected an object with a 'series' string")
 
     def entries(key: str, kind: str) -> tuple[PersonEntry, ...]:
@@ -214,8 +210,8 @@ class DictionarySegmenter:
 
 def load_dictionary(path) -> DictionarySegmenter:
     """Build the default segmenter from a one-word-per-line UTF-8 file."""
-    with open(path, encoding="utf-8") as fh:
-        return DictionarySegmenter(line.strip() for line in fh if line.strip())
+    lines = read_text(path, CorpusFormatError).split("\n")
+    return DictionarySegmenter(line.strip() for line in lines if line.strip())
 
 
 def tokenize(text: str, seg: Segmenter) -> list[str]:
@@ -226,11 +222,10 @@ def tokenize(text: str, seg: Segmenter) -> list[str]:
 def load_stopwords(path) -> frozenset[str]:
     """Load stop words, one per line; '#' comment lines and blanks ignored."""
     words: set[str] = set()
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            word = line.strip()
-            if word and not word.startswith("#"):
-                words.add(unicodedata.normalize("NFC", word))
+    for line in read_text(path, CorpusFormatError).split("\n"):
+        word = line.strip()
+        if word and not word.startswith("#"):
+            words.add(unicodedata.normalize("NFC", word))
     return frozenset(words)
 
 
@@ -438,29 +433,20 @@ class TokenizedCorpus:
         """Read a file written by :meth:`save`; a malformed line raises
         :class:`CorpusFormatError` naming the file, the line and the field."""
         ids, series, docs, labels = [], [], [], []
-        with open(path, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                if not line.strip():
-                    continue
-                try:
-                    obj = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise CorpusFormatError(f"{path}: line {lineno}: invalid JSON ({exc.msg})") from None
-                if not isinstance(obj, dict):
-                    raise CorpusFormatError(f"{path}: line {lineno}: expected a JSON object")
-                for name in ("id", "series", "tokens"):
-                    if name not in obj:
-                        raise CorpusFormatError(f"{path}: line {lineno}: missing field {name!r}")
-                label = obj.get("label")
-                if label is not None and (type(label) is not int or label not in range(N_CATEGORIES)):
-                    raise CorpusFormatError(
-                        f"{path}: line {lineno}: field 'label' must be an integer in [0, {N_CATEGORIES - 1}] or null"
-                    )
-                tokens = obj["tokens"]
-                if not isinstance(tokens, list) or not all(isinstance(t, str) for t in tokens):
-                    raise CorpusFormatError(f"{path}: line {lineno}: field 'tokens' must be a list of strings")
-                ids.append(obj["id"])
-                series.append(obj["series"])
-                docs.append(tuple(tokens))
-                labels.append(label)
+        for where, obj in read_json_lines(path, CorpusFormatError):
+            for name in ("id", "series", "tokens"):
+                if name not in obj:
+                    raise CorpusFormatError(f"{where}: missing field {name!r}")
+            label = obj.get("label")
+            if label is not None and (type(label) is not int or label not in range(N_CATEGORIES)):
+                raise CorpusFormatError(
+                    f"{where}: field 'label' must be an integer in [0, {N_CATEGORIES - 1}] or null"
+                )
+            tokens = obj["tokens"]
+            if not isinstance(tokens, list) or not all(isinstance(t, str) for t in tokens):
+                raise CorpusFormatError(f"{where}: field 'tokens' must be a list of strings")
+            ids.append(obj["id"])
+            series.append(obj["series"])
+            docs.append(tuple(tokens))
+            labels.append(label)
         return cls(ids=tuple(ids), series=tuple(series), docs=tuple(docs), labels=tuple(labels))

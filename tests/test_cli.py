@@ -720,3 +720,191 @@ class TestAtomicOutputs:
         )
         assert code == 2
         assert not out.exists() or os.listdir(out) == []
+
+
+_HYPER = {"nb_smoothing", "lr_eta", "lr_lambda", "lr_epochs", "svm_c", "svm_epochs"}
+# Each command's settings: its flags that a config file may set and the manifest echoes.
+_SETTINGS = {
+    "synth": {"preset", "seed"},
+    "ingest": {"seed"},
+    "preprocess": {"surrogates", "seed"},
+    "lda": {"topics", "alpha", "beta", "iterations", "top_words", "seed"},
+    "train": {"method", "selector", "sizes", "seed", *_HYPER},
+    "evaluate": {"seed"},
+    "sweep": {"surrogates", "sizes", "method", "selector", "per_series_cap", "seed", *_HYPER},
+    "cross-series": {"methods", "selector", "budgets", "per_series_cap", "seed", *_HYPER},
+}
+
+
+def _small_run(command, pipeline):
+    """Arguments that run ``command`` quickly on the module's pipeline."""
+    corpus = pipeline["ingest"] / "corpus.filtered.jsonl"
+    tokens = pipeline["tokens"] / "tokens.jsonl"
+    return {
+        "synth": ["--preset", "sweep", "--seed", 3],
+        "ingest": ["--corpus", pipeline["synth"] / "corpus.jsonl"],
+        "preprocess": ["--corpus", corpus],
+        "lda": ["--tokens", tokens, "--topics", 2, "--iterations", 2],
+        "train": ["--tokens", tokens, "--method", "nb", "--sizes", 10],
+        "evaluate": ["--model", pipeline["train"] / "model", "--tokens", tokens],
+        "sweep": ["--corpus", corpus, "--sizes", 10, "--method", "nb"],
+        "cross-series": ["--corpus", corpus, "--kb-dir", pipeline["synth"] / "kb", "--methods", "nb", "--budgets", 10],
+    }[command]
+
+
+def _write_config(tmp_path, obj):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(obj), encoding="utf-8")
+    return config
+
+
+class TestSettings:
+    @pytest.mark.parametrize("command", sorted(_SETTINGS))
+    def test_manifest_config_echoes_exactly_the_command_settings(self, pipeline, tmp_path, command):
+        out = tmp_path / "out"
+        assert run([command, *_small_run(command, pipeline), "--out-dir", out, "--quiet"]) == 0
+        assert set(_read_manifest(out)["config"]) == _SETTINGS[command]
+        args = cli.build_parser().parse_args([command, *map(str, _small_run(command, pipeline)), "--out-dir", "o"])
+        assert set(args.settings) == _SETTINGS[command]
+
+    @pytest.mark.parametrize(
+        "command, key, value",
+        [
+            ("sweep", "methods", "nb"),
+            ("sweep", "budgets", "50"),
+            ("cross-series", "method", "nb"),
+            ("cross-series", "sizes", "10,30"),
+            ("cross-series", "surrogates", "on"),
+        ],
+    )
+    def test_key_the_experiment_does_not_read_exits_2(self, pipeline, tmp_path, capsys, command, key, value):
+        config = _write_config(tmp_path, {key: value})
+        out = tmp_path / "out"
+        assert run([command, *_small_run(command, pipeline), "--config", config, "--out-dir", out, "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert str(config) in err and f"unknown key(s) '{key}'" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command, key, value",
+        [
+            ("lda", "topics", "3"),
+            ("lda", "topics", None),
+            ("lda", "beta", True),
+            ("train", "svm_epochs", "2"),
+            ("train", "svm_c", "1.5"),
+            ("train", "method", "forest"),
+            ("train", "sizes", 10),
+            ("sweep", "per_series_cap", "5"),
+            ("sweep", "per_series_cap", 5.0),
+            ("preprocess", "surrogates", "maybe"),
+            ("synth", "preset", "big"),
+            ("ingest", "seed", True),
+        ],
+    )
+    def test_value_its_flag_would_not_accept_exits_2(self, pipeline, tmp_path, capsys, command, key, value):
+        config = _write_config(tmp_path, {key: value})
+        out = tmp_path / "out"
+        assert run([command, *_small_run(command, pipeline), "--config", config, "--out-dir", out, "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: config file {config}: key '{key}': {json.dumps(value)} is not a valid --")
+        assert not out.exists()
+
+    def test_config_value_is_checked_even_when_a_flag_overrides_it(self, pipeline, tmp_path, capsys):
+        config = _write_config(tmp_path, {"topics": "3"})
+        out = tmp_path / "out"
+        assert run(["lda", *_small_run("lda", pipeline), "--config", config, "--out-dir", out, "--quiet"]) == 2
+        assert "key 'topics'" in capsys.readouterr().err
+
+    def test_int_for_a_float_setting_runs(self, pipeline, tmp_path):
+        config = _write_config(tmp_path, {"svm_c": 2})
+        out = tmp_path / "out"
+        argv = ["--tokens", pipeline["tokens"] / "tokens.jsonl", "--method", "svm", "--sizes", 10, "--svm-epochs", 2]
+        assert run(["train", *argv, "--config", config, "--out-dir", out, "--quiet"]) == 0
+        member = json.loads((out / "model" / "member_0.json").read_text(encoding="utf-8"))
+        assert _read_manifest(out)["config"]["svm_c"] == 2 and member["hyperparameters"]["C"] == 2
+
+    def test_list_of_sizes_runs(self, pipeline, tmp_path):
+        config = _write_config(tmp_path, {"sizes": [10, 30]})
+        out = tmp_path / "out"
+        corpus = pipeline["ingest"] / "corpus.filtered.jsonl"
+        assert run(["sweep", "--corpus", corpus, "--method", "nb", "--config", config, "--out-dir", out, "--quiet"]) == 0
+        rows = (out / "sweep.csv").read_text(encoding="utf-8").splitlines()[1:]
+        assert {row.split(",")[1] for row in rows} == {"10", "30"}
+        assert _read_manifest(out)["config"]["sizes"] == [10, 30]
+
+    @pytest.mark.parametrize("command, key, value", [("sweep", "sizes", [10.7, 30]), ("cross-series", "budgets", [True])])
+    def test_list_of_sizes_that_are_not_integers_exits_2(self, pipeline, tmp_path, capsys, command, key, value):
+        config = _write_config(tmp_path, {key: value})
+        out = tmp_path / "out"
+        argv = ["--corpus", pipeline["ingest"] / "corpus.filtered.jsonl", "--kb-dir", pipeline["synth"] / "kb"]
+        assert run([command, *argv, "--config", config, "--out-dir", out, "--quiet"]) == 2
+        assert capsys.readouterr().err == f"error: invalid size list {value!r}\n"
+        assert not out.exists()
+
+    def test_null_alpha_runs_with_the_derived_prior(self, pipeline, tmp_path):
+        config = _write_config(tmp_path, {"alpha": None})
+        out = tmp_path / "out"
+        assert run(["lda", *_small_run("lda", pipeline), "--config", config, "--out-dir", out, "--quiet"]) == 0
+        assert _read_manifest(out)["config"]["alpha"] == 25.0  # 50 / topics
+
+
+class TestInputEncoding:
+    @pytest.mark.parametrize("kind", ["corpus", "tokens", "config", "stopwords", "dict"])
+    def test_invalid_utf8_exits_2_naming_the_file(self, pipeline, tmp_path, capsys, kind):
+        bad = tmp_path / "bad"
+        bad.write_bytes(b'{"id": "r0", "series": "s\xff"}\n' if kind != "config" else b'{"seed": "\xfe"}')
+        corpus = pipeline["ingest"] / "corpus.filtered.jsonl"
+        argv = {
+            "corpus": ["ingest", "--corpus", bad],
+            "tokens": ["train", "--tokens", bad],
+            "config": ["ingest", "--corpus", corpus, "--config", bad],
+            "stopwords": ["preprocess", "--corpus", corpus, "--stopwords", bad],
+            "dict": ["preprocess", "--corpus", corpus, "--dict", bad],
+        }[kind]
+        out = tmp_path / "out"
+        assert run([*argv, "--out-dir", out, "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: invalid UTF-8 at byte ")
+        assert not out.exists()
+
+    def test_corpus_error_names_the_file_and_the_line(self, tmp_path, capsys):
+        bad = write_jsonl(tmp_path / "bad.jsonl", [review_record("r0"), {"id": "r1", "series": "s1", "text": "t"}])
+        assert run(["ingest", "--corpus", bad, "--out-dir", tmp_path / "out", "--quiet"]) == 2
+        assert capsys.readouterr().err == f"error: {bad}: line 2: missing field 'annotations'\n"
+
+
+class TestExperimentFlagErrors:
+    @pytest.mark.parametrize(
+        "command, flags, message",
+        [
+            ("cross-series", ["--methods", "nb,forest"], "unknown classifier method 'forest'"),
+            ("sweep", ["--rotation", "alpha,beta:alpha"], "rotation series must be disjoint"),
+            ("sweep", ["--sizes", "30,10"], "feature sizes must be positive and strictly ascending"),
+        ],
+    )
+    def test_bad_experiment_flag_exits_2(self, pipeline, tmp_path, capsys, command, flags, message):
+        out = tmp_path / "out"
+        assert run([command, *_small_run(command, pipeline), *flags, "--out-dir", out, "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert not out.exists()
+
+
+class TestSyntheticSpecFile:
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("series", "abc", "field 'series' must be list of str"),
+            ("reviews_per_series", -5, "field 'reviews_per_series' must be >= 1"),
+            ("tokens_per_review", "x", "field 'tokens_per_review' must be int"),
+        ],
+    )
+    def test_bad_spec_field_exits_2_naming_file_and_field(self, tmp_path, capsys, field, value, message):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({field: value}), encoding="utf-8")
+        out = tmp_path / "out"
+        assert run(["synth", "--spec", spec, "--out-dir", out, "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: invalid synthetic spec {spec}: ") and message in err
+        assert not out.exists()

@@ -428,3 +428,38 @@ class TestTokenizeCorpus:
         assert _stop_sets.cache_info().misses == 1
         assert tokenized.docs == tuple(tuple(remove_stopwords(r.text.split(), stoplist)) for r in corpus.reviews)
         assert not {"n1", "n2", "cat0_w3"} & {t for doc in tokenized.docs for t in doc}
+
+
+class TestSyntheticSpecChecks:
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("series", "abc", "field 'series' must be list of str"),
+            ("series", ["a", 2, "c"], "field 'series' must be list of str"),
+            ("planted_vocab", [["a"]] * 7 + [[1]], "field 'planted_vocab' must be list of list of str"),
+            ("mention_rate", [0.5] * 7 + ["x"], "field 'mention_rate' must be list of float"),
+            ("tokens_per_review", "x", "field 'tokens_per_review' must be int"),
+            ("tokens_per_review", 12.0, "field 'tokens_per_review' must be int"),
+            ("seed", True, "field 'seed' must be int"),
+            ("planted_fraction", None, "field 'planted_fraction' must be float"),
+            ("reviews_per_series", -5, "field 'reviews_per_series' must be >= 1"),
+            ("reviews_per_series", 0, "field 'reviews_per_series' must be >= 1"),
+            ("tokens_per_review", 0, "field 'tokens_per_review' must be >= 1"),
+            ("roles_per_series", -1, "field 'roles_per_series' must be >= 0"),
+            ("mentions_per_hit", -1, "field 'mentions_per_hit' must be >= 0"),
+            ("seed", -1, "field 'seed' must be >= 0"),
+        ],
+    )
+    def test_field_of_the_wrong_type_or_range_is_named(self, field, value, message):
+        with pytest.raises(ValueError) as info:
+            SyntheticSpec.from_dict({field: value})
+        assert str(info.value).startswith(message)
+
+    def test_presets_zero_counts_and_int_for_float_are_accepted(self):
+        assert SyntheticSpec.ablation_default() == SyntheticSpec()
+        assert SyntheticSpec.sweep_default().seed == 11
+        spec = SyntheticSpec.from_dict({"planted_fraction": 1, "mention_rate": [0] * 8, "seed": 0})
+        assert spec.planted_fraction == 1 and spec.seed == 0
+        no_names = SyntheticSpec.from_dict({"roles_per_series": 0, "actors_per_series": 0, "mention_rate": [0.0] * 8})
+        corpus, kbs = generate_synthetic(dataclasses.replace(no_names, reviews_per_series=8))
+        assert len(corpus) == 24 and all(not kb.roles for kb in kbs.values())
