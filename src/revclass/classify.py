@@ -448,6 +448,15 @@ def train_member(
     return BinaryMember(cat, method, tuple(terms), model)
 
 
+def rank_classes(corpus: VectorizedCorpus, budgets: Sequence[int], selector: str) -> list[FeatureRanking]:
+    """Every class's feature ranking in category order, each at its budget
+    clamped to the vocabulary size."""
+    if len(budgets) != N_CATEGORIES:
+        raise ValueError(f"need {N_CATEGORIES} per-class feature sizes, got {len(budgets)}")
+    V = len(corpus.vocab)
+    return [rank_features(corpus, cat, method=selector, k=min(budgets[int(cat)], V)) for cat in Category]
+
+
 def train_ovr(
     corpus: VectorizedCorpus,
     method: str = SVM,
@@ -458,27 +467,22 @@ def train_ovr(
 ) -> OvrModel:
     """Train the eight one-vs-rest members, each on its own selected features.
 
-    Relevance for member c is (label == c); feature selection runs once per
-    class at that class's budget (clamped to the vocabulary size), and each
-    member keeps its ranking in ``BinaryMember.ranking``.  A degenerate
-    class trains a flagged constant stub instead of a model, but is still
-    ranked.
+    Relevance for member c is (label == c); the classes are ranked by
+    :func:`rank_classes`, and each member keeps its ranking in
+    ``BinaryMember.ranking``.  A degenerate class trains a flagged constant
+    stub instead of a model, but is still ranked.
     """
     if method not in CLASSIFIERS:
         raise ValueError(f"unknown method {method!r}; expected one of {CLASSIFIERS}")
     if selector not in METHODS:
         raise ValueError(f"unknown selector {selector!r}; expected one of {METHODS}")
     budgets = tuple(per_class_feature_sizes) if per_class_feature_sizes else DEFAULT_BUDGETS
-    if len(budgets) != N_CATEGORIES:
-        raise ValueError(f"need {N_CATEGORIES} per-class feature sizes, got {len(budgets)}")
     hp = hyperparams or Hyperparams()
-    V = len(corpus.vocab)
-    members = []
-    for cat in Category:
-        ranking = rank_features(corpus, cat, method=selector, k=min(budgets[int(cat)], V))
-        member = train_member(corpus, cat, ranking.terms(), method, hp, seed)
-        members.append(replace(member, ranking=ranking))
-    return OvrModel(members=tuple(members), method=method, selector=selector, budgets=budgets, seed=seed)
+    members = tuple(
+        replace(train_member(corpus, r.category, r.terms(), method, hp, seed), ranking=r)
+        for r in rank_classes(corpus, budgets, selector)
+    )
+    return OvrModel(members=members, method=method, selector=selector, budgets=budgets, seed=seed)
 
 
 def predict(m: OvrModel, tokens: Iterable[str]) -> Category:

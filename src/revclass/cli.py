@@ -27,12 +27,12 @@ from revclass.classify import (
     train_ovr,
 )
 from revclass.corpus import (
-    Corpus,
     CorpusFormatError,
     N_CATEGORIES,
     agreement_filter,
     load_corpus,
     read_json,
+    write_corpus,
     write_json_atomic,
     write_text_atomic,
 )
@@ -56,6 +56,7 @@ from revclass.preprocess import (
     load_dictionary,
     load_knowledge_base,
     load_stopwords,
+    write_knowledge_base,
     WhitespaceSegmenter,
 )
 from revclass.topic_model import LdaConfig, export_heatmap, fit_lda, top_words
@@ -132,23 +133,6 @@ def _write_manifest(args, out_dir, command: str, config: dict, inputs: list, out
     _say(args, f"wrote {os.path.join(out_dir, MANIFEST_NAME)}")
 
 
-def _review_record(review) -> dict:
-    record = {
-        "id": review.id,
-        "series": review.series,
-        "text": review.text,
-        "annotations": list(review.annotations),
-    }
-    if review.episode is not None:
-        record["episode"] = review.episode
-    return record
-
-
-def _write_corpus(corpus: Corpus, path) -> None:
-    lines = [json.dumps(_review_record(r), ensure_ascii=False, sort_keys=True) for r in corpus.reviews]
-    write_text_atomic(path, "\n".join(lines) + ("\n" if lines else ""))
-
-
 def _load_kb_dir(path) -> tuple[dict[str, KnowledgeBase], list[str]]:
     if path is None:
         return {}, []
@@ -206,7 +190,7 @@ def cmd_ingest(args) -> None:
     corpus = load_corpus(args.corpus)
     filtered, drops = agreement_filter(corpus)
     corpus_out = os.path.join(out_dir, "corpus.filtered.jsonl")
-    _write_corpus(filtered, corpus_out)
+    write_corpus(filtered, corpus_out)
     report = {
         "input_reviews": len(corpus),
         "kept": len(filtered),
@@ -417,16 +401,12 @@ def cmd_synth(args) -> None:
     except (TypeError, ValueError) as exc:
         raise CliError(f"invalid synthetic spec {args.spec or config['preset']}: {exc}") from None
     corpus_out = os.path.join(out_dir, "corpus.jsonl")
-    _write_corpus(corpus, corpus_out)
+    write_corpus(corpus, corpus_out)
     outputs = [corpus_out]
     kb_dir = os.path.join(out_dir, "kb")
     for series in sorted(kbs):
-        kb = kbs[series]
-        doc = {"series": kb.series}
-        for key, entries in (("roles", kb.roles), ("actors", kb.actors)):
-            doc[key] = [{"name": e.canonical_name, "aliases": list(e.aliases), "rank": e.rank} for e in entries]
         path = os.path.join(kb_dir, f"{series}.json")
-        write_json_atomic(path, doc)
+        write_knowledge_base(kbs[series], path)
         outputs.append(path)
     spec_out = os.path.join(out_dir, "synth_spec.json")
     write_json_atomic(spec_out, spec.to_dict())

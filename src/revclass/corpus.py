@@ -1,4 +1,4 @@
-"""Labeled review corpora: loading, annotator-agreement filtering, series splits,
+"""Labeled review corpora: reading and writing, annotator-agreement filtering, series splits,
 and the atomic file writers that every output of the package goes through."""
 
 from __future__ import annotations
@@ -158,6 +158,19 @@ def load_corpus(path) -> Corpus:
         seen.add(review.id)
         reviews.append(review)
     return Corpus(reviews=tuple(reviews))
+
+
+def write_corpus(corpus: Corpus, path) -> None:
+    """Write reviews as :func:`load_corpus` reads them: one JSON object per
+    line with sorted keys, non-ASCII text as is, and ``episode`` only when
+    set.  Resolved labels are not written."""
+    lines = []
+    for r in corpus.reviews:
+        record = {"id": r.id, "series": r.series, "text": r.text, "annotations": list(r.annotations)}
+        if r.episode is not None:
+            record["episode"] = r.episode
+        lines.append(json.dumps(record, ensure_ascii=False, sort_keys=True))
+    write_text_atomic(path, "\n".join(lines) + ("\n" if lines else ""))
 
 
 def agreement_filter(corpus: Corpus) -> tuple[Corpus, dict[str, int]]:

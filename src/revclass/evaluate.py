@@ -18,13 +18,13 @@ from revclass.classify import (
     BinaryMember,
     Hyperparams,
     OvrModel,
+    rank_classes,
     score_documents,
     train_member,
-    train_ovr,
     train_svm,  # unused here; perfbench's tracing self-test reads this binding
 )
 from revclass.corpus import Category, Corpus, N_CATEGORIES, Review, write_text_atomic
-from revclass.feature_select import CHI2, METHODS, rank_features
+from revclass.feature_select import CHI2, METHODS
 from revclass.preprocess import (
     KnowledgeBase,
     PersonEntry,
@@ -75,10 +75,19 @@ def ovr_accuracies(model: OvrModel, test: TokenizedCorpus) -> tuple[list[float],
     on a labeled test corpus, read from one documents x categories score matrix."""
     if len(test) == 0:
         raise ValueError("empty test set")
-    scores = model.scores(test.docs)
+    return _readouts([model.member_for(c) for c in Category], test)[0]
+
+
+def _readouts(members: Sequence[BinaryMember], test: TokenizedCorpus) -> list[tuple[list[float], float]]:
+    """Per run of eight members, one per category in category order, all
+    scored on ``test`` in one pass: the accuracies of the decisions score >= 0
+    per category, and of each review's first maximum (ties to the lowest)."""
     gold = np.asarray(test.labels)
-    per_category = [_hit_rate(scores[:, c] >= 0.0, gold == c) for c in range(N_CATEGORIES)]
-    return per_category, accuracy(scores.argmax(axis=1), gold)
+    readouts = []
+    for block in np.hsplit(score_documents(members, test.docs), len(members) // N_CATEGORIES):
+        per_category = [_hit_rate(block[:, c] >= 0.0, gold == c) for c in range(N_CATEGORIES)]
+        readouts.append((per_category, accuracy(block.argmax(axis=1), gold)))
+    return readouts
 
 
 # ---------------------------------------------------------------------------
@@ -95,6 +104,7 @@ _MENTION_SIGNATURES: dict[int, tuple[str, tuple[int, ...]]] = {
     3: ("actor", (3, 4)),
     4: ("role", (5, 6)),
 }
+_MAX_SIGNATURE_RANK = max(r for _, ranks in _MENTION_SIGNATURES.values() for r in ranks)
 
 
 def _default_planted() -> tuple[tuple[str, ...], ...]:
@@ -174,6 +184,32 @@ class SyntheticSpec:
                 seen.add(word)
         if not 0.0 <= self.planted_fraction <= 1.0:
             raise ValueError("planted_fraction must lie in [0, 1]")
+        if not self.series:
+            raise ValueError("field 'series' must name at least one series")
+        for i, name in enumerate(self.series):
+            if not name:
+                raise ValueError("field 'series' has a blank name")
+            if name in self.series[:i]:
+                raise ValueError(f"field 'series' names {name!r} twice")
+        # Every review draws at least one planted token, and the categories
+        # cycle, so category c is drawn when reviews_per_series > c.
+        for c, group in enumerate(self.planted_vocab[: self.reviews_per_series]):
+            if not group:
+                raise ValueError(f"field 'planted_vocab' has an empty group {c}")
+        if self.planted_per_review < self.tokens_per_review and not self.noise_vocab:
+            raise ValueError("field 'noise_vocab' must be non-empty when reviews draw noise tokens")
+        # Name mentions draw ranks up to the largest signature rank in the
+        # signature categories, and any rank in the others.
+        if self.mentions_per_hit and any(self.mention_rate):
+            least = _MAX_SIGNATURE_RANK if any(self.mention_rate[c] for c in _MENTION_SIGNATURES) else 1
+            for name in ("roles_per_series", "actors_per_series"):
+                if getattr(self, name) < least:
+                    raise ValueError(f"field {name!r} must be >= {least} for name mentions, got {getattr(self, name)}")
+
+    @property
+    def planted_per_review(self) -> int:
+        """Planted tokens in each review; its other tokens are noise."""
+        return max(1, round(self.tokens_per_review * self.planted_fraction))
 
     def to_dict(self) -> dict:
         """The fields in declaration order, tuples as JSON lists."""
@@ -223,11 +259,6 @@ def _series_kb(series: str, roles: int, actors: int) -> KnowledgeBase:
 
 def generate_synthetic(spec: SyntheticSpec) -> tuple[Corpus, dict[str, KnowledgeBase]]:
     """Deterministically generate a labeled corpus and per-series knowledge bases."""
-    needed = [r for sig in _MENTION_SIGNATURES.values() for r in sig[1]]
-    max_rank = max(needed)
-    if any(spec.mention_rate[c] > 0 for c in _MENTION_SIGNATURES):
-        if spec.roles_per_series < max_rank or spec.actors_per_series < max_rank:
-            raise ValueError(f"need at least {max_rank} roles and actors per series for name mentions")
     rng = np.random.default_rng(spec.seed)
     kbs = {s: _series_kb(s, spec.roles_per_series, spec.actors_per_series) for s in spec.series}
     names = {
@@ -245,7 +276,7 @@ def generate_synthetic(spec: SyntheticSpec) -> tuple[Corpus, dict[str, Knowledge
         rng.shuffle(cats)
         for r_idx, cat in enumerate(cats):
             planted = spec.planted_vocab[cat]
-            n_planted = max(1, round(spec.tokens_per_review * spec.planted_fraction))
+            n_planted = spec.planted_per_review
             n_noise = max(0, spec.tokens_per_review - n_planted)
             tokens = [planted[j] for j in rng.integers(0, len(planted), n_planted)]
             tokens += [spec.noise_vocab[j] for j in rng.integers(0, len(spec.noise_vocab), n_noise)]
@@ -296,6 +327,8 @@ class ExperimentConfig:
     seed: int = 42
 
     def __post_init__(self):
+        if not self.methods:
+            raise ValueError("methods must name at least one classifier")
         for m in self.methods:
             if m not in CLASSIFIERS:
                 raise ValueError(f"unknown classifier method {m!r}")
@@ -310,13 +343,9 @@ class ExperimentConfig:
             raise ValueError("surrogate_mode must be 'on' or 'off'")
         explicit = ((self.rotation,) if self.rotation else ()) + (self.rotations or ())
         for rot in explicit:
-            _check_rotation(rot)
-
-
-def _check_rotation(rot: Rotation) -> None:
-    (a, b), t = rot
-    if len({a, b, t}) != 3:
-        raise ValueError(f"rotation series must be disjoint: {rot}")
+            (a, b), t = rot
+            if len({a, b, t}) != 3:
+                raise ValueError(f"rotation series must be disjoint: {rot}")
 
 
 def rotation_label(rot: Rotation) -> str:
@@ -464,39 +493,31 @@ def feature_size_sweep(
     out_csv=None,
 ) -> ResultTable:
     """Train every category's member at each feature size and record
-    train/test accuracy; optionally emit the grid as CSV.  All members are
-    scored together, so each split is vectorized once."""
+    train/test accuracy; optionally emit the grid as CSV.  The classes are
+    ranked once, at the largest size, and all members are scored together,
+    so each split is vectorized once."""
     corpus = _apply_series_cap(corpus, config.per_series_cap)
     rotation = config.rotation or derive_rotations(list(corpus.series_index))[0]
-    _check_rotation(rotation)
     tokenized = tokenize_corpus(corpus, seg, config.stopwords, kbs, config.surrogate_mode)
     _require_labels(tokenized)
     train, test = _split_tokenized(tokenized, rotation)
     vc_train = VectorizedCorpus.from_tokens(train.docs, train.labels)
     V = len(vc_train.vocab)
-    max_size = min(max(config.feature_sizes), V)
-    hp = config.hyperparams
+    sizes = config.feature_sizes
+    rankings = rank_classes(vc_train, (max(sizes),) * N_CATEGORIES, config.selector)
 
-    members = {}  # (category, requested size) -> member
-    for cat in Category:
-        full_terms = rank_features(vc_train, cat, method=config.selector, k=max_size).terms()
-        for size in config.feature_sizes:
-            if size > V:
-                warnings.warn(
-                    f"feature size {size} exceeds vocabulary size {V}; using full vocabulary",
-                    stacklevel=2,
-                )
-            terms = full_terms[: min(size, V)]
-            members[(int(cat), size)] = train_member(vc_train, cat, terms, config.sweep_method, hp, config.seed)
-    train_scores = score_documents(list(members.values()), train.docs)
-    test_scores = score_documents(list(members.values()), test.docs)
+    members = []  # eight per size, in category order
+    for size in sizes:
+        if size > V:
+            warnings.warn(f"feature size {size} exceeds vocabulary size {V}; using full vocabulary", stacklevel=2)
+        members += [
+            train_member(vc_train, r.category, r.terms()[:size], config.sweep_method, config.hyperparams, config.seed)
+            for r in rankings
+        ]
     table = ResultTable()
-    for j, (cat, size) in enumerate(members):
-        table.sweep[(cat, size)] = SweepCell(
-            actual_size=min(size, V),
-            train_acc=_hit_rate(train_scores[:, j] >= 0.0, np.asarray(train.labels) == cat),
-            test_acc=_hit_rate(test_scores[:, j] >= 0.0, np.asarray(test.labels) == cat),
-        )
+    for size, (train_acc, _), (test_acc, _) in zip(sizes, _readouts(members, train), _readouts(members, test)):
+        for cat in range(N_CATEGORIES):
+            table.sweep[(cat, size)] = SweepCell(min(size, V), train_acc[cat], test_acc[cat])
     table.validate()
     if out_csv is not None:
         write_sweep_csv(table, out_csv)
@@ -512,7 +533,8 @@ def cross_series_experiment(
 ) -> ResultTable:
     """Train on two series and test on the held-out third, for every rotation
     and both surrogate modes; per-category accuracies are averaged over the
-    configured classifier methods."""
+    configured classifier methods.  Each split is ranked and vectorized once
+    for all methods, and all their members are scored together."""
     corpus = _apply_series_cap(corpus, config.per_series_cap)
     if len(corpus.series_index) < 3:
         raise ValueError("cross-series experiment needs at least 3 series")
@@ -525,21 +547,16 @@ def cross_series_experiment(
             label = rotation_label(rot)
             train, test = _split_tokenized(tokenized, rot)
             vc_train = VectorizedCorpus.from_tokens(train.docs, train.labels)
-            per_cat = np.zeros((len(config.methods), N_CATEGORIES))
-            multi = np.zeros(len(config.methods))
-            for mi, method in enumerate(config.methods):
-                ovr = train_ovr(
-                    vc_train,
-                    method=method,
-                    per_class_feature_sizes=config.per_class_budgets,
-                    selector=config.selector,
-                    hyperparams=config.hyperparams,
-                    seed=config.seed,
-                )
-                per_cat[mi], multi[mi] = ovr_accuracies(ovr, test)
+            rankings = rank_classes(vc_train, config.per_class_budgets, config.selector)
+            members = [
+                train_member(vc_train, r.category, r.terms(), method, config.hyperparams, config.seed)
+                for method in config.methods
+                for r in rankings
+            ]
+            per_cat, multi = zip(*_readouts(members, test))
             for cat in Category:
-                table.generalization[(int(cat), label, mode)] = float(per_cat[:, int(cat)].mean())
-            table.multiclass[(label, mode)] = float(multi.mean())
+                table.generalization[(int(cat), label, mode)] = float(np.mean([p[cat] for p in per_cat]))
+            table.multiclass[(label, mode)] = float(np.mean(multi))
     table.validate()
     if out_csv is not None:
         write_generalization_csv(table, out_csv)

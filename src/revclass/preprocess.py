@@ -12,7 +12,15 @@ from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from revclass.corpus import N_CATEGORIES, CorpusFormatError, read_json, read_json_lines, read_text, write_text_atomic
+from revclass.corpus import (
+    N_CATEGORIES,
+    CorpusFormatError,
+    read_json,
+    read_json_lines,
+    read_text,
+    write_json_atomic,
+    write_text_atomic,
+)
 
 Segmenter = Callable[[str], list[str]]
 
@@ -112,6 +120,14 @@ def load_knowledge_base(path) -> KnowledgeBase:
     except KnowledgeBaseError as exc:
         raise KnowledgeBaseError(f"{path}: {exc}") from None
     return kb
+
+
+def write_knowledge_base(kb: KnowledgeBase, path) -> None:
+    """Write a knowledge base as :func:`load_knowledge_base` reads it."""
+    doc = {"series": kb.series}
+    for key, entries in (("roles", kb.roles), ("actors", kb.actors)):
+        doc[key] = [{"name": e.canonical_name, "aliases": list(e.aliases), "rank": e.rank} for e in entries]
+    write_json_atomic(path, doc)
 
 
 @dataclass(frozen=True)

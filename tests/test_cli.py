@@ -898,6 +898,13 @@ class TestSyntheticSpecFile:
             ("series", "abc", "field 'series' must be list of str"),
             ("reviews_per_series", -5, "field 'reviews_per_series' must be >= 1"),
             ("tokens_per_review", "x", "field 'tokens_per_review' must be int"),
+            ("noise_vocab", [], "field 'noise_vocab' must be non-empty"),
+            ("planted_vocab", [[]] + [[f"w{c}"] for c in range(1, 8)], "field 'planted_vocab' has an empty group 0"),
+            ("roles_per_series", 0, "field 'roles_per_series' must be >= 6"),
+            ("actors_per_series", 2, "field 'actors_per_series' must be >= 6"),
+            ("series", ["alpha", "alpha"], "field 'series' names 'alpha' twice"),
+            ("series", ["alpha", ""], "field 'series' has a blank name"),
+            ("series", [], "field 'series' must name at least one series"),
         ],
     )
     def test_bad_spec_field_exits_2_naming_file_and_field(self, tmp_path, capsys, field, value, message):
@@ -907,4 +914,16 @@ class TestSyntheticSpecFile:
         assert run(["synth", "--spec", spec, "--out-dir", out, "--quiet"]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: invalid synthetic spec {spec}: ") and message in err
+        assert not out.exists()
+
+
+class TestCrossSeriesNeedsAMethod:
+    def test_empty_methods_list_in_config_file_exits_2(self, pipeline, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"methods": []}), encoding="utf-8")
+        out = tmp_path / "out"
+        corpus, kb_dir = pipeline["ingest"] / "corpus.filtered.jsonl", pipeline["synth"] / "kb"
+        args = ["cross-series", "--corpus", corpus, "--kb-dir", kb_dir, "--config", config, "--out-dir", out, "--quiet"]
+        assert run(args) == 2
+        assert capsys.readouterr().err.startswith("error: methods must name at least one classifier")
         assert not out.exists()

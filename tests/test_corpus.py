@@ -10,6 +10,7 @@ from revclass.corpus import (
     agreement_filter,
     load_corpus,
     split_by_series,
+    write_corpus,
 )
 from conftest import review_record, write_jsonl
 
@@ -178,3 +179,26 @@ class TestSplitBySeries:
         train, _ = split_by_series(corpus, {"s1", "s2"}, {"s3"})
         ids = [r.id for r in train.reviews]
         assert ids == sorted(ids, key=lambda i: [r.id for r in corpus.reviews].index(i))
+
+
+class TestWriteCorpus:
+    def test_load_reads_back_what_write_wrote(self, tmp_path):
+        reviews = (
+            Review(id="甄-1", series="甄嬛传", text="皇上 很 好看", annotations=(1, 1), episode=3),
+            Review(id="b-2", series="beta", text="café ok", annotations=(0, 2, 2), episode=0),
+            Review(id="b-3", series="beta", text="unnumbered", annotations=(7,)),
+        )
+        path = tmp_path / "corpus.jsonl"
+        write_corpus(Corpus(reviews=reviews), path)
+        assert load_corpus(path).reviews == reviews
+        lines = path.read_text(encoding="utf-8").splitlines()
+        assert "皇上 很 好看" in lines[0] and '"episode": 0' in lines[1] and '"episode"' not in lines[2]
+        write_corpus(load_corpus(path), tmp_path / "again.jsonl")
+        assert (tmp_path / "again.jsonl").read_bytes() == path.read_bytes()
+
+    def test_labels_are_not_written_and_an_empty_corpus_is_an_empty_file(self, tmp_path):
+        corpus, _ = agreement_filter(Corpus(reviews=(Review(id="a", series="s", text="t", annotations=(4, 4)),)))
+        write_corpus(corpus, tmp_path / "one.jsonl")
+        assert "label" not in (tmp_path / "one.jsonl").read_text(encoding="utf-8")
+        write_corpus(Corpus(reviews=()), tmp_path / "none.jsonl")
+        assert (tmp_path / "none.jsonl").read_bytes() == b""

@@ -331,6 +331,76 @@ class TestCrossSeries:
         assert min(gains) > 0.0
 
 
+class TestCrossSeriesSharesEachSplit:
+    """Each split is ranked and vectorized once, whatever the number of methods."""
+
+    @pytest.mark.parametrize("methods", [("nb",), ("nb", "lr", "svm")])
+    def test_ranks_eight_times_and_vectorizes_twice_per_split(self, methods, monkeypatch):
+        from revclass import classify, feature_select
+
+        corpus, kbs = generate_synthetic(_small_spec())
+        ranked, vectorized = [], []
+        from_tokens = VectorizedCorpus.from_tokens.__func__
+
+        def counting_rank(corpus, category, *args, **kwargs):
+            ranked.append(int(category))
+            return feature_select.rank_features(corpus, category, *args, **kwargs)
+
+        def counting_from_tokens(cls, *args, **kwargs):
+            vectorized.append(1)
+            return from_tokens(cls, *args, **kwargs)
+
+        monkeypatch.setattr(classify, "rank_features", counting_rank)
+        monkeypatch.setattr(VectorizedCorpus, "from_tokens", classmethod(counting_from_tokens))
+        cross_series_experiment(corpus, kbs, ExperimentConfig(methods=methods, hyperparams=FAST_HP))
+        splits = 3 * 2  # rotations x surrogate modes
+        assert sorted(ranked) == sorted(list(range(8)) * splits)
+        assert len(vectorized) == 2 * splits  # the training split, then the test split for scoring
+
+    @pytest.mark.parametrize(
+        "selector, budgets", [("chi2", (1000, 1000, 4000, 4000, 1000, 4000, 1000, 4000)), ("drc", (20,) * 8)]
+    )
+    def test_table_equals_train_ovr_then_ovr_accuracies_per_method(self, selector, budgets):
+        from revclass.corpus import Corpus
+
+        corpus, kbs = generate_synthetic(_small_spec(reviews_per_series=64))
+        # Category 7 is left out of two series: training on those two gives a stub.
+        keep = [i for i, r in enumerate(corpus.reviews) if not (r.series != "gamma" and corpus.labels[i] == 7)]
+        corpus = Corpus(tuple(corpus.reviews[i] for i in keep), tuple(corpus.labels[i] for i in keep))
+        methods = ("nb", "lr", "svm")
+        config = ExperimentConfig(methods=methods, selector=selector, per_class_budgets=budgets, hyperparams=FAST_HP)
+        table = cross_series_experiment(corpus, kbs, config)
+
+        # Reference: one train_ovr and one ovr_accuracies per method.
+        generalization, multiclass, stubs = {}, {}, 0
+        for mode in (SURROGATE_OFF, SURROGATE_ON):
+            tokenized = tokenize_corpus(corpus, kbs=kbs, surrogate_mode=mode)
+            for rotation in derive_rotations(list(corpus.series_index)):
+                label = rotation_label(rotation)
+                train = tokenized.subset(tokenized.series_indices(rotation[0]))
+                test = tokenized.subset(tokenized.series_indices((rotation[1],)))
+                vc = VectorizedCorpus.from_tokens(train.docs, train.labels)
+                per_cat = np.zeros((len(methods), 8))
+                multi = np.zeros(len(methods))
+                for mi, method in enumerate(methods):
+                    ovr = train_ovr(
+                        vc,
+                        method=method,
+                        per_class_feature_sizes=budgets,
+                        selector=selector,
+                        hyperparams=FAST_HP,
+                        seed=config.seed,
+                    )
+                    stubs += sum(1 for m in ovr.members if m.stub)
+                    per_cat[mi], multi[mi] = ovr_accuracies(ovr, test)
+                for cat in range(8):
+                    generalization[(cat, label, mode)] = float(per_cat[:, cat].mean())
+                multiclass[(label, mode)] = float(multi.mean())
+        assert stubs == 2 * len(methods)  # one training pair, both modes
+        assert table.generalization == generalization
+        assert table.multiclass == multiclass
+
+
 class TestPerSeriesCap:
     def test_cap_keeps_first_n_in_file_order(self):
         corpus, _ = generate_synthetic(_small_spec(mention_rate=(0.0,) * 8))
@@ -463,3 +533,24 @@ class TestSyntheticSpecChecks:
         no_names = SyntheticSpec.from_dict({"roles_per_series": 0, "actors_per_series": 0, "mention_rate": [0.0] * 8})
         corpus, kbs = generate_synthetic(dataclasses.replace(no_names, reviews_per_series=8))
         assert len(corpus) == 24 and all(not kb.roles for kb in kbs.values())
+
+
+class TestSyntheticSpecGeneratable:
+    """A spec the generator cannot turn into a valid corpus is rejected, naming the field."""
+
+    @pytest.mark.parametrize("field", ["roles_per_series", "actors_per_series"])
+    def test_mentions_outside_the_signatures_need_a_person_of_each_kind(self, field):
+        rates = (0.0,) * 5 + (0.5, 0.0, 0.0)
+        with pytest.raises(ValueError, match=f"field '{field}' must be >= 1"):
+            SyntheticSpec.from_dict({"mention_rate": list(rates), field: 0})
+
+    def test_unused_vocabularies_may_be_empty(self):
+        specs = [
+            SyntheticSpec.from_dict({"planted_fraction": 1.0, "noise_vocab": []}),
+            SyntheticSpec.from_dict({"planted_vocab": [[f"w{c}"] for c in range(7)] + [[]], "reviews_per_series": 7}),
+            SyntheticSpec.from_dict({"mention_rate": [0.0] * 5 + [0.5] * 3, "roles_per_series": 0, "mentions_per_hit": 0}),
+        ]
+        for spec in specs:
+            corpus, _ = generate_synthetic(dataclasses.replace(spec, reviews_per_series=7))
+            assert len(corpus) == 21
+            assert len({r.id for r in corpus.reviews}) == 21

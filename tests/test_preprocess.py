@@ -19,6 +19,7 @@ from revclass.preprocess import (
     substitute,
     tokenize,
     vectorize,
+    write_knowledge_base,
 )
 
 FORUM_STOPWORDS = {"BBS", "BT", "NB", "BS", "CU", "LOL", "4242", "SF", "YY"}
@@ -305,3 +306,21 @@ class TestTokenizedCorpus:
         with pytest.raises(CorpusFormatError) as info:
             TokenizedCorpus.load(path)
         assert str(info.value).startswith(f"{path}: {message}")
+
+
+class TestWriteKnowledgeBase:
+    def test_load_reads_back_what_write_wrote(self, tmp_path):
+        kb = KnowledgeBase(
+            series="甄嬛传",
+            roles=(
+                PersonEntry("甄嬛", "role", 1, aliases=("嬛嬛", "莞贵人")),
+                PersonEntry("皇上", "role", 2),
+            ),
+            actors=(PersonEntry("孙俪", "actor", 1, aliases=("Sun Li",)),),
+        )
+        path = tmp_path / "kb.json"
+        write_knowledge_base(kb, path)
+        assert load_knowledge_base(path) == kb
+        assert "莞贵人" in path.read_text(encoding="utf-8")
+        write_knowledge_base(load_knowledge_base(path), tmp_path / "again.json")
+        assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
