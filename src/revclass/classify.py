@@ -26,14 +26,11 @@ DEFAULT_BUDGETS = (1000, 1000, 4000, 4000, 1000, 4000, 1000, 4000)
 
 
 def _sigmoid(z: np.ndarray | float) -> np.ndarray:
+    """1 / (1 + e) for z >= 0 and e / (1 + e) elsewhere, with e = exp(-|z|)
+    (a NaN keeps its sign), so exp never overflows."""
     z = np.asarray(z, dtype=np.float64)
-    flat = np.atleast_1d(z)
-    out = np.empty_like(flat)
-    pos = flat >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-flat[pos]))
-    ez = np.exp(flat[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out.reshape(z.shape)
+    e = np.exp(np.minimum(z, -z))
+    return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
 def _sparse(X: np.ndarray | SparseRows) -> SparseRows:
@@ -150,15 +147,15 @@ class LrModel:
     history: tuple[float, ...] = ()  # penalized log-likelihood per step, index 0 = init
 
 
-def _lr_objective(w: np.ndarray, w0: float, X: SparseRows, y: np.ndarray, lam: float) -> float:
-    # Overflow here just means the iterate diverged; the caller turns the
-    # resulting non-finite value into an abort.
-    with np.errstate(over="ignore", invalid="ignore"):
-        z = _times(X, w) + w0
-        # sum of log sigma(s) with s = +z for y=1 and -z for y=0, computed stably
-        s = np.where(y > 0, z, -z)
-        loglik = -np.logaddexp(0.0, -s).sum()
-        return float(loglik - 0.5 * lam * (w @ w))
+def _lr_objective(z: np.ndarray, w: np.ndarray, flip: np.ndarray, lam: float) -> float:
+    # sum of log sigma(s) with s = flip * z (+z for y=1, -z for y=0), computed stably
+    return float(-np.logaddexp(0.0, -(flip * z)).sum() - 0.5 * lam * (w @ w))
+
+
+def _lr_gradient(z: np.ndarray, w: np.ndarray, X: SparseRows, y: np.ndarray, lam: float) -> tuple[np.ndarray, float]:
+    residual = y - _sigmoid(z)
+    grad_w = np.bincount(X.cols, weights=X.vals * residual[X.rows], minlength=X.shape[1]) - lam * w
+    return grad_w, float(residual.sum())
 
 
 def lr_gradient(
@@ -167,9 +164,7 @@ def lr_gradient(
     """Gradient of the penalized log-likelihood: (d/dw, d/dw0)."""
     X = _sparse(X)
     with np.errstate(over="ignore", invalid="ignore"):
-        residual = y - _sigmoid(_times(X, w) + w0)
-        grad_w = np.bincount(X.cols, weights=X.vals * residual[X.rows], minlength=X.shape[1]) - lam * w
-        return grad_w, float(residual.sum())
+        return _lr_gradient(_times(X, w) + w0, w, X, y, lam)
 
 
 def train_lr(
@@ -184,7 +179,8 @@ def train_lr(
     Objective: sum_k [y log sigma(z) + (1-y) log(1-sigma(z))] - lam/2 ||w||^2
     with z = w.x + w0 and the bias unpenalized.  y takes values in {0, 1};
     weights start at zero, so training is deterministic.  Aborts when the
-    objective turns non-finite (learning rate too large).
+    objective turns non-finite (learning rate too large).  Each step's z
+    gives both its objective and the next step's gradient.
     """
     if eta <= 0:
         raise ValueError("eta must be > 0")
@@ -194,19 +190,25 @@ def train_lr(
         raise ValueError("epochs must be >= 1")
     X = _sparse(X)
     y = np.asarray(y, dtype=np.float64)
+    flip = np.where(y > 0, 1.0, -1.0)
     w = np.zeros(X.shape[1])
     w0 = 0.0
-    history = [_lr_objective(w, w0, X, y, lam)]
-    for step in range(epochs):
-        grad_w, grad_w0 = lr_gradient(w, w0, X, y, lam)
-        w = w + eta * grad_w
-        w0 = w0 + eta * grad_w0
-        objective = _lr_objective(w, w0, X, y, lam)
-        if not math.isfinite(objective):
-            raise ArithmeticError(
-                f"non-finite objective at step {step + 1} (eta={eta} too large for this data)"
-            )
-        history.append(objective)
+    # Overflow here just means the iterate diverged; the non-finite
+    # objective it leads to turns into an abort.
+    with np.errstate(over="ignore", invalid="ignore"):
+        z = _times(X, w) + w0
+        history = [_lr_objective(z, w, flip, lam)]
+        for step in range(epochs):
+            grad_w, grad_w0 = _lr_gradient(z, w, X, y, lam)
+            w = w + eta * grad_w
+            w0 = w0 + eta * grad_w0
+            z = _times(X, w) + w0
+            objective = _lr_objective(z, w, flip, lam)
+            if not math.isfinite(objective):
+                raise ArithmeticError(
+                    f"non-finite objective at step {step + 1} (eta={eta} too large for this data)"
+                )
+            history.append(objective)
     return LrModel(weights=w, bias=w0, eta=eta, lam=lam, epochs=epochs, history=tuple(history))
 
 
@@ -275,10 +277,8 @@ def train_svm(
         raise ValueError(f"X has {n} rows but y has {len(y)} labels")
     if not (np.any(y > 0) and np.any(y < 0)):
         raise ValueError("training set must contain both labels")
-    # Each row as its nonzero columns and values, with the bias as column d.
     ends = [0, *np.cumsum(np.bincount(X.rows, minlength=n)).tolist()]
     cols, vals = X.cols.tolist(), X.vals.tolist()
-    rows = [(cols[a:b] + [d], vals[a:b] + [1.0]) for a, b in zip(ends, ends[1:])]
     labels = y.tolist()
     gain = C * n
     rng = np.random.default_rng(seed)
@@ -293,24 +293,49 @@ def train_svm(
     v = [0.0] * (d + 1)
     late = [0.0] * (d + 1)  # per coordinate: sum of delta * H(t - 1) over changes
     t = 0
-    for _ in range(epochs):
-        for i in rng.integers(0, n, n).tolist():
-            t += 1
-            cols, vals = rows[i]
-            z = 0.0
-            for j, x in zip(cols, vals):
-                z += v[j] * x
-            yi = labels[i]
-            if t == 1 or yi * z < t - 1:
-                g = gain * yi
-                if t > start:
-                    gh = g * harmonic[t - 1 - start]
-                    for j, x in zip(cols, vals):
-                        v[j] += g * x
-                        late[j] += gh * x
-                else:
-                    for j, x in zip(cols, vals):
-                        v[j] += g * x
+    if np.all(X.vals == 1.0):
+        # Each row as its nonzero columns, with the bias as column d.  Every x is
+        # 1.0, so this is the loop below minus its exact multiplies by x.
+        rows = [cols[a:b] + [d] for a, b in zip(ends, ends[1:])]
+        for _ in range(epochs):
+            for i in rng.integers(0, n, n).tolist():
+                t += 1
+                row = rows[i]
+                z = 0.0
+                for j in row:
+                    z += v[j]
+                yi = labels[i]
+                if t == 1 or yi * z < t - 1:
+                    g = gain * yi
+                    if t > start:
+                        gh = g * harmonic[t - 1 - start]
+                        for j in row:
+                            v[j] += g
+                            late[j] += gh
+                    else:
+                        for j in row:
+                            v[j] += g
+    else:
+        # Each row as its nonzero columns and values, with the bias as column d.
+        rows = [(cols[a:b] + [d], vals[a:b] + [1.0]) for a, b in zip(ends, ends[1:])]
+        for _ in range(epochs):
+            for i in rng.integers(0, n, n).tolist():
+                t += 1
+                cols, vals = rows[i]
+                z = 0.0
+                for j, x in zip(cols, vals):
+                    z += v[j] * x
+                yi = labels[i]
+                if t == 1 or yi * z < t - 1:
+                    g = gain * yi
+                    if t > start:
+                        gh = g * harmonic[t - 1 - start]
+                        for j, x in zip(cols, vals):
+                            v[j] += g * x
+                            late[j] += gh * x
+                    else:
+                        for j, x in zip(cols, vals):
+                            v[j] += g * x
     averaged = (np.array(v) * harmonic[-1] - np.array(late)) / (steps - start)
     return SvmModel(weights=averaged[:d], bias=float(averaged[d]), C=C, epochs=epochs, seed=seed)
 
@@ -507,6 +532,8 @@ _MEMBER_FIELDS = {
 }
 # Parameters with one value per vocabulary term.
 _VECTOR_FIELDS = ("cond_pos", "cond_neg", "weights")
+# The "format_version" save_ovr writes; a manifest without one is version 1.
+MODEL_FORMAT_VERSION = 1
 
 
 def _member_parameters(member: BinaryMember) -> dict:
@@ -541,6 +568,7 @@ def save_ovr(m: OvrModel, out_dir) -> list[str]:
         write_json_atomic(path, doc)
         paths.append(path)
     manifest = {
+        "format_version": MODEL_FORMAT_VERSION,
         "members": [os.path.basename(p) for p in paths],
         "method": m.method,
         "selector": m.selector,
@@ -578,13 +606,17 @@ def load_ovr(model_dir) -> OvrModel:
     """Reload an OvrModel written by :func:`save_ovr`.
 
     Every file is checked on load: it must be valid JSON with the fields
-    the loader reads, each member's method must be the manifest's, every
+    the loader reads, the manifest's ``format_version`` (1 when absent)
+    must be :data:`MODEL_FORMAT_VERSION`, each member's method must be the manifest's, every
     parameter vector needs one value per vocabulary term, and the manifest
     must list one member file per category.  A failed check raises
     :class:`ModelFormatError` naming the file and the field.
     """
     manifest_path = os.path.join(model_dir, "model_manifest.json")
     manifest = _load_model_json(manifest_path, ("members", "method", "selector", "budgets", "seed"))
+    version = manifest.get("format_version", 1)
+    if type(version) is not int or version != MODEL_FORMAT_VERSION:  # not True, 1.0 or "1"
+        raise ModelFormatError(f"{manifest_path}: field 'format_version' must be {MODEL_FORMAT_VERSION}, got {version!r}")
     if manifest["method"] not in CLASSIFIERS:
         raise ModelFormatError(f"{manifest_path}: field 'method' must be one of {CLASSIFIERS}")
     model_type, param_names, hyper_names = _MEMBER_FIELDS[manifest["method"]]

@@ -4,6 +4,7 @@ the feature-size sweep, and the cross-series surrogate ablation."""
 
 from __future__ import annotations
 
+import os
 import reprlib
 import warnings
 from dataclasses import MISSING, dataclass, field, fields
@@ -191,6 +192,9 @@ class SyntheticSpec:
                 raise ValueError("field 'series' has a blank name")
             if name in self.series[:i]:
                 raise ValueError(f"field 'series' names {name!r} twice")
+            # synth writes kb/<name>.json, which --kb-dir reads as kb/*.json.
+            if name.startswith(".") or any(sep in name for sep in ("/", os.sep, os.altsep) if sep):
+                raise ValueError(f"field 'series' name {name!r} must not start with '.' or hold a path separator")
         # Every review draws at least one planted token, and the categories
         # cycle, so category c is drawn when reviews_per_series > c.
         for c, group in enumerate(self.planted_vocab[: self.reviews_per_series]):

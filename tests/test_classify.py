@@ -12,12 +12,14 @@ from revclass.classify import (
     OvrModel,
     STUB_NO_NEGATIVES,
     STUB_NO_POSITIVES,
+    _sigmoid,
     hinge,
     load_ovr,
     lr_gradient,
     lr_prob,
     nb_log_odds,
     predict,
+    rank_classes,
     save_ovr,
     score_documents,
     svm_decision,
@@ -28,6 +30,7 @@ from revclass.classify import (
     train_svm,
 )
 from revclass.corpus import Category
+from revclass.evaluate import SyntheticSpec, derive_rotations, generate_synthetic, tokenize_corpus
 from revclass.preprocess import SparseRows, VectorizedCorpus, Vocabulary
 
 
@@ -807,3 +810,214 @@ def test_labels_must_match_the_rows(train, n_labels):
     X = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
     with pytest.raises(ValueError, match=f"X has 3 rows but y has {n_labels} labels"):
         train(X, np.array([1.0, -1.0, 1.0, -1.0][:n_labels]))
+
+
+# ---------------------------------------------------------------------------
+# Training steps against transcriptions of the loops they replaced
+# ---------------------------------------------------------------------------
+
+
+def _previous_sigmoid(z):
+    """_sigmoid as it was: each branch over a boolean mask."""
+    z = np.asarray(z, dtype=np.float64)
+    flat = np.atleast_1d(z)
+    out = np.empty_like(flat)
+    pos = flat >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-flat[pos]))
+    ez = np.exp(flat[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out.reshape(z.shape)
+
+
+def _as_rows(X):
+    if isinstance(X, SparseRows):
+        return X
+    rows, cols = np.nonzero(X)
+    return SparseRows(rows, cols, X[rows, cols], X.shape)
+
+
+def _previous_train_lr(X, y, eta, lam, epochs, seen_z=None):
+    """train_lr as it was: per step, lr_gradient computes z = X @ w + w0, and
+    the objective computes it again after the update, each under its own
+    errstate.  Every z the objective computes is appended to ``seen_z``."""
+    X = _as_rows(X)
+    y = np.asarray(y, dtype=np.float64)
+
+    def times(w):
+        return np.bincount(X.rows, weights=X.vals * w[X.cols], minlength=X.shape[0])
+
+    def objective(w, w0):
+        with np.errstate(over="ignore", invalid="ignore"):
+            z = times(w) + w0
+            if seen_z is not None:
+                seen_z.append(z)
+            s = np.where(y > 0, z, -z)
+            loglik = -np.logaddexp(0.0, -s).sum()
+            return float(loglik - 0.5 * lam * (w @ w))
+
+    def gradient(w, w0):
+        with np.errstate(over="ignore", invalid="ignore"):
+            residual = y - _previous_sigmoid(times(w) + w0)
+            grad_w = np.bincount(X.cols, weights=X.vals * residual[X.rows], minlength=X.shape[1]) - lam * w
+            return grad_w, float(residual.sum())
+
+    w = np.zeros(X.shape[1])
+    w0 = 0.0
+    history = [objective(w, w0)]
+    for step in range(epochs):
+        grad_w, grad_w0 = gradient(w, w0)
+        w = w + eta * grad_w
+        w0 = w0 + eta * grad_w0
+        value = objective(w, w0)
+        if not math.isfinite(value):
+            raise ArithmeticError(f"non-finite objective at step {step + 1} (eta={eta} too large for this data)")
+        history.append(value)
+    return w, w0, history
+
+
+def _previous_train_svm(X, y, C, epochs, seed):
+    """train_svm's averaged SGD as it was, one loop for every input, each
+    step multiplying by the row's stored values."""
+    X = _as_rows(X)
+    n, d = X.shape
+    ends = [0, *np.cumsum(np.bincount(X.rows, minlength=n)).tolist()]
+    cols, vals = X.cols.tolist(), X.vals.tolist()
+    rows = [(cols[a:b] + [d], vals[a:b] + [1.0]) for a, b in zip(ends, ends[1:])]
+    labels = np.asarray(y, dtype=np.float64).tolist()
+    gain = C * n
+    rng = np.random.default_rng(seed)
+    steps = epochs * n
+    start = steps // 2
+    harmonic = [0.0] * (steps - start + 1)
+    for k in range(1, steps - start + 1):
+        harmonic[k] = harmonic[k - 1] + 1.0 / (start + k)
+    v = [0.0] * (d + 1)
+    late = [0.0] * (d + 1)
+    t = 0
+    for _ in range(epochs):
+        for i in rng.integers(0, n, n).tolist():
+            t += 1
+            cols, vals = rows[i]
+            z = 0.0
+            for j, x in zip(cols, vals):
+                z += v[j] * x
+            yi = labels[i]
+            if t == 1 or yi * z < t - 1:
+                g = gain * yi
+                if t > start:
+                    gh = g * harmonic[t - 1 - start]
+                    for j, x in zip(cols, vals):
+                        v[j] += g * x
+                        late[j] += gh * x
+                else:
+                    for j, x in zip(cols, vals):
+                        v[j] += g * x
+    averaged = (np.array(v) * harmonic[-1] - np.array(late)) / (steps - start)
+    return averaged[:d], float(averaged[d])
+
+
+def _split_members():
+    """The 8 member matrices and {0, 1} labels of the training split of a
+    small synthetic corpus, as cross_series_experiment builds them."""
+    spec = SyntheticSpec.from_dict({**SyntheticSpec.ablation_default().to_dict(), "reviews_per_series": 24})
+    corpus, _kbs = generate_synthetic(spec)
+    tokenized = tokenize_corpus(corpus)
+    (a, b), _test = derive_rotations(list(corpus.series_index))[0]
+    train = tokenized.subset(tokenized.series_indices((a, b)))
+    vc = VectorizedCorpus.from_tokens(train.docs, train.labels)
+    members = []
+    for ranking in rank_classes(vc, (40, 40, 80, 80, 40, 80, 40, 80), "chi2"):
+        X = vc.select([vc.vocab.index[t] for t in ranking.terms()])
+        members.append((X, (np.asarray(vc.labels) == int(ranking.category)).astype(float)))
+    return members
+
+
+def _saturating_fixture():
+    """Two empty rows and two rows of +-40 with balanced labels: the first
+    step leaves w0 at exactly 0 and sends the other rows to z = +-1600, so
+    the empty rows sit at z == 0 while the others saturate, until the
+    penalty shrinks w back through |z| = 40."""
+    X = np.array([[0.0], [0.0], [40.0], [-40.0]])
+    return X, np.array([1.0, 0.0, 1.0, 0.0])
+
+
+def _assert_lr_matches_previous(X, y, eta, lam, epochs):
+    w, w0, history = _previous_train_lr(X, y, eta, lam, epochs)
+    model = train_lr(X, y, eta=eta, lam=lam, epochs=epochs)
+    assert model.weights.tobytes() == w.tobytes()
+    assert model.bias == w0
+    assert model.history == tuple(history)
+
+
+class TestLrStepsMatchThePreviousLoop:
+    def test_sigmoid_is_bit_identical(self):
+        z = np.array([0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324, -5e-324,
+                      40.5, -40.5, 745.2, -745.2, 800.0, -800.0, 3.3, -3.3])
+        z = np.concatenate([z, np.random.default_rng(0).normal(scale=30.0, size=2000)])
+        assert _sigmoid(z).tobytes() == _previous_sigmoid(z).tobytes()
+        for scalar in (0.0, -0.0, 2.5, -700.0, float("nan")):
+            got, want = _sigmoid(scalar), _previous_sigmoid(scalar)
+            assert got.shape == want.shape == () and got.tobytes() == want.tobytes()
+
+    def test_member_matrices_of_a_synthetic_split(self):
+        members = _split_members()
+        assert len(members) == 8
+        for X, y in members:
+            assert np.all(X.vals == 1.0)
+            _assert_lr_matches_previous(X, y, 0.1, 0.1, 40)
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_dense_gaussian_fixture(self, seed):
+        X, y = _training_fixture("gaussian", seed)
+        _assert_lr_matches_previous(X, (y > 0).astype(float), 0.05, 0.1, 60)
+
+    def test_zero_and_saturated_decision_values(self):
+        X, y = _saturating_fixture()
+        seen_z = []
+        _previous_train_lr(X, y, 1.0, 0.1, 60, seen_z)
+        later = np.concatenate(seen_z[2:])
+        assert np.any(later == 0.0) and later.max() > 40.0 and later.min() < -40.0
+        _assert_lr_matches_previous(X, y, 1.0, 0.1, 60)
+
+    def test_divergence_names_the_same_step_and_eta(self):
+        rng = np.random.default_rng(4)
+        X = rng.normal(scale=50.0, size=(40, 5))
+        y = (rng.random(40) < 0.5).astype(float)
+        with pytest.raises(ArithmeticError) as previous:
+            _previous_train_lr(X, y, 1e6, 0.1, 200)
+        with pytest.raises(ArithmeticError) as current:
+            train_lr(X, y, eta=1e6, lam=0.1, epochs=200)
+        assert str(current.value) == str(previous.value)
+
+
+def _assert_svm_matches_previous(X, y, C, epochs, seed):
+    w, w0 = _previous_train_svm(X, y, C, epochs, seed)
+    model = train_svm(X, y, C=C, epochs=epochs, seed=seed)
+    assert model.weights.tobytes() == w.tobytes()
+    assert model.bias == w0
+
+
+class TestSvmStepsMatchThePreviousLoop:
+    # C * N is an integer at C = 1, so margins are exact sums; at C = 0.37
+    # they round.
+    @pytest.mark.parametrize("C", [1.0, 0.37])
+    def test_member_matrices_of_a_synthetic_split(self, C):
+        for c, (X, y) in enumerate(_split_members()):
+            _assert_svm_matches_previous(X, np.where(y > 0, 1.0, -1.0), C, 5, 42 + c)
+
+    @pytest.mark.parametrize("fixture_seed, C, epochs", BINARY_CASES[:4])
+    def test_dense_binary_arrays(self, fixture_seed, C, epochs):
+        X, y = _binary_fixture(fixture_seed)
+        _assert_svm_matches_previous(X, y, C, epochs, fixture_seed)
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_binary_rows_with_an_empty_row(self, seed):
+        X, y = _training_fixture("binary", seed)
+        assert not X[0].any()
+        _assert_svm_matches_previous(X, y, 1.0, 4, seed)
+        _assert_svm_matches_previous(_shuffled_rows(X), y, 0.37, 3, seed)
+
+    def test_one_value_of_two_takes_the_general_loop(self):
+        X, y = _training_fixture("binary", 1)
+        X[5, np.flatnonzero(X[5])[0]] = 2.0
+        _assert_svm_matches_previous(X, y, 1.0, 4, 1)

@@ -905,6 +905,11 @@ class TestSyntheticSpecFile:
             ("series", ["alpha", "alpha"], "field 'series' names 'alpha' twice"),
             ("series", ["alpha", ""], "field 'series' has a blank name"),
             ("series", [], "field 'series' must name at least one series"),
+            ("series", ["a/b", "c", "d"], "field 'series' name 'a/b' must not start with '.' or hold a path separator"),
+            ("series", ["../x", "c", "d"], "field 'series' name '../x' must not start with '.' or hold a path separator"),
+            ("series", [".", "c", "d"], "field 'series' name '.' must not start with '.' or hold a path separator"),
+            ("series", ["c", ".."], "field 'series' name '..' must not start with '.' or hold a path separator"),
+            ("series", [".c", "d"], "field 'series' name '.c' must not start with '.' or hold a path separator"),
         ],
     )
     def test_bad_spec_field_exits_2_naming_file_and_field(self, tmp_path, capsys, field, value, message):
@@ -927,3 +932,30 @@ class TestCrossSeriesNeedsAMethod:
         assert run(args) == 2
         assert capsys.readouterr().err.startswith("error: methods must name at least one classifier")
         assert not out.exists()
+
+
+class TestModelFormatVersion:
+    def test_train_writes_version_1(self, pipeline):
+        manifest = json.loads((pipeline["train"] / "model" / "model_manifest.json").read_text(encoding="utf-8"))
+        assert manifest["format_version"] == 1
+
+    @pytest.mark.parametrize("version", [2, "1", True, 1.0, None])
+    def test_unknown_version_exits_2_naming_manifest_and_field(self, pipeline, tmp_path, capsys, version):
+        model = tmp_path / "model"
+        shutil.copytree(pipeline["train"] / "model", model)
+        _edit(lambda d: d.update(format_version=version))(model / "model_manifest.json")
+        out = tmp_path / "eval"
+        code = run(["evaluate", "--model", model, "--tokens", pipeline["tokens"] / "tokens.jsonl", "--out-dir", out])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert str(model / "model_manifest.json") in err and "'format_version'" in err
+        assert not out.exists()
+
+    def test_manifest_without_version_reads_as_version_1(self, pipeline, tmp_path):
+        model = tmp_path / "model"
+        shutil.copytree(pipeline["train"] / "model", model)
+        _edit(lambda d: d.pop("format_version"))(model / "model_manifest.json")
+        tokens = pipeline["tokens"] / "tokens.jsonl"
+        for name, given in (("kept", pipeline["train"] / "model"), ("dropped", model)):
+            assert run(["evaluate", "--model", given, "--tokens", tokens, "--out-dir", tmp_path / name, "--quiet"]) == 0
+        assert (tmp_path / "dropped" / "evaluation.csv").read_bytes() == (tmp_path / "kept" / "evaluation.csv").read_bytes()

@@ -1,5 +1,7 @@
 import dataclasses
 import json
+import os
+import re
 
 import numpy as np
 import pytest
@@ -554,3 +556,19 @@ class TestSyntheticSpecGeneratable:
             corpus, _ = generate_synthetic(dataclasses.replace(spec, reviews_per_series=7))
             assert len(corpus) == 21
             assert len({r.id for r in corpus.reviews}) == 21
+
+
+class TestSeriesNamesAreFileNames:
+    """synth writes each series' knowledge base to kb/<series>.json."""
+
+    def test_the_platform_separators_are_rejected(self, monkeypatch):
+        monkeypatch.setattr(os, "sep", "\\")
+        monkeypatch.setattr(os, "altsep", ":")
+        for name in ("a\\b", "a:b"):
+            with pytest.raises(ValueError, match=re.escape(f"field 'series' name {name!r}")):
+                SyntheticSpec.from_dict({"series": [name, "c", "d"]})
+
+    def test_dots_inside_a_name_are_kept(self):
+        names = ["s.1", "s..2", "s3."]
+        corpus, kbs = generate_synthetic(SyntheticSpec.from_dict({"series": names, "reviews_per_series": 8}))
+        assert set(kbs) == set(names) and len(corpus) == 24
