@@ -190,6 +190,8 @@ def train_lr(
         raise ValueError("epochs must be >= 1")
     X = _sparse(X)
     y = np.asarray(y, dtype=np.float64)
+    if len(y) != X.shape[0]:
+        raise ValueError(f"X has {X.shape[0]} rows but y has {len(y)} labels")
     flip = np.where(y > 0, 1.0, -1.0)
     w = np.zeros(X.shape[1])
     w0 = 0.0

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import enum
 import json
+import json.scanner
 import os
 import unicodedata
 from dataclasses import dataclass, field
@@ -52,6 +53,7 @@ _CATEGORY_NAMES = (
 )
 
 N_CATEGORIES = len(_CATEGORY_NAMES)
+_CATEGORIES = tuple(Category)
 
 
 @dataclass(frozen=True)
@@ -71,9 +73,10 @@ class Review:
             raise ValueError(f"review {self.id}: text must be non-empty")
         if self.episode is not None and self.episode < 0:
             raise ValueError(f"review {self.id}: episode must be non-negative")
-        for a in self.annotations:
-            if not 0 <= a < N_CATEGORIES:
-                raise ValueError(f"review {self.id}: annotation {a} outside [0, {N_CATEGORIES - 1}]")
+        anns = self.annotations
+        if anns and not (0 <= min(anns) and max(anns) < N_CATEGORIES):
+            a = next(a for a in anns if not 0 <= a < N_CATEGORIES)
+            raise ValueError(f"review {self.id}: annotation {a} outside [0, {N_CATEGORIES - 1}]")
 
 
 @dataclass(frozen=True)
@@ -128,11 +131,9 @@ def _parse_line(obj: dict, where: str) -> Review:
     if not text:
         raise CorpusFormatError(f"{where}: field 'text' is empty after normalization")
     annotations = obj["annotations"]
-    if not isinstance(annotations, list) or not all(
-        isinstance(a, int) and not isinstance(a, bool) for a in annotations
-    ):
+    if not isinstance(annotations, list) or not set(map(type, annotations)) <= {int}:
         raise CorpusFormatError(f"{where}: field 'annotations' must be a list of integers")
-    if any(not 0 <= a < N_CATEGORIES for a in annotations):
+    if annotations and not (0 <= min(annotations) and max(annotations) < N_CATEGORIES):
         raise CorpusFormatError(
             f"{where}: field 'annotations' has a value outside [0, {N_CATEGORIES - 1}]"
         )
@@ -164,13 +165,13 @@ def write_corpus(corpus: Corpus, path) -> None:
     """Write reviews as :func:`load_corpus` reads them: one JSON object per
     line with sorted keys, non-ASCII text as is, and ``episode`` only when
     set.  Resolved labels are not written."""
-    lines = []
+    records = []
     for r in corpus.reviews:
         record = {"id": r.id, "series": r.series, "text": r.text, "annotations": list(r.annotations)}
         if r.episode is not None:
             record["episode"] = r.episode
-        lines.append(json.dumps(record, ensure_ascii=False, sort_keys=True))
-    write_text_atomic(path, "\n".join(lines) + ("\n" if lines else ""))
+        records.append(record)
+    write_text_atomic(path, json_lines(records))
 
 
 def agreement_filter(corpus: Corpus) -> tuple[Corpus, dict[str, int]]:
@@ -190,7 +191,7 @@ def agreement_filter(corpus: Corpus) -> tuple[Corpus, dict[str, int]]:
             drops["too_few_annotations"] += 1
         elif len(set(anns)) == 1:
             kept.append(review)
-            labels.append(Category(anns[0]))
+            labels.append(_CATEGORIES[anns[0]])
         else:
             drops["disagreement"] += 1
     return Corpus(reviews=tuple(kept), labels=tuple(labels)), drops
@@ -247,6 +248,10 @@ def read_json(path, error: type[Exception]) -> dict:
     return _json_object(read_text(path, error), str(path), error)
 
 
+# The C scanner that json.loads runs, without its per-call Python wrapper.
+_scan_json = json.scanner.make_scanner(json.JSONDecoder())
+
+
 def read_json_lines(path, error: type[Exception]):
     """Yield ``("<path>: line <n>", obj)`` for each non-blank line of a UTF-8
     JSON-lines file; a line that is not a JSON object, or a file that is not
@@ -254,7 +259,25 @@ def read_json_lines(path, error: type[Exception]):
     for lineno, line in enumerate(read_text(path, error).split("\n"), start=1):
         if line.strip():
             where = f"{path}: line {lineno}"
+            # A line that is exactly one object takes the scanner; any other
+            # line, valid or not, goes through json.loads and its messages.
+            if line[0] == "{":
+                try:
+                    obj, end = _scan_json(line, 0)
+                except (ValueError, StopIteration):
+                    end = -1
+                if end == len(line):
+                    yield where, obj
+                    continue
             yield where, _json_object(line, where, error)
+
+
+_encode_json = json.JSONEncoder(ensure_ascii=False, sort_keys=True).encode
+
+
+def json_lines(records: Iterable[dict]) -> str:
+    """One ``json.dumps(record, ensure_ascii=False, sort_keys=True)`` line per record."""
+    return "".join([_encode_json(record) + "\n" for record in records])
 
 
 def write_text_atomic(path, text: str) -> None:

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import json
 import re
 import unicodedata
 from dataclasses import dataclass, field
@@ -15,6 +14,7 @@ import numpy as np
 from revclass.corpus import (
     N_CATEGORIES,
     CorpusFormatError,
+    json_lines,
     read_json,
     read_json_lines,
     read_text,
@@ -397,8 +397,8 @@ def preprocess_text(
     """
     if surrogates is not None:
         text = substitute(text, surrogates)
-    tokens = [t for t in tokenize(text, seg) if t.strip()]
-    return remove_stopwords(tokens, stoplist)
+    tokens = list(filter(str.strip, tokenize(text, seg)))
+    return remove_stopwords(tokens, stoplist) if stoplist else tokens
 
 
 @dataclass(frozen=True)
@@ -431,15 +431,10 @@ class TokenizedCorpus:
         return [i for i, s in enumerate(self.series) if s in names]
 
     def to_jsonl(self) -> str:
-        lines = [
-            json.dumps(
-                {"id": rid, "series": series, "label": label, "tokens": list(doc)},
-                ensure_ascii=False,
-                sort_keys=True,
-            )
+        return json_lines(
+            {"id": rid, "series": series, "label": label, "tokens": list(doc)}
             for rid, series, doc, label in zip(self.ids, self.series, self.docs, self.labels)
-        ]
-        return "\n".join(lines) + ("\n" if lines else "")
+        )
 
     def save(self, path) -> None:
         write_text_atomic(path, self.to_jsonl())
@@ -453,13 +448,16 @@ class TokenizedCorpus:
             for name in ("id", "series", "tokens"):
                 if name not in obj:
                     raise CorpusFormatError(f"{where}: missing field {name!r}")
+            for name in ("id", "series"):
+                if type(obj[name]) is not str or not obj[name]:
+                    raise CorpusFormatError(f"{where}: field {name!r} must be a non-empty string")
             label = obj.get("label")
             if label is not None and (type(label) is not int or label not in range(N_CATEGORIES)):
                 raise CorpusFormatError(
                     f"{where}: field 'label' must be an integer in [0, {N_CATEGORIES - 1}] or null"
                 )
             tokens = obj["tokens"]
-            if not isinstance(tokens, list) or not all(isinstance(t, str) for t in tokens):
+            if not isinstance(tokens, list) or not set(map(type, tokens)) <= {str}:
                 raise CorpusFormatError(f"{where}: field 'tokens' must be a list of strings")
             ids.append(obj["id"])
             series.append(obj["series"])

@@ -812,6 +812,13 @@ def test_labels_must_match_the_rows(train, n_labels):
         train(X, np.array([1.0, -1.0, 1.0, -1.0][:n_labels]))
 
 
+@pytest.mark.parametrize("n_labels", [1, 2, 4])
+def test_lr_labels_must_match_the_rows(n_labels):
+    X = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+    with pytest.raises(ValueError, match=f"X has 3 rows but y has {n_labels} labels"):
+        train_lr(X, np.array([1.0, 0.0, 1.0, 0.0][:n_labels]))
+
+
 # ---------------------------------------------------------------------------
 # Training steps against transcriptions of the loops they replaced
 # ---------------------------------------------------------------------------

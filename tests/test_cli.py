@@ -652,6 +652,27 @@ class TestBoundaryValidation:
         assert err.startswith(f"error: {tokens}: line 4: field 'label'") and "[0, 7]" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["train", "lda", "evaluate"])
+    @pytest.mark.parametrize(
+        "field, value",
+        [("id", 5), ("id", ""), ("series", 3), ("series", None)],
+        ids=["id_5", "id_empty", "series_3", "series_null"],
+    )
+    def test_id_or_series_not_a_string_exits_2_naming_file_line_and_field(
+        self, pipeline, tmp_path, capsys, command, field, value
+    ):
+        tokens = tmp_path / "tokens.jsonl"
+        good = (pipeline["tokens"] / "tokens.jsonl").read_text(encoding="utf-8").splitlines()
+        bad = json.dumps({**json.loads(good[3]), field: value})
+        tokens.write_text("\n".join(good[:3] + [bad] + good[4:]) + "\n", encoding="utf-8")
+        out = tmp_path / "out"
+        extra = ["--model", pipeline["train"] / "model"] if command == "evaluate" else []
+        code = run([command, "--tokens", tokens, *extra, "--out-dir", out, "--quiet"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {tokens}: line 4: field {field!r} must be a non-empty string\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "change, message",
         [

@@ -9,9 +9,11 @@ from revclass.corpus import (
     Review,
     agreement_filter,
     load_corpus,
+    read_json_lines,
     split_by_series,
     write_corpus,
 )
+from revclass.preprocess import TokenizedCorpus
 from conftest import review_record, write_jsonl
 
 
@@ -202,3 +204,136 @@ class TestWriteCorpus:
         assert "label" not in (tmp_path / "one.jsonl").read_text(encoding="utf-8")
         write_corpus(Corpus(reviews=()), tmp_path / "none.jsonl")
         assert (tmp_path / "none.jsonl").read_bytes() == b""
+
+
+# ---------------------------------------------------------------------------
+# The JSON-lines reader and writers against json.loads and json.dumps
+# ---------------------------------------------------------------------------
+
+
+def _loads_line(line, where):
+    """What reading one line gives through ``json.loads``: the object, or the
+    error message."""
+    try:
+        obj = json.loads(line)
+    except json.JSONDecodeError as exc:
+        return f"{where}: invalid JSON ({exc})"
+    return obj if isinstance(obj, dict) else f"{where}: expected a JSON object"
+
+
+_LINES = {
+    "leading_space": ' {"a": 1}',
+    "trailing_space": '{"a": 1}   ',
+    "tabs": '\t{"a": 1}\t',
+    "bom": '\ufeff{"a": 1}',
+    "nan_infinity": '{"a": NaN, "b": Infinity, "c": -Infinity}',
+    "two_objects": '{"a":1} {"b":2}',
+    "trailing_junk": '{"a":1}x',
+    "array": "[1]",
+    "string": '"s"',
+    "number": "7",
+    "nested": '{"a": {"b": [1, 2.5, {"c": null}], "e": {}}, "d": true, "f": false}',
+    "escapes": '{"é": "caf\\u00e9 \\"q\\" \\\\ \\n 中文 \\ud83d\\ude00", "k\\u0000": "\\/"}',
+    "duplicate_key": '{"a": 1, "a": 2}',
+    "big_numbers": '{"i": 123456789012345678901234567890, "f": 1e400, "g": -0.0}',
+    "empty_object": "{}",
+    "trailing_comma": '{"a": 1,}',
+    "missing_value": '{"a": }',
+    "truncated": '{"a": [1, 2',
+    "bare_key": "{a: 1}",
+    "single_quotes": "{'a': 1}",
+    "raw_tab_in_string": '{"a": "x\ty"}',
+    "bad_escape": '{"a": "\\x"}',
+    "bad_literal": '{"a": nul}',
+    "not_json": "nope",
+}
+
+
+@pytest.mark.parametrize("line", list(_LINES.values()), ids=list(_LINES))
+def test_read_json_lines_gives_what_json_loads_gives(tmp_path, line):
+    path = tmp_path / "lines.jsonl"
+    path.write_text("\n" + line + "\n", encoding="utf-8")
+    where = f"{path}: line 2"
+    expected = _loads_line(line, where)
+    try:
+        got = list(read_json_lines(path, CorpusFormatError))
+    except CorpusFormatError as exc:
+        assert str(exc) == expected
+    else:
+        # repr tells 1 from 1.0 and True, and matches NaN with NaN.
+        assert [(w, repr(obj)) for w, obj in got] == [(where, repr(expected))]
+
+
+_TEXTS = (
+    "plain",
+    "皇上 很 好看 café",
+    'quote " back\\slash / tab\t nl\n cr\r',
+    "ctl \x00\x01\x1f del \x7f",
+    "line separators \u2028\u2029 \U0001f600 bom \ufeff",
+)
+
+
+def _dumps_lines(records):
+    return "".join(json.dumps(r, ensure_ascii=False, sort_keys=True) + "\n" for r in records).encode("utf-8")
+
+
+def test_write_corpus_writes_json_dumps_bytes(tmp_path):
+    reviews = tuple(
+        Review(id=f"{text[:3]}-{i}", series=text[-2:], text=text, annotations=(i % 8, 7), episode=i if i % 2 else None)
+        for i, text in enumerate(_TEXTS)
+    )
+    path = tmp_path / "corpus.jsonl"
+    write_corpus(Corpus(reviews=reviews), path)
+    records = [
+        {"id": r.id, "series": r.series, "text": r.text, "annotations": list(r.annotations)}
+        | ({} if r.episode is None else {"episode": r.episode})
+        for r in reviews
+    ]
+    assert path.read_bytes() == _dumps_lines(records)
+
+
+def test_tokens_file_is_json_dumps_bytes(tmp_path):
+    corpus = TokenizedCorpus(
+        ids=tuple(f"r{i}" for i in range(len(_TEXTS))),
+        series=_TEXTS,
+        docs=tuple(tuple(text.split(" ")) for text in _TEXTS),
+        labels=tuple(None if i % 2 else i for i in range(len(_TEXTS))),
+    )
+    path = tmp_path / "tokens.jsonl"
+    corpus.save(path)
+    records = [
+        {"id": rid, "series": series, "label": label, "tokens": list(doc)}
+        for rid, series, doc, label in zip(corpus.ids, corpus.series, corpus.docs, corpus.labels)
+    ]
+    assert path.read_bytes() == _dumps_lines(records)
+    assert TokenizedCorpus.load(path) == corpus
+
+
+@pytest.mark.parametrize(
+    "annotations, message",
+    [
+        ("[true, 1]", "field 'annotations' must be a list of integers"),
+        ("[1, true]", "field 'annotations' must be a list of integers"),
+        ("[1.0, 1]", "field 'annotations' must be a list of integers"),
+        ('[1, "1"]', "field 'annotations' must be a list of integers"),
+        ("[1, -1]", "field 'annotations' has a value outside [0, 7]"),
+        ("[8, 1]", "field 'annotations' has a value outside [0, 7]"),
+        ("[-1, 8.5]", "field 'annotations' must be a list of integers"),
+    ],
+    ids=["true", "true_second", "float", "string", "minus_one", "eight", "range_and_type"],
+)
+def test_annotation_messages(tmp_path, annotations, message):
+    path = tmp_path / "corpus.jsonl"
+    path.write_text(f'{{"id": "a", "series": "s", "text": "t", "annotations": {annotations}}}\n', encoding="utf-8")
+    with pytest.raises(CorpusFormatError) as info:
+        load_corpus(path)
+    assert str(info.value) == f"{path}: line 1: {message}"
+
+
+@pytest.mark.parametrize(
+    "annotations, bad", [((-1,), -1), ((8,), 8), ((3, 9, -1), 9), ((0, 7, -2, 8), -2)]
+)
+def test_review_names_the_first_annotation_out_of_range(annotations, bad):
+    with pytest.raises(ValueError) as info:
+        Review(id="r", series="s", text="t", annotations=annotations)
+    assert str(info.value) == f"review r: annotation {bad} outside [0, 7]"

@@ -307,6 +307,33 @@ class TestTokenizedCorpus:
             TokenizedCorpus.load(path)
         assert str(info.value).startswith(f"{path}: {message}")
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("label", "true", "field 'label' must be an integer in [0, 7] or null"),
+            ("label", "-1", "field 'label' must be an integer in [0, 7] or null"),
+            ("label", "8", "field 'label' must be an integer in [0, 7] or null"),
+            ("label", "1.0", "field 'label' must be an integer in [0, 7] or null"),
+            ("tokens", '["a", 3]', "field 'tokens' must be a list of strings"),
+            ("tokens", '[null, "a"]', "field 'tokens' must be a list of strings"),
+            ("tokens", "[true]", "field 'tokens' must be a list of strings"),
+            ("id", "5", "field 'id' must be a non-empty string"),
+            ("series", '""', "field 'series' must be a non-empty string"),
+        ],
+        ids=[
+            "label_true", "label_minus_one", "label_eight", "label_float",
+            "int_token", "null_token", "true_token", "int_id", "empty_series",
+        ],
+    )
+    def test_load_messages(self, tmp_path, field, value, message):
+        """``value`` is the field's JSON text."""
+        fields = {"id": '"r0"', "series": '"s"', "label": "0", "tokens": '["a"]', field: value}
+        path = tmp_path / "tokens.jsonl"
+        path.write_text("{" + ", ".join(f'"{k}": {v}' for k, v in fields.items()) + "}\n", encoding="utf-8")
+        with pytest.raises(CorpusFormatError) as info:
+            TokenizedCorpus.load(path)
+        assert str(info.value) == f"{path}: line 1: {message}"
+
 
 class TestWriteKnowledgeBase:
     def test_load_reads_back_what_write_wrote(self, tmp_path):
