@@ -307,6 +307,8 @@ def cmd_evaluate(args) -> None:
     out_dir = args.out_dir
     model = load_ovr(args.model)
     tokenized = TokenizedCorpus.load(args.tokens)
+    if not len(tokenized):
+        raise CliError(f"{args.tokens}: no reviews to evaluate")
     _require_labeled(tokenized, args.tokens)
     per_category, multi = ovr_accuracies(model, tokenized)
     lines = ["category,accuracy", *(f"{c},{acc:.6f}" for c, acc in enumerate(per_category)), f"multiclass,{multi:.6f}"]

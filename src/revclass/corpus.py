@@ -9,6 +9,7 @@ import json.scanner
 import os
 import unicodedata
 from dataclasses import dataclass, field
+from json.encoder import c_make_encoder, encode_basestring
 from typing import Iterable, Optional
 
 
@@ -56,7 +57,7 @@ N_CATEGORIES = len(_CATEGORY_NAMES)
 _CATEGORIES = tuple(Category)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Review:
     """One review with its provenance and per-annotator category labels."""
 
@@ -85,7 +86,7 @@ class Corpus:
 
     ``labels[i]`` is the resolved category of ``reviews[i]`` when all its
     annotations agree (set by :func:`agreement_filter`), else ``None``.
-    ``series_index`` partitions review positions by series.
+    ``series_index`` partitions review positions by series, built on first read unless given.
     """
 
     reviews: tuple[Review, ...]
@@ -98,20 +99,25 @@ class Corpus:
         if len(self.labels) != len(self.reviews):
             raise ValueError("labels must align with reviews")
         if not self.series_index:
-            object.__setattr__(self, "series_index", _build_series_index(self.reviews))
+            object.__delattr__(self, "series_index")  # built by __getattr__ on first read
+
+    def __getattr__(self, name):
+        if name != "series_index":
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        index: dict[str, list[int]] = {}
+        for i, r in enumerate(self.reviews):
+            index.setdefault(r.series, []).append(i)
+        object.__setattr__(self, name, {s: tuple(ix) for s, ix in index.items()})
+        return self.series_index
 
     def __len__(self) -> int:
         return len(self.reviews)
 
 
-def _build_series_index(reviews: Iterable[Review]) -> dict[str, tuple[int, ...]]:
-    index: dict[str, list[int]] = {}
-    for i, r in enumerate(reviews):
-        index.setdefault(r.series, []).append(i)
-    return {s: tuple(ix) for s, ix in index.items()}
-
-
 _REQUIRED_FIELDS = ("id", "series", "text", "annotations")
+
+# Review's slot setters: _parse_line checks more strictly than __post_init__, so it skips it.
+_set_id, _set_series, _set_text, _set_annotations, _set_episode = (getattr(Review, s).__set__ for s in Review.__slots__)
 
 
 def _parse_line(obj: dict, where: str) -> Review:
@@ -140,7 +146,13 @@ def _parse_line(obj: dict, where: str) -> Review:
     episode = obj.get("episode")
     if episode is not None and (isinstance(episode, bool) or not isinstance(episode, int) or episode < 0):
         raise CorpusFormatError(f"{where}: field 'episode' must be a non-negative integer")
-    return Review(id=rid, series=series, text=text, annotations=tuple(annotations), episode=episode)
+    review = object.__new__(Review)
+    _set_id(review, rid)
+    _set_series(review, series)
+    _set_text(review, text)
+    _set_annotations(review, tuple(annotations))
+    _set_episode(review, episode)
+    return review
 
 
 def load_corpus(path) -> Corpus:
@@ -257,7 +269,7 @@ def read_json_lines(path, error: type[Exception]):
     JSON-lines file; a line that is not a JSON object, or a file that is not
     UTF-8, raises ``error`` naming the file (and the line)."""
     for lineno, line in enumerate(read_text(path, error).split("\n"), start=1):
-        if line.strip():
+        if line and not line.isspace():
             where = f"{path}: line {lineno}"
             # A line that is exactly one object takes the scanner; any other
             # line, valid or not, goes through json.loads and its messages.
@@ -272,12 +284,18 @@ def read_json_lines(path, error: type[Exception]):
             yield where, _json_object(line, where, error)
 
 
-_encode_json = json.JSONEncoder(ensure_ascii=False, sort_keys=True).encode
+_LINE_ENCODER = json.JSONEncoder(ensure_ascii=False, sort_keys=True)
 
 
 def json_lines(records: Iterable[dict]) -> str:
     """One ``json.dumps(record, ensure_ascii=False, sort_keys=True)`` line per record."""
-    return "".join([_encode_json(record) + "\n" for record in records])
+    e = _LINE_ENCODER
+    if c_make_encoder is None:
+        return "".join([e.encode(record) + "\n" for record in records])
+    # The C encoder that e.encode would build anew for every record, built once per call.
+    encode = c_make_encoder({}, e.default, encode_basestring, e.indent, e.key_separator,
+                            e.item_separator, e.sort_keys, e.skipkeys, e.allow_nan)
+    return "".join(["".join(encode(record, 0)) + "\n" for record in records])
 
 
 def write_text_atomic(path, text: str) -> None:

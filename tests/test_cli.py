@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import shutil
@@ -590,6 +591,16 @@ class TestBoundaryValidation:
         assert f"the vocabulary built from {tokens} is empty" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("content", ["", "\n \n"], ids=["empty", "blank_lines"])
+    def test_evaluate_on_an_empty_tokens_file_exits_2_naming_it(self, pipeline, tmp_path, capsys, content):
+        tokens = tmp_path / "tokens.jsonl"
+        tokens.write_text(content, encoding="utf-8")
+        out = tmp_path / "eval"
+        code = run(["evaluate", "--model", pipeline["train"] / "model", "--tokens", tokens, "--out-dir", out])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {tokens}: no reviews to evaluate\n"
+        assert not out.exists()
+
 
     @pytest.mark.parametrize(
         "change, field",
@@ -980,3 +991,56 @@ class TestModelFormatVersion:
         for name, given in (("kept", pipeline["train"] / "model"), ("dropped", model)):
             assert run(["evaluate", "--model", given, "--tokens", tokens, "--out-dir", tmp_path / name, "--quiet"]) == 0
         assert (tmp_path / "dropped" / "evaluation.csv").read_bytes() == (tmp_path / "kept" / "evaluation.csv").read_bytes()
+
+
+# A hand-made corpus, written byte for byte: text stored raw and as JSON
+# escapes, `episode` set and unset, a blank line, one disagreement and one
+# single-annotator review that the agreement filter drops.
+_GOLDEN_CORPUS = "\n".join(
+    [
+        '{"id": "甄-1", "series": "甄嬛传", "episode": 3, "text": "皇上 和 华妃 的 对手戏 很 好看", "annotations": [1, 1]}',
+        r'{"annotations": [0, 0, 0], "id": "zh-2", "series": "甄嬛传", "text": "皇上 说 \"血派\" \\ 台词 😀 😀"}',
+        '{"id": "zh-3", "series": "甄嬛传", "episode": 0, "text": "孙俪 演 得 好", "annotations": [3, 5]}',
+        "",
+        r'{"id": "hq-1", "series": "花千骨", "text": "白子画 tab\there nl\nthere caf\u00e9 e\u0301 \u2028 end", "annotations": [2, 2], "extra": null}',
+        '{"id": "hq-2", "series": "花千骨", "episode": 12, "text": "小骨 和 霍建华 \U0001f600 \\/ ok", "annotations": [4, 4]}',
+        '{"id": "hq-3", "series": "花千骨", "text": "单 一 标注", "annotations": [7]}',
+        "",
+    ]
+)
+_GOLDEN_KBS = {
+    "zhenhuan.json": {
+        "series": "甄嬛传",
+        "roles": [{"name": "皇上", "aliases": [], "rank": 1}, {"name": "华妃", "aliases": [], "rank": 2}],
+        "actors": [{"name": "孙俪", "aliases": [], "rank": 1}],
+    },
+    "huaqiangu.json": {
+        "series": "花千骨",
+        "roles": [{"name": "白子画", "aliases": [], "rank": 1}, {"name": "花千骨", "aliases": ["小骨"], "rank": 2}],
+        "actors": [{"name": "霍建华", "aliases": ["华哥"], "rank": 1}],
+    },
+}
+# SHA-256 of each output as the plain json.dumps writers produced it: a
+# change to corpus or tokens I/O that alters one byte fails here.
+_GOLDEN_DIGESTS = {
+    "corpus.filtered.jsonl": "c528572abbaae7dba037e6de4a75cc105bdf6f7d347c0935503481b9ae1f6ac2",
+    "ingest_report.json": "526d4af9576e14206a63b0128ef94ed2d778f6900c02f32063c689498e4a119f",
+    "tokens.jsonl": "f34f4778e32bd214ebc2ea0284fe6beeb1d2f1e3cb77a36a80dec50f740fe3c8",
+}
+
+
+class TestGoldenBytes:
+    def test_ingest_and_preprocess_outputs_keep_their_bytes(self, tmp_path):
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_bytes(_GOLDEN_CORPUS.encode("utf-8"))
+        kb_dir = tmp_path / "kb"
+        kb_dir.mkdir()
+        for name, kb in _GOLDEN_KBS.items():
+            (kb_dir / name).write_text(json.dumps(kb, ensure_ascii=False), encoding="utf-8")
+        assert run(["ingest", "--corpus", corpus, "--out-dir", tmp_path / "ingest", "--quiet"]) == 0
+        filtered = tmp_path / "ingest" / "corpus.filtered.jsonl"
+        args = ["preprocess", "--corpus", filtered, "--kb-dir", kb_dir, "--surrogates", "on"]
+        assert run([*args, "--out-dir", tmp_path / "tokens", "--quiet"]) == 0
+        outputs = [filtered, tmp_path / "ingest" / "ingest_report.json", tmp_path / "tokens" / "tokens.jsonl"]
+        digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in outputs}
+        assert digests == _GOLDEN_DIGESTS

@@ -1,13 +1,18 @@
+import dataclasses
 import json
+import math
+import pickle
 
 import pytest
 
+import revclass.corpus
 from revclass.corpus import (
     Category,
     Corpus,
     CorpusFormatError,
     Review,
     agreement_filter,
+    json_lines,
     load_corpus,
     read_json_lines,
     split_by_series,
@@ -337,3 +342,136 @@ def test_review_names_the_first_annotation_out_of_range(annotations, bad):
     with pytest.raises(ValueError) as info:
         Review(id="r", series="s", text="t", annotations=annotations)
     assert str(info.value) == f"review r: annotation {bad} outside [0, 7]"
+
+
+# ---------------------------------------------------------------------------
+# Reviews built by the loader against Review(...), and the lazy series index
+# ---------------------------------------------------------------------------
+
+
+_REVIEW_FIELDS = [
+    {"id": "甄-1", "series": "甄嬛传", "text": "皇上 很 好看", "annotations": (1, 1), "episode": 3},
+    {"id": "b-2", "series": "beta", "text": "café ok", "annotations": (0, 2, 2), "episode": 0},
+    {"id": "b-3", "series": "beta", "text": "unnumbered", "annotations": (7,), "episode": None},
+    {"id": "b-4", "series": "beta", "text": "no annotations", "annotations": (), "episode": None},
+]
+
+
+def _loaded_reviews(tmp_path):
+    records = [dict(f, annotations=list(f["annotations"])) for f in _REVIEW_FIELDS]
+    for record in records:
+        if record["episode"] is None:
+            del record["episode"]
+    return load_corpus(write_jsonl(tmp_path / "c.jsonl", records)).reviews
+
+
+def test_loaded_review_is_the_review_the_constructor_builds(tmp_path):
+    for loaded, fields in zip(_loaded_reviews(tmp_path), _REVIEW_FIELDS, strict=True):
+        built = Review(**fields)
+        assert loaded == built and not loaded != built
+        assert hash(loaded) == hash(built)
+        assert repr(loaded) == repr(built)
+        assert type(loaded) is Review and not hasattr(loaded, "__dict__")
+        for review in (loaded, built):
+            again = pickle.loads(pickle.dumps(review))
+            assert again == built and repr(again) == repr(built) and hash(again) == hash(built)
+        assert dataclasses.replace(loaded, text="other") == dataclasses.replace(built, text="other")
+
+
+@pytest.mark.parametrize("name", ["id", "series", "text", "annotations", "episode"])
+def test_loaded_review_is_frozen(tmp_path, name):
+    review = _loaded_reviews(tmp_path)[0]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(review, name, getattr(review, name))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        delattr(review, name)
+
+
+@pytest.mark.parametrize(
+    "changes, message",
+    [
+        ({"annotations": (1, 9)}, "review 甄-1: annotation 9 outside [0, 7]"),
+        ({"text": ""}, "review 甄-1: text must be non-empty"),
+        ({"episode": -1}, "review 甄-1: episode must be non-negative"),
+        ({"id": ""}, "review id must be non-empty"),
+    ],
+    ids=["annotation", "text", "episode", "id"],
+)
+def test_replace_on_a_loaded_review_runs_the_review_checks(tmp_path, changes, message):
+    with pytest.raises(ValueError) as info:
+        dataclasses.replace(_loaded_reviews(tmp_path)[0], **changes)
+    assert str(info.value) == message
+
+
+def test_series_index_is_built_on_first_read(tmp_path):
+    corpus = Corpus(reviews=_loaded_reviews(tmp_path))
+    assert "series_index" not in vars(corpus)
+    assert corpus.series_index == {"甄嬛传": (0,), "beta": (1, 2, 3)}
+    assert vars(corpus)["series_index"] is corpus.series_index
+    assert "series_index" not in vars(load_corpus(write_jsonl(tmp_path / "one.jsonl", [review_record("r0")])))
+    with pytest.raises(AttributeError, match="'Corpus' object has no attribute 'serie_index'"):
+        corpus.serie_index  # noqa: B018
+
+
+def test_series_index_given_compared_replaced_and_pickled(tmp_path):
+    reviews = _loaded_reviews(tmp_path)
+    given = {"beta": (1, 2, 3), "甄嬛传": (0,)}
+    assert Corpus(reviews=reviews, series_index=given).series_index is given
+    unread = Corpus(reviews=reviews)
+    assert unread == Corpus(reviews=reviews, series_index={"甄嬛传": (0,), "beta": (1, 2, 3)})
+    assert repr(Corpus(reviews=reviews)) == repr(Corpus(reviews=reviews, series_index={"甄嬛传": (0,), "beta": (1, 2, 3)}))
+    assert pickle.loads(pickle.dumps(Corpus(reviews=reviews))).series_index == unread.series_index
+    # replace with an empty index rebuilds it from the new reviews
+    reversed_ = dataclasses.replace(unread, reviews=reviews[::-1], series_index={})
+    assert reversed_.series_index == {"beta": (0, 1, 2), "甄嬛传": (3,)}
+
+
+_RECORDS = [
+    {"none": None, "empty": [], "nested": [[], [[1, [2]], {"k": None}], {}], "z": {"b": [], "a": {}}},
+    {"big": 2**64 + 1, "neg_big": -(2**70), "huge": 10**40, "zero": 0, "bools": [True, False]},
+    {"nan": math.nan, "inf": math.inf, "ninf": -math.inf, "floats": [0.1, -0.0, 1e300, 5e-324, 1.0]},
+    {"text": "皇上 \"q\" \\ \n \t \x00 \x7f   \U0001f600 ﻿", "é": "key order", "Z": 1, "a": 2},
+    {},
+]
+
+
+@pytest.mark.parametrize("c_encoder", [True, False], ids=["c_encoder", "without_c_encoder"])
+def test_json_lines_gives_json_dumps_bytes(monkeypatch, c_encoder):
+    if not c_encoder:
+        monkeypatch.setattr(revclass.corpus, "c_make_encoder", None)
+    expected = "".join(json.dumps(r, ensure_ascii=False, sort_keys=True) + "\n" for r in _RECORDS)
+    assert json_lines(_RECORDS).encode("utf-8") == expected.encode("utf-8")
+    assert json_lines(iter(_RECORDS)) == expected and json_lines([]) == ""
+
+
+def test_json_lines_fails_as_json_dumps_fails():
+    cyclic: dict = {"a": []}
+    cyclic["a"].append(cyclic)
+    for bad in (cyclic, {"s": {1, 2}}, {"k": 1, 2: "mixed keys"}):
+        with pytest.raises((ValueError, TypeError)) as want:
+            json.dumps(bad, ensure_ascii=False, sort_keys=True)
+        with pytest.raises(want.type) as got:
+            json_lines([{"ok": 1}, bad])
+        assert str(got.value) == str(want.value)
+    # one list twice is no cycle
+    shared = [1]
+    assert json_lines([{"a": shared, "b": shared}]) == '{"a": [1], "b": [1]}\n'
+
+
+def _strip_loop(path):
+    """The reader's blank-line test as it was: a line is skipped when strip() empties it."""
+    text = path.read_text(encoding="utf-8")
+    return [(f"{path}: line {n}", json.loads(line)) for n, line in enumerate(text.split("\n"), 1) if line.strip()]
+
+
+@pytest.mark.parametrize("blank", ["\t", "\x1c", "\x85", "　", "\x0b\x0c\x1d\x1e\x1f \xa0   "])
+def test_whitespace_only_lines_are_skipped_as_strip_skipped_them(tmp_path, blank):
+    path = tmp_path / "lines.jsonl"
+    path.write_text(f'{blank}\n{{"a": 1}}\n{blank * 3}\n\n{{"b": 2}}\n{blank}', encoding="utf-8")
+    assert list(read_json_lines(path, CorpusFormatError)) == _strip_loop(path)
+    assert [w for w, _ in read_json_lines(path, CorpusFormatError)] == [f"{path}: line 2", f"{path}: line 5"]
+
+
+def test_isspace_and_strip_agree_on_every_character():
+    chars = list(map(chr, range(0x110000)))
+    assert [c for c in chars if c.isspace()] == [c for c in chars if not c.strip()]
