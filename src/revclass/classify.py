@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import math
 import os
+import sys
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Optional, Sequence
 
@@ -600,6 +601,33 @@ def _checked(path, obj, names, section="") -> dict:
     return obj
 
 
+def _field_value(path, section: str, key: str, value, n_terms: int):
+    """``value`` of ``section.key`` in member file ``path``, checked, as the
+    model takes it: ``epochs`` and ``seed`` ints, other scalars finite numbers
+    (not bools), vectors lists of them, one per term (NB's in (0, 1)).  A vector
+    is checked on its numpy array, not value by value, so a bool among numbers passes."""
+    where = f"{path}: field '{section}.{key}'"
+    if key not in _VECTOR_FIELDS:
+        if key in ("epochs", "seed"):
+            if type(value) is not int:  # not True or 2.0
+                raise ModelFormatError(f"{where} must be an integer")
+        # NaN, the infinities and ints beyond the float range fail the bound.
+        elif type(value) not in (int, float) or not abs(value) <= sys.float_info.max:
+            raise ModelFormatError(f"{where} must be a finite number")
+        return value
+    if not isinstance(value, list) or len(value) != n_terms:
+        raise ModelFormatError(f"{where} must hold one value per vocabulary term ({n_terms})")
+    try:
+        array = np.asarray(value)
+    except ValueError:  # lists nested to uneven depths
+        array = np.empty(0, dtype=object)
+    if array.ndim != 1 or array.dtype.kind not in "iuf" or not np.isfinite(array).all():
+        raise ModelFormatError(f"{where} must hold finite numbers")
+    if key != "weights" and not ((array > 0) & (array < 1)).all():  # NB's conditionals
+        raise ModelFormatError(f"{where} must hold probabilities strictly between 0 and 1")
+    return array
+
+
 def _load_model_json(path, names) -> dict:
     return _checked(path, read_json(path, ModelFormatError), names)
 
@@ -611,8 +639,9 @@ def load_ovr(model_dir) -> OvrModel:
     the loader reads, the manifest's ``format_version`` (1 when absent)
     must be :data:`MODEL_FORMAT_VERSION`, each member's method must be the manifest's, every
     parameter vector needs one value per vocabulary term, and the manifest
-    must list one member file per category.  A failed check raises
-    :class:`ModelFormatError` naming the file and the field.
+    must list one member file per category.  The vocabulary must be distinct
+    strings and each parameter pass :func:`_field_value`.  A failed check
+    raises :class:`ModelFormatError` naming the file and the field.
     """
     manifest_path = os.path.join(model_dir, "model_manifest.json")
     manifest = _load_model_json(manifest_path, ("members", "method", "selector", "budgets", "seed"))
@@ -638,7 +667,10 @@ def load_ovr(model_dir) -> OvrModel:
                 f"{manifest_path}: field 'members' lists category {int(cat)} twice ({files[cat]} and {name})"
             )
         files[cat] = name
-        terms = tuple(doc["vocabulary"])
+        terms = doc["vocabulary"]
+        if not isinstance(terms, list) or not all(isinstance(t, str) for t in terms) or len(set(terms)) < len(terms):
+            raise ModelFormatError(f"{path}: field 'vocabulary' must be a list of distinct strings")
+        terms = tuple(terms)
         params = _checked(path, doc["parameters"], (), "parameters")
         if "stub" in params:
             if params["stub"] not in (STUB_NO_POSITIVES, STUB_NO_NEGATIVES):
@@ -647,16 +679,9 @@ def load_ovr(model_dir) -> OvrModel:
             continue
         _checked(path, params, param_names, "parameters")
         hp = _checked(path, doc["hyperparameters"], hyper_names, "hyperparameters")
-        fields = {**{key: params[key] for key in param_names}, **{key: hp[key] for key in hyper_names}}
-        for key in _VECTOR_FIELDS:
-            if key in fields:
-                if not isinstance(fields[key], list) or len(fields[key]) != len(terms):
-                    raise ModelFormatError(
-                        f"{path}: field 'parameters.{key}' must hold one value per vocabulary term ({len(terms)})"
-                    )
-                fields[key] = np.asarray(fields[key])
-        model = model_type(**fields)
-        members.append(BinaryMember(cat, method, terms, model))
+        fields = {key: _field_value(path, "parameters", key, params[key], len(terms)) for key in param_names}
+        fields.update({key: _field_value(path, "hyperparameters", key, hp[key], len(terms)) for key in hyper_names})
+        members.append(BinaryMember(cat, method, terms, model_type(**fields)))
     if len(members) != N_CATEGORIES:
         raise ModelFormatError(
             f"{manifest_path}: field 'members' must list {N_CATEGORIES} member files, got {len(members)}"

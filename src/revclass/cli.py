@@ -20,19 +20,18 @@ from revclass.classify import (
     CLASSIFIERS,
     DEFAULT_BUDGETS,
     Hyperparams,
-    ModelFormatError,
     SVM,
     load_ovr,
     save_ovr,
     train_ovr,
 )
 from revclass.corpus import (
-    CorpusFormatError,
     N_CATEGORIES,
     agreement_filter,
     load_corpus,
     read_json,
     write_corpus,
+    write_csv,
     write_json_atomic,
     write_text_atomic,
 )
@@ -50,7 +49,6 @@ from revclass.evaluate import (
 from revclass.feature_select import CHI2, METHODS
 from revclass.preprocess import (
     KnowledgeBase,
-    KnowledgeBaseError,
     TokenizedCorpus,
     VectorizedCorpus,
     load_dictionary,
@@ -116,21 +114,24 @@ def _resolve_config(args) -> dict:
             raise CliError(f"config file {args.config}: key {key!r}: {value} is not a valid {action.option_strings[0]} value")
         flag = getattr(args, key)
         config[key] = file_config.get(key, default) if flag is None else flag
+    if config["seed"] is not None and config["seed"] < 0:
+        raise CliError(f"--seed must be >= 0, got {config['seed']}")
     return config
 
 
-def _write_manifest(args, out_dir, command: str, config: dict, inputs: list, outputs: list) -> None:
+def _write_manifest(args, config: dict, inputs: list, outputs: list) -> None:
+    path = os.path.join(args.out_dir, MANIFEST_NAME)
     manifest = {
-        "command": command,
+        "command": args.command,
         "config": config,
         "created_at": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         "inputs": {str(p): _sha256(p) for p in inputs},
-        "outputs": [os.path.relpath(p, out_dir) for p in outputs],
-        "seed": config.get("seed"),
+        "outputs": [os.path.relpath(p, args.out_dir) for p in outputs],
+        "seed": config["seed"],
         "tool_version": __version__,
     }
-    write_json_atomic(os.path.join(out_dir, MANIFEST_NAME), manifest)
-    _say(args, f"wrote {os.path.join(out_dir, MANIFEST_NAME)}")
+    write_json_atomic(path, manifest)
+    _say(args, f"wrote {path}")
 
 
 def _load_kb_dir(path) -> tuple[dict[str, KnowledgeBase], list[str]]:
@@ -180,16 +181,15 @@ def _require_labeled(tokenized: TokenizedCorpus, source: str) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Subcommands
+# Subcommands: cmd_<name>(args, config) writes the command's outputs and
+# returns (input files, output files, summary line) for main to record.
 # ---------------------------------------------------------------------------
 
 
-def cmd_ingest(args) -> None:
-    config = _resolve_config(args)
-    out_dir = args.out_dir
+def cmd_ingest(args, config):
     corpus = load_corpus(args.corpus)
     filtered, drops = agreement_filter(corpus)
-    corpus_out = os.path.join(out_dir, "corpus.filtered.jsonl")
+    corpus_out = os.path.join(args.out_dir, "corpus.filtered.jsonl")
     write_corpus(filtered, corpus_out)
     report = {
         "input_reviews": len(corpus),
@@ -197,61 +197,46 @@ def cmd_ingest(args) -> None:
         "dropped": drops,
         "per_series_kept": {s: len(ix) for s, ix in filtered.series_index.items()},
     }
-    report_out = os.path.join(out_dir, "ingest_report.json")
+    report_out = os.path.join(args.out_dir, "ingest_report.json")
     write_json_atomic(report_out, report)
-    _say(args, f"kept {len(filtered)}/{len(corpus)} reviews (drops: {drops})")
-    _write_manifest(args, out_dir, "ingest", config, [args.corpus], [corpus_out, report_out])
+    return [args.corpus], [corpus_out, report_out], f"kept {len(filtered)}/{len(corpus)} reviews (drops: {drops})"
 
 
-def cmd_preprocess(args) -> None:
-    config = _resolve_config(args)
+def cmd_preprocess(args, config):
     mode = config["surrogates"]
-    out_dir = args.out_dir
     corpus, kbs, stoplist, seg, inputs = _load_text_inputs(args)
     if mode == SURROGATE_ON and not kbs:
         raise CliError("surrogates on requires --kb-dir")
-    try:
-        tokenized = tokenize_corpus(corpus, seg, stoplist, kbs, mode)
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
-    tokens_out = os.path.join(out_dir, "tokens.jsonl")
+    tokenized = tokenize_corpus(corpus, seg, stoplist, kbs, mode)
+    tokens_out = os.path.join(args.out_dir, "tokens.jsonl")
     tokenized.save(tokens_out)
-    _say(args, f"tokenized {len(tokenized)} reviews (surrogates {mode})")
-    _write_manifest(args, out_dir, "preprocess", config, inputs, [tokens_out])
+    return inputs, [tokens_out], f"tokenized {len(tokenized)} reviews (surrogates {mode})"
 
 
-def cmd_lda(args) -> None:
-    config = _resolve_config(args)
+def cmd_lda(args, config):
     out_dir = args.out_dir
     if config["top_words"] < 1:
         raise CliError(f"--top-words must be >= 1, got {config['top_words']}")
     tokenized = TokenizedCorpus.load(args.tokens)
-    try:
-        cfg = LdaConfig(
-            K=config["topics"],
-            alpha=config["alpha"],
-            beta=config["beta"],
-            iterations=config["iterations"],
-            seed=config["seed"],
-        )
-        model = fit_lda(list(tokenized.docs), cfg, doc_ids=list(tokenized.ids))
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
+    cfg = LdaConfig(
+        K=config["topics"],
+        alpha=config["alpha"],
+        beta=config["beta"],
+        iterations=config["iterations"],
+        seed=config["seed"],
+    )
+    model = fit_lda(list(tokenized.docs), cfg, doc_ids=list(tokenized.ids))
     model_out = os.path.join(out_dir, "lda_model.json")
     model.save(model_out)
     heatmap_out = os.path.join(out_dir, "heatmap.csv")
     export_heatmap(model, heatmap_out)
     n_top = min(config["top_words"], len(model.vocab))
-    listing = []
-    for k in range(cfg.K):
-        pairs = top_words(model, k, n_top)
-        listing.append(f"topic_{k}\t" + " ".join(f"{w}:{p:.6f}" for w, p in pairs))
+    listing = [f"topic_{k}\t" + " ".join(f"{w}:{p:.6f}" for w, p in top_words(model, k, n_top)) for k in range(cfg.K)]
     words_out = os.path.join(out_dir, "top_words.txt")
     write_text_atomic(words_out, "\n".join(listing) + "\n")
     # config echo with the derived alpha, for reproducibility
     config["alpha"] = cfg.alpha
-    _say(args, f"fitted {cfg.K}-topic model on {model.n_docs} documents")
-    _write_manifest(args, out_dir, "lda", config, [args.tokens], [model_out, heatmap_out, words_out])
+    return [args.tokens], [model_out, heatmap_out, words_out], f"fitted {cfg.K}-topic model on {model.n_docs} documents"
 
 
 # Setting -> Hyperparams field.  Each setting's flag (--nb-smoothing for
@@ -270,53 +255,43 @@ def _hyperparams_from_config(config: dict) -> Hyperparams:
     return Hyperparams(**{name: config[key] for key, name in _HYPER_FIELDS.items()})
 
 
-def cmd_train(args) -> None:
-    config = _resolve_config(args)
-    out_dir = args.out_dir
+def cmd_train(args, config):
     budgets = _parse_sizes(config["sizes"], n=N_CATEGORIES)
     tokenized = TokenizedCorpus.load(args.tokens)
     _require_labeled(tokenized, args.tokens)
     vc = VectorizedCorpus.from_tokens(tokenized.docs, tokenized.labels)
     if not len(vc.vocab):
         raise CliError(f"the vocabulary built from {args.tokens} is empty (every review has no tokens)")
-    try:
-        model = train_ovr(
-            vc,
-            method=config["method"],
-            per_class_feature_sizes=budgets,
-            selector=config["selector"],
-            hyperparams=_hyperparams_from_config(config),
-            seed=config["seed"],
-        )
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
-    outputs = save_ovr(model, os.path.join(out_dir, "model"))
+    model = train_ovr(
+        vc,
+        method=config["method"],
+        per_class_feature_sizes=budgets,
+        selector=config["selector"],
+        hyperparams=_hyperparams_from_config(config),
+        seed=config["seed"],
+    )
+    outputs = save_ovr(model, os.path.join(args.out_dir, "model"))
     for member in model.members:
-        path = os.path.join(out_dir, "rankings", f"class_{int(member.category)}.json")
+        path = os.path.join(args.out_dir, "rankings", f"class_{int(member.category)}.json")
         member.ranking.save(path)
         outputs.append(path)
     stubs = [int(m.category) for m in model.members if m.stub]
     if stubs:
         _say(args, f"warning: degenerate categories trained as stubs: {stubs}")
-    _say(args, f"trained 8 {config['method']} members over {len(vc.vocab)}-term vocabulary")
-    _write_manifest(args, out_dir, "train", config, [args.tokens], outputs)
+    return [args.tokens], outputs, f"trained 8 {config['method']} members over {len(vc.vocab)}-term vocabulary"
 
 
-def cmd_evaluate(args) -> None:
-    config = _resolve_config(args)
-    out_dir = args.out_dir
+def cmd_evaluate(args, config):
     model = load_ovr(args.model)
     tokenized = TokenizedCorpus.load(args.tokens)
     if not len(tokenized):
         raise CliError(f"{args.tokens}: no reviews to evaluate")
     _require_labeled(tokenized, args.tokens)
     per_category, multi = ovr_accuracies(model, tokenized)
-    lines = ["category,accuracy", *(f"{c},{acc:.6f}" for c, acc in enumerate(per_category)), f"multiclass,{multi:.6f}"]
-    eval_out = os.path.join(out_dir, "evaluation.csv")
-    write_text_atomic(eval_out, "\n".join(lines) + "\n")
-    model_inputs = sorted(glob.glob(os.path.join(args.model, "*.json")))
-    _say(args, f"multiclass accuracy {multi:.4f} on {len(tokenized)} reviews")
-    _write_manifest(args, out_dir, "evaluate", config, [args.tokens, *model_inputs], [eval_out])
+    eval_out = os.path.join(args.out_dir, "evaluation.csv")
+    write_csv(eval_out, ("category", "accuracy"), [*enumerate(per_category), ("multiclass", multi)])
+    inputs = [args.tokens, *sorted(glob.glob(os.path.join(args.model, "*.json")))]
+    return inputs, [eval_out], f"multiclass accuracy {multi:.4f} on {len(tokenized)} reviews"
 
 
 def _experiment_config(config: dict, stoplist, **fields) -> ExperimentConfig:
@@ -343,57 +318,41 @@ def _load_text_inputs(args):
     return corpus, (kbs or None), stoplist, seg, inputs
 
 
-def cmd_sweep(args) -> None:
-    config = _resolve_config(args)
-    out_dir = args.out_dir
+def cmd_sweep(args, config):
     corpus, kbs, stoplist, seg, inputs = _load_text_inputs(args)
-    rotation = _parse_rotation(args.rotation) if args.rotation else None
-    sweep_out = os.path.join(out_dir, "sweep.csv")
-    try:
-        exp = _experiment_config(
-            config,
-            stoplist,
-            feature_sizes=_parse_sizes(config["sizes"]),
-            rotation=rotation,
-            surrogate_mode=config["surrogates"],
-            sweep_method=config["method"],
-        )
-        feature_size_sweep(corpus, exp, kbs=kbs, seg=seg, out_csv=sweep_out)
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
-    _say(args, f"swept {len(exp.feature_sizes)} feature sizes x 8 categories")
-    _write_manifest(args, out_dir, "sweep", config, inputs, [sweep_out])
+    sweep_out = os.path.join(args.out_dir, "sweep.csv")
+    exp = _experiment_config(
+        config,
+        stoplist,
+        feature_sizes=_parse_sizes(config["sizes"]),
+        rotation=_parse_rotation(args.rotation) if args.rotation else None,
+        surrogate_mode=config["surrogates"],
+        sweep_method=config["method"],
+    )
+    feature_size_sweep(corpus, exp, kbs=kbs, seg=seg, out_csv=sweep_out)
+    return inputs, [sweep_out], f"swept {len(exp.feature_sizes)} feature sizes x 8 categories"
 
 
-def cmd_cross_series(args) -> None:
-    config = _resolve_config(args)
+def cmd_cross_series(args, config):
     out_dir = args.out_dir
     corpus, kbs, stoplist, seg, inputs = _load_text_inputs(args)
     rotations = tuple(_parse_rotation(part) for part in (args.rotations or "").split(";") if part.strip())
     methods = config["methods"]
     table_out = os.path.join(out_dir, "crossseries.csv")
-    try:
-        exp = _experiment_config(
-            config,
-            stoplist,
-            methods=tuple(methods.split(",") if isinstance(methods, str) else methods),
-            per_class_budgets=_parse_sizes(config["budgets"], n=N_CATEGORIES),
-            rotations=rotations,
-        )
-        table = cross_series_experiment(corpus, kbs, exp, seg=seg, out_csv=table_out)
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
-    multi_lines = ["rotation,surrogate,accuracy"]
-    for (rotation, mode), value in sorted(table.multiclass.items()):
-        multi_lines.append(f"{rotation},{mode},{value:.6f}")
+    exp = _experiment_config(
+        config,
+        stoplist,
+        methods=tuple(methods.split(",") if isinstance(methods, str) else methods),
+        per_class_budgets=_parse_sizes(config["budgets"], n=N_CATEGORIES),
+        rotations=rotations,
+    )
+    table = cross_series_experiment(corpus, kbs, exp, seg=seg, out_csv=table_out)
     multi_out = os.path.join(out_dir, "crossseries_multiclass.csv")
-    write_text_atomic(multi_out, "\n".join(multi_lines) + "\n")
-    _say(args, f"cross-series table: {len(table.generalization)} cells")
-    _write_manifest(args, out_dir, "cross-series", config, inputs, [table_out, multi_out])
+    write_csv(multi_out, ("rotation", "surrogate", "accuracy"), [(*k, v) for k, v in sorted(table.multiclass.items())])
+    return inputs, [table_out, multi_out], f"cross-series table: {len(table.generalization)} cells"
 
 
-def cmd_synth(args) -> None:
-    config = _resolve_config(args)
+def cmd_synth(args, config):
     out_dir = args.out_dir
     try:
         spec = SyntheticSpec.from_dict(read_json(args.spec, CliError)) if args.spec else _PRESETS[config["preset"]]()
@@ -414,9 +373,7 @@ def cmd_synth(args) -> None:
     write_json_atomic(spec_out, spec.to_dict())
     outputs.append(spec_out)
     config["seed"] = spec.seed
-    inputs = [args.spec] if args.spec else []
-    _say(args, f"generated {len(corpus)} reviews across {len(kbs)} series")
-    _write_manifest(args, out_dir, "synth", config, inputs, outputs)
+    return [args.spec] if args.spec else [], outputs, f"generated {len(corpus)} reviews across {len(kbs)} series"
 
 
 # ---------------------------------------------------------------------------
@@ -522,11 +479,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command: resolve its settings, run it, print its summary, write
+    its run manifest.  A CliError, a ValueError (every input-format error is
+    one) or an OSError exits 2; any other failure exits 1."""
+    args = build_parser().parse_args(argv)
     try:
-        args.func(args)
-    except (CliError, CorpusFormatError, KnowledgeBaseError, ModelFormatError, OSError) as exc:
+        config = _resolve_config(args)
+        inputs, outputs, summary = args.func(args, config)
+        _say(args, summary)
+        _write_manifest(args, config, inputs, outputs)
+    except (CliError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # noqa: BLE001 - runtime failures exit 1

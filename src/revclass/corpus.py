@@ -317,6 +317,12 @@ def write_text_atomic(path, text: str) -> None:
         raise
 
 
+def write_csv(path, header, rows) -> None:
+    """Write ``rows`` under ``header`` as CSV, atomically: floats as ``:.6f``, the rest with ``str``."""
+    lines = [header, *([f"{v:.6f}" if isinstance(v, float) else str(v) for v in row] for row in rows)]
+    write_text_atomic(path, "".join([",".join(line) + "\n" for line in lines]))
+
+
 def write_json_atomic(path, obj) -> None:
     """Write ``obj`` atomically as indented, key-sorted JSON plus a newline."""
     write_text_atomic(path, json.dumps(obj, ensure_ascii=False, sort_keys=True, indent=2) + "\n")

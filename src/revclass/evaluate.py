@@ -24,7 +24,7 @@ from revclass.classify import (
     train_member,
     train_svm,  # unused here; perfbench's tracing self-test reads this binding
 )
-from revclass.corpus import Category, Corpus, N_CATEGORIES, Review, write_text_atomic
+from revclass.corpus import Category, Corpus, N_CATEGORIES, Review, write_csv
 from revclass.feature_select import CHI2, METHODS
 from revclass.preprocess import (
     KnowledgeBase,
@@ -402,17 +402,13 @@ class ResultTable:
 
 
 def write_sweep_csv(table: ResultTable, path) -> None:
-    lines = ["category,size,train_acc,test_acc"]
-    for (cat, _requested), cell in sorted(table.sweep.items()):
-        lines.append(f"{cat},{cell.actual_size},{cell.train_acc:.6f},{cell.test_acc:.6f}")
-    write_text_atomic(path, "\n".join(lines) + "\n")
+    rows = [(cat, cell.actual_size, cell.train_acc, cell.test_acc) for (cat, _), cell in sorted(table.sweep.items())]
+    write_csv(path, ("category", "size", "train_acc", "test_acc"), rows)
 
 
 def write_generalization_csv(table: ResultTable, path) -> None:
-    lines = ["category,rotation,surrogate,accuracy"]
-    for (cat, rotation, mode), value in sorted(table.generalization.items()):
-        lines.append(f"{cat},{rotation},{mode},{value:.6f}")
-    write_text_atomic(path, "\n".join(lines) + "\n")
+    rows = [(*key, value) for key, value in sorted(table.generalization.items())]
+    write_csv(path, ("category", "rotation", "surrogate", "accuracy"), rows)
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from revclass.corpus import write_json_atomic, write_text_atomic
+from revclass.corpus import write_csv, write_json_atomic
 from revclass.preprocess import Vocabulary
 
 try:
@@ -233,8 +233,5 @@ def export_heatmap(model: LdaModel, path) -> None:
     Rows follow corpus order; values are rounded to 6 decimals, so re-export
     of the same model is byte-identical.
     """
-    header = "doc_id," + ",".join(f"topic_{k}" for k in range(model.n_topics))
-    lines = [header]
-    for doc_id, row in zip(model.doc_ids, model.doc_topic):
-        lines.append(doc_id + "," + ",".join(f"{v:.6f}" for v in row))
-    write_text_atomic(path, "\n".join(lines) + "\n")
+    header = ["doc_id", *(f"topic_{k}" for k in range(model.n_topics))]
+    write_csv(path, header, [(doc_id, *row) for doc_id, row in zip(model.doc_ids, model.doc_topic.tolist())])

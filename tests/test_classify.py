@@ -1,4 +1,7 @@
+import json
 import math
+import re
+import shutil
 from fractions import Fraction
 
 import numpy as np
@@ -9,6 +12,7 @@ from revclass.classify import (
     BinaryMember,
     Hyperparams,
     LrModel,
+    ModelFormatError,
     OvrModel,
     STUB_NO_NEGATIVES,
     STUB_NO_POSITIVES,
@@ -560,6 +564,49 @@ class TestSerialization:
         loaded = load_ovr(tmp_path / "model")
         assert loaded.member_for(0).stub == STUB_NO_NEGATIVES
         assert loaded.member_for(5).stub == STUB_NO_POSITIVES
+
+
+@pytest.fixture(scope="module")
+def saved_models(tmp_path_factory):
+    """An LR and an SVM model directory written by save_ovr."""
+    root = tmp_path_factory.mktemp("models")
+    vc = _synthetic_vc(np.random.default_rng(16))
+    for method in ("lr", "svm"):
+        model = train_ovr(vc, method=method, hyperparams=Hyperparams(lr_epochs=20, svm_epochs=5))
+        save_ovr(model, root / method)
+    return root
+
+
+@pytest.mark.parametrize("method", ["lr", "svm"])
+@pytest.mark.parametrize(
+    "section, key, value",
+    [
+        ("parameters", "weights", "0.5"),
+        ("parameters", "weights", None),
+        ("parameters", "weights", [0.5]),
+        ("parameters", "weights", True),
+        ("parameters", "weights", float("inf")),
+        ("parameters", "bias", "0.1"),
+        ("parameters", "bias", None),
+        ("parameters", "bias", False),
+        ("parameters", "bias", float("nan")),
+        ("parameters", "bias", [0.1]),
+        ("hyperparameters", "epochs", 2.0),
+        ("hyperparameters", "epochs", True),
+    ],
+)
+def test_bad_weights_bias_or_epochs_raise_naming_file_and_field(saved_models, tmp_path, method, section, key, value):
+    model_dir = tmp_path / "model"
+    shutil.copytree(saved_models / method, model_dir)
+    path = model_dir / "member_2.json"
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    if key == "weights":
+        doc[section][key] = [value] * len(doc[section][key])
+    else:
+        doc[section][key] = value
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(ModelFormatError, match=f"^{re.escape(str(path))}: field '{section}.{key}' "):
+        load_ovr(model_dir)
 
 
 class TestLrMemberScore:

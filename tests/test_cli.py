@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -521,8 +522,26 @@ class TestBoundaryValidation:
             (_edit(lambda d: d["parameters"].update(cond_pos=d["parameters"]["cond_pos"][:-5])), "'parameters.cond_pos'"),
             (_edit(lambda d: d["parameters"].pop("cond_neg")), "'parameters.cond_neg'"),
             (_edit(lambda d: d.update(method="svm")), "'method'"),
+            (_edit(lambda d: d["parameters"]["cond_pos"].__setitem__(0, "0.5")), "'parameters.cond_pos'"),
+            (_edit(lambda d: d["parameters"]["cond_pos"].__setitem__(0, None)), "'parameters.cond_pos'"),
+            (_edit(lambda d: d["parameters"]["cond_pos"].__setitem__(0, [0.5])), "'parameters.cond_pos'"),
+            (_edit(lambda d: d["parameters"]["cond_pos"].__setitem__(0, 2.0)), "'parameters.cond_pos'"),
+            (_edit(lambda d: d["parameters"]["cond_pos"].__setitem__(0, 0.0)), "'parameters.cond_pos'"),
+            (_edit(lambda d: d["parameters"]["cond_neg"].__setitem__(0, -0.5)), "'parameters.cond_neg'"),
+            (_edit(lambda d: d["parameters"]["cond_neg"].__setitem__(0, float("nan"))), "'parameters.cond_neg'"),
+            (_edit(lambda d: d["parameters"].update(log_prior_pos="-0.7")), "'parameters.log_prior_pos'"),
+            (_edit(lambda d: d["parameters"].update(log_prior_neg=float("-inf"))), "'parameters.log_prior_neg'"),
+            (_edit(lambda d: d["parameters"].update(smoothing=True)), "'parameters.smoothing'"),
+            (_edit(lambda d: d["vocabulary"].__setitem__(0, 7)), "'vocabulary'"),
+            (_edit(lambda d: d["vocabulary"].__setitem__(0, d["vocabulary"][1])), "'vocabulary'"),
+            (_edit(lambda d: d.update(vocabulary="".join(d["vocabulary"]))), "'vocabulary'"),
         ],
-        ids=["truncated", "short_cond_pos", "missing_field", "other_method"],
+        ids=[
+            "truncated", "short_cond_pos", "missing_field", "other_method",
+            "string_cond_pos", "null_cond_pos", "nested_cond_pos", "cond_pos_above_1", "cond_pos_0", "negative_cond_neg",
+            "nan_cond_neg", "string_log_prior", "infinite_log_prior", "bool_smoothing", "int_term", "repeated_term",
+            "string_vocabulary",
+        ],
     )
     def test_bad_model_exits_2_naming_file_and_field(self, pipeline, tmp_path, capsys, corrupt, field):
         model = tmp_path / "model"
@@ -1028,6 +1047,18 @@ _GOLDEN_DIGESTS = {
     "tokens.jsonl": "f34f4778e32bd214ebc2ea0284fe6beeb1d2f1e3cb77a36a80dec50f740fe3c8",
 }
 
+# SHA-256 of the CSV and text outputs of the module's pipeline, as the
+# hand-joined writers produced them.
+_GOLDEN_TABLE_DIGESTS = {
+    "eval_nb/evaluation.csv": "3f9ef630df5672893244b1b187311f26a0987e342f4f88b2d41e2f05e8418dce",
+    "eval_lr/evaluation.csv": "2587d4032c7129928df971554dbc066a6b52ca8ba50feb027e937e1336122aac",
+    "sweep/sweep.csv": "81bf1deb2ca625f78f7b5e1a91b6905d53ad0dfee5c676baa6f1c416dbc7373d",
+    "cross/crossseries.csv": "4712deaf70b6388569e7f1e85376df4ec99c72c7e1c4cf6056bcd6bd6514af94",
+    "cross/crossseries_multiclass.csv": "1b171aa000e0a721cac3cbca0b410d96e608857491cec42f71a9f3d2d7d3ab51",
+    "lda/heatmap.csv": "9bc9d8c98d6116d6846c648b63991eec1ee9eba2cb95ca9126da685e6408afd9",
+    "lda/top_words.txt": "f617e6aa1946d1923efb8120c4418bed6fec8bf1ba35611548eefaf50cbd19e0",
+}
+
 
 class TestGoldenBytes:
     def test_ingest_and_preprocess_outputs_keep_their_bytes(self, tmp_path):
@@ -1044,3 +1075,65 @@ class TestGoldenBytes:
         outputs = [filtered, tmp_path / "ingest" / "ingest_report.json", tmp_path / "tokens" / "tokens.jsonl"]
         digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in outputs}
         assert digests == _GOLDEN_DIGESTS
+
+    def test_csv_and_text_outputs_keep_their_bytes(self, pipeline, tmp_path):
+        tokens = pipeline["tokens"] / "tokens.jsonl"
+        runs = {
+            "lr": ["train", "--tokens", tokens, "--method", "lr", "--sizes", 10, "--lr-epochs", 20],
+            "eval_nb": ["evaluate", "--model", pipeline["train"] / "model", "--tokens", tokens],
+            "eval_lr": ["evaluate", "--model", tmp_path / "lr" / "model", "--tokens", tokens],
+            "sweep": ["sweep", *_small_run("sweep", pipeline)],
+            "cross": ["cross-series", *_small_run("cross-series", pipeline)],
+            "lda": ["lda", *_small_run("lda", pipeline)],
+        }
+        for name, argv in runs.items():
+            assert run([*argv, "--out-dir", tmp_path / name, "--quiet"]) == 0
+        outputs = [
+            "eval_nb/evaluation.csv",
+            "eval_lr/evaluation.csv",
+            "sweep/sweep.csv",
+            "cross/crossseries.csv",
+            "cross/crossseries_multiclass.csv",
+            "lda/heatmap.csv",
+            "lda/top_words.txt",
+        ]
+        digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in outputs}
+        assert digests == _GOLDEN_TABLE_DIGESTS
+
+
+# The summary line each command prints before the manifest line.
+_SUMMARIES = {
+    "synth": r"generated \d+ reviews across \d+ series",
+    "ingest": r"kept \d+/\d+ reviews \(drops: \{.*\}\)",
+    "preprocess": r"tokenized \d+ reviews \(surrogates off\)",
+    "lda": r"fitted 2-topic model on \d+ documents",
+    "train": r"(warning: degenerate categories trained as stubs: \[[\d, ]+\]\n)?"
+    r"trained 8 nb members over \d+-term vocabulary",
+    "evaluate": r"multiclass accuracy \d\.\d{4} on \d+ reviews",
+    "sweep": r"swept 1 feature sizes x 8 categories",
+    "cross-series": r"cross-series table: \d+ cells",
+}
+
+
+class TestRunner:
+    @pytest.mark.parametrize("command", sorted(_SUMMARIES))
+    def test_non_quiet_run_prints_the_summary_then_the_manifest(self, pipeline, tmp_path, capsys, command):
+        out = tmp_path / "out"
+        assert run([command, *_small_run(command, pipeline), "--out-dir", out]) == 0
+        manifest = os.path.join(out, "run_manifest.json")
+        assert re.fullmatch(_SUMMARIES[command] + f"\nwrote {re.escape(manifest)}\n", capsys.readouterr().err)
+        assert _read_manifest(out)["command"] == command
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize("command", sorted(_SUMMARIES))
+    def test_negative_seed_exits_2_naming_the_flag(self, pipeline, tmp_path, capsys, command, source):
+        argv = _small_run(command, pipeline)
+        if source == "flag":
+            argv = [*argv, "--seed", "-1"]
+        else:  # without synth's --seed, which would override the file's
+            argv = argv[: argv.index("--seed")] if "--seed" in argv else argv
+            argv = [*argv, "--config", _write_config(tmp_path, {"seed": -1})]
+        out = tmp_path / "out"
+        assert run([command, *argv, "--out-dir", out, "--quiet"]) == 2
+        assert capsys.readouterr().err == "error: --seed must be >= 0, got -1\n"
+        assert not out.exists()
