@@ -44,9 +44,10 @@ def _sparse(X: np.ndarray | SparseRows) -> SparseRows:
     return SparseRows(rows, cols, X[rows, cols], X.shape)
 
 
-def _times(X: SparseRows, w: np.ndarray) -> np.ndarray:
-    """The matrix-vector product X @ w."""
-    return np.bincount(X.rows, weights=X.vals * w[X.cols], minlength=X.shape[0])
+def _times(X: SparseRows, w: np.ndarray, ones: bool = False) -> np.ndarray:
+    """The matrix-vector product X @ w; ``ones`` says that every stored value
+    is 1.0, so the multiplies by them, which are exact, are skipped."""
+    return np.bincount(X.rows, weights=w[X.cols] if ones else X.vals * w[X.cols], minlength=X.shape[0])
 
 
 def hinge(z: float) -> float:
@@ -148,14 +149,18 @@ class LrModel:
     history: tuple[float, ...] = ()  # penalized log-likelihood per step, index 0 = init
 
 
-def _lr_objective(z: np.ndarray, w: np.ndarray, flip: np.ndarray, lam: float) -> float:
-    # sum of log sigma(s) with s = flip * z (+z for y=1, -z for y=0), computed stably
-    return float(-np.logaddexp(0.0, -(flip * z)).sum() - 0.5 * lam * (w @ w))
+def _lr_objective(z: np.ndarray, w: np.ndarray, neg_flip: np.ndarray, lam: float) -> float:
+    # sum of log sigma(s) = -log(1 + e^-s) with s = flip * z (+z for y=1, -z
+    # for y=0) and neg_flip = -flip, computed stably
+    return float(-np.logaddexp(0.0, neg_flip * z).sum() - 0.5 * lam * (w @ w))
 
 
-def _lr_gradient(z: np.ndarray, w: np.ndarray, X: SparseRows, y: np.ndarray, lam: float) -> tuple[np.ndarray, float]:
+def _lr_gradient(
+    z: np.ndarray, w: np.ndarray, X: SparseRows, y: np.ndarray, lam: float, ones: bool = False
+) -> tuple[np.ndarray, float]:
     residual = y - _sigmoid(z)
-    grad_w = np.bincount(X.cols, weights=X.vals * residual[X.rows], minlength=X.shape[1]) - lam * w
+    r = residual[X.rows] if ones else X.vals * residual[X.rows]
+    grad_w = np.bincount(X.cols, weights=r, minlength=X.shape[1]) - lam * w
     return grad_w, float(residual.sum())
 
 
@@ -193,20 +198,21 @@ def train_lr(
     y = np.asarray(y, dtype=np.float64)
     if len(y) != X.shape[0]:
         raise ValueError(f"X has {X.shape[0]} rows but y has {len(y)} labels")
-    flip = np.where(y > 0, 1.0, -1.0)
+    neg_flip = np.where(y > 0, -1.0, 1.0)
+    ones = bool(np.all(X.vals == 1.0))
     w = np.zeros(X.shape[1])
     w0 = 0.0
     # Overflow here just means the iterate diverged; the non-finite
     # objective it leads to turns into an abort.
     with np.errstate(over="ignore", invalid="ignore"):
-        z = _times(X, w) + w0
-        history = [_lr_objective(z, w, flip, lam)]
+        z = _times(X, w, ones) + w0
+        history = [_lr_objective(z, w, neg_flip, lam)]
         for step in range(epochs):
-            grad_w, grad_w0 = _lr_gradient(z, w, X, y, lam)
+            grad_w, grad_w0 = _lr_gradient(z, w, X, y, lam, ones)
             w = w + eta * grad_w
             w0 = w0 + eta * grad_w0
-            z = _times(X, w) + w0
-            objective = _lr_objective(z, w, flip, lam)
+            z = _times(X, w, ones) + w0
+            objective = _lr_objective(z, w, neg_flip, lam)
             if not math.isfinite(objective):
                 raise ArithmeticError(
                     f"non-finite objective at step {step + 1} (eta={eta} too large for this data)"
@@ -260,14 +266,22 @@ def train_svm(
     Runs epochs * N steps, sampling one row per step with one
     ``rng.integers(0, N, N)`` draw per epoch.
 
-    Each step costs O(nonzeros of the row).  Under this schedule the
-    contraction w <- (1 - 1/t) w turns v_t = t * w_t into a plain sum,
-    v_t = v_{t-1} + [margin < 1] * C * N * y_i * x_i, so only v is stored
-    and the margin test y_i * (v.x_i + v_0) < t - 1 needs no division
-    (with 0/1 features and an integer C * N it is exact).  The suffix
-    average is kept lazily: with H(t) the sum of 1/s over averaged steps
-    s <= t, sum_t v_t / t = v_T * H(T) - sum over changes of delta * H(t - 1),
-    so a change adds one term to the second sum of its coordinate only.
+    Under this schedule the contraction w <- (1 - 1/t) w turns v_t = t * w_t
+    into a plain sum, v_t = v_{t-1} + [margin < 1] * C * N * y_i * x_i, so
+    only v is stored and the margin test y_i * (v.x_i + v_0) < t - 1 needs no
+    division.  The suffix average is kept lazily: with H(t) the sum of 1/s
+    over averaged steps s <= t, sum_t v_t / t = v_T * H(T) - sum over changes
+    of delta * H(t - 1), so a change adds one term to the second sum of its
+    coordinate only.
+
+    A step that sums v over its row costs O(nonzeros of the row).  When every
+    stored value is 1.0, every C * N * y_i is an integer and
+    steps * max|C * N * y_i| * (longest row + 1) < 2**53, every margin is an
+    exact integer, whatever the order of its sums.  Epochs in which updates
+    are rare then keep each row's margin up to date instead, through the
+    posting lists of the updated columns, so a step reads one number and only
+    an update pays (:func:`_svm_binary_sums`).  The model is bit-identical
+    either way.  Any other stored value takes a loop that multiplies by each.
     """
     if C <= 0:
         raise ValueError("C must be > 0")
@@ -280,67 +294,157 @@ def train_svm(
         raise ValueError(f"X has {n} rows but y has {len(y)} labels")
     if not (np.any(y > 0) and np.any(y < 0)):
         raise ValueError("training set must contain both labels")
-    ends = [0, *np.cumsum(np.bincount(X.rows, minlength=n)).tolist()]
-    cols, vals = X.cols.tolist(), X.vals.tolist()
-    labels = y.tolist()
     gain = C * n
     rng = np.random.default_rng(seed)
     steps = epochs * n
     # Suffix averaging: the early iterates under the 1/(lam*t) schedule are
     # far from the optimum, so only the second half enters the average.
     start = steps // 2
-    # harmonic[k] = H(start + k), the sum of 1/s for s in (start, start + k].
-    harmonic = [0.0] * (steps - start + 1)
-    for k in range(1, steps - start + 1):
-        harmonic[k] = harmonic[k - 1] + 1.0 / (start + k)
+    # harmonic[k] = H(start + k), the sum of 1/s for s in (start, start + k];
+    # add.accumulate adds in order, as a running sum would.
+    harmonic = [0.0, *np.cumsum(1.0 / np.arange(start + 1, steps + 1)).tolist()]
+    if np.all(X.vals == 1.0):
+        v, late = _svm_binary_sums(X, y, gain, rng, epochs, start, harmonic)
+    else:
+        v, late = _svm_general_sums(X, y, gain, rng, epochs, start, harmonic)
+    averaged = (np.array(v) * harmonic[-1] - np.array(late)) / (steps - start)
+    return SvmModel(weights=averaged[:d], bias=float(averaged[d]), C=C, epochs=epochs, seed=seed)
+
+
+def _row_lists(rows: np.ndarray, cols: np.ndarray, n: int) -> list[list[int]]:
+    """``cols`` split into n lists by ``rows``, which must be sorted."""
+    ends = [0, *np.cumsum(np.bincount(rows, minlength=n)).tolist()]
+    cols = cols.tolist()
+    return [cols[a:b] for a, b in zip(ends, ends[1:])]
+
+
+def _svm_general_sums(X: SparseRows, y, gain, rng, epochs, start, harmonic) -> tuple[list, list]:
+    """:func:`train_svm`'s v and late sums, with the bias as coordinate d, for
+    any stored values: each step reads v over the row's nonzeros."""
+    n, d = X.shape
+    # Each row as its nonzero columns and values, with the bias as column d.
+    rows = [
+        (cols + [d], vals + [1.0])
+        for cols, vals in zip(_row_lists(X.rows, X.cols, n), _row_lists(X.rows, X.vals, n))
+    ]
+    labels = y.tolist()
     v = [0.0] * (d + 1)
     late = [0.0] * (d + 1)  # per coordinate: sum of delta * H(t - 1) over changes
     t = 0
-    if np.all(X.vals == 1.0):
-        # Each row as its nonzero columns, with the bias as column d.  Every x is
-        # 1.0, so this is the loop below minus its exact multiplies by x.
-        rows = [cols[a:b] + [d] for a, b in zip(ends, ends[1:])]
-        for _ in range(epochs):
-            for i in rng.integers(0, n, n).tolist():
-                t += 1
-                row = rows[i]
-                z = 0.0
-                for j in row:
-                    z += v[j]
+    for _ in range(epochs):
+        for i in rng.integers(0, n, n).tolist():
+            t += 1
+            cols, vals = rows[i]
+            z = 0.0
+            for j, x in zip(cols, vals):
+                z += v[j] * x
+            yi = labels[i]
+            if t == 1 or yi * z < t - 1:
+                g = gain * yi
+                if t > start:
+                    gh = g * harmonic[t - 1 - start]
+                    for j, x in zip(cols, vals):
+                        v[j] += g * x
+                        late[j] += gh * x
+                else:
+                    for j, x in zip(cols, vals):
+                        v[j] += g * x
+    return v, late
+
+
+def _svm_binary_sums(X: SparseRows, y, gain, rng, epochs, start, harmonic) -> tuple[list, list]:
+    """:func:`train_svm`'s v and late sums when every stored value is 1.0,
+    bit for bit those of :func:`_svm_general_sums`.
+
+    A step tests z = (the row's sum of v) + v_d, and an update adds
+    g = C * N * y_i to v over the row's columns and the bias.  When every g is
+    an integer and steps * max|g| * (longest row + 1) < 2**53, every v and
+    every partial sum of a margin is an exact integer, so a margin is the
+    same number in any order of summation.  Epochs may then run on per-row
+    margins: s[q] holds row q's sum of v, a step reads s[i] alone, and an
+    update also adds g to s[q] for every row q in the posting list (column ->
+    rows) of each of its columns.
+
+    That pays while updates are rare, as they become near the optimum, and
+    not while they are common: early on, or under noisy labels.  So each
+    epoch counts the margins its updates touch, or would touch, against the
+    values the direct loop, which sums v over the row at every step, reads
+    in an epoch (nonzeros + N).  The first epoch runs direct; a later one
+    runs on margins when the one before it touched fewer, and finishes
+    direct once it has touched as many.  The bound takes each nonzero as
+    stored once, as in a matrix.
+    """
+    n, d = X.shape
+    rows = _row_lists(X.rows, X.cols, n)
+    labels = y.tolist()
+    gains = gain * y
+    exact = bool(np.all(np.trunc(gains) == gains)) and (
+        epochs * n * float(np.abs(gains).max()) * (max(map(len, rows)) + 1) < 2**53
+    )
+    reads = X.cols.size + n if exact else 0
+    postings = None  # per column: the rows that hold it, built on first use
+    # The margins an update of row i changes: its columns' document frequencies.
+    touches = _times(X, np.bincount(X.cols, minlength=d), True).astype(np.int64).tolist()
+    v = [0.0] * d
+    late = [0.0] * d  # per coordinate: sum of delta * H(t - 1) over changes
+    b = late_b = 0.0  # the bias coordinate's v and late
+    s = None  # per row: the sum of v over its columns, while it is kept
+    work = reads  # so that the first epoch runs direct
+    for epoch in range(epochs):
+        # t counts the steps before this one; the first step always updates.
+        todo = enumerate(rng.integers(0, n, n).tolist(), epoch * n)
+        on_margins = work < reads
+        work = 0
+        if on_margins:
+            if postings is None:
+                order = np.argsort(X.cols, kind="stable")
+                postings = _row_lists(X.cols[order], X.rows[order], d)
+            if s is None:
+                s = _times(X, np.array(v), True).tolist()
+            for t, i in todo:
                 yi = labels[i]
-                if t == 1 or yi * z < t - 1:
+                if yi * (s[i] + b) < t:  # t > 0: the first epoch runs direct
                     g = gain * yi
-                    if t > start:
-                        gh = g * harmonic[t - 1 - start]
-                        for j in row:
+                    b += g
+                    if t >= start:
+                        gh = g * harmonic[t - start]
+                        late_b += gh
+                        for j in rows[i]:
                             v[j] += g
                             late[j] += gh
+                            for q in postings[j]:
+                                s[q] += g
                     else:
-                        for j in row:
+                        for j in rows[i]:
                             v[j] += g
-    else:
-        # Each row as its nonzero columns and values, with the bias as column d.
-        rows = [(cols[a:b] + [d], vals[a:b] + [1.0]) for a, b in zip(ends, ends[1:])]
-        for _ in range(epochs):
-            for i in rng.integers(0, n, n).tolist():
-                t += 1
-                cols, vals = rows[i]
-                z = 0.0
-                for j, x in zip(cols, vals):
-                    z += v[j] * x
-                yi = labels[i]
-                if t == 1 or yi * z < t - 1:
-                    g = gain * yi
-                    if t > start:
-                        gh = g * harmonic[t - 1 - start]
-                        for j, x in zip(cols, vals):
-                            v[j] += g * x
-                            late[j] += gh * x
-                    else:
-                        for j, x in zip(cols, vals):
-                            v[j] += g * x
-    averaged = (np.array(v) * harmonic[-1] - np.array(late)) / (steps - start)
-    return SvmModel(weights=averaged[:d], bias=float(averaged[d]), C=C, epochs=epochs, seed=seed)
+                            for q in postings[j]:
+                                s[q] += g
+                    work += touches[i]
+                    if work >= reads:
+                        break
+        # The direct loop takes the epoch's steps that the margins left: all,
+        # some or none.
+        for t, i in todo:
+            row = rows[i]
+            z = 0.0
+            for j in row:
+                z += v[j]
+            yi = labels[i]
+            if yi * (z + b) < t or not t:
+                g = gain * yi
+                b += g
+                s = None
+                work += touches[i]
+                if t >= start:
+                    gh = g * harmonic[t - start]
+                    late_b += gh
+                    for j in row:
+                        v[j] += g
+                        late[j] += gh
+                else:
+                    for j in row:
+                        v[j] += g
+    return v + [b], late + [late_b]
 
 
 def svm_decision(m: SvmModel, x: np.ndarray) -> float:
@@ -604,8 +708,7 @@ def _checked(path, obj, names, section="") -> dict:
 def _field_value(path, section: str, key: str, value, n_terms: int):
     """``value`` of ``section.key`` in member file ``path``, checked, as the
     model takes it: ``epochs`` and ``seed`` ints, other scalars finite numbers
-    (not bools), vectors lists of them, one per term (NB's in (0, 1)).  A vector
-    is checked on its numpy array, not value by value, so a bool among numbers passes."""
+    (not bools), vectors lists of them, one per term (NB's in (0, 1))."""
     where = f"{path}: field '{section}.{key}'"
     if key not in _VECTOR_FIELDS:
         if key in ("epochs", "seed"):
@@ -617,11 +720,13 @@ def _field_value(path, section: str, key: str, value, n_terms: int):
         return value
     if not isinstance(value, list) or len(value) != n_terms:
         raise ModelFormatError(f"{where} must hold one value per vocabulary term ({n_terms})")
-    try:
-        array = np.asarray(value)
-    except ValueError:  # lists nested to uneven depths
-        array = np.empty(0, dtype=object)
-    if array.ndim != 1 or array.dtype.kind not in "iuf" or not np.isfinite(array).all():
+    # The types in one pass at C speed: a bool, which numpy would read as 0 or
+    # 1, fails here, and so do strings, nulls and nested lists.
+    if not {*map(type, value)} <= {int, float}:
+        raise ModelFormatError(f"{where} must hold finite numbers")
+    array = np.asarray(value)
+    # An int beyond the 64-bit range makes an object array.
+    if array.dtype.kind not in "iuf" or not np.isfinite(array).all():
         raise ModelFormatError(f"{where} must hold finite numbers")
     if key != "weights" and not ((array > 0) & (array < 1)).all():  # NB's conditionals
         raise ModelFormatError(f"{where} must hold probabilities strictly between 0 and 1")

@@ -116,6 +116,8 @@ def _resolve_config(args) -> dict:
         config[key] = file_config.get(key, default) if flag is None else flag
     if config["seed"] is not None and config["seed"] < 0:
         raise CliError(f"--seed must be >= 0, got {config['seed']}")
+    if config.get("per_series_cap", 1) < 1:
+        raise CliError(f"--per-series-cap must be >= 1, got {config['per_series_cap']}")
     return config
 
 

@@ -7,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import revclass.classify as classify
 from revclass.classify import (
     DEFAULT_BUDGETS,
     BinaryMember,
@@ -1075,3 +1076,105 @@ class TestSvmStepsMatchThePreviousLoop:
         X, y = _training_fixture("binary", 1)
         X[5, np.flatnonzero(X[5])[0]] = 2.0
         _assert_svm_matches_previous(X, y, 1.0, 4, 1)
+
+
+def _planted_rows(n, d, density, flip, seed):
+    """Random 0/1 rows labelled by a planted linear rule, with a share
+    ``flip`` of the labels flipped."""
+    rng = np.random.default_rng(seed)
+    X = (rng.random((n, d)) < density).astype(float)
+    score = X @ rng.normal(size=d)
+    y = np.where(score > np.median(score), 1.0, -1.0)
+    flipped = rng.random(n) < flip
+    y[flipped] = -y[flipped]
+    return X, y
+
+
+def _margin_builds(monkeypatch, X, y, C, epochs, seed):
+    """How often train_svm builds the per-row margins: every ``_times`` call
+    after the first, which counts the margins each row's update touches."""
+    calls = []
+    times = classify._times
+
+    def spy(*args):
+        calls.append(args)
+        return times(*args)
+
+    monkeypatch.setattr(classify, "_times", spy)
+    train_svm(X, y, C=C, epochs=epochs, seed=seed)
+    monkeypatch.undo()
+    return len(calls) - 1
+
+
+class TestSvmMarginsMatchThePreviousLoop:
+    """The 0/1 path against the loop it replaced, on inputs that run epochs on
+    per-row margins and on inputs that may not."""
+
+    def test_a_row_with_no_selected_term(self, monkeypatch):
+        X, y = _planted_rows(200, 400, 0.03, 0.0, 1)
+        X[[0, 7]] = 0.0
+        _assert_svm_matches_previous(X, y, 1.0, 20, 3)
+        assert _margin_builds(monkeypatch, X, y, 1.0, 20, 3) > 0
+
+    def test_a_column_in_every_row(self, monkeypatch):
+        # Its posting list holds every row, so each update changes every margin.
+        builds = 0
+        for c, (X, y) in enumerate(_split_members()):
+            dense = np.zeros((X.shape[0], X.shape[1] + 1))
+            dense[X.rows, X.cols] = 1.0
+            dense[:, -1] = 1.0
+            y = np.where(y > 0, 1.0, -1.0)
+            _assert_svm_matches_previous(dense, y, 1.0, 20, 42 + c)
+            builds += _margin_builds(monkeypatch, dense, y, 1.0, 20, 42 + c)
+        assert builds > 0
+
+    def test_duplicate_rows(self, monkeypatch):
+        X, y = _planted_rows(200, 400, 0.03, 0.0, 3)
+        X[100:], y[100:] = X[:100], y[:100]
+        _assert_svm_matches_previous(X, y, 1.0, 20, 5)
+        assert _margin_builds(monkeypatch, X, y, 1.0, 20, 5) > 0
+
+    def test_a_non_integer_gain_never_runs_on_margins(self, monkeypatch):
+        X, y = _planted_rows(210, 400, 0.03, 0.0, 4)
+        assert not (0.37 * 210).is_integer()
+        _assert_svm_matches_previous(X, y, 0.37, 20, 6)
+        assert _margin_builds(monkeypatch, X, y, 0.37, 20, 6) == 0
+
+    def test_a_gain_past_the_exact_range_never_runs_on_margins(self, monkeypatch):
+        X, y = _planted_rows(200, 400, 0.03, 0.0, 5)
+        assert 20 * 200 * 1e12 * 200 * 2 >= 2**53
+        _assert_svm_matches_previous(X, y, 1e12, 20, 7)
+        assert _margin_builds(monkeypatch, X, y, 1e12, 20, 7) == 0
+
+    def test_noisy_labels_move_epochs_between_the_loops(self, monkeypatch):
+        # Some epochs leave the margins for the direct loop part way and
+        # later epochs come back to them.
+        X, y = _planted_rows(200, 400, 0.03, 0.1, 3)
+        _assert_svm_matches_previous(X, y, 1.0, 30, 7)
+        assert _margin_builds(monkeypatch, X, y, 1.0, 30, 7) > 1
+
+    def test_a_4000_row_member(self, monkeypatch):
+        spec = SyntheticSpec.from_dict({**SyntheticSpec.ablation_default().to_dict(), "reviews_per_series": 2000})
+        corpus, _kbs = generate_synthetic(spec)
+        tokenized = tokenize_corpus(corpus)
+        (a, b), _test = derive_rotations(list(corpus.series_index))[0]
+        train = tokenized.subset(tokenized.series_indices((a, b)))
+        vc = VectorizedCorpus.from_tokens(train.docs, train.labels)
+        ranking = rank_classes(vc, DEFAULT_BUDGETS, "chi2")[2]
+        X = vc.select([vc.vocab.index[t] for t in ranking.terms()])
+        y = np.where(np.asarray(vc.labels) == 2, 1.0, -1.0)
+        assert X.shape[0] == 4000
+        _assert_svm_matches_previous(X, y, 1.0, 3, 44)
+        assert _margin_builds(monkeypatch, X, y, 1.0, 3, 44) > 0
+
+
+@pytest.mark.parametrize("method", ["lr", "svm"])
+def test_a_bool_among_numeric_weights_raises_naming_file_and_field(saved_models, tmp_path, method):
+    model_dir = tmp_path / "model"
+    shutil.copytree(saved_models / method, model_dir)
+    path = model_dir / "member_2.json"
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    doc["parameters"]["weights"][0] = True
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(ModelFormatError, match=f"^{re.escape(str(path))}: field 'parameters.weights' "):
+        load_ovr(model_dir)

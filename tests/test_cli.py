@@ -532,6 +532,7 @@ class TestBoundaryValidation:
             (_edit(lambda d: d["parameters"].update(log_prior_pos="-0.7")), "'parameters.log_prior_pos'"),
             (_edit(lambda d: d["parameters"].update(log_prior_neg=float("-inf"))), "'parameters.log_prior_neg'"),
             (_edit(lambda d: d["parameters"].update(smoothing=True)), "'parameters.smoothing'"),
+            (_edit(lambda d: d["parameters"]["cond_pos"].__setitem__(0, True)), "'parameters.cond_pos'"),
             (_edit(lambda d: d["vocabulary"].__setitem__(0, 7)), "'vocabulary'"),
             (_edit(lambda d: d["vocabulary"].__setitem__(0, d["vocabulary"][1])), "'vocabulary'"),
             (_edit(lambda d: d.update(vocabulary="".join(d["vocabulary"]))), "'vocabulary'"),
@@ -539,7 +540,7 @@ class TestBoundaryValidation:
         ids=[
             "truncated", "short_cond_pos", "missing_field", "other_method",
             "string_cond_pos", "null_cond_pos", "nested_cond_pos", "cond_pos_above_1", "cond_pos_0", "negative_cond_neg",
-            "nan_cond_neg", "string_log_prior", "infinite_log_prior", "bool_smoothing", "int_term", "repeated_term",
+            "nan_cond_neg", "string_log_prior", "infinite_log_prior", "bool_smoothing", "bool_cond_pos", "int_term", "repeated_term",
             "string_vocabulary",
         ],
     )
@@ -1137,3 +1138,18 @@ class TestRunner:
         assert run([command, *argv, "--out-dir", out, "--quiet"]) == 2
         assert capsys.readouterr().err == "error: --seed must be >= 0, got -1\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("cap", [0, -1])
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize("command", ["sweep", "cross-series"])
+    def test_series_cap_below_1_exits_2_naming_the_flag(self, pipeline, tmp_path, capsys, command, source, cap):
+        argv = _small_run(command, pipeline)
+        if source == "flag":
+            argv = [*argv, "--per-series-cap", str(cap)]
+        else:
+            argv = [*argv, "--config", _write_config(tmp_path, {"per_series_cap": cap})]
+        out = tmp_path / "out"
+        assert run([command, *argv, "--out-dir", out, "--quiet"]) == 2
+        assert capsys.readouterr().err == f"error: --per-series-cap must be >= 1, got {cap}\n"
+        assert not out.exists()
+
