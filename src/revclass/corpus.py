@@ -4,6 +4,7 @@ and the atomic file writers that every output of the package goes through."""
 from __future__ import annotations
 
 import enum
+import functools
 import json
 import json.scanner
 import os
@@ -318,11 +319,79 @@ def write_text_atomic(path, text: str) -> None:
 
 
 def write_csv(path, header, rows) -> None:
-    """Write ``rows`` under ``header`` as CSV, atomically: floats as ``:.6f``, the rest with ``str``."""
-    lines = [header, *([f"{v:.6f}" if isinstance(v, float) else str(v) for v in row] for row in rows)]
-    write_text_atomic(path, "".join([",".join(line) + "\n" for line in lines]))
+    """Write ``rows`` under ``header`` as CSV, atomically: floats as ``%.6f``, the rest with ``str``."""
+    formats: dict[tuple[type, ...], str] = {}  # one row format per sequence of value types
+    lines = [",".join(header) + "\n"]
+    for row in rows:
+        row = tuple(row)
+        types = tuple(map(type, row))
+        fmt = formats.get(types)
+        if fmt is None:
+            fmt = formats[types] = ",".join(["%.6f" if issubclass(t, float) else "%s" for t in types]) + "\n"
+        lines.append(fmt % row)
+    write_text_atomic(path, "".join(lines))
+
+
+# Scalar types that the C encoder writes as json's indenting (pure-Python) encoder does.
+_PLAIN_SCALARS = frozenset({str, int, float, bool, type(None)})
+
+
+@functools.cache
+def _c_encoder(depth: int):
+    """A C encoder that puts each member of a container of plain scalars on
+    its own line, indented ``depth`` levels of 2 spaces."""
+    e = _LINE_ENCODER
+    return c_make_encoder(None, e.default, encode_basestring, None, ": ", ",\n" + "  " * depth,
+                          True, False, True)
+
+
+def _indented_json(obj, depth: int, markers: set) -> str:
+    """``json.dumps(obj, ensure_ascii=False, sort_keys=True, indent=2)`` for
+    ``obj`` opened at indent ``depth``; raises TypeError (non-str keys, an
+    unknown type) or ValueError (a cycle) for what it leaves to json.dumps."""
+    if isinstance(obj, dict):
+        if {*map(type, obj)} - {str}:
+            raise TypeError("a key is not a str")
+        members, brackets = obj.values(), "{}"
+    elif isinstance(obj, (list, tuple)):
+        members, brackets = obj, "[]"
+    else:
+        return "".join(_c_encoder(0)(obj, 0))
+    if not members:
+        return brackets
+    indent = "\n" + "  " * (depth + 1)
+    if {*map(type, members)} <= _PLAIN_SCALARS:
+        inner = "".join(_c_encoder(depth + 1)(obj, 0))[1:-1]
+    else:
+        if id(obj) in markers:
+            raise ValueError("Circular reference detected")
+        markers.add(id(obj))
+        if brackets == "{}":
+            parts = [f"{encode_basestring(k)}: {_indented_json(v, depth + 1, markers)}" for k, v in sorted(obj.items())]
+        else:
+            parts = [_indented_json(v, depth + 1, markers) for v in obj]
+        markers.remove(id(obj))
+        inner = ("," + indent).join(parts)
+    return f"{brackets[0]}{indent}{inner}{indent[:-2]}{brackets[1]}"
 
 
 def write_json_atomic(path, obj) -> None:
-    """Write ``obj`` atomically as indented, key-sorted JSON plus a newline."""
-    write_text_atomic(path, json.dumps(obj, ensure_ascii=False, sort_keys=True, indent=2) + "\n")
+    """Write ``obj`` atomically as ``json.dumps(obj, ensure_ascii=False,
+    sort_keys=True, indent=2)`` plus a newline.
+
+    json writes an indent with its pure-Python encoder, so the dicts and lists
+    are walked here instead, and each container whose members are all plain
+    scalars (dict keys all ``str``) is one call of a C encoder whose item
+    separator carries the newline and indent.  Anything else (non-str keys,
+    an unknown type, a cycle, no C encoder) is left to json.dumps, which
+    writes the same bytes or raises its own error.
+    """
+    text = None
+    if c_make_encoder is not None:
+        try:
+            text = _indented_json(obj, 0, set())
+        except (TypeError, ValueError):
+            pass
+    if text is None:
+        text = json.dumps(obj, ensure_ascii=False, sort_keys=True, indent=2)
+    write_text_atomic(path, text + "\n")

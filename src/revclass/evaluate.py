@@ -345,6 +345,8 @@ class ExperimentConfig:
             raise ValueError("feature sizes must be positive and strictly ascending")
         if self.surrogate_mode not in (SURROGATE_ON, SURROGATE_OFF):
             raise ValueError("surrogate_mode must be 'on' or 'off'")
+        if self.per_series_cap is not None and self.per_series_cap < 1:
+            raise ValueError(f"per_series_cap must be >= 1 or None, got {self.per_series_cap}")
         explicit = ((self.rotation,) if self.rotation else ()) + (self.rotations or ())
         for rot in explicit:
             (a, b), t = rot

@@ -283,11 +283,7 @@ class Vocabulary:
     @classmethod
     def from_documents(cls, docs: Iterable[Sequence[str]]) -> "Vocabulary":
         """Collect terms in first-occurrence order across documents."""
-        seen: dict[str, None] = {}
-        for doc in docs:
-            for token in doc:
-                seen.setdefault(token)
-        return cls(terms=tuple(seen))
+        return cls(terms=tuple(dict.fromkeys(itertools.chain.from_iterable(docs))))
 
 
 def vectorize(tokens: Sequence[str], vocab: Vocabulary) -> np.ndarray:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from itertools import chain
 from typing import Optional, Sequence
 
 import numpy as np
@@ -82,8 +83,8 @@ class LdaModel:
             "beta": self.config.beta,
             "seed": self.config.seed,
             "vocab": list(self.vocab.terms),
-            "topic_word": [[float(v) for v in row] for row in self.topic_word],
-            "doc_topic": [[float(v) for v in row] for row in self.doc_topic],
+            "topic_word": self.topic_word.tolist(),
+            "doc_topic": self.doc_topic.tolist(),
         }
 
     def save(self, path) -> None:
@@ -161,13 +162,10 @@ def fit_lda(
     K = cfg.K
     V = len(vocab)
     D = len(docs)
-    doc_of = np.concatenate(
-        [np.full(len(doc), i, dtype=np.int64) for i, doc in enumerate(docs)]
-    )
-    word_of = np.fromiter(
-        (vocab.index[t] for doc in docs for t in doc), dtype=np.int64, count=len(doc_of)
-    )
+    lengths = [len(doc) for doc in docs]
+    doc_of = np.repeat(np.arange(D, dtype=np.int64), lengths)
     n_tokens = len(doc_of)
+    word_of = np.fromiter(map(vocab.index.__getitem__, chain.from_iterable(docs)), dtype=np.int64, count=n_tokens)
 
     rng = np.random.default_rng(cfg.seed)
     z = rng.integers(0, K, n_tokens).astype(np.int64)
@@ -201,7 +199,7 @@ def fit_lda(
     topic_word = (n_kw + cfg.beta) / (n_k[:, None] + V * cfg.beta)
     doc_len = n_dk.sum(axis=1, keepdims=True)
     doc_topic = (n_dk + cfg.alpha) / (doc_len + K * cfg.alpha)
-    bounds = np.cumsum([0] + [len(d) for d in docs])
+    bounds = np.cumsum([0, *lengths])
     assignments = tuple(z[bounds[i] : bounds[i + 1]].copy() for i in range(D))
     return LdaModel(
         config=cfg,

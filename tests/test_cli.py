@@ -1060,6 +1060,38 @@ _GOLDEN_TABLE_DIGESTS = {
     "lda/top_words.txt": "f617e6aa1946d1923efb8120c4418bed6fec8bf1ba35611548eefaf50cbd19e0",
 }
 
+# SHA-256 of the JSON model, ranking and LDA outputs of the module's pipeline,
+# as json.dumps(..., indent=2) wrote them.
+_GOLDEN_JSON_DIGESTS = {
+    "lda/lda_model.json": "f6e55cd014418ce21d6fb3c0be852e2d7388fcce9a824a366124f1a0765d008a",
+    "lr/model/member_0.json": "1af27ad817f19815a5adedbc7e2800063bc27b2d285d22f39372de2e285c38da",
+    "lr/model/member_1.json": "9681c4dd0b50d75c4be3af293d71f8ecac78b8bf057e6ff7632b23407d4e6b95",
+    "lr/model/member_2.json": "9211ec8e56b4dca5e14abca4e67f280338e6924bc3a8afb7aeff1a504bbde283",
+    "lr/model/member_3.json": "b6c5f4f44b671a1c1b06ff6e6a8da840143fd9c22ee895a29e6481793eb90475",
+    "lr/model/member_4.json": "9b017bfb5a4cee8d588da553f7e6353a925885e0d213b84d9c88fb34e1fdaf11",
+    "lr/model/member_5.json": "9dc4b724b3461b288db5ac38d36196c247607e32e6d5a0cdeb5853cf448c45a2",
+    "lr/model/member_6.json": "dc014a38bd58a2524735b7a4cd5823d952f57a254da6712728cccc02e79b8cd7",
+    "lr/model/member_7.json": "05873ad0cb2b2d69778e5a8eb3d36d3a7ff9f919c04a2451e99bc24127fb630a",
+    "lr/model/model_manifest.json": "814591fdb622f5d9a8bbb0f49057fb65112207e4cd2f4c97bd03d341c71fe92b",
+    "nb/model/member_0.json": "f7a1ea7ff172e5e12dc2d7dbf84310c6872d8aa2e0d4735ba32fc5f4fd342e2a",
+    "nb/model/member_1.json": "86c669c72308a4a12e50411730fa92c6a5a5f56cb7c269a82e7a893ff5968078",
+    "nb/model/member_2.json": "abc09214e27cc6235f982def5196afada50b1ea20632eb6da90bf8e4bc33e5f2",
+    "nb/model/member_3.json": "563a545ac507385566f3a5e59193856630e5845b3a417d0ec4efcc8a62c7aab2",
+    "nb/model/member_4.json": "f8da955f50ce436a6a3180067906748f49f74fc55b1d0f87cb80af64e83ec26c",
+    "nb/model/member_5.json": "87b6826a258e03c58f886489b252d145640e0d7fd809fad67de898c99addd584",
+    "nb/model/member_6.json": "b05b1c7117c337327d1617736db984b6601f4d13575dc0b623bb793f9ea34a42",
+    "nb/model/member_7.json": "15dd9236ee76eea323b41f7e586089b2a4035bf174e70b0e95a4f5ff8a804f5d",
+    "nb/model/model_manifest.json": "fa771b1835d62ae523bb1b21136ce250d19303ba39338156da30d2ef54828cb9",
+    "nb/rankings/class_0.json": "881d2084a036a9d881d4a602974aa84467394d40f3e3f413473f8bfbef782714",
+    "nb/rankings/class_1.json": "facfe29409e9d6d99b79d304c2def2cd574beca4ef4e66e73ab499a3df9c5a8b",
+    "nb/rankings/class_2.json": "05eb1d6c86f2f5e3c7a8e943a63d50eeaf498e509f7694c02b88bb9c2305881d",
+    "nb/rankings/class_3.json": "2eb703325e945a97fe435ce0ab2e1eab7af9034cbf5cb24fdafc565b22c158b2",
+    "nb/rankings/class_4.json": "4093b12ffa3f77d8c85ec15e31dea3f390058265a7c1be977c9849726953f703",
+    "nb/rankings/class_5.json": "3277d5f12e6a154744d2918791a2f7dd9615778650adde9c6693a650c61d3b2c",
+    "nb/rankings/class_6.json": "3b296cbd9e864fc88f992a4a7bb6cb4f03c63a20d771faf6208488b8f67a0ab1",
+    "nb/rankings/class_7.json": "bc4c5df701b7e87282d3381b758890c16b1f25fa60b01e55fdd45b780500ec22",
+}
+
 
 class TestGoldenBytes:
     def test_ingest_and_preprocess_outputs_keep_their_bytes(self, tmp_path):
@@ -1100,6 +1132,21 @@ class TestGoldenBytes:
         ]
         digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in outputs}
         assert digests == _GOLDEN_TABLE_DIGESTS
+
+    def test_json_outputs_keep_their_bytes(self, pipeline, tmp_path):
+        tokens = pipeline["tokens"] / "tokens.jsonl"
+        lr = ["train", "--tokens", tokens, "--method", "lr", "--sizes", 10, "--lr-epochs", 20]
+        assert run([*lr, "--out-dir", tmp_path / "lr", "--quiet"]) == 0
+        assert run(["lda", *_small_run("lda", pipeline), "--out-dir", tmp_path / "lda", "--quiet"]) == 0
+        model_files = [f"member_{c}.json" for c in range(8)] + ["model_manifest.json"]
+        outputs = {
+            **{f"nb/model/{name}": pipeline["train"] / "model" / name for name in model_files},
+            **{f"nb/rankings/class_{c}.json": pipeline["train"] / "rankings" / f"class_{c}.json" for c in range(8)},
+            **{f"lr/model/{name}": tmp_path / "lr" / "model" / name for name in model_files},
+            "lda/lda_model.json": tmp_path / "lda" / "lda_model.json",
+        }
+        digests = {name: hashlib.sha256(path.read_bytes()).hexdigest() for name, path in outputs.items()}
+        assert digests == _GOLDEN_JSON_DIGESTS
 
 
 # The summary line each command prints before the manifest line.

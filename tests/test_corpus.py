@@ -2,7 +2,9 @@ import dataclasses
 import json
 import math
 import pickle
+import random
 
+import numpy as np
 import pytest
 
 import revclass.corpus
@@ -17,6 +19,8 @@ from revclass.corpus import (
     read_json_lines,
     split_by_series,
     write_corpus,
+    write_csv,
+    write_json_atomic,
 )
 from revclass.preprocess import TokenizedCorpus
 from conftest import review_record, write_jsonl
@@ -475,3 +479,111 @@ def test_whitespace_only_lines_are_skipped_as_strip_skipped_them(tmp_path, blank
 def test_isspace_and_strip_agree_on_every_character():
     chars = list(map(chr, range(0x110000)))
     assert [c for c in chars if c.isspace()] == [c for c in chars if not c.strip()]
+
+
+def _indented_bytes(obj) -> bytes:
+    return (json.dumps(obj, ensure_ascii=False, sort_keys=True, indent=2) + "\n").encode("utf-8")
+
+
+_DOCUMENTS = [
+    *_RECORDS,
+    [],
+    [[], {}, [[]], [{}], {"a": []}, {"b": {"c": {}}}],
+    {"scalars": [Category.ROLE, np.float64(0.25), np.float64("nan"), 3, "x", None, True], "cat": Category.NOISE},
+    {"mixed": [1, "a", [2, {"b": (3, 4.5)}], {}, None, (), (1,), [[]]], "tuple": ("甄", -0.0, 5e-324)},
+    {"K": 2, "vocab": ["a", "b"], "topic_word": [[0.1, 0.2], [0.3, math.inf]], "doc_topic": [[0.5, 0.5]]},
+    {"class": 1, "k": 2, "terms": [{"term": "甄\n\"q\"", "score": 0.5}, {"term": "\x00\x1f", "score": -math.inf}]},
+    {"z": {"y": {"x": [1, {"w": [None, math.nan, 10**40, -(2**70)]}]}}},
+    "top-level \u2028 string",
+    -7,
+    1e300,
+    None,
+    (1, [2, (3,)]),
+    # keys json.dumps turns into strings: the writer leaves these to it
+    {1: "a", 10: [3], 2: {"k": 1}},
+    {"a": {0: 1, -1: [2]}},
+    {True: 1, False: [None]},
+    {2.5: [1], 1.5: {}},
+]
+
+
+@pytest.mark.parametrize("c_encoder", [True, False], ids=["c_encoder", "without_c_encoder"])
+def test_write_json_atomic_gives_json_dumps_indent_bytes(tmp_path, monkeypatch, c_encoder):
+    if not c_encoder:
+        monkeypatch.setattr(revclass.corpus, "c_make_encoder", None)
+    for i, document in enumerate(_DOCUMENTS):
+        path = tmp_path / f"{i}.json"
+        write_json_atomic(path, document)
+        assert path.read_bytes() == _indented_bytes(document), document
+
+
+def _random_document(rng, depth=0):
+    scalars = (
+        lambda: rng.random(), lambda: -0.0, lambda: math.nan, lambda: -math.inf, lambda: 5e-324,
+        lambda: rng.randint(-(10**30), 10**30), lambda: np.float64(rng.random()), lambda: Category(rng.randrange(8)),
+        lambda: rng.choice([True, False, None]), lambda: "".join(rng.choices("aé\n\t\"\\\x00\x1f😀甄/ ", k=rng.randint(0, 5))),
+    )
+    kind = rng.random()
+    if depth > 3 or kind < 0.3:
+        return rng.choice(scalars)()
+    n = rng.randint(0, 4)
+    if kind < 0.55:
+        return [_random_document(rng, depth + 1) for _ in range(n)]
+    if kind < 0.65:
+        return tuple(_random_document(rng, depth + 1) for _ in range(n))
+    if kind < 0.8:
+        return [rng.choice(scalars)() for _ in range(n)]
+    return {rng.choice("aZé甄_") * rng.randint(1, 2) + str(i): _random_document(rng, depth + 1) for i in range(n)}
+
+
+def test_write_json_atomic_gives_json_dumps_indent_bytes_on_random_documents(tmp_path):
+    rng = random.Random(14)
+    path = tmp_path / "doc.json"
+    for _ in range(500):
+        document = _random_document(rng)
+        write_json_atomic(path, document)
+        assert path.read_bytes() == _indented_bytes(document), document
+
+
+def test_write_json_atomic_encodes_str_keyed_documents_without_json_dumps(tmp_path, monkeypatch):
+    documents = _DOCUMENTS[:-4]
+    expected = [_indented_bytes(d) for d in documents]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("json.dumps called")
+
+    monkeypatch.setattr(revclass.corpus.json, "dumps", refuse)
+    for i, (document, want) in enumerate(zip(documents, expected)):
+        write_json_atomic(tmp_path / f"{i}.json", document)
+        assert (tmp_path / f"{i}.json").read_bytes() == want
+
+
+def test_write_json_atomic_fails_as_json_dumps_fails(tmp_path):
+    cyclic: dict = {"a": [1.0, {}]}
+    cyclic["a"][1]["self"] = cyclic
+    looped: list = [[0.5]]
+    looped[0].append(looped)
+    for bad in (cyclic, looped, {"s": {1, 2}}, [1, [object()]], {"k": 1, 2: "mixed keys"}, {"f": [np.int64(1)]}):
+        with pytest.raises((ValueError, TypeError)) as want:
+            json.dumps(bad, ensure_ascii=False, sort_keys=True, indent=2)
+        with pytest.raises(want.type) as got:
+            write_json_atomic(tmp_path / "bad.json", bad)
+        assert str(got.value) == str(want.value)
+        assert list(tmp_path.iterdir()) == []
+    # one list twice is no cycle
+    shared = [1]
+    write_json_atomic(tmp_path / "shared.json", {"a": shared, "b": [shared]})
+    assert (tmp_path / "shared.json").read_bytes() == _indented_bytes({"a": shared, "b": [shared]})
+
+
+def test_write_csv_writes_floats_to_6_decimals_and_the_rest_with_str(tmp_path):
+    rows = [
+        ("a", 0.1234565, 2, Category.ROLE, True),
+        ["b", np.float64(-0.0), np.int64(3), None, math.nan],
+        ("c", math.inf, 1e20, "x,%s%%", 7),
+        (),
+        ("a", 1.0, 5, Category.PLOT, False),
+    ]
+    write_csv(tmp_path / "t.csv", ("name", "v", "w", "x", "y"), rows)
+    hand = [",".join(f"{v:.6f}" if isinstance(v, float) else str(v) for v in row) for row in rows]
+    assert (tmp_path / "t.csv").read_text(encoding="utf-8") == "\n".join(["name,v,w,x,y", *hand]) + "\n"

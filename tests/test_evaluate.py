@@ -427,6 +427,13 @@ class TestPerSeriesCap:
         assert _apply_series_cap(corpus, None) is corpus
         assert ExperimentConfig().per_series_cap == 5000
 
+    @pytest.mark.parametrize("cap", [0, -1])
+    @pytest.mark.parametrize("experiment", [feature_size_sweep, cross_series_experiment], ids=["sweep", "cross-series"])
+    def test_cap_below_1_is_named_before_the_experiment_runs(self, experiment, cap):
+        corpus, kbs = generate_synthetic(_small_spec(reviews_per_series=24))
+        with pytest.raises(ValueError, match=rf"^per_series_cap must be >= 1 or None, got {cap}$"):
+            experiment(corpus, kbs=kbs, config=ExperimentConfig(methods=("nb",), per_series_cap=cap))
+
 
 class TestCsvWriters:
     def test_sweep_rows_sorted(self, tmp_path):
