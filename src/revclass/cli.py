@@ -9,9 +9,11 @@ from __future__ import annotations
 
 import argparse
 import datetime
+import functools
 import glob
 import hashlib
 import json
+import math
 import os
 import sys
 
@@ -86,15 +88,17 @@ def _sha256(path) -> str:
 
 def _accepts(action: argparse.Action, default, value) -> bool:
     """Whether a setting's flag would take ``value`` from a config file: one of
-    its choices, an integer (not a bool) for an int flag, any number for a
-    float flag, a string or a list for an untyped one, and null only where
-    the default is None."""
+    its choices, an integer (not a bool) for an int flag, any finite number
+    for a float flag, a string or a list for an untyped one, and null only
+    where the default is None."""
     if value is None:
         return default is None
     if action.choices:
         return value in action.choices
     if action.type in (int, float):
-        return isinstance(value, (int, action.type)) and not isinstance(value, bool)
+        number = isinstance(value, (int, action.type)) and not isinstance(value, bool)
+        # NaN, the infinities and ints beyond float range all fail the bound.
+        return number and (action.type is int or abs(value) <= sys.float_info.max)
     return isinstance(value, (str, list))
 
 
@@ -113,6 +117,8 @@ def _resolve_config(args) -> dict:
             value = json.dumps(file_config[key])
             raise CliError(f"config file {args.config}: key {key!r}: {value} is not a valid {action.option_strings[0]} value")
         flag = getattr(args, key)
+        if action.type is float and flag is not None and not math.isfinite(flag):
+            raise CliError(f"{action.option_strings[0]} must be a finite number, got {flag}")
         config[key] = file_config.get(key, default) if flag is None else flag
     if config["seed"] is not None and config["seed"] < 0:
         raise CliError(f"--seed must be >= 0, got {config['seed']}")
@@ -383,10 +389,11 @@ def cmd_synth(args, config):
 # ---------------------------------------------------------------------------
 
 
-def _command(sub, name: str, func, summary: str, seed=42) -> argparse.ArgumentParser:
-    """Subcommand ``name`` run by ``func``, with the flags every command has."""
+def _command(sub, name: str, summary: str, seed=42) -> argparse.ArgumentParser:
+    """Subcommand ``name``, with the flags every command has; :func:`main`
+    runs it through the module attribute ``cmd_<name>``."""
     parser = sub.add_parser(name, help=summary)
-    parser.set_defaults(func=func, settings={})
+    parser.set_defaults(settings={})
     _setting(parser, "seed", seed, type=int, help="RNG seed (default 42; synth: the spec's)")
     parser.add_argument("--config", default=None, help="JSON config file; flags take precedence")
     parser.add_argument("--out-dir", required=True, help="output directory")
@@ -432,14 +439,14 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"revclass {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = _command(sub, "ingest", cmd_ingest, "validate a corpus and apply the annotator-agreement filter")
+    p = _command(sub, "ingest", "validate a corpus and apply the annotator-agreement filter")
     p.add_argument("--corpus", required=True)
 
-    p = _command(sub, "preprocess", cmd_preprocess, "substitute surrogate tags, tokenize, remove stop words")
+    p = _command(sub, "preprocess", "substitute surrogate tags, tokenize, remove stop words")
     _add_text_inputs(p)
     _setting(p, "surrogates", SURROGATE_OFF, choices=(SURROGATE_ON, SURROGATE_OFF))
 
-    p = _command(sub, "lda", cmd_lda, "fit a collapsed-Gibbs topic model and export heat-map data")
+    p = _command(sub, "lda", "fit a collapsed-Gibbs topic model and export heat-map data")
     p.add_argument("--tokens", required=True)
     _setting(p, "topics", 8, type=int)
     _setting(p, "alpha", None, type=float, help="document-topic prior (default 50/topics)")
@@ -447,18 +454,18 @@ def build_parser() -> argparse.ArgumentParser:
     _setting(p, "iterations", 1000, type=int)
     _setting(p, "top_words", 15, type=int)
 
-    p = _command(sub, "train", cmd_train, "train the eight one-vs-rest members")
+    p = _command(sub, "train", "train the eight one-vs-rest members")
     p.add_argument("--tokens", required=True)
     _setting(p, "method", SVM, choices=CLASSIFIERS)
     _setting(p, "selector", CHI2, choices=METHODS)
     _setting(p, "sizes", _BUDGETS, help="per-class feature budgets (1 or 8 comma-separated)")
     _add_hyper_flags(p)
 
-    p = _command(sub, "evaluate", cmd_evaluate, "score a trained model on a labeled tokenized corpus")
+    p = _command(sub, "evaluate", "score a trained model on a labeled tokenized corpus")
     p.add_argument("--model", required=True, help="model directory written by 'train'")
     p.add_argument("--tokens", required=True)
 
-    p = _command(sub, "sweep", cmd_sweep, "accuracy vs feature size grid")
+    p = _command(sub, "sweep", "accuracy vs feature size grid")
     _add_text_inputs(p)
     _setting(p, "surrogates", SURROGATE_OFF, choices=(SURROGATE_ON, SURROGATE_OFF))
     _setting(p, "sizes", "250,500,1000,2000,4000", help="comma-separated feature sizes")
@@ -466,28 +473,36 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rotation", default=None, help="train pair and test series, 'a,b:c'")
     _add_experiment_settings(p)
 
-    p = _command(sub, "cross-series", cmd_cross_series, "train-two/test-one rotations, surrogates on vs off")
+    p = _command(sub, "cross-series", "train-two/test-one rotations, surrogates on vs off")
     _add_text_inputs(p, kb_required=True)
     _setting(p, "methods", ",".join(CLASSIFIERS), help="comma-separated classifiers to average over")
     _setting(p, "budgets", _BUDGETS, help="per-class feature budgets (1 or 8 values)")
     p.add_argument("--rotations", default=None, help="semicolon-separated rotations 'a,b:c;...'")
     _add_experiment_settings(p)
 
-    p = _command(sub, "synth", cmd_synth, "generate a seeded synthetic corpus with knowledge bases", seed=None)
+    p = _command(sub, "synth", "generate a seeded synthetic corpus with knowledge bases", seed=None)
     p.add_argument("--spec", default=None, help="synthetic-spec JSON file")
     _setting(p, "preset", "ablation", choices=tuple(_PRESETS))
 
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser :func:`main` reuses: building it takes longer than parsing."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
     """Run one command: resolve its settings, run it, print its summary, write
     its run manifest.  A CliError, a ValueError (every input-format error is
     one) or an OSError exits 2; any other failure exits 1."""
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
+    # The command is looked up when it runs, so a patched cmd_<name> is the one called.
+    command = globals()["cmd_" + args.command.replace("-", "_")]
     try:
         config = _resolve_config(args)
-        inputs, outputs, summary = args.func(args, config)
+        inputs, outputs, summary = command(args, config)
         _say(args, summary)
         _write_manifest(args, config, inputs, outputs)
     except (CliError, ValueError, OSError) as exc:

@@ -7,6 +7,7 @@ by the seed and document order.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from itertools import chain
@@ -49,8 +50,8 @@ class LdaConfig:
             raise ValueError("K must be >= 1")
         if self.alpha is None:
             object.__setattr__(self, "alpha", 50.0 / self.K)
-        if self.alpha <= 0 or self.beta <= 0:
-            raise ValueError("alpha and beta must be > 0")
+        if not (0 < self.alpha < math.inf and 0 < self.beta < math.inf):
+            raise ValueError(f"alpha and beta must be finite and > 0, got alpha={self.alpha}, beta={self.beta}")
         if self.iterations < 1:
             raise ValueError("iterations must be >= 1")
 
@@ -124,11 +125,91 @@ def _gibbs_sweep(z, doc_of, word_of, n_dk, n_kw, n_k, alpha, beta, u, p):
         n_k[new_k] += 1
 
 
+class _ListGibbs:
+    """Collapsed-Gibbs state for the plain interpreter, over nested lists.
+
+    Topic-word counts are word-major (``n_wk[w][t]``), so a token reads one
+    row of each table.  Beside each count is its factor in the sampling
+    weight: ``a_dk[d][t] == n_dk[d][t] + alpha``, ``b_wk[w][t] ==
+    n_wk[w][t] + beta`` and ``f_k[t] == n_k[t] + V*beta``.  A factor is
+    looked up by its updated count in a table of prior sums (``sums[c] == c
+    + prior``), never stepped by 1.0, whose rounding differs
+    (``(4 + 0.1) - 1.0 != 3 + 0.1``).  So :meth:`sweep` computes the
+    weights, partial sums and draws of :func:`_gibbs_sweep` exactly.
+    """
+
+    def __init__(self, n_dk, n_kw, n_k, alpha: float, beta: float):
+        # The largest value each count can reach: a document's length, a
+        # word's frequency, the number of tokens.
+        tops = (n_dk.sum(axis=1).max(), n_kw.sum(axis=0).max(), n_k.sum())
+        priors = (alpha, beta, n_kw.shape[1] * beta)
+        self.sums = [(np.arange(top + 1) + prior).tolist() for top, prior in zip(tops, priors)]
+        a_of, b_of, f_of = self.sums
+        self.n_dk, self.n_wk, self.n_k = n_dk.tolist(), n_kw.T.tolist(), n_k.tolist()
+        self.a_dk = [list(map(a_of.__getitem__, row)) for row in self.n_dk]
+        self.b_wk = [list(map(b_of.__getitem__, row)) for row in self.n_wk]
+        self.f_k = list(map(f_of.__getitem__, self.n_k))
+
+    def sweep(self, z, doc_of, word_of, u) -> None:
+        """One sweep over all tokens, as ``_gibbs_sweep`` over the same lists."""
+        n_dk, n_wk, n_k, a_dk, b_wk, f_k = self.n_dk, self.n_wk, self.n_k, self.a_dk, self.b_wk, self.f_k
+        a_of, b_of, f_of = self.sums
+        K = len(n_k)
+        topics = range(K)
+        p = [0.0] * K
+        for i in range(len(z)):
+            k = z[i]
+            nd = n_dk[doc_of[i]]
+            ad = a_dk[doc_of[i]]
+            nw = n_wk[word_of[i]]
+            bw = b_wk[word_of[i]]
+            c = nd[k] - 1
+            nd[k] = c
+            ad[k] = a_of[c]
+            c = nw[k] - 1
+            nw[k] = c
+            bw[k] = b_of[c]
+            c = n_k[k] - 1
+            n_k[k] = c
+            f_k[k] = f_of[c]
+            # p[t] holds the running total, the reference's partial sum acc.
+            total = 0.0
+            for t in topics:
+                total += bw[t] * ad[t] / f_k[t]
+                p[t] = total
+            r = u[i] * total
+            k = K - 1
+            for t in topics:
+                if r < p[t]:
+                    k = t
+                    break
+            z[i] = k
+            c = nd[k] + 1
+            nd[k] = c
+            ad[k] = a_of[c]
+            c = nw[k] + 1
+            nw[k] = c
+            bw[k] = b_of[c]
+            c = n_k[k] + 1
+            n_k[k] = c
+            f_k[k] = f_of[c]
+
+    def counts(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(n_dk, n_kw, n_k)`` as int64 arrays, ``n_kw`` topic-major."""
+        n_kw = np.ascontiguousarray(np.array(self.n_wk, dtype=np.int64).T)
+        return np.array(self.n_dk, dtype=np.int64), n_kw, np.array(self.n_k, dtype=np.int64)
+
+
 def _table_sum(table) -> int:
     """Sum of a 2-D count table held as an array or as nested lists."""
     if isinstance(table, np.ndarray):
         return int(table.sum())
     return sum(map(sum, table))
+
+
+def _conserved(n_tokens: int, n_k, n_kw, n_dk) -> bool:
+    """Whether each count table, as arrays or as lists, sums to ``n_tokens``."""
+    return sum(n_k) == n_tokens and _table_sum(n_kw) == n_tokens and _table_sum(n_dk) == n_tokens
 
 
 def fit_lda(
@@ -176,25 +257,23 @@ def fit_lda(
     np.add.at(n_kw, (z, word_of), 1)
     np.add.at(n_k, z, 1)
 
-    # numba compiles the kernel over the arrays.  The interpreter runs the
-    # same source about ten times faster over lists than over numpy scalars,
-    # so without numba the state is held as lists until the last sweep.
-    if not _HAVE_NUMBA:
-        z, doc_of, word_of, n_dk, n_kw, n_k = (
-            a.tolist() for a in (z, doc_of, word_of, n_dk, n_kw, n_k)
-        )
-    p = np.zeros(K) if _HAVE_NUMBA else [0.0] * K
-    for _ in range(cfg.iterations):
-        u = rng.random(n_tokens)
-        if not _HAVE_NUMBA:
-            u = u.tolist()
-        _gibbs_sweep(z, doc_of, word_of, n_dk, n_kw, n_k, cfg.alpha, cfg.beta, u, p)
-        if check_counts and not (
-            sum(n_k) == n_tokens and _table_sum(n_kw) == n_tokens and _table_sum(n_dk) == n_tokens
-        ):
-            raise AssertionError("count conservation violated during sampling")
-    if not _HAVE_NUMBA:
-        z, n_dk, n_kw, n_k = (np.array(a, dtype=np.int64) for a in (z, n_dk, n_kw, n_k))
+    # numba compiles _gibbs_sweep over the arrays.  The interpreter runs
+    # _ListGibbs.sweep over lists, which draws the same topics.
+    if _HAVE_NUMBA:
+        p = np.zeros(K)
+        for _ in range(cfg.iterations):
+            _gibbs_sweep(z, doc_of, word_of, n_dk, n_kw, n_k, cfg.alpha, cfg.beta, rng.random(n_tokens), p)
+            if check_counts and not _conserved(n_tokens, n_k, n_kw, n_dk):
+                raise AssertionError("count conservation violated during sampling")
+    else:
+        state = _ListGibbs(n_dk, n_kw, n_k, cfg.alpha, cfg.beta)
+        z, doc_of, word_of = z.tolist(), doc_of.tolist(), word_of.tolist()
+        for _ in range(cfg.iterations):
+            state.sweep(z, doc_of, word_of, rng.random(n_tokens).tolist())
+            if check_counts and not _conserved(n_tokens, state.n_k, state.n_wk, state.n_dk):
+                raise AssertionError("count conservation violated during sampling")
+        z = np.array(z, dtype=np.int64)
+        n_dk, n_kw, n_k = state.counts()
 
     topic_word = (n_kw + cfg.beta) / (n_k[:, None] + V * cfg.beta)
     doc_len = n_dk.sum(axis=1, keepdims=True)

@@ -1200,3 +1200,75 @@ class TestRunner:
         assert capsys.readouterr().err == f"error: --per-series-cap must be >= 1, got {cap}\n"
         assert not out.exists()
 
+
+
+class TestParserBuiltOnce:
+    def test_main_reuses_one_parser(self):
+        assert cli._parser() is cli._parser()
+
+    @pytest.mark.parametrize("command", ["preprocess", "lda", "train", "evaluate"])
+    def test_two_runs_in_one_process_write_the_same_bytes(self, pipeline, tmp_path, command):
+        outs = [tmp_path / "a", tmp_path / "b"]
+        for out in outs:
+            assert run([command, *_small_run(command, pipeline), "--out-dir", out, "--quiet"]) == 0
+        names = sorted(p.relative_to(outs[0]) for p in outs[0].rglob("*") if p.is_file())
+        assert names == sorted(p.relative_to(outs[1]) for p in outs[1].rglob("*") if p.is_file())
+        for name in names:
+            a, b = (out / name for out in outs)
+            if name.name == "run_manifest.json":
+                manifests = [json.loads(p.read_text(encoding="utf-8")) for p in (a, b)]
+                for manifest in manifests:
+                    manifest.pop("created_at")
+                assert manifests[0] == manifests[1]
+            else:
+                assert a.read_bytes() == b.read_bytes(), name
+
+    def test_a_command_patched_after_a_run_is_the_one_called(self, pipeline, tmp_path, monkeypatch):
+        argv = ["lda", *_small_run("lda", pipeline), "--quiet"]
+        assert run([*argv, "--out-dir", tmp_path / "a"]) == 0
+        calls = []
+
+        def patched(args, config):
+            calls.append(args.out_dir)
+            return [], [], "patched"
+
+        monkeypatch.setattr(cli, "cmd_lda", patched)
+        out = tmp_path / "b"
+        assert run([*argv, "--out-dir", out]) == 0
+        assert calls == [str(out)]
+        assert not (out / "lda_model.json").exists() and _read_manifest(out)["outputs"] == []
+
+
+_FLOAT_SETTINGS = [
+    ("lda", "alpha"),
+    ("lda", "beta"),
+    ("train", "nb_smoothing"),
+    ("train", "lr_eta"),
+    ("train", "lr_lambda"),
+    ("train", "svm_c"),
+    ("sweep", "svm_c"),
+    ("cross-series", "lr_eta"),
+]
+
+
+class TestNonFiniteFloatSettings:
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e400"])
+    @pytest.mark.parametrize("command, key", _FLOAT_SETTINGS)
+    def test_flag_exits_2_naming_the_flag(self, pipeline, tmp_path, capsys, command, key, value):
+        flag = "--" + key.replace("_", "-")
+        out = tmp_path / "out"
+        # "--flag=-inf": argparse reads a separate "-inf" as an option
+        assert run([command, *_small_run(command, pipeline), f"{flag}={value}", "--out-dir", out, "--quiet"]) == 2
+        assert capsys.readouterr().err == f"error: {flag} must be a finite number, got {float(value)}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf"), 10**400])
+    @pytest.mark.parametrize("command, key", _FLOAT_SETTINGS)
+    def test_config_value_exits_2_naming_file_and_key(self, pipeline, tmp_path, capsys, command, key, value):
+        config = _write_config(tmp_path, {key: value})
+        out = tmp_path / "out"
+        assert run([command, *_small_run(command, pipeline), "--config", config, "--out-dir", out, "--quiet"]) == 2
+        flag = "--" + key.replace("_", "-")
+        message = f"error: config file {config}: key '{key}': {json.dumps(value)} is not a valid {flag} value\n"
+        assert capsys.readouterr().err == message
+        assert not out.exists()

@@ -263,3 +263,102 @@ class TestModelDump:
         assert obj["K"] == 2 and obj["alpha"] == 1.5 and obj["beta"] == 0.05 and obj["seed"] == 9
         assert obj["vocab"] == list(model.vocab.terms)
         assert len(obj["topic_word"]) == 2 and len(obj["doc_topic"]) == 2
+
+
+def _power_of_two_corpus(V=12):
+    """Documents of 128, 64, 256 and 64 tokens (512 in all) in which every
+    other token is word 0, so with one topic each count sits at a power of
+    two and a sweep steps it to one below and back."""
+    doc_of = np.repeat(np.arange(4), (128, 64, 256, 64))
+    word_of = np.random.default_rng(21).integers(1, V, len(doc_of))
+    word_of[::2] = 0
+    return doc_of, word_of, V
+
+
+def _counts(doc_of, word_of, z, D, K, V):
+    n_dk = np.zeros((D, K), np.int64)
+    n_kw = np.zeros((K, V), np.int64)
+    n_k = np.zeros(K, np.int64)
+    np.add.at(n_dk, (doc_of, z), 1)
+    np.add.at(n_kw, (z, word_of), 1)
+    np.add.at(n_k, z, 1)
+    return n_dk, n_kw, n_k
+
+
+def _flat_counts(state):
+    return [*state.n_k, *(c for row in state.n_dk for c in row), *(c for row in state.n_wk for c in row)]
+
+
+class TestListKernel:
+    """The interpreter's word-major kernel against the reference _gibbs_sweep
+    (its Python source, over topic-major lists), sweep by sweep."""
+
+    @pytest.mark.parametrize("beta", [0.01, 0.1, 0.3])
+    @pytest.mark.parametrize("alpha", [50 / 7, 0.1])
+    @pytest.mark.parametrize("K", [1, 2, 13])
+    def test_each_sweep_matches_the_reference(self, K, alpha, beta):
+        from revclass import topic_model
+
+        reference = getattr(topic_model._gibbs_sweep, "py_func", topic_model._gibbs_sweep)
+        doc_of, word_of, V = _power_of_two_corpus()
+        z0 = np.random.default_rng(K).integers(0, K, len(doc_of))
+        n_dk, n_kw, n_k = _counts(doc_of, word_of, z0, 4, K, V)
+        state = topic_model._ListGibbs(n_dk, n_kw, n_k, alpha, beta)
+        z_ref, dk_ref, kw_ref, k_ref = z0.tolist(), n_dk.tolist(), n_kw.tolist(), n_k.tolist()
+        z, docs, words = z0.tolist(), doc_of.tolist(), word_of.tolist()
+        crossed = False
+        for sweep_idx in range(6):
+            u = np.random.default_rng(100 + sweep_idx).random(len(z)).tolist()
+            before = _flat_counts(state)
+            reference(z_ref, docs, words, dk_ref, kw_ref, k_ref, alpha, beta, u, [0.0] * K)
+            state.sweep(z, docs, words, u)
+            assert z == z_ref
+            assert state.n_dk == dk_ref
+            assert state.n_wk == [list(column) for column in zip(*kw_ref)]
+            assert state.n_k == k_ref
+            # each factor is exactly its count plus its prior, as the reference adds them
+            assert state.a_dk == [[c + alpha for c in row] for row in state.n_dk]
+            assert state.b_wk == [[c + beta for c in row] for row in state.n_wk]
+            assert state.f_k == [c + V * beta for c in state.n_k]
+            crossed |= any(a.bit_length() != b.bit_length() >= 4 for a, b in zip(before, _flat_counts(state)))
+        if K == 1:
+            assert state.n_k == [512] and [row[0] for row in state.n_dk] == [128, 64, 256, 64]
+            assert state.n_wk[0] == [256]
+        else:
+            assert crossed and z != z0.tolist()
+        dk, kw, k = state.counts()
+        assert dk.dtype == kw.dtype == k.dtype == np.int64
+        assert dk.tolist() == dk_ref and kw.tolist() == kw_ref and k.tolist() == k_ref
+        assert kw.flags.c_contiguous
+
+    @pytest.mark.parametrize(
+        "K, alpha, beta, seed", [(1, None, 0.01, 0), (2, 50 / 7, 0.1, 1), (8, None, 0.3, 2), (13, 0.1, 0.01, 3)]
+    )
+    def test_fit_lda_same_over_lists_and_arrays(self, monkeypatch, K, alpha, beta, seed):
+        from revclass import topic_model
+
+        kernel = getattr(topic_model._gibbs_sweep, "py_func", topic_model._gibbs_sweep)
+        monkeypatch.setattr(topic_model, "_gibbs_sweep", kernel)
+        docs = _two_topic_corpus(np.random.default_rng(seed), n_docs=40, tokens=30)
+        docs[3] = []  # an excluded document leaves the later ones' ids in place
+        cfg = LdaConfig(K=K, alpha=alpha, beta=beta, iterations=5, seed=seed)
+        models = []
+        for numba in (False, True):
+            monkeypatch.setattr(topic_model, "_HAVE_NUMBA", numba)
+            with pytest.warns(UserWarning, match="doc_3"):
+                models.append(fit_lda(docs, cfg))
+        over_lists, over_arrays = models
+        assert over_lists.doc_ids == over_arrays.doc_ids
+        for a, b in zip(over_lists.assignments, over_arrays.assignments, strict=True):
+            assert a.dtype == b.dtype == np.int64 and np.array_equal(a, b)
+        for name in ("topic_word_counts", "doc_topic_counts", "topic_word", "doc_topic"):
+            a, b = getattr(over_lists, name), getattr(over_arrays, name)
+            assert a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a, b), name
+
+
+class TestNonFinitePriors:
+    @pytest.mark.parametrize("field", ["alpha", "beta"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_rejected(self, field, value):
+        with pytest.raises(ValueError, match="alpha and beta must be finite and > 0"):
+            LdaConfig(K=2, **{field: value})
