@@ -553,31 +553,34 @@ def score_documents(members: Sequence[BinaryMember], docs: Sequence[Sequence[str
 def train_member(
     corpus: VectorizedCorpus,
     category: Category | int,
-    terms: Sequence[str],
+    terms: Sequence[str] | np.ndarray,
     method: str,
     hp: Hyperparams,
     seed: int,
 ) -> BinaryMember:
-    """Train the one-vs-rest member for one class on the given terms.
+    """Train the one-vs-rest member for one class on the given terms, as
+    strings or as an integer array of vocabulary positions (the same member).
 
     Relevance is (label == category).  A class with no positives, or one
     covering the whole corpus, yields a flagged constant stub with an empty
     vocabulary.  The SVM samples with ``seed + category``.
     """
     cat = Category(int(category))
-    rel = np.asarray(corpus.labels) == int(cat)
+    rel = corpus.label_array == int(cat)
     if not rel.any():
         return BinaryMember(cat, method, (), None, stub=STUB_NO_POSITIVES)
     if rel.all():
         return BinaryMember(cat, method, (), None, stub=STUB_NO_NEGATIVES)
-    X = corpus.select([corpus.vocab.index[t] for t in terms])
+    if not isinstance(terms, np.ndarray):  # strings
+        terms = np.array([corpus.vocab.index[t] for t in terms], dtype=np.int64)
+    X = corpus.select(terms)
     if method == NB:
         model = train_nb(X, np.where(rel, 1, -1), l=hp.l)
     elif method == LR:
         model = train_lr(X, rel.astype(np.float64), eta=hp.eta, lam=hp.lam, epochs=hp.lr_epochs)
     else:
         model = train_svm(X, np.where(rel, 1.0, -1.0), C=hp.C, epochs=hp.svm_epochs, seed=seed + int(cat))
-    return BinaryMember(cat, method, tuple(terms), model)
+    return BinaryMember(cat, method, tuple(map(corpus.vocab.terms.__getitem__, terms.tolist())), model)
 
 
 def rank_classes(corpus: VectorizedCorpus, budgets: Sequence[int], selector: str) -> list[FeatureRanking]:
@@ -611,7 +614,7 @@ def train_ovr(
     budgets = tuple(per_class_feature_sizes) if per_class_feature_sizes else DEFAULT_BUDGETS
     hp = hyperparams or Hyperparams()
     members = tuple(
-        replace(train_member(corpus, r.category, r.terms(), method, hp, seed), ranking=r)
+        replace(train_member(corpus, r.category, r.positions, method, hp, seed), ranking=r)
         for r in rank_classes(corpus, budgets, selector)
     )
     return OvrModel(members=members, method=method, selector=selector, budgets=budgets, seed=seed)
@@ -744,7 +747,8 @@ def load_ovr(model_dir) -> OvrModel:
     the loader reads, the manifest's ``format_version`` (1 when absent)
     must be :data:`MODEL_FORMAT_VERSION`, each member's method must be the manifest's, every
     parameter vector needs one value per vocabulary term, and the manifest
-    must list one member file per category.  The vocabulary must be distinct
+    must list one member file per category, with a known ``selector``, eight
+    positive ``budgets`` and a ``seed`` >= 0.  The vocabulary must be distinct
     strings and each parameter pass :func:`_field_value`.  A failed check
     raises :class:`ModelFormatError` naming the file and the field.
     """
@@ -755,6 +759,13 @@ def load_ovr(model_dir) -> OvrModel:
         raise ModelFormatError(f"{manifest_path}: field 'format_version' must be {MODEL_FORMAT_VERSION}, got {version!r}")
     if manifest["method"] not in CLASSIFIERS:
         raise ModelFormatError(f"{manifest_path}: field 'method' must be one of {CLASSIFIERS}")
+    if manifest["selector"] not in METHODS:
+        raise ModelFormatError(f"{manifest_path}: field 'selector' must be one of {METHODS}")
+    budgets = manifest["budgets"]
+    if not isinstance(budgets, list) or len(budgets) != N_CATEGORIES or any(type(b) is not int or b < 1 for b in budgets):
+        raise ModelFormatError(f"{manifest_path}: field 'budgets' must be a list of {N_CATEGORIES} positive integers")
+    if type(manifest["seed"]) is not int or manifest["seed"] < 0:  # not True or 2.0
+        raise ModelFormatError(f"{manifest_path}: field 'seed' must be an integer >= 0")
     model_type, param_names, hyper_names = _MEMBER_FIELDS[manifest["method"]]
     members = []
     files = {}  # category -> member file that holds it
@@ -795,6 +806,6 @@ def load_ovr(model_dir) -> OvrModel:
         members=tuple(members),
         method=manifest["method"],
         selector=manifest["selector"],
-        budgets=tuple(manifest["budgets"]),
+        budgets=tuple(budgets),
         seed=manifest["seed"],
     )

@@ -86,11 +86,16 @@ def _sha256(path) -> str:
     return digest.hexdigest()
 
 
+INT64_MAX = 2**63 - 1
+# The least valid value of each integer setting; each must also fit int64.
+_INT_LEAST = {"seed": 0, "per_series_cap": 1, "topics": 1, "iterations": 1, "top_words": 1, "lr_epochs": 1, "svm_epochs": 1}
+
+
 def _accepts(action: argparse.Action, default, value) -> bool:
     """Whether a setting's flag would take ``value`` from a config file: one of
-    its choices, an integer (not a bool) for an int flag, any finite number
-    for a float flag, a string or a list for an untyped one, and null only
-    where the default is None."""
+    its choices, an integer (not a bool) within int64 for an int flag, any
+    finite number for a float flag, a string or a list for an untyped one,
+    and null only where the default is None."""
     if value is None:
         return default is None
     if action.choices:
@@ -98,7 +103,7 @@ def _accepts(action: argparse.Action, default, value) -> bool:
     if action.type in (int, float):
         number = isinstance(value, (int, action.type)) and not isinstance(value, bool)
         # NaN, the infinities and ints beyond float range all fail the bound.
-        return number and (action.type is int or abs(value) <= sys.float_info.max)
+        return number and abs(value) <= (INT64_MAX if action.type is int else sys.float_info.max)
     return isinstance(value, (str, list))
 
 
@@ -106,7 +111,8 @@ def _resolve_config(args) -> dict:
     """The command's settings (see :func:`_setting`): a flag's value over the
     config file's over the default.  A config-file key the command does not
     have, or a value its flag would not accept, is an error naming the file
-    and the key, not a silent default."""
+    and the key, not a silent default; an integer setting outside
+    [its ``_INT_LEAST`` value, INT64_MAX] is an error naming the flag."""
     file_config = read_json(args.config, CliError) if args.config else {}
     unknown = sorted(set(file_config) - set(args.settings))
     if unknown:
@@ -119,11 +125,12 @@ def _resolve_config(args) -> dict:
         flag = getattr(args, key)
         if action.type is float and flag is not None and not math.isfinite(flag):
             raise CliError(f"{action.option_strings[0]} must be a finite number, got {flag}")
-        config[key] = file_config.get(key, default) if flag is None else flag
-    if config["seed"] is not None and config["seed"] < 0:
-        raise CliError(f"--seed must be >= 0, got {config['seed']}")
-    if config.get("per_series_cap", 1) < 1:
-        raise CliError(f"--per-series-cap must be >= 1, got {config['per_series_cap']}")
+        value = config[key] = file_config.get(key, default) if flag is None else flag
+        if action.type is int and value is not None and not _INT_LEAST[key] <= value <= INT64_MAX:
+            # LdaConfig calls the topic count K.
+            name = "--topics: the topic count K" if key == "topics" else action.option_strings[0]
+            bound = f">= {_INT_LEAST[key]}" if value < _INT_LEAST[key] else f"<= {INT64_MAX}"
+            raise CliError(f"{name} must be {bound}, got {value}")
     return config
 
 
@@ -157,19 +164,19 @@ def _load_kb_dir(path) -> tuple[dict[str, KnowledgeBase], list[str]]:
     return kbs, files
 
 
-def _parse_sizes(raw, n: int | None = None) -> tuple[int, ...]:
+def _parse_sizes(raw, flag: str, n: int | None = None) -> tuple[int, ...]:
     text = ",".join(map(str, raw)) if isinstance(raw, list) else raw
     try:
         sizes = tuple(int(part) for part in text.split(",") if part.strip())
     except ValueError:
         raise CliError(f"invalid size list {raw!r}") from None
-    if not sizes or any(s < 1 for s in sizes):
-        raise CliError(f"sizes must be positive integers, got {raw!r}")
+    if not sizes or any(not 1 <= s <= INT64_MAX for s in sizes):
+        raise CliError(f"{flag} must be integers in [1, {INT64_MAX}], got {raw!r}")
     if n is not None:
         if len(sizes) == 1:
             sizes = sizes * n
         if len(sizes) != n:
-            raise CliError(f"expected 1 or {n} sizes, got {len(sizes)}")
+            raise CliError(f"{flag}: expected 1 or {n} sizes, got {len(sizes)}")
     return sizes
 
 
@@ -223,8 +230,6 @@ def cmd_preprocess(args, config):
 
 def cmd_lda(args, config):
     out_dir = args.out_dir
-    if config["top_words"] < 1:
-        raise CliError(f"--top-words must be >= 1, got {config['top_words']}")
     tokenized = TokenizedCorpus.load(args.tokens)
     cfg = LdaConfig(
         K=config["topics"],
@@ -264,7 +269,7 @@ def _hyperparams_from_config(config: dict) -> Hyperparams:
 
 
 def cmd_train(args, config):
-    budgets = _parse_sizes(config["sizes"], n=N_CATEGORIES)
+    budgets = _parse_sizes(config["sizes"], "--sizes", n=N_CATEGORIES)
     tokenized = TokenizedCorpus.load(args.tokens)
     _require_labeled(tokenized, args.tokens)
     vc = VectorizedCorpus.from_tokens(tokenized.docs, tokenized.labels)
@@ -332,7 +337,7 @@ def cmd_sweep(args, config):
     exp = _experiment_config(
         config,
         stoplist,
-        feature_sizes=_parse_sizes(config["sizes"]),
+        feature_sizes=_parse_sizes(config["sizes"], "--sizes"),
         rotation=_parse_rotation(args.rotation) if args.rotation else None,
         surrogate_mode=config["surrogates"],
         sweep_method=config["method"],
@@ -351,7 +356,7 @@ def cmd_cross_series(args, config):
         config,
         stoplist,
         methods=tuple(methods.split(",") if isinstance(methods, str) else methods),
-        per_class_budgets=_parse_sizes(config["budgets"], n=N_CATEGORIES),
+        per_class_budgets=_parse_sizes(config["budgets"], "--budgets", n=N_CATEGORIES),
         rotations=rotations,
     )
     table = cross_series_experiment(corpus, kbs, exp, seg=seg, out_csv=table_out)

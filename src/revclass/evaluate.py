@@ -513,7 +513,7 @@ def feature_size_sweep(
         if size > V:
             warnings.warn(f"feature size {size} exceeds vocabulary size {V}; using full vocabulary", stacklevel=2)
         members += [
-            train_member(vc_train, r.category, r.terms()[:size], config.sweep_method, config.hyperparams, config.seed)
+            train_member(vc_train, r.category, r.positions[:size], config.sweep_method, config.hyperparams, config.seed)
             for r in rankings
         ]
     table = ResultTable()
@@ -551,7 +551,7 @@ def cross_series_experiment(
             vc_train = VectorizedCorpus.from_tokens(train.docs, train.labels)
             rankings = rank_classes(vc_train, config.per_class_budgets, config.selector)
             members = [
-                train_member(vc_train, r.category, r.terms(), method, config.hyperparams, config.seed)
+                train_member(vc_train, r.category, r.positions, method, config.hyperparams, config.seed)
                 for method in config.methods
                 for r in rankings
             ]

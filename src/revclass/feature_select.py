@@ -4,12 +4,12 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from revclass.corpus import Category, write_json_atomic
-from revclass.preprocess import VectorizedCorpus
+from revclass.preprocess import VectorizedCorpus, Vocabulary
 
 CHI2 = "chi2"
 DRC = "drc"
@@ -103,9 +103,10 @@ def drc(t: ContingencyTable) -> float:
     return (t.A / (t.A + t.C)) * rcv(t)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FeatureRanking:
-    """Terms of one binary class task ordered by descending score.
+    """Terms of one binary class task ordered by descending score: their
+    vocabulary ``positions`` and ``scores`` as arrays, named from ``vocab``.
 
     Ties are broken by ascending vocabulary index, so rankings are
     deterministic regardless of scoring order.
@@ -113,16 +114,22 @@ class FeatureRanking:
 
     method: str
     category: Category
-    scored: tuple[tuple[str, float], ...]
+    vocab: Vocabulary = field(repr=False)
+    positions: np.ndarray
+    scores: np.ndarray
+
+    @property
+    def scored(self) -> tuple[tuple[str, float], ...]:
+        return tuple(zip(self.terms(), self.scores.tolist()))
 
     def terms(self) -> tuple[str, ...]:
-        return tuple(term for term, _ in self.scored)
+        return tuple(map(self.vocab.terms.__getitem__, self.positions.tolist()))
 
     def to_dict(self) -> dict:
         return {
             "class": int(self.category),
             "method": self.method,
-            "k": len(self.scored),
+            "k": len(self.positions),
             "terms": [{"term": term, "score": score} for term, score in self.scored],
         }
 
@@ -136,7 +143,7 @@ def score_terms(corpus: VectorizedCorpus, category: Category | int, method: str)
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
     cat = int(Category(category))
     A = corpus.class_term_counts[cat].astype(np.float64)
-    B = np.bincount(corpus.indices, minlength=len(corpus.vocab)) - A  # document frequency - A
+    B = corpus.doc_freq - A
     n_rel = corpus.labels.count(cat)
     n_irr = len(corpus) - n_rel
     C = n_rel - A
@@ -178,5 +185,4 @@ def rank_features(
     scores = score_terms(corpus, category, method)
     # Stable sort on negated scores keeps ascending vocabulary order within ties.
     order = np.argsort(-scores, kind="stable")[:k]
-    scored = tuple((corpus.vocab.terms[i], float(scores[i])) for i in order)
-    return FeatureRanking(method=method, category=Category(int(category)), scored=scored)
+    return FeatureRanking(method, Category(int(category)), corpus.vocab, order, scores[order])

@@ -340,11 +340,21 @@ class VectorizedCorpus:
         return np.repeat(np.arange(len(self)), np.diff(self.indptr))
 
     @functools.cached_property
+    def label_array(self) -> np.ndarray:
+        """``labels`` as an int64 array."""
+        return np.asarray(self.labels, dtype=np.int64)
+
+    @functools.cached_property
+    def doc_freq(self) -> np.ndarray:
+        """Per term: the number of documents that hold it."""
+        return np.bincount(self.indices, minlength=len(self.vocab))
+
+    @functools.cached_property
     def class_term_counts(self) -> np.ndarray:
         """``N_CATEGORIES`` x V counts of the documents labeled c that hold term
         t; a label outside the categories is counted in no row."""
         V = len(self.vocab)
-        y = np.asarray(self.labels, dtype=np.int64)[self.rows]
+        y = self.label_array[self.rows]
         known = (y >= 0) & (y < N_CATEGORIES)
         keys = y[known] * V + self.indices[known]
         return np.bincount(keys, minlength=N_CATEGORIES * V).reshape(N_CATEGORIES, V)

@@ -1178,3 +1178,39 @@ def test_a_bool_among_numeric_weights_raises_naming_file_and_field(saved_models,
     path.write_text(json.dumps(doc), encoding="utf-8")
     with pytest.raises(ModelFormatError, match=f"^{re.escape(str(path))}: field 'parameters.weights' "):
         load_ovr(model_dir)
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("selector", 7),
+        ("selector", "mi"),
+        ("budgets", 5),
+        ("budgets", ["a"] * 8),
+        ("budgets", [40] * 7),
+        ("budgets", [40] * 9),
+        ("budgets", [40] * 7 + [0]),
+        ("budgets", [40] * 7 + [True]),
+        ("budgets", [40] * 7 + [40.0]),
+        ("seed", "x"),
+        ("seed", -1),
+        ("seed", True),
+        ("seed", 42.0),
+        ("seed", None),
+    ],
+)
+def test_bad_manifest_selector_budgets_or_seed_raise_naming_file_and_field(saved_models, tmp_path, key, value):
+    model_dir = tmp_path / "model"
+    shutil.copytree(saved_models / "lr", model_dir)
+    path = model_dir / "model_manifest.json"
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    assert doc["selector"] == "chi2" and doc["budgets"] == list(DEFAULT_BUDGETS) and doc["seed"] == 42
+    doc[key] = value
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(ModelFormatError, match=f"^{re.escape(str(path))}: field '{key}' must be "):
+        load_ovr(model_dir)
+
+
+def test_manifest_selector_budgets_and_seed_load_as_saved(saved_models):
+    loaded = load_ovr(saved_models / "svm")
+    assert (loaded.selector, loaded.budgets, loaded.seed) == ("chi2", DEFAULT_BUDGETS, 42)

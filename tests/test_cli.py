@@ -1272,3 +1272,137 @@ class TestNonFiniteFloatSettings:
         message = f"error: config file {config}: key '{key}': {json.dumps(value)} is not a valid {flag} value\n"
         assert capsys.readouterr().err == message
         assert not out.exists()
+
+
+INT64_MAX = 2**63 - 1
+# (command, key, least valid value): every integer setting of every command.
+_INT_SETTINGS = [
+    *((command, "seed", 0) for command in sorted(_SETTINGS)),
+    ("lda", "topics", 1),
+    ("lda", "iterations", 1),
+    ("lda", "top_words", 1),
+    *((command, key, 1) for command in ("train", "sweep", "cross-series") for key in ("lr_epochs", "svm_epochs")),
+    ("sweep", "per_series_cap", 1),
+    ("cross-series", "per_series_cap", 1),
+]
+
+
+@pytest.fixture
+def pipeline_unreachable(monkeypatch):
+    """Replace everything a command could spend long in by a function that
+    raises, so a setting the boundary misses fails the test (exit 1) instead
+    of running: a sampler or trainer asked for 10**20 iterations never ends."""
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a rejected setting reached the pipeline")
+
+    for name in ("fit_lda", "train_ovr", "feature_size_sweep", "cross_series_experiment", "generate_synthetic"):
+        monkeypatch.setattr(cli, name, unreachable)
+
+
+def _without(argv, flag):
+    """``argv`` without ``flag`` and its value, which would override a config
+    file's value."""
+    if flag not in argv:
+        return argv
+    at = argv.index(flag)
+    return argv[:at] + argv[at + 2 :]
+
+
+@pytest.mark.usefixtures("pipeline_unreachable")
+class TestIntegerSettings:
+    @staticmethod
+    def _message(key, flag, bound, value):
+        name = "--topics: the topic count K" if key == "topics" else flag
+        return f"error: {name} must be {bound}, got {value}\n"
+
+    @pytest.mark.parametrize("beyond", ["below", "above", "far_above", "far_below"])
+    @pytest.mark.parametrize("command, key, least", _INT_SETTINGS)
+    def test_flag_outside_its_range_exits_2_naming_the_flag(
+        self, pipeline, tmp_path, capsys, command, key, least, beyond
+    ):
+        value = {"below": least - 1, "above": INT64_MAX + 1, "far_above": 10**20, "far_below": -(10**20)}[beyond]
+        flag = "--" + key.replace("_", "-")
+        out = tmp_path / "out"
+        # "--flag=-1": argparse reads a separate "-1" as an option
+        assert run([command, *_small_run(command, pipeline), f"{flag}={value}", "--out-dir", out, "--quiet"]) == 2
+        bound = f">= {least}" if value < least else f"<= {INT64_MAX}"
+        assert capsys.readouterr().err == self._message(key, flag, bound, value)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, key, least", _INT_SETTINGS)
+    def test_config_value_below_its_least_exits_2_naming_the_flag(
+        self, pipeline, tmp_path, capsys, command, key, least
+    ):
+        config = _write_config(tmp_path, {key: least - 1})
+        flag = "--" + key.replace("_", "-")
+        argv = _without(_small_run(command, pipeline), flag)
+        out = tmp_path / "out"
+        assert run([command, *argv, "--config", config, "--out-dir", out, "--quiet"]) == 2
+        assert capsys.readouterr().err == self._message(key, flag, f">= {least}", least - 1)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", [INT64_MAX + 1, 10**20, -(2**63) - 1])
+    @pytest.mark.parametrize("command, key, least", _INT_SETTINGS)
+    def test_config_value_beyond_int64_exits_2_naming_file_and_key(
+        self, pipeline, tmp_path, capsys, command, key, least, value
+    ):
+        config = _write_config(tmp_path, {key: value})
+        flag = "--" + key.replace("_", "-")
+        argv = _without(_small_run(command, pipeline), flag)
+        out = tmp_path / "out"
+        assert run([command, *argv, "--config", config, "--out-dir", out, "--quiet"]) == 2
+        message = f"error: config file {config}: key '{key}': {value} is not a valid {flag} value\n"
+        assert capsys.readouterr().err == message
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command, key",
+        [("lda", "topics"), ("lda", "iterations"), ("lda", "top_words"), ("train", "svm_epochs"),
+         ("sweep", "lr_epochs"), ("cross-series", "per_series_cap")],
+    )
+    def test_int64_max_passes_the_boundary(self, pipeline, tmp_path, capsys, command, key):
+        # The stubbed pipeline is reached, and raises: exit 1.
+        flag = "--" + key.replace("_", "-")
+        argv = [command, *_small_run(command, pipeline), flag, INT64_MAX, "--out-dir", tmp_path / "out", "--quiet"]
+        assert run(argv) == 1
+        assert capsys.readouterr().err == "runtime error: a rejected setting reached the pipeline\n"
+
+    @pytest.mark.parametrize(
+        "command, flag, value",
+        [
+            ("train", "--sizes", "99999999999999999999"),
+            ("train", "--sizes", f"10,10,10,10,10,10,10,{INT64_MAX + 1}"),
+            ("sweep", "--sizes", f"10,{2**64}"),
+            ("cross-series", "--budgets", str(INT64_MAX + 1)),
+            ("cross-series", "--budgets", "0"),
+        ],
+    )
+    def test_size_list_outside_int64_exits_2_naming_the_flag(self, pipeline, tmp_path, capsys, command, flag, value):
+        out = tmp_path / "out"
+        assert run([command, *_small_run(command, pipeline), flag, value, "--out-dir", out, "--quiet"]) == 2
+        assert capsys.readouterr().err == f"error: {flag} must be integers in [1, {INT64_MAX}], got {value!r}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, key", [("train", "sizes"), ("cross-series", "budgets")])
+    def test_size_list_in_a_config_file_outside_int64_exits_2_naming_the_setting(
+        self, pipeline, tmp_path, capsys, command, key
+    ):
+        value = [10] * 7 + [INT64_MAX + 1]
+        config = _write_config(tmp_path, {key: value})
+        out = tmp_path / "out"
+        argv = _without(_small_run(command, pipeline), f"--{key}")
+        assert run([command, *argv, "--config", config, "--out-dir", out, "--quiet"]) == 2
+        assert capsys.readouterr().err == f"error: --{key} must be integers in [1, {INT64_MAX}], got {value!r}\n"
+        assert not out.exists()
+
+
+def test_model_manifest_budgets_not_a_list_exits_2(pipeline, tmp_path, capsys):
+    model = tmp_path / "model"
+    shutil.copytree(pipeline["train"] / "model", model)
+    _edit(lambda d: d.update(budgets=5))(model / "model_manifest.json")
+    out = tmp_path / "eval"
+    assert run(["evaluate", "--model", model, "--tokens", pipeline["tokens"] / "tokens.jsonl", "--out-dir", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {model / 'model_manifest.json'}: field 'budgets' must be ")
+    assert not out.exists()
