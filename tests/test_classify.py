@@ -1214,3 +1214,177 @@ def test_bad_manifest_selector_budgets_or_seed_raise_naming_file_and_field(saved
 def test_manifest_selector_budgets_and_seed_load_as_saved(saved_models):
     loaded = load_ovr(saved_models / "svm")
     assert (loaded.selector, loaded.budgets, loaded.seed) == ("chi2", DEFAULT_BUDGETS, 42)
+
+
+# ---------------------------------------------------------------------------
+# LR row sums, the SVM's single draw and score_documents' term lookup
+# ---------------------------------------------------------------------------
+
+
+def _times_calls(fn, *args, **kwargs):
+    """``fn(*args, **kwargs)`` and how often it called ``classify._times``:
+    train_lr's row sums call it once per z on the bincount branch only."""
+    calls = []
+    times = classify._times
+
+    def spy(*a):
+        calls.append(a)
+        return times(*a)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(classify, "_times", spy)
+        return fn(*args, **kwargs), len(calls)
+
+
+def _cancelling_rows(n, seed, ones, interleave):
+    """n rows of 9 to 16 stored values whose products with the returned
+    weights are exactly 1e16, 1, -1e16, 1, 1, ... in stored order, over
+    columns in a random order that no two rows share; ``interleave`` mixes
+    the rows' entries, keeping each row's own order.  The weights' entry d,
+    past the d columns, is 0.0.  Added in stored order a row of L values sums
+    to L - 3; numpy's pairwise sum of the same 9 or more values does not."""
+    rng = np.random.default_rng(seed)
+    lengths = rng.integers(9, 17, n).tolist()
+    d = sum(lengths) + 5
+    columns = rng.permutation(d).tolist()
+    pattern = np.array([1e16, 1.0, -1e16] + [1.0] * 13)
+    w = np.append(2.0 ** rng.integers(-3, 4, d), 0.0)  # so that pattern / w * w == pattern
+    per_row = []
+    for length in lengths:
+        cols = np.array(columns[:length])
+        del columns[:length]
+        if ones:
+            w[cols] = pattern[:length]
+        per_row.append((cols.tolist(), (np.ones(length) if ones else pattern[:length] / w[cols]).tolist()))
+    order = np.repeat(np.arange(n), lengths)
+    if interleave:
+        order = rng.permutation(order)
+    rows, cols, vals, taken = [], [], [], [0] * n
+    for i in order.tolist():
+        rows.append(i)
+        cols.append(per_row[i][0][taken[i]])
+        vals.append(per_row[i][1][taken[i]])
+        taken[i] += 1
+    return SparseRows(np.array(rows), np.array(cols), np.array(vals), (n, d)), w
+
+
+class TestLrRowSums:
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 200, 5000])
+    @pytest.mark.parametrize("ones", [True, False])
+    @pytest.mark.parametrize("interleave", [False, True])
+    def test_both_branches_add_each_row_in_stored_order(self, monkeypatch, n, ones, interleave):
+        X, w = _cancelling_rows(n, n, ones, interleave)
+        want = np.bincount(X.rows, weights=X.vals * w[X.cols], minlength=n)
+        assert np.all(X.vals == 1.0) == ones
+        assert want.tolist() == (np.bincount(X.rows, minlength=n) - 3.0).tolist()
+        # A pairwise sum of a row differs, so the fixture tells the orders apart.
+        first = X.vals[X.rows == 0] * w[X.cols[X.rows == 0]]
+        assert np.add.reduce(first) != want[0]
+        for max_fill in (0.0, 2.0, np.inf):
+            monkeypatch.setattr(classify, "_MAX_FILL", max_fill)
+            got = classify._row_sums(X, ones)(w)
+            assert got.shape == (n,) and np.array_equal(got, want)
+            # Only the sign of a zero sum may differ from bincount's.
+            assert np.array_equal(np.signbit(got[got != 0]), np.signbit(want[want != 0]))
+
+    def test_table_is_used_up_to_twice_the_nonzeros(self, monkeypatch):
+        X, w = _cancelling_rows(40, 1, True, False)
+        k = int(np.bincount(X.rows).max())
+        fill = k * 40 / X.cols.size
+        assert classify._MAX_FILL == 2.0
+        for max_fill, bincount_calls in ((fill, 0), (np.nextafter(fill, 0.0), 1)):
+            monkeypatch.setattr(classify, "_MAX_FILL", max_fill)
+            summer = classify._row_sums(X, True)
+            assert _times_calls(summer, w)[1] == bincount_calls
+        # One row of n values makes axis 0 the inner one: bincount sums it.
+        monkeypatch.setattr(classify, "_MAX_FILL", np.inf)
+        X, w = _cancelling_rows(1, 1, True, False)
+        summer = classify._row_sums(X, True)
+        assert _times_calls(summer, w)[1] == 1
+
+    def test_empty_rows(self):
+        rng = np.random.default_rng(3)
+        X = np.zeros((60, 25))
+        for i in range(60):
+            X[i, rng.choice(25, rng.integers(3, 6), replace=False)] = 1.0
+        X[[0, 5, 6, 30]] = 0.0
+        y = (rng.random(60) < 0.4).astype(float)
+        assert _times_calls(_assert_lr_matches_previous, X, y, 0.1, 0.1, 40)[1] == 0
+        # No stored value at all: the table has no slot.
+        assert _times_calls(_assert_lr_matches_previous, np.zeros((6, 4)), y[:6], 0.1, 0.1, 5)[1] == 0
+
+    @pytest.mark.parametrize("values", ["binary", "gaussian"])
+    def test_one_full_row_beside_one_column_rows_takes_bincount(self, values):
+        rng = np.random.default_rng(7)
+        X = np.zeros((50, 30))
+        X[np.arange(1, 50), rng.integers(0, 30, 49)] = 1.0
+        X[0] = 1.0
+        if values == "gaussian":
+            X *= rng.normal(size=X.shape)
+        y = (rng.random(50) < 0.4).astype(float)
+        calls = _times_calls(_assert_lr_matches_previous, X, y, 0.1, 0.1, 30)[1]
+        assert calls == 31
+
+    @pytest.mark.parametrize("seed", [3, 4])
+    def test_gaussian_values(self, seed):
+        X, y = _training_fixture("gaussian", seed)
+        assert not np.isin(X, (0.0, 1.0)).all()
+        y = (y > 0).astype(float)
+        assert _times_calls(_assert_lr_matches_previous, X, y, 0.05, 0.1, 60)[1] == 0
+        _assert_lr_matches_previous(_shuffled_rows(X), y, 0.05, 0.1, 60)
+
+    @pytest.mark.parametrize("values", ["binary", "gaussian"])
+    def test_divergence_message(self, values):
+        rng = np.random.default_rng(5)
+        X = (rng.random((40, 12)) < 0.5) * (rng.normal(scale=50.0, size=(40, 12)) if values == "gaussian" else 1.0)
+        y = (rng.random(40) < 0.5).astype(float)
+        lengths = (X != 0).sum(axis=1)
+        assert lengths.max() * 40 <= 2 * lengths.sum()  # the table sums the rows
+        with pytest.raises(ArithmeticError) as previous:
+            _previous_train_lr(X, y, 1e6, 0.1, 200)
+        with pytest.raises(ArithmeticError) as current:
+            train_lr(X, y, eta=1e6, lam=0.1, epochs=200)
+        assert str(current.value) == str(previous.value)
+
+
+class TestSvmSingleDraw:
+    @pytest.mark.parametrize("n", [37, 201])
+    @pytest.mark.parametrize("epochs", [1, 3])
+    @pytest.mark.parametrize("values", ["binary", "gaussian"])
+    def test_odd_row_counts(self, n, epochs, values):
+        X, y = _planted_rows(n, 60, 0.1, 0.05, n + epochs)
+        if values == "gaussian":
+            X = X * np.random.default_rng(n).normal(size=X.shape)
+        for C, seed in ((1.0, 3), (0.37, 11)):
+            _assert_svm_matches_previous(X, y, C, epochs, seed)
+
+    @pytest.mark.parametrize("n", [2, 3, 200, 201, 2**32 + 1])
+    @pytest.mark.parametrize("epochs", [1, 2, 3, 50])
+    def test_one_draw_equals_one_draw_per_epoch(self, n, epochs):
+        # Past 2**32 numpy takes its 64-bit path; there each draw holds 257
+        # of the indices instead of n.
+        size = min(n, 257)
+        for seed in range(5):
+            one, per_epoch = np.random.default_rng(seed), np.random.default_rng(seed)
+            draws = one.integers(0, n, epochs * size)
+            assert draws.dtype == np.int64
+            want = np.concatenate([per_epoch.integers(0, n, size) for _ in range(epochs)])
+            assert np.array_equal(draws, want)
+            assert one.random() == per_epoch.random()
+
+
+def test_score_documents_matches_a_term_by_term_lookup():
+    vc = _synthetic_vc(np.random.default_rng(44))
+    model = train_ovr(vc, method="lr", per_class_feature_sizes=(5, 9, 20, 60, 3, 12, 40, 7),
+                      hyperparams=Hyperparams(lr_epochs=10))
+    docs = _probe_docs(np.random.default_rng(45), n=12)
+    vocab = Vocabulary(tuple(sorted({t for doc in docs for t in doc})))
+    matrix = VectorizedCorpus.from_tokens(docs, [-1] * len(docs), vocab)
+    scores = score_documents(model.members, docs)
+    missing = 0
+    for j, member in enumerate(model.members):
+        pos = np.array([vocab.index.get(t, -1) for t in member.terms], dtype=np.int64)
+        missing += int((pos < 0).sum())
+        want = member.model.bias + classify._times(matrix.select(pos[pos >= 0]), member.model.weights[pos >= 0])
+        assert np.array_equal(scores[:, j], want)
+    assert missing > 0
