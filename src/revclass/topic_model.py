@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import partial
 from itertools import chain
 from typing import Optional, Sequence
 
@@ -94,10 +95,10 @@ class LdaModel:
 
 @njit(cache=True)
 def _gibbs_sweep(z, doc_of, word_of, n_dk, n_kw, n_k, alpha, beta, u, p):
-    # One sweep over all tokens.  Shapes come from len() and counts are read
-    # row by row, so the same source runs over int64 arrays (compiled by
-    # numba) and over nested Python lists (plain interpreter) with identical
-    # arithmetic.
+    # The tests' reference for _sweep, which fit_lda runs.  One sweep over all
+    # tokens.  Shapes come from len() and counts are read row by row, so the
+    # same source runs over int64 arrays (compiled by numba) and over nested
+    # Python lists (plain interpreter) with identical arithmetic.
     K = len(n_kw)
     vbeta = len(n_kw[0]) * beta
     for i in range(len(z)):
@@ -125,74 +126,79 @@ def _gibbs_sweep(z, doc_of, word_of, n_dk, n_kw, n_k, alpha, beta, u, p):
         n_k[new_k] += 1
 
 
+@njit(cache=True)
+def _sweep(n_dk, n_wk, n_k, a_dk, b_wk, f_k, a_of, b_of, f_of, p, z, doc_of, word_of, u):
+    # One sweep over all tokens, reading each table row by row, so that numba
+    # compiles it over arrays and the interpreter runs it over nested lists.
+    K = len(n_k)
+    topics = range(K)
+    for i in range(len(z)):
+        k = z[i]
+        nd = n_dk[doc_of[i]]
+        ad = a_dk[doc_of[i]]
+        nw = n_wk[word_of[i]]
+        bw = b_wk[word_of[i]]
+        c = nd[k] - 1
+        nd[k] = c
+        ad[k] = a_of[c]
+        c = nw[k] - 1
+        nw[k] = c
+        bw[k] = b_of[c]
+        c = n_k[k] - 1
+        n_k[k] = c
+        f_k[k] = f_of[c]
+        # p[t] holds the running total, the reference's partial sum acc.
+        total = 0.0
+        for t in topics:
+            total += bw[t] * ad[t] / f_k[t]
+            p[t] = total
+        r = u[i] * total
+        k = K - 1
+        for t in topics:
+            if r < p[t]:
+                k = t
+                break
+        z[i] = k
+        c = nd[k] + 1
+        nd[k] = c
+        ad[k] = a_of[c]
+        c = nw[k] + 1
+        nw[k] = c
+        bw[k] = b_of[c]
+        c = n_k[k] + 1
+        n_k[k] = c
+        f_k[k] = f_of[c]
+
+
 class _ListGibbs:
-    """Collapsed-Gibbs state for the plain interpreter, over nested lists.
+    """Collapsed-Gibbs state for :func:`_sweep`, over nested lists or, with
+    ``arrays``, over int64/float64 arrays.
 
     Topic-word counts are word-major (``n_wk[w][t]``), so a token reads one
     row of each table.  Beside each count is its factor in the sampling
     weight: ``a_dk[d][t] == n_dk[d][t] + alpha``, ``b_wk[w][t] ==
     n_wk[w][t] + beta`` and ``f_k[t] == n_k[t] + V*beta``.  A factor is
-    looked up by its updated count in a table of prior sums (``sums[c] == c
-    + prior``), never stepped by 1.0, whose rounding differs
-    (``(4 + 0.1) - 1.0 != 3 + 0.1``).  So :meth:`sweep` computes the
+    looked up by its updated count in a table of prior sums (``a_of[c] == c
+    + alpha``), never stepped by 1.0, whose rounding differs
+    (``(4 + 0.1) - 1.0 != 3 + 0.1``).  So ``sweep`` computes the
     weights, partial sums and draws of :func:`_gibbs_sweep` exactly.
     """
 
-    def __init__(self, n_dk, n_kw, n_k, alpha: float, beta: float):
+    def __init__(self, n_dk, n_kw, n_k, alpha: float, beta: float, arrays: bool = False):
         # The largest value each count can reach: a document's length, a
         # word's frequency, the number of tokens.
         tops = (n_dk.sum(axis=1).max(), n_kw.sum(axis=0).max(), n_k.sum())
         priors = (alpha, beta, n_kw.shape[1] * beta)
-        self.sums = [(np.arange(top + 1) + prior).tolist() for top, prior in zip(tops, priors)]
-        a_of, b_of, f_of = self.sums
-        self.n_dk, self.n_wk, self.n_k = n_dk.tolist(), n_kw.T.tolist(), n_k.tolist()
-        self.a_dk = [list(map(a_of.__getitem__, row)) for row in self.n_dk]
-        self.b_wk = [list(map(b_of.__getitem__, row)) for row in self.n_wk]
-        self.f_k = list(map(f_of.__getitem__, self.n_k))
-
-    def sweep(self, z, doc_of, word_of, u) -> None:
-        """One sweep over all tokens, as ``_gibbs_sweep`` over the same lists."""
-        n_dk, n_wk, n_k, a_dk, b_wk, f_k = self.n_dk, self.n_wk, self.n_k, self.a_dk, self.b_wk, self.f_k
-        a_of, b_of, f_of = self.sums
-        K = len(n_k)
-        topics = range(K)
-        p = [0.0] * K
-        for i in range(len(z)):
-            k = z[i]
-            nd = n_dk[doc_of[i]]
-            ad = a_dk[doc_of[i]]
-            nw = n_wk[word_of[i]]
-            bw = b_wk[word_of[i]]
-            c = nd[k] - 1
-            nd[k] = c
-            ad[k] = a_of[c]
-            c = nw[k] - 1
-            nw[k] = c
-            bw[k] = b_of[c]
-            c = n_k[k] - 1
-            n_k[k] = c
-            f_k[k] = f_of[c]
-            # p[t] holds the running total, the reference's partial sum acc.
-            total = 0.0
-            for t in topics:
-                total += bw[t] * ad[t] / f_k[t]
-                p[t] = total
-            r = u[i] * total
-            k = K - 1
-            for t in topics:
-                if r < p[t]:
-                    k = t
-                    break
-            z[i] = k
-            c = nd[k] + 1
-            nd[k] = c
-            ad[k] = a_of[c]
-            c = nw[k] + 1
-            nw[k] = c
-            bw[k] = b_of[c]
-            c = n_k[k] + 1
-            n_k[k] = c
-            f_k[k] = f_of[c]
+        # Over lists a factor is its prior sum's own float, so replacing it frees none.
+        dtype = np.float64 if arrays else object
+        a_of, b_of, f_of = ((np.arange(top + 1) + prior).astype(dtype) for top, prior in zip(tops, priors))
+        n_wk = n_kw.T
+        tables = (n_dk, n_wk, n_k, a_of[n_dk], b_of[n_wk], f_of[n_k], a_of, b_of, f_of, np.zeros(len(n_k)))
+        tables = [np.array(t, order="C") if arrays else t.tolist() for t in tables]
+        self.n_dk, self.n_wk, self.n_k, self.a_dk, self.b_wk, self.f_k = tables[:6]
+        # numba cannot pass lists of lists to compiled code, so lists run its Python source.
+        # sweep(z, doc_of, word_of, u) runs one sweep over this state.
+        self.sweep = partial(_sweep if arrays else getattr(_sweep, "py_func", _sweep), *tables)
 
     def counts(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``(n_dk, n_kw, n_k)`` as int64 arrays, ``n_kw`` topic-major."""
@@ -257,23 +263,16 @@ def fit_lda(
     np.add.at(n_kw, (z, word_of), 1)
     np.add.at(n_k, z, 1)
 
-    # numba compiles _gibbs_sweep over the arrays.  The interpreter runs
-    # _ListGibbs.sweep over lists, which draws the same topics.
-    if _HAVE_NUMBA:
-        p = np.zeros(K)
-        for _ in range(cfg.iterations):
-            _gibbs_sweep(z, doc_of, word_of, n_dk, n_kw, n_k, cfg.alpha, cfg.beta, rng.random(n_tokens), p)
-            if check_counts and not _conserved(n_tokens, n_k, n_kw, n_dk):
-                raise AssertionError("count conservation violated during sampling")
-    else:
-        state = _ListGibbs(n_dk, n_kw, n_k, cfg.alpha, cfg.beta)
-        z, doc_of, word_of = z.tolist(), doc_of.tolist(), word_of.tolist()
-        for _ in range(cfg.iterations):
-            state.sweep(z, doc_of, word_of, rng.random(n_tokens).tolist())
-            if check_counts and not _conserved(n_tokens, state.n_k, state.n_wk, state.n_dk):
-                raise AssertionError("count conservation violated during sampling")
-        z = np.array(z, dtype=np.int64)
-        n_dk, n_kw, n_k = state.counts()
+    # numba compiles _sweep over arrays; the interpreter runs it faster over lists.
+    state = _ListGibbs(n_dk, n_kw, n_k, cfg.alpha, cfg.beta, arrays=_HAVE_NUMBA)
+    tokens = np.asarray if _HAVE_NUMBA else np.ndarray.tolist
+    z, doc_of, word_of = tokens(z), tokens(doc_of), tokens(word_of)
+    for _ in range(cfg.iterations):
+        state.sweep(z, doc_of, word_of, tokens(rng.random(n_tokens)))
+        if check_counts and not _conserved(n_tokens, state.n_k, state.n_wk, state.n_dk):
+            raise AssertionError("count conservation violated during sampling")
+    z = np.asarray(z, dtype=np.int64)
+    n_dk, n_kw, n_k = state.counts()
 
     topic_word = (n_kw + cfg.beta) / (n_k[:, None] + V * cfg.beta)
     doc_len = n_dk.sum(axis=1, keepdims=True)
@@ -297,8 +296,8 @@ def top_words(model: LdaModel, topic: int, n: int) -> list[tuple[str, float]]:
     by ascending vocabulary index."""
     if not 0 <= topic < model.n_topics:
         raise IndexError(f"topic {topic} out of range [0, {model.n_topics})")
-    if n > len(model.vocab):
-        raise ValueError(f"n={n} exceeds vocabulary size {len(model.vocab)}")
+    if not 0 <= n <= len(model.vocab):
+        raise ValueError(f"n={n} is outside [0, vocabulary size {len(model.vocab)}]")
     row = model.topic_word[topic]
     order = np.argsort(-row, kind="stable")[:n]
     return [(model.vocab.terms[i], float(row[i])) for i in order]

@@ -222,6 +222,12 @@ class TestTopWords:
         with pytest.raises(ValueError):
             top_words(model, 0, n=2)
 
+    def test_negative_n_is_error(self):
+        model = fit_lda([["x", "y", "z"]], LdaConfig(K=1, iterations=1, seed=0))
+        with pytest.raises(ValueError, match="n=-1"):
+            top_words(model, 0, n=-1)
+        assert top_words(model, 0, n=0) == []
+
 
 class TestExportHeatmap:
     def _model(self):
@@ -354,6 +360,67 @@ class TestListKernel:
         for name in ("topic_word_counts", "doc_topic_counts", "topic_word", "doc_topic"):
             a, b = getattr(over_lists, name), getattr(over_arrays, name)
             assert a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a, b), name
+
+
+class TestOneSweep:
+    """fit_lda runs _sweep under both values of _HAVE_NUMBA; _gibbs_sweep is
+    only the tests' reference."""
+
+    @pytest.mark.parametrize("K, seed", [(1, 0), (3, 4), (8, 2)])
+    def test_fit_lda_never_calls_the_reference(self, monkeypatch, K, seed):
+        from revclass import topic_model
+
+        def refuse(*args):
+            raise AssertionError("fit_lda called _gibbs_sweep")
+
+        monkeypatch.setattr(topic_model, "_gibbs_sweep", refuse)
+        docs = _two_topic_corpus(np.random.default_rng(seed), n_docs=20, tokens=15)
+        cfg = LdaConfig(K=K, iterations=4, seed=seed)
+        models = []
+        for numba in (False, True):
+            monkeypatch.setattr(topic_model, "_HAVE_NUMBA", numba)
+            models.append(fit_lda(docs, cfg))
+        over_lists, over_arrays = models
+        for a, b in zip(over_lists.assignments, over_arrays.assignments, strict=True):
+            assert a.dtype == b.dtype == np.int64 and np.array_equal(a, b)
+        for name in ("topic_word_counts", "doc_topic_counts", "topic_word", "doc_topic"):
+            a, b = getattr(over_lists, name), getattr(over_arrays, name)
+            assert a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a, b), name
+
+    @pytest.mark.parametrize("K", [1, 2, 13])
+    def test_compiled_sweep_matches_the_reference(self, K):
+        pytest.importorskip("numba")
+        from revclass import topic_model
+
+        doc_of, word_of, V = _power_of_two_corpus()
+        z0 = np.random.default_rng(K).integers(0, K, len(doc_of))
+        n_dk, n_kw, n_k = _counts(doc_of, word_of, z0, 4, K, V)
+        state = topic_model._ListGibbs(n_dk, n_kw, n_k, 0.1, 0.01, arrays=True)
+        assert state.sweep.func is topic_model._sweep
+        z, docs, words = z0.copy(), doc_of.copy(), word_of.copy()
+        z_ref, dk_ref, kw_ref, k_ref = z0.copy(), n_dk.copy(), n_kw.copy(), n_k.copy()
+        for sweep_idx in range(6):
+            u = np.random.default_rng(100 + sweep_idx).random(len(z))
+            topic_model._gibbs_sweep.py_func(z_ref, docs, words, dk_ref, kw_ref, k_ref, 0.1, 0.01, u, np.zeros(K))
+            state.sweep(z, docs, words, u)
+            dk, kw, k = state.counts()
+            assert z.tolist() == z_ref.tolist()
+            assert dk.tolist() == dk_ref.tolist() and kw.tolist() == kw_ref.tolist() and k.tolist() == k_ref.tolist()
+        assert K == 1 or z.tolist() != z0.tolist()  # the sweeps moved tokens
+
+    def test_fit_lda_compiled_matches_the_interpreter(self, monkeypatch):
+        pytest.importorskip("numba")
+        from revclass import topic_model
+
+        docs = _two_topic_corpus(np.random.default_rng(6), n_docs=40, tokens=30)
+        cfg = LdaConfig(K=5, iterations=20, seed=3)
+        compiled = fit_lda(docs, cfg)
+        monkeypatch.setattr(topic_model, "_HAVE_NUMBA", False)
+        interpreted = fit_lda(docs, cfg)
+        for a, b in zip(compiled.assignments, interpreted.assignments, strict=True):
+            assert np.array_equal(a, b)
+        for name in ("topic_word_counts", "doc_topic_counts", "topic_word", "doc_topic"):
+            assert np.array_equal(getattr(compiled, name), getattr(interpreted, name)), name
 
 
 class TestNonFinitePriors:
