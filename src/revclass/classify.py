@@ -309,14 +309,10 @@ def train_svm(
     of delta * H(t - 1), so a change adds one term to the second sum of its
     coordinate only.
 
-    A step that sums v over its row costs O(nonzeros of the row).  When every
-    stored value is 1.0, every C * N * y_i is an integer and
-    steps * max|C * N * y_i| * (longest row + 1) < 2**53, every margin is an
-    exact integer, whatever the order of its sums.  Epochs in which updates
-    are rare then keep each row's margin up to date instead, through the
-    posting lists of the updated columns, so a step reads one number and only
-    an update pays (:func:`_svm_binary_sums`).  The model is bit-identical
-    either way.  Any other stored value takes a loop that multiplies by each.
+    A step costs O(nonzeros of its row), one multiply by each stored value.
+    With 0/1 values and exact margins, epochs in which updates are rare keep
+    each row's margin instead, so a step reads one number and only an update
+    pays (:func:`_svm_sums`).  The model is bit-identical either way.
     """
     if C <= 0:
         raise ValueError("C must be > 0")
@@ -339,10 +335,7 @@ def train_svm(
     # add.accumulate adds in order, as a running sum would.
     harmonic = np.zeros(steps - start + 1)
     np.cumsum(1.0 / np.arange(start + 1, steps + 1), out=harmonic[1:])
-    if np.all(X.vals == 1.0):
-        v, late = _svm_binary_sums(X, y, gain, draws, epochs, start, harmonic)
-    else:
-        v, late = _svm_general_sums(X, y, gain, draws, epochs, start, harmonic)
+    v, late = _svm_sums(X, y, gain, draws, epochs, start, harmonic)
     averaged = (np.array(v) * harmonic[-1] - np.array(late)) / (steps - start)
     return SvmModel(weights=averaged[:d], bias=float(averaged[d]), C=C, epochs=epochs, seed=seed)
 
@@ -354,68 +347,44 @@ def _row_lists(rows: np.ndarray, cols: np.ndarray, n: int) -> list[list[int]]:
     return [cols[a:b] for a, b in zip(ends, ends[1:])]
 
 
-def _svm_general_sums(X: SparseRows, y, gain, draws, epochs, start, harmonic) -> tuple[list, list]:
-    """:func:`train_svm`'s v and late sums, with the bias as coordinate d, for
-    any stored values: each step reads v over the row's nonzeros."""
-    n, d = X.shape
-    # Each row as its nonzero columns and values, with the bias as column d.
-    rows = [
-        (cols + [d], vals + [1.0])
-        for cols, vals in zip(_row_lists(X.rows, X.cols, n), _row_lists(X.rows, X.vals, n))
-    ]
-    labels = y.tolist()
-    v = [0.0] * (d + 1)
-    late = [0.0] * (d + 1)  # per coordinate: sum of delta * H(t - 1) over changes
-    t = 0
-    for epoch in range(epochs):
-        for i in draws[epoch * n : (epoch + 1) * n].tolist():
-            t += 1
-            cols, vals = rows[i]
-            z = 0.0
-            for j, x in zip(cols, vals):
-                z += v[j] * x
-            yi = labels[i]
-            if t == 1 or yi * z < t - 1:
-                g = gain * yi
-                if t > start:
-                    gh = g * float(harmonic[t - 1 - start])
-                    for j, x in zip(cols, vals):
-                        v[j] += g * x
-                        late[j] += gh * x
-                else:
-                    for j, x in zip(cols, vals):
-                        v[j] += g * x
-    return v, late
+def _svm_sums(X: SparseRows, y, gain, draws, epochs, start, harmonic) -> tuple[list, list]:
+    """:func:`train_svm`'s v and late sums, with the bias as coordinate d.
 
+    A step tests z = (the row's sum of v * x) + v_d, and an update adds
+    g * x to v over the row's columns, with g = C * N * y_i, and g to the
+    bias.  The direct loop does this at every step, multiplying by each
+    stored value x; a 0/1 row reads one list of 1.0s that every row shares,
+    and its multiplies by 1.0 are exact.
 
-def _svm_binary_sums(X: SparseRows, y, gain, draws, epochs, start, harmonic) -> tuple[list, list]:
-    """:func:`train_svm`'s v and late sums when every stored value is 1.0,
-    bit for bit those of :func:`_svm_general_sums`.
-
-    A step tests z = (the row's sum of v) + v_d, and an update adds
-    g = C * N * y_i to v over the row's columns and the bias.  When every g is
-    an integer and steps * max|g| * (longest row + 1) < 2**53, every v and
-    every partial sum of a margin is an exact integer, so a margin is the
-    same number in any order of summation.  Epochs may then run on per-row
-    margins: s[q] holds row q's sum of v, a step reads s[i] alone, and an
-    update also adds g to s[q] for every row q in the posting list (column ->
-    rows) of each of its columns.
+    When every stored value is 1.0, every g is an integer and
+    steps * max|g| * (longest row + 1) < 2**53, every v and every partial sum
+    of a margin is an exact integer, so a margin is the same number in any
+    order of summation.  Epochs may then run on per-row margins: s[q] holds
+    row q's sum of v, a step reads s[i] alone, and an update also adds g to
+    s[q] for every row q in the posting list (column -> rows) of each of its
+    columns.
 
     That pays while updates are rare, as they become near the optimum, and
     not while they are common: early on, or under noisy labels.  So each
     epoch counts the margins its updates touch, or would touch, against the
-    values the direct loop, which sums v over the row at every step, reads
-    in an epoch (nonzeros + N).  The first epoch runs direct; a later one
-    runs on margins when the one before it touched fewer, and finishes
-    direct once it has touched as many.  The bound takes each nonzero as
-    stored once, as in a matrix.
+    values the direct loop reads in an epoch (nonzeros + N).  The first
+    epoch runs direct; a later one runs on margins when the one before it
+    touched fewer, and finishes direct once it has touched as many.  The
+    bound takes each nonzero as stored once, as in a matrix.  The sums are
+    bit for bit the same either way.
     """
     n, d = X.shape
+    # Grouped by row, as _row_lists needs: the identity for select and dense input.
+    order = np.argsort(X.rows, kind="stable")
+    X = SparseRows(X.rows[order], X.cols[order], X.vals[order], X.shape)
     rows = _row_lists(X.rows, X.cols, n)
+    longest = max(map(len, rows))
+    ones = bool(np.all(X.vals == 1.0))
+    vals = [[1.0] * longest] * n if ones else _row_lists(X.rows, X.vals, n)
     labels = y.tolist()
     gains = gain * y
-    exact = bool(np.all(np.trunc(gains) == gains)) and (
-        epochs * n * float(np.abs(gains).max()) * (max(map(len, rows)) + 1) < 2**53
+    exact = ones and bool(np.all(np.trunc(gains) == gains)) and (
+        epochs * n * float(np.abs(gains).max()) * (longest + 1) < 2**53
     )
     reads = X.cols.size + n if exact else 0
     postings = None  # per column: the rows that hold it, built on first use
@@ -462,10 +431,10 @@ def _svm_binary_sums(X: SparseRows, y, gain, draws, epochs, start, harmonic) -> 
         # The direct loop takes the epoch's steps that the margins left: all,
         # some or none.
         for t, i in todo:
-            row = rows[i]
+            cols, xs = rows[i], vals[i]
             z = 0.0
-            for j in row:
-                z += v[j]
+            for j, x in zip(cols, xs):  # zip stops at the row's end
+                z += v[j] * x
             yi = labels[i]
             if yi * (z + b) < t or not t:
                 g = gain * yi
@@ -475,12 +444,12 @@ def _svm_binary_sums(X: SparseRows, y, gain, draws, epochs, start, harmonic) -> 
                 if t >= start:
                     gh = g * float(harmonic[t - start])
                     late_b += gh
-                    for j in row:
-                        v[j] += g
-                        late[j] += gh
+                    for j, x in zip(cols, xs):
+                        v[j] += g * x
+                        late[j] += gh * x
                 else:
-                    for j in row:
-                        v[j] += g
+                    for j, x in zip(cols, xs):
+                        v[j] += g * x
     return v + [b], late + [late_b]
 
 
@@ -803,16 +772,19 @@ def load_ovr(model_dir) -> OvrModel:
         raise ModelFormatError(f"{manifest_path}: field 'budgets' must be a list of {N_CATEGORIES} positive integers")
     if type(manifest["seed"]) is not int or manifest["seed"] < 0:  # not True or 2.0
         raise ModelFormatError(f"{manifest_path}: field 'seed' must be an integer >= 0")
+    names = manifest["members"]
+    if not isinstance(names, list) or not all(isinstance(name, str) for name in names):
+        raise ModelFormatError(f"{manifest_path}: field 'members' must be a list of file names")
     model_type, param_names, hyper_names = _MEMBER_FIELDS[manifest["method"]]
     members = []
     files = {}  # category -> member file that holds it
-    for name in manifest["members"]:
+    for name in names:
         path = os.path.join(model_dir, name)
         doc = _load_model_json(path, ("method", "category", "vocabulary", "parameters", "hyperparameters"))
         method = doc["method"]
         if method != manifest["method"]:
             raise ModelFormatError(f"{path}: field 'method' is {method!r}, but the manifest's is {manifest['method']!r}")
-        if doc["category"] not in range(N_CATEGORIES):
+        if type(doc["category"]) is not int or doc["category"] not in range(N_CATEGORIES):  # not True or 1.0
             raise ModelFormatError(f"{path}: field 'category' must be an index in [0, {N_CATEGORIES - 1}]")
         cat = Category(doc["category"])
         if cat in files:

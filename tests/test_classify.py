@@ -1077,6 +1077,28 @@ class TestSvmStepsMatchThePreviousLoop:
         X[5, np.flatnonzero(X[5])[0]] = 2.0
         _assert_svm_matches_previous(X, y, 1.0, 4, 1)
 
+    @pytest.mark.parametrize("C", [1.0, 0.37])
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_gaussian_rows_with_an_empty_row(self, seed, C):
+        X, y = _training_fixture("gaussian", seed)
+        assert not X[0].any()
+        _assert_svm_matches_previous(X, y, C, 4, seed)
+        _assert_svm_matches_previous(_shuffled_rows(X), y, C, 3, seed)
+
+
+def test_svm_entries_not_grouped_by_row_train_the_dense_model():
+    rng = np.random.default_rng(8)
+    X = (rng.random((30, 8)) < 0.4).astype(float)
+    y = np.where(rng.random(30) < 0.5, 1.0, -1.0)
+    y[:2] = (1.0, -1.0)
+    rows, cols = np.nonzero(X)
+    order = rng.permutation(rows.size)
+    assert np.any(np.diff(rows[order]) < 0)
+    permuted = train_svm(SparseRows(rows[order], cols[order], X[rows, cols][order], X.shape), y, C=1.0, epochs=5)
+    dense = train_svm(X, y, C=1.0, epochs=5)
+    assert permuted.weights.tobytes() == dense.weights.tobytes()
+    assert permuted.bias == dense.bias
+
 
 def _planted_rows(n, d, density, flip, seed):
     """Random 0/1 rows labelled by a planted linear rule, with a share
@@ -1133,6 +1155,12 @@ class TestSvmMarginsMatchThePreviousLoop:
         X[100:], y[100:] = X[:100], y[:100]
         _assert_svm_matches_previous(X, y, 1.0, 20, 5)
         assert _margin_builds(monkeypatch, X, y, 1.0, 20, 5) > 0
+
+    def test_a_value_other_than_one_never_runs_on_margins(self, monkeypatch):
+        X, y = _planted_rows(200, 400, 0.03, 0.0, 1)
+        X[5, np.flatnonzero(X[5])[0]] = 2.0
+        _assert_svm_matches_previous(X, y, 1.0, 20, 3)
+        assert _margin_builds(monkeypatch, X, y, 1.0, 20, 3) == 0
 
     def test_a_non_integer_gain_never_runs_on_margins(self, monkeypatch):
         X, y = _planted_rows(210, 400, 0.03, 0.0, 4)
@@ -1208,6 +1236,35 @@ def test_bad_manifest_selector_budgets_or_seed_raise_naming_file_and_field(saved
     doc[key] = value
     path.write_text(json.dumps(doc), encoding="utf-8")
     with pytest.raises(ModelFormatError, match=f"^{re.escape(str(path))}: field '{key}' must be "):
+        load_ovr(model_dir)
+
+
+@pytest.mark.parametrize(
+    "members",
+    [5, None, [0] * 8, "member_0.json", {f"member_{c}.json": c for c in range(8)}],
+    ids=["int", "null", "ints", "string", "object"],
+)
+def test_manifest_members_not_a_list_of_names_raise_naming_file_and_field(saved_models, tmp_path, members):
+    model_dir = tmp_path / "model"
+    shutil.copytree(saved_models / "svm", model_dir)
+    path = model_dir / "model_manifest.json"
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    doc["members"] = members
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(ModelFormatError, match=f"^{re.escape(str(path))}: field 'members' must be "):
+        load_ovr(model_dir)
+
+
+@pytest.mark.parametrize("category", [True, 1.0])
+def test_a_member_category_not_an_int_raises_naming_file_and_field(saved_models, tmp_path, category):
+    model_dir = tmp_path / "model"
+    shutil.copytree(saved_models / "svm", model_dir)
+    path = model_dir / "member_1.json"
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    assert doc["category"] == 1
+    doc["category"] = category
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(ModelFormatError, match=f"^{re.escape(str(path))}: field 'category' must be "):
         load_ovr(model_dir)
 
 
