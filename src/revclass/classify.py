@@ -281,6 +281,10 @@ def svm_objective(w: np.ndarray, w0: float, X: np.ndarray, y: np.ndarray, C: flo
     return float(0.5 * (w @ w) + C * np.maximum(0.0, 1.0 - margins).sum())
 
 
+# Rows train_svm draws in one call, unless one epoch has more.
+_DRAW_BLOCK = 2**16
+
+
 def train_svm(
     X: np.ndarray | SparseRows,
     y: np.ndarray,
@@ -295,10 +299,10 @@ def train_svm(
     under which the per-sample stochastic objective is the primal scaled by
     a positive constant.  The bias rides along as an augmented coordinate
     (sharing the contraction), which keeps the iteration strongly convex.
-    Runs epochs * N steps, sampling one row per step.  One
-    ``rng.integers(0, N, epochs * N)`` draw takes every step's row: numpy's
-    bounded draws discard no generated bits when a call ends, so it yields the
-    indices, and leaves the generator in the state, of one
+    Runs epochs * N steps, sampling one row per step.  Each
+    ``rng.integers`` call draws the rows of whole epochs, at most
+    max(N, ``_DRAW_BLOCK``) of them: numpy's bounded draws discard no
+    generated bits when a call ends, so the calls yield the indices of one
     ``rng.integers(0, N, N)`` draw per epoch, as a test checks.
 
     Under this schedule the contraction w <- (1 - 1/t) w turns v_t = t * w_t
@@ -327,7 +331,9 @@ def train_svm(
         raise ValueError("training set must contain both labels")
     gain = C * n
     steps = epochs * n
-    draws = np.random.default_rng(seed).integers(0, n, steps)
+    rng, per_call = np.random.default_rng(seed), max(1, _DRAW_BLOCK // n)  # epochs per call
+    calls = (rng.integers(0, n, (min(per_call, epochs - e), n)) for e in range(0, epochs, per_call))
+    draws = (epoch.tolist() for block in calls for epoch in block)  # each epoch's rows
     # Suffix averaging: the early iterates under the 1/(lam*t) schedule are
     # far from the optimum, so only the second half enters the average.
     start = steps // 2
@@ -395,9 +401,9 @@ def _svm_sums(X: SparseRows, y, gain, draws, epochs, start, harmonic) -> tuple[l
     b = late_b = 0.0  # the bias coordinate's v and late
     s = None  # per row: the sum of v over its columns, while it is kept
     work = reads  # so that the first epoch runs direct
-    for epoch in range(epochs):
+    for epoch, drawn in enumerate(draws):
         # t counts the steps before this one; the first step always updates.
-        todo = enumerate(draws[epoch * n : (epoch + 1) * n].tolist(), epoch * n)
+        todo = enumerate(drawn, epoch * n)
         on_margins = work < reads
         work = 0
         if on_margins:
@@ -753,10 +759,11 @@ def load_ovr(model_dir) -> OvrModel:
     the loader reads, the manifest's ``format_version`` (1 when absent)
     must be :data:`MODEL_FORMAT_VERSION`, each member's method must be the manifest's, every
     parameter vector needs one value per vocabulary term, and the manifest
-    must list one member file per category, with a known ``selector``, eight
-    positive ``budgets`` and a ``seed`` >= 0.  The vocabulary must be distinct
-    strings and each parameter pass :func:`_field_value`.  A failed check
-    raises :class:`ModelFormatError` naming the file and the field.
+    must list one member file per category, each by a plain file name in
+    ``model_dir``, with a known ``selector``, eight positive ``budgets`` and
+    a ``seed`` >= 0.  The vocabulary must be distinct strings and each
+    parameter pass :func:`_field_value`.  A failed check raises
+    :class:`ModelFormatError` naming the file and the field.
     """
     manifest_path = os.path.join(model_dir, "model_manifest.json")
     manifest = _load_model_json(manifest_path, ("members", "method", "selector", "budgets", "seed"))
@@ -773,8 +780,10 @@ def load_ovr(model_dir) -> OvrModel:
     if type(manifest["seed"]) is not int or manifest["seed"] < 0:  # not True or 2.0
         raise ModelFormatError(f"{manifest_path}: field 'seed' must be an integer >= 0")
     names = manifest["members"]
-    if not isinstance(names, list) or not all(isinstance(name, str) for name in names):
-        raise ModelFormatError(f"{manifest_path}: field 'members' must be a list of file names")
+    if not isinstance(names, list) or not all(
+        isinstance(name, str) and name not in ("", ".", "..") and os.path.basename(name) == name for name in names
+    ):
+        raise ModelFormatError(f"{manifest_path}: field 'members' must be a list of file names in the model directory")
     model_type, param_names, hyper_names = _MEMBER_FIELDS[manifest["method"]]
     members = []
     files = {}  # category -> member file that holds it

@@ -8,6 +8,7 @@ import os
 import reprlib
 import warnings
 from dataclasses import MISSING, dataclass, field, fields
+from itertools import chain
 from typing import Optional, Sequence
 
 import numpy as np
@@ -24,7 +25,7 @@ from revclass.classify import (
     train_member,
     train_svm,  # unused here; perfbench's tracing self-test reads this binding
 )
-from revclass.corpus import Category, Corpus, N_CATEGORIES, Review, write_csv
+from revclass.corpus import _CATEGORIES, Category, Corpus, N_CATEGORIES, Review, write_csv
 from revclass.feature_select import CHI2, METHODS
 from revclass.preprocess import (
     KnowledgeBase,
@@ -261,9 +262,51 @@ def _series_kb(series: str, roles: int, actors: int) -> KnowledgeBase:
     )
 
 
+def _draws(seed: int):
+    """``below(n)``, ``shuffle(x)`` and ``random()``: the values of
+    ``np.random.default_rng(seed)``'s ``integers(0, n)``, ``shuffle(list)`` and
+    ``random()``, replayed from PCG64's raw outputs as numpy draws them.  A
+    32-bit draw takes a fresh output's low half, then its high half, even
+    after ``random()`` has taken fresh outputs between the two; ``below(n)``
+    applies Lemire's method to them and draws nothing when n == 1.
+    """
+    bits = np.random.PCG64(seed)
+    raw = chain.from_iterable(iter(lambda: bits.random_raw(1024).tolist(), None))
+
+    def halves():
+        for x in raw:
+            yield x & 0xFFFFFFFF
+            yield x >> 32
+
+    u32 = halves().__next__
+
+    def below(n: int) -> int:
+        if not 0 < n <= 1 << 32:
+            raise ValueError(f"below({n}): n must lie in [1, 2**32]")
+        while n > 1:
+            m = u32() * n
+            if m & 0xFFFFFFFF >= n or m & 0xFFFFFFFF >= ((1 << 32) - n) % n:
+                return m >> 32
+        return 0
+
+    def shuffle(x: list) -> None:
+        for i in range(len(x) - 1, 0, -1):
+            mask = (1 << i.bit_length()) - 1
+            j = u32() & mask
+            while j > i:
+                j = u32() & mask
+            x[i], x[j] = x[j], x[i]
+
+    def random() -> float:
+        return (next(raw) >> 11) * 2.0**-53
+
+    return below, shuffle, random
+
+
 def generate_synthetic(spec: SyntheticSpec) -> tuple[Corpus, dict[str, KnowledgeBase]]:
-    """Deterministically generate a labeled corpus and per-series knowledge bases."""
-    rng = np.random.default_rng(spec.seed)
+    """Deterministically generate a labeled corpus and per-series knowledge
+    bases, from the draws of ``np.random.default_rng(spec.seed)`` (:func:`_draws`)."""
+    below, shuffle, random = _draws(spec.seed)
     kbs = {s: _series_kb(s, spec.roles_per_series, spec.actors_per_series) for s in spec.series}
     names = {
         s: {
@@ -272,39 +315,33 @@ def generate_synthetic(spec: SyntheticSpec) -> tuple[Corpus, dict[str, Knowledge
         }
         for s, kb in kbs.items()
     }
+    n_planted = spec.planted_per_review
+    n_noise = max(0, spec.tokens_per_review - n_planted)
+    noise = spec.noise_vocab
 
     reviews: list[Review] = []
     labels: list[Category] = []
     for series in spec.series:
         cats = [i % N_CATEGORIES for i in range(spec.reviews_per_series)]
-        rng.shuffle(cats)
+        shuffle(cats)
         for r_idx, cat in enumerate(cats):
             planted = spec.planted_vocab[cat]
-            n_planted = spec.planted_per_review
-            n_noise = max(0, spec.tokens_per_review - n_planted)
-            tokens = [planted[j] for j in rng.integers(0, len(planted), n_planted)]
-            tokens += [spec.noise_vocab[j] for j in rng.integers(0, len(spec.noise_vocab), n_noise)]
-            rng.shuffle(tokens)
-            if rng.random() < spec.mention_rate[cat]:
+            tokens = [planted[below(len(planted))] for _ in range(n_planted)]
+            tokens += [noise[below(len(noise))] for _ in range(n_noise)]
+            shuffle(tokens)
+            if random() < spec.mention_rate[cat]:
+                sig = _MENTION_SIGNATURES.get(cat)
                 for _ in range(spec.mentions_per_hit):
-                    sig = _MENTION_SIGNATURES.get(cat)
                     if sig is None:
-                        kind = ("role", "actor")[rng.integers(0, 2)]
+                        kind = ("role", "actor")[below(2)]
                         limit = spec.roles_per_series if kind == "role" else spec.actors_per_series
-                        rank = int(rng.integers(1, limit + 1))
+                        rank = 1 + below(limit)
                     else:
                         kind, ranks = sig
-                        rank = int(ranks[rng.integers(0, len(ranks))])
-                    tokens.insert(int(rng.integers(0, len(tokens) + 1)), names[series][kind][rank])
-            reviews.append(
-                Review(
-                    id=f"{series}-{r_idx:04d}",
-                    series=series,
-                    text=" ".join(tokens),
-                    annotations=(cat, cat),
-                )
-            )
-            labels.append(Category(cat))
+                        rank = ranks[below(len(ranks))]
+                    tokens.insert(below(len(tokens) + 1), names[series][kind][rank])
+            reviews.append(Review(id=f"{series}-{r_idx:04d}", series=series, text=" ".join(tokens), annotations=(cat, cat)))
+            labels.append(_CATEGORIES[cat])
     return Corpus(reviews=tuple(reviews), labels=tuple(labels)), kbs
 
 

@@ -1255,6 +1255,26 @@ def test_manifest_members_not_a_list_of_names_raise_naming_file_and_field(saved_
         load_ovr(model_dir)
 
 
+@pytest.mark.parametrize(
+    "name",
+    ["absolute", "../x/member_0.json", "sub/member_0.json", "", ".", ".."],
+)
+def test_manifest_members_outside_the_model_directory_raise_naming_file_and_field(saved_models, tmp_path, name):
+    model_dir = tmp_path / "model"
+    shutil.copytree(saved_models / "svm", model_dir)
+    # Each name would reach a readable copy of member 0 but for the check.
+    shutil.copytree(saved_models / "svm", tmp_path / "x")
+    shutil.copytree(saved_models / "svm", model_dir / "sub")
+    if name == "absolute":
+        name = str(tmp_path / "x" / "member_0.json")
+    path = model_dir / "model_manifest.json"
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    doc["members"][0] = name
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(ModelFormatError, match=f"^{re.escape(str(path))}: field 'members' must be "):
+        load_ovr(model_dir)
+
+
 @pytest.mark.parametrize("category", [True, 1.0])
 def test_a_member_category_not_an_int_raises_naming_file_and_field(saved_models, tmp_path, category):
     model_dir = tmp_path / "model"
@@ -1414,6 +1434,41 @@ class TestSvmSingleDraw:
             X = X * np.random.default_rng(n).normal(size=X.shape)
         for C, seed in ((1.0, 3), (0.37, 11)):
             _assert_svm_matches_previous(X, y, C, epochs, seed)
+
+    @staticmethod
+    def _draw_sizes(monkeypatch):
+        """The size of each rng.integers call train_svm makes from now on."""
+        sizes = []
+        real = np.random.default_rng
+
+        class Counted:
+            def __init__(self, seed):
+                self.rng = real(seed)
+
+            def integers(self, low, high, size):
+                sizes.append(size)
+                return self.rng.integers(low, high, size)
+
+        monkeypatch.setattr(np.random, "default_rng", Counted)
+        return sizes
+
+    @pytest.mark.parametrize("values", ["binary", "gaussian"])
+    @pytest.mark.parametrize("block, calls", [(3 * 60 + 2, [(3, 60), (3, 60), (1, 60)]), (7, [(1, 60)] * 7)])
+    def test_draws_in_blocks_of_epochs_train_the_same_model(self, monkeypatch, values, block, calls):
+        X, y = _training_fixture(values, 6)
+        whole = train_svm(X, y, C=0.37, epochs=7, seed=9)
+        sizes = self._draw_sizes(monkeypatch)
+        monkeypatch.setattr(classify, "_DRAW_BLOCK", block)
+        blocked = train_svm(X, y, C=0.37, epochs=7, seed=9)
+        assert sizes == calls
+        assert blocked.weights.tobytes() == whole.weights.tobytes()
+        assert (blocked.bias, blocked.C, blocked.epochs, blocked.seed) == (whole.bias, whole.C, whole.epochs, whole.seed)
+
+    def test_fifty_epochs_of_200_rows_are_one_call(self, monkeypatch):
+        X, y = _planted_rows(200, 30, 0.1, 0.05, 4)
+        sizes = self._draw_sizes(monkeypatch)
+        train_svm(X, y, epochs=50)
+        assert sizes == [(50, 200)]
 
     @pytest.mark.parametrize("n", [2, 3, 200, 201, 2**32 + 1])
     @pytest.mark.parametrize("epochs", [1, 2, 3, 50])

@@ -1093,6 +1093,41 @@ _GOLDEN_JSON_DIGESTS = {
 }
 
 
+# An edge spec for synth: every category mentions names, including those
+# without a rank signature; a one-word planted group; more mentions per hit;
+# and a different number of roles and actors.
+_GOLDEN_SYNTH_SPEC = {
+    "reviews_per_series": 40,
+    "tokens_per_review": 9,
+    "planted_vocab": [["solo"]] + [[f"c{c}_{i}" for i in range(c + 2)] for c in range(1, 8)],
+    "noise_vocab": [f"n{i}" for i in range(50)],
+    "roles_per_series": 7,
+    "actors_per_series": 9,
+    "mention_rate": [0.5] * 8,
+    "mentions_per_hit": 4,
+    "seed": 3,
+}
+# SHA-256 of every file synth writes but its run manifest, for both presets
+# and the edge spec.
+_GOLDEN_SYNTH_DIGESTS = {
+    "ablation/corpus.jsonl": "d3e48423e36f1ba10d842ff6d1b1c019d6fb7394139c805fee03979ca573a76b",
+    "ablation/kb/alpha.json": "616b3f7261313fcf0bbcb5801696fc236875b91dadc01f332256ff46dac55084",
+    "ablation/kb/beta.json": "230ac4e200a094bda99c346ccf0e7463690156ac5e308474bfc760bf9694274d",
+    "ablation/kb/gamma.json": "4e8996054407f6f790fd6eec781b3facde17a4d9ebdf246ab15aeacb203a2db5",
+    "ablation/synth_spec.json": "8c3c69ed14710e17420231fb39462dce66889797449568b65e66f81f8aece4bb",
+    "sweep/corpus.jsonl": "d2148631a59337f1ccd277ff4dc8e0cd4df7a9d5bca7bf57c9a17e8e465db6d8",
+    "sweep/kb/alpha.json": "616b3f7261313fcf0bbcb5801696fc236875b91dadc01f332256ff46dac55084",
+    "sweep/kb/beta.json": "230ac4e200a094bda99c346ccf0e7463690156ac5e308474bfc760bf9694274d",
+    "sweep/kb/gamma.json": "4e8996054407f6f790fd6eec781b3facde17a4d9ebdf246ab15aeacb203a2db5",
+    "sweep/synth_spec.json": "4fc0500d88860d027fe3e32c252543b900c1c0df38a5c80e6dfce110769f59b1",
+    "edge/corpus.jsonl": "c4a8cf7062c0d53992ac4419452c8d3c95754784e281d2392df2a93b81241756",
+    "edge/kb/alpha.json": "db8d13153f26c1407c562cd3a3dbb697e407b734df52eb14485da19b8f75881f",
+    "edge/kb/beta.json": "4b35e4d9ef15b13c6a59c28b5422478942d3e344d1038b497d7349795e666e5a",
+    "edge/kb/gamma.json": "23c5130eb81f3c15ef17c975bf18849a161a0b9ebe0fb259871cf13074a744bf",
+    "edge/synth_spec.json": "698f4b72836146b1faee5523a27765df6d6dbbed5d1caa2057d6631164662657",
+}
+
+
 class TestGoldenBytes:
     def test_ingest_and_preprocess_outputs_keep_their_bytes(self, tmp_path):
         corpus = tmp_path / "corpus.jsonl"
@@ -1147,6 +1182,18 @@ class TestGoldenBytes:
         }
         digests = {name: hashlib.sha256(path.read_bytes()).hexdigest() for name, path in outputs.items()}
         assert digests == _GOLDEN_JSON_DIGESTS
+
+    def test_synth_outputs_keep_their_bytes(self, tmp_path):
+        spec = tmp_path / "edge.json"
+        spec.write_text(json.dumps(_GOLDEN_SYNTH_SPEC), encoding="utf-8")
+        runs = {"ablation": ["--preset", "ablation"], "sweep": ["--preset", "sweep"], "edge": ["--spec", spec]}
+        digests = {}
+        for name, args in runs.items():
+            assert run(["synth", *args, "--out-dir", tmp_path / name, "--quiet"]) == 0
+            files = [tmp_path / name / "corpus.jsonl", *sorted((tmp_path / name / "kb").iterdir())]
+            for path in [*files, tmp_path / name / "synth_spec.json"]:
+                digests[path.relative_to(tmp_path).as_posix()] = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert digests == _GOLDEN_SYNTH_DIGESTS
 
 
 # The summary line each command prints before the manifest line.

@@ -1,18 +1,22 @@
 import dataclasses
 import json
 import os
+import random
 import re
 
 import numpy as np
 import pytest
 
 from revclass.classify import BinaryMember, Hyperparams, OvrModel, STUB_NO_POSITIVES, predict, train_member, train_ovr
-from revclass.corpus import Category
+from revclass.corpus import Category, Corpus, N_CATEGORIES, Review
 from revclass.evaluate import (
+    _MENTION_SIGNATURES,
     ExperimentConfig,
     SURROGATE_OFF,
     SURROGATE_ON,
     SyntheticSpec,
+    _draws,
+    _series_kb,
     accuracy,
     binary_accuracy,
     cross_series_experiment,
@@ -579,3 +583,129 @@ class TestSeriesNamesAreFileNames:
         names = ["s.1", "s..2", "s3."]
         corpus, kbs = generate_synthetic(SyntheticSpec.from_dict({"series": names, "reviews_per_series": 8}))
         assert set(kbs) == set(names) and len(corpus) == 24
+
+
+class TestDrawsReplayNumpy:
+    """_draws(seed) gives the values of np.random.default_rng(seed), draw for draw."""
+
+    BOUNDS = (1, 2, 3, 12, 300, 2**31 + 1, 2**32)
+
+    @pytest.mark.parametrize("seed", [0, 1, 5, 33, 2**40 + 7])
+    def test_interleaved_draws_equal_numpy(self, seed):
+        rng = np.random.default_rng(seed)
+        below, shuffle, uniform = _draws(seed)
+        ops = random.Random(seed)
+        for _ in range(10_000):
+            op = ops.randrange(3)
+            if op == 0:
+                n = ops.choice(self.BOUNDS)
+                assert below(n) == int(rng.integers(0, n))
+            elif op == 1:
+                mine = list(range(ops.randrange(41)))
+                theirs = mine.copy()
+                shuffle(mine)
+                rng.shuffle(theirs)
+                assert mine == theirs
+            else:
+                assert uniform() == rng.random()
+        # Both are still in step after tens of thousands of outputs, dozens of chunks.
+        assert below(300) == int(rng.integers(0, 300))
+
+    def test_chunk_ends_fall_between_and_within_draws(self):
+        # random() takes one output, so 5000 of them cross four chunk ends;
+        # a held 32-bit half then carries over the next chunk end.
+        rng = np.random.default_rng(3)
+        below, shuffle, uniform = _draws(3)
+        for _ in range(5000):
+            assert uniform() == rng.random()
+        assert below(300) == int(rng.integers(0, 300))
+        for _ in range(1024 - 5000 % 1024 - 1):
+            assert uniform() == rng.random()
+        assert [below(12) for _ in range(4)] == rng.integers(0, 12, 4).tolist()
+
+    def test_a_sized_draw_equals_one_draw_per_value(self):
+        rng = np.random.default_rng(9)
+        below, _, _ = _draws(9)
+        for n in (1, 7, 300, 2**31 + 1):
+            assert [below(n) for _ in range(50)] == rng.integers(0, n, 50).tolist()
+
+    @pytest.mark.parametrize("n", [0, -3, 2**32 + 1])
+    def test_a_bound_outside_32_bits_raises(self, n):
+        below, _, _ = _draws(1)
+        with pytest.raises(ValueError, match="n must lie in"):
+            below(n)
+
+
+def _previous_generate_synthetic(spec):
+    """generate_synthetic's body as it drew from np.random.default_rng."""
+    rng = np.random.default_rng(spec.seed)
+    kbs = {s: _series_kb(s, spec.roles_per_series, spec.actors_per_series) for s in spec.series}
+    names = {
+        s: {
+            "role": {e.rank: e.canonical_name for e in kb.roles},
+            "actor": {e.rank: e.canonical_name for e in kb.actors},
+        }
+        for s, kb in kbs.items()
+    }
+    reviews, labels = [], []
+    for series in spec.series:
+        cats = [i % N_CATEGORIES for i in range(spec.reviews_per_series)]
+        rng.shuffle(cats)
+        for r_idx, cat in enumerate(cats):
+            planted = spec.planted_vocab[cat]
+            n_planted = spec.planted_per_review
+            n_noise = max(0, spec.tokens_per_review - n_planted)
+            tokens = [planted[j] for j in rng.integers(0, len(planted), n_planted)]
+            tokens += [spec.noise_vocab[j] for j in rng.integers(0, len(spec.noise_vocab), n_noise)]
+            rng.shuffle(tokens)
+            if rng.random() < spec.mention_rate[cat]:
+                for _ in range(spec.mentions_per_hit):
+                    sig = _MENTION_SIGNATURES.get(cat)
+                    if sig is None:
+                        kind = ("role", "actor")[rng.integers(0, 2)]
+                        limit = spec.roles_per_series if kind == "role" else spec.actors_per_series
+                        rank = int(rng.integers(1, limit + 1))
+                    else:
+                        kind, ranks = sig
+                        rank = int(ranks[rng.integers(0, len(ranks))])
+                    tokens.insert(int(rng.integers(0, len(tokens) + 1)), names[series][kind][rank])
+            reviews.append(Review(id=f"{series}-{r_idx:04d}", series=series, text=" ".join(tokens), annotations=(cat, cat)))
+            labels.append(Category(cat))
+    return Corpus(reviews=tuple(reviews), labels=tuple(labels)), kbs
+
+
+class TestGeneratorMatchesThePreviousBody:
+    SPECS = {
+        "ablation": SyntheticSpec.ablation_default(),
+        "sweep": SyntheticSpec.sweep_default(),
+        "edge": SyntheticSpec.from_dict(
+            {
+                "reviews_per_series": 40,
+                "tokens_per_review": 9,
+                "planted_vocab": [["solo"]] + [[f"c{c}_{i}" for i in range(c + 2)] for c in range(1, 8)],
+                "noise_vocab": [f"n{i}" for i in range(50)],
+                "roles_per_series": 7,
+                "actors_per_series": 9,
+                "mention_rate": [0.5] * 8,
+                "mentions_per_hit": 4,
+                "seed": 3,
+            }
+        ),
+        "every_review_no_mentions": SyntheticSpec.from_dict({"mention_rate": [1.0] * 8, "mentions_per_hit": 0}),
+        "one_person_of_each_kind": SyntheticSpec.from_dict(
+            {"mention_rate": [0.0] * 5 + [1.0] * 3, "roles_per_series": 1, "actors_per_series": 1, "seed": 8}
+        ),
+        "no_noise": SyntheticSpec.from_dict({"planted_fraction": 1.0, "noise_vocab": [], "reviews_per_series": 30}),
+    }
+
+    @pytest.mark.parametrize("name", list(SPECS))
+    def test_same_corpus_and_knowledge_bases(self, name):
+        spec = self.SPECS[name]
+        assert generate_synthetic(spec) == _previous_generate_synthetic(spec)
+
+    def test_a_review_of_empty_words_still_raises(self):
+        spec = SyntheticSpec.from_dict(
+            {"planted_vocab": [[""]] + [[f"w{c}"] for c in range(1, 8)], "tokens_per_review": 1, "mention_rate": [0.0] * 8}
+        )
+        with pytest.raises(ValueError, match="text must be non-empty"):
+            generate_synthetic(spec)
