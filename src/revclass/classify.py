@@ -3,7 +3,6 @@ and their one-vs-rest composition into an 8-way predictor."""
 
 from __future__ import annotations
 
-import itertools
 import math
 import os
 import sys
@@ -544,11 +543,11 @@ def score_documents(members: Sequence[BinaryMember], docs: Sequence[Sequence[str
     Every member is one linear form, bias plus the weights of its terms
     present: NB's log-odds, LR's and the SVM's z = w.x + w0 (LR's sigma(z)
     saturates to exact ties), or a stub's -inf/+inf.  The documents are
-    vectorized once, over their own vocabulary in sorted order (so a score
+    vectorized once, over the members' terms in sorted order (so a score
     depends only on a document's set of tokens), and each member is one
     sparse product with the member's columns of that matrix.
     """
-    vocab = Vocabulary(tuple(sorted({t for doc in docs for t in doc})))
+    vocab = Vocabulary(tuple(sorted({t for member in members for t in member.terms})))
     # The labels are placeholders: scoring reads only the presence matrix.
     vc = VectorizedCorpus.from_tokens(docs, [-1] * len(docs), vocab)
     scores = np.empty((len(docs), len(members)))
@@ -556,9 +555,8 @@ def score_documents(members: Sequence[BinaryMember], docs: Sequence[Sequence[str
         if member.stub:
             scores[:, j] = -math.inf if member.stub == STUB_NO_POSITIVES else math.inf
             continue
-        pos = np.fromiter(map(vocab.index.get, member.terms, itertools.repeat(-1)), np.int64, len(member.terms))
-        seen = pos >= 0
-        scores[:, j] = member.model.bias + _times(vc.select(pos[seen]), member.model.weights[seen])
+        pos = np.fromiter(map(vocab.index.__getitem__, member.terms), np.int64, len(member.terms))
+        scores[:, j] = member.model.bias + _times(vc.select(pos), member.model.weights)
     return scores
 
 
@@ -789,6 +787,8 @@ def load_ovr(model_dir) -> OvrModel:
     files = {}  # category -> member file that holds it
     for name in names:
         path = os.path.join(model_dir, name)
+        if not os.path.isfile(path):
+            raise ModelFormatError(f"{manifest_path}: field 'members' names {name!r}, which is not a file")
         doc = _load_model_json(path, ("method", "category", "vocabulary", "parameters", "hyperparameters"))
         method = doc["method"]
         if method != manifest["method"]:

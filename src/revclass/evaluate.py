@@ -503,20 +503,21 @@ def tokenize_corpus(
     )
 
 
-def _require_labels(tokenized: TokenizedCorpus) -> None:
-    if any(lab is None for lab in tokenized.labels):
-        raise ValueError("experiment corpora must be fully labeled (run the agreement filter)")
-
-
-def _split_tokenized(
-    tokenized: TokenizedCorpus, rot: Rotation
-) -> tuple[TokenizedCorpus, TokenizedCorpus]:
-    (a, b), t = rot
-    train = tokenized.subset(tokenized.series_indices((a, b)))
-    test = tokenized.subset(tokenized.series_indices((t,)))
-    if len(train) == 0 or len(test) == 0:
-        raise ValueError(f"rotation {rotation_label(rot)} produced an empty split")
-    return train, test
+def _splits(corpus, config, kbs, seg, modes, rotations):
+    """Per surrogate mode, the corpus tokenized once (every review must have
+    a label); per rotation, ``(mode, rotation, train, test, vc_train)`` with
+    the training split vectorized."""
+    for mode in modes:
+        tokenized = tokenize_corpus(corpus, seg, config.stopwords, kbs, mode)
+        if any(lab is None for lab in tokenized.labels):
+            raise ValueError("experiment corpora must be fully labeled (run the agreement filter)")
+        for rot in rotations:
+            (a, b), t = rot
+            train = tokenized.subset(tokenized.series_indices((a, b)))
+            test = tokenized.subset(tokenized.series_indices((t,)))
+            if len(train) == 0 or len(test) == 0:
+                raise ValueError(f"rotation {rotation_label(rot)} produced an empty split")
+            yield mode, rot, train, test, VectorizedCorpus.from_tokens(train.docs, train.labels)
 
 
 # ---------------------------------------------------------------------------
@@ -537,10 +538,7 @@ def feature_size_sweep(
     so each split is vectorized once."""
     corpus = _apply_series_cap(corpus, config.per_series_cap)
     rotation = config.rotation or derive_rotations(list(corpus.series_index))[0]
-    tokenized = tokenize_corpus(corpus, seg, config.stopwords, kbs, config.surrogate_mode)
-    _require_labels(tokenized)
-    train, test = _split_tokenized(tokenized, rotation)
-    vc_train = VectorizedCorpus.from_tokens(train.docs, train.labels)
+    [(_, _, train, test, vc_train)] = _splits(corpus, config, kbs, seg, (config.surrogate_mode,), (rotation,))
     V = len(vc_train.vocab)
     sizes = config.feature_sizes
     rankings = rank_classes(vc_train, (max(sizes),) * N_CATEGORIES, config.selector)
@@ -579,23 +577,18 @@ def cross_series_experiment(
         raise ValueError("cross-series experiment needs at least 3 series")
     rotations = config.rotations or derive_rotations(list(corpus.series_index))
     table = ResultTable()
-    for mode in (SURROGATE_OFF, SURROGATE_ON):
-        tokenized = tokenize_corpus(corpus, seg, config.stopwords, kbs, mode)
-        _require_labels(tokenized)
-        for rot in rotations:
-            label = rotation_label(rot)
-            train, test = _split_tokenized(tokenized, rot)
-            vc_train = VectorizedCorpus.from_tokens(train.docs, train.labels)
-            rankings = rank_classes(vc_train, config.per_class_budgets, config.selector)
-            members = [
-                train_member(vc_train, r.category, r.positions, method, config.hyperparams, config.seed)
-                for method in config.methods
-                for r in rankings
-            ]
-            per_cat, multi = zip(*_readouts(members, test))
-            for cat in Category:
-                table.generalization[(int(cat), label, mode)] = float(np.mean([p[cat] for p in per_cat]))
-            table.multiclass[(label, mode)] = float(np.mean(multi))
+    for mode, rot, _, test, vc_train in _splits(corpus, config, kbs, seg, (SURROGATE_OFF, SURROGATE_ON), rotations):
+        label = rotation_label(rot)
+        rankings = rank_classes(vc_train, config.per_class_budgets, config.selector)
+        members = [
+            train_member(vc_train, r.category, r.positions, method, config.hyperparams, config.seed)
+            for method in config.methods
+            for r in rankings
+        ]
+        per_cat, multi = zip(*_readouts(members, test))
+        for cat in Category:
+            table.generalization[(int(cat), label, mode)] = float(np.mean([p[cat] for p in per_cat]))
+        table.multiclass[(label, mode)] = float(np.mean(multi))
     table.validate()
     if out_csv is not None:
         write_generalization_csv(table, out_csv)

@@ -1225,6 +1225,7 @@ def test_a_bool_among_numeric_weights_raises_naming_file_and_field(saved_models,
         ("seed", True),
         ("seed", 42.0),
         ("seed", None),
+        ("method", "knn"),
     ],
 )
 def test_bad_manifest_selector_budgets_or_seed_raise_naming_file_and_field(saved_models, tmp_path, key, value):

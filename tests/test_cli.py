@@ -536,12 +536,15 @@ class TestBoundaryValidation:
             (_edit(lambda d: d["vocabulary"].__setitem__(0, 7)), "'vocabulary'"),
             (_edit(lambda d: d["vocabulary"].__setitem__(0, d["vocabulary"][1])), "'vocabulary'"),
             (_edit(lambda d: d.update(vocabulary="".join(d["vocabulary"]))), "'vocabulary'"),
+            (_edit(lambda d: d.update(parameters=5)), "field 'parameters' must be a JSON object"),
+            (_edit(lambda d: d.update(hyperparameters=[])), "field 'hyperparameters' must be a JSON object"),
+            (_edit(lambda d: d["parameters"].update(stub="maybe")), "field 'parameters.stub' has unknown value 'maybe'"),
         ],
         ids=[
             "truncated", "short_cond_pos", "missing_field", "other_method",
             "string_cond_pos", "null_cond_pos", "nested_cond_pos", "cond_pos_above_1", "cond_pos_0", "negative_cond_neg",
             "nan_cond_neg", "string_log_prior", "infinite_log_prior", "bool_smoothing", "bool_cond_pos", "int_term", "repeated_term",
-            "string_vocabulary",
+            "string_vocabulary", "number_parameters", "list_hyperparameters", "unknown_stub",
         ],
     )
     def test_bad_model_exits_2_naming_file_and_field(self, pipeline, tmp_path, capsys, corrupt, field):
@@ -582,8 +585,9 @@ class TestBoundaryValidation:
         [
             (lambda d: d["members"].__setitem__(1, "member_0.json"), "lists category 0 twice"),
             (lambda d: d["members"].pop(), "must list 8 member files, got 7"),
+            (lambda d: d["members"].__setitem__(2, "nope.json"), "field 'members' names 'nope.json', which is not a file"),
         ],
-        ids=["duplicate", "missing"],
+        ids=["duplicate", "missing", "missing_file"],
     )
     def test_bad_manifest_members_exit_2_naming_manifest(self, pipeline, tmp_path, capsys, change, message):
         model = tmp_path / "model"
@@ -594,6 +598,18 @@ class TestBoundaryValidation:
         assert code == 2
         err = capsys.readouterr().err
         assert str(model / "model_manifest.json") in err and message in err
+        assert not out.exists()
+
+    def test_manifest_member_that_is_a_directory_exits_2_naming_manifest(self, pipeline, tmp_path, capsys):
+        model = tmp_path / "model"
+        shutil.copytree(pipeline["train"] / "model", model)
+        (model / "sub").mkdir()
+        _edit(lambda d: d["members"].__setitem__(2, "sub"))(model / "model_manifest.json")
+        out = tmp_path / "eval"
+        code = run(["evaluate", "--model", model, "--tokens", pipeline["tokens"] / "tokens.jsonl", "--out-dir", out])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {model / 'model_manifest.json'}: field 'members' names 'sub', which is not a file\n"
         assert not out.exists()
 
     def test_empty_vocabulary_exits_2_naming_tokens_file(self, tmp_path, capsys):
@@ -631,8 +647,15 @@ class TestBoundaryValidation:
             (lambda kb: kb.update(roles={"name": "alpha_hero1", "rank": 1}), "field 'roles' must be a list"),
             (lambda kb: kb.update(actors="alpha_star1"), "field 'actors' must be a list"),
             (None, "invalid JSON"),
+            (lambda kb: kb.pop("series"), "expected an object with a 'series' string"),
+            (lambda kb: kb["roles"][0].pop("rank"), "field 'roles[0]' needs 'name' and 'rank'"),
+            (lambda kb: kb["roles"][1].update(rank=0), "'roles[1]': 'alpha_hero2': rank must be >= 1"),
+            (lambda kb: kb["actors"][0].update(aliases=[""]), "'actors[0]': alias must be non-empty"),
         ],
-        ids=["string_aliases", "string_rank", "number_name", "roles_object", "actors_string", "invalid_json"],
+        ids=[
+            "string_aliases", "string_rank", "number_name", "roles_object", "actors_string", "invalid_json",
+            "no_series", "role_without_rank", "rank_0", "empty_alias",
+        ],
     )
     def test_bad_knowledge_base_exits_2_naming_file_and_field(self, pipeline, tmp_path, capsys, change, field):
         kb_dir = tmp_path / "kb"
@@ -647,6 +670,39 @@ class TestBoundaryValidation:
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: {kb_dir / 'alpha.json'}: ") and field in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("files", [(), ("alpha.json", "alpha2.json")], ids=["no_json_file", "series_twice"])
+    def test_bad_kb_dir_exits_2_naming_it(self, pipeline, tmp_path, capsys, files):
+        kb_dir = tmp_path / "kb"
+        kb_dir.mkdir()
+        (kb_dir / "notes.txt").write_text("not a knowledge base\n", encoding="utf-8")
+        for name in files:
+            shutil.copy(pipeline["synth"] / "kb" / "alpha.json", kb_dir / name)
+        out = tmp_path / "pre"
+        corpus = pipeline["ingest"] / "corpus.filtered.jsonl"
+        code = run(["preprocess", "--corpus", corpus, "--kb-dir", kb_dir, "--surrogates", "on", "--out-dir", out])
+        assert code == 2
+        message = (
+            f"duplicate knowledge base for series 'alpha' ({kb_dir / 'alpha2.json'})"
+            if files
+            else f"no knowledge-base files (*.json) found in {kb_dir}"
+        )
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["train", "evaluate"])
+    def test_unlabelled_tokens_line_exits_2_naming_the_file(self, pipeline, tmp_path, capsys, command):
+        tokens = tmp_path / "tokens.jsonl"
+        good = (pipeline["tokens"] / "tokens.jsonl").read_text(encoding="utf-8").splitlines()
+        bad = json.dumps({**json.loads(good[3]), "label": None})
+        tokens.write_text("\n".join(good[:3] + [bad] + good[4:]) + "\n", encoding="utf-8")
+        out = tmp_path / "out"
+        extra = ["--model", pipeline["train"] / "model"] if command == "evaluate" else []
+        code = run([command, "--tokens", tokens, *extra, "--out-dir", out, "--quiet"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {tokens}: 1 review(s) lack labels; run 'revclass ingest' first\n"
         assert not out.exists()
 
     @pytest.mark.parametrize(
@@ -933,6 +989,7 @@ class TestExperimentFlagErrors:
             ("cross-series", ["--methods", "nb,forest"], "unknown classifier method 'forest'"),
             ("sweep", ["--rotation", "alpha,beta:alpha"], "rotation series must be disjoint"),
             ("sweep", ["--sizes", "30,10"], "feature sizes must be positive and strictly ascending"),
+            ("cross-series", ["--budgets", "1,2"], "--budgets: expected 1 or 8 sizes, got 2"),
         ],
     )
     def test_bad_experiment_flag_exits_2(self, pipeline, tmp_path, capsys, command, flags, message):

@@ -340,6 +340,25 @@ def test_annotation_messages(tmp_path, annotations, message):
 
 
 @pytest.mark.parametrize(
+    "change, message",
+    [
+        ({"id": ""}, "field 'id' must be a non-empty string"),
+        ({"series": 5}, "field 'series' must be a non-empty string"),
+        ({"text": ["还不错"]}, "field 'text' must be a string"),
+        ({"text": ""}, "field 'text' is empty after normalization"),
+        ({"episode": True}, "field 'episode' must be a non-negative integer"),
+        ({"episode": -1}, "field 'episode' must be a non-negative integer"),
+    ],
+    ids=["empty_id", "number_series", "list_text", "empty_text", "bool_episode", "negative_episode"],
+)
+def test_bad_field_messages(tmp_path, change, message):
+    path = write_jsonl(tmp_path / "corpus.jsonl", [review_record("a"), {**review_record("b"), **change}])
+    with pytest.raises(CorpusFormatError) as info:
+        load_corpus(path)
+    assert str(info.value) == f"{path}: line 2: {message}"
+
+
+@pytest.mark.parametrize(
     "annotations, bad", [((-1,), -1), ((8,), 8), ((3, 9, -1), 9), ((0, 7, -2, 8), -2)]
 )
 def test_review_names_the_first_annotation_out_of_range(annotations, bad):

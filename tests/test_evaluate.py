@@ -439,6 +439,31 @@ class TestPerSeriesCap:
             experiment(corpus, kbs=kbs, config=ExperimentConfig(methods=("nb",), per_series_cap=cap))
 
 
+class TestSplitChecks:
+    """Both experiments check the tokenized corpus and each split before
+    training anything."""
+
+    @pytest.mark.parametrize("experiment", [feature_size_sweep, cross_series_experiment], ids=["sweep", "cross-series"])
+    def test_an_unlabelled_review_is_an_error(self, experiment):
+        corpus, kbs = generate_synthetic(_small_spec(reviews_per_series=24))
+        unlabelled = Corpus(corpus.reviews, corpus.labels[:-1] + (None,))
+        with pytest.raises(ValueError, match=r"^experiment corpora must be fully labeled \(run the agreement filter\)$"):
+            experiment(unlabelled, kbs=kbs, config=ExperimentConfig(methods=("nb",)))
+
+    def test_surrogates_on_without_knowledge_bases_is_an_error(self):
+        corpus, _ = generate_synthetic(_small_spec(reviews_per_series=24))
+        with pytest.raises(ValueError, match=r"^surrogate mode 'on' requires knowledge bases$"):
+            feature_size_sweep(corpus, ExperimentConfig(surrogate_mode=SURROGATE_ON))
+
+    @pytest.mark.parametrize("experiment", [feature_size_sweep, cross_series_experiment], ids=["sweep", "cross-series"])
+    def test_a_rotation_onto_a_series_without_reviews_is_an_error(self, experiment):
+        corpus, kbs = generate_synthetic(_small_spec(reviews_per_series=24))
+        rot = (("alpha", "beta"), "delta")
+        config = ExperimentConfig(methods=("nb",), sweep_method="nb", rotation=rot, rotations=(rot,))
+        with pytest.raises(ValueError, match=r"^rotation alpha&beta-delta produced an empty split$"):
+            experiment(corpus, kbs=kbs, config=config)
+
+
 class TestCsvWriters:
     def test_sweep_rows_sorted(self, tmp_path):
         from revclass.evaluate import ResultTable, SweepCell

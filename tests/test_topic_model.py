@@ -1,3 +1,5 @@
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -406,6 +408,36 @@ class TestOneSweep:
             dk, kw, k = state.counts()
             assert z.tolist() == z_ref.tolist()
             assert dk.tolist() == dk_ref.tolist() and kw.tolist() == kw_ref.tolist() and k.tolist() == k_ref.tolist()
+        assert K == 1 or z.tolist() != z0.tolist()  # the sweeps moved tokens
+
+    @pytest.mark.parametrize("K", [1, 2, 13])
+    def test_interpreted_sweep_over_arrays_matches_the_reference(self, K):
+        from revclass import topic_model
+
+        alpha, beta = 0.1, 0.01
+        doc_of, word_of, V = _power_of_two_corpus()
+        z0 = np.random.default_rng(K).integers(0, K, len(doc_of))
+        n_dk, n_kw, n_k = _counts(doc_of, word_of, z0, 4, K, V)
+        state = topic_model._ListGibbs(n_dk, n_kw, n_k, alpha, beta, arrays=True)
+        assert state.sweep.func is topic_model._sweep
+        for table in state.sweep.args:
+            assert table.dtype in (np.int64, np.float64) and table.flags.c_contiguous
+        # _sweep's Python source over the state's arrays, as fit_lda runs it without numba
+        sweep = partial(getattr(topic_model._sweep, "py_func", topic_model._sweep), *state.sweep.args)
+        z, docs, words = z0.copy(), doc_of.copy(), word_of.copy()
+        z_ref, dk_ref, kw_ref, k_ref = z0.copy(), n_dk.copy(), n_kw.copy(), n_k.copy()
+        reference = getattr(topic_model._gibbs_sweep, "py_func", topic_model._gibbs_sweep)
+        for sweep_idx in range(6):
+            u = np.random.default_rng(100 + sweep_idx).random(len(z))
+            reference(z_ref, docs, words, dk_ref, kw_ref, k_ref, alpha, beta, u, np.zeros(K))
+            sweep(z, docs, words, u)
+            dk, kw, k = state.counts()
+            assert z.tolist() == z_ref.tolist()
+            assert dk.tolist() == dk_ref.tolist() and kw.tolist() == kw_ref.tolist() and k.tolist() == k_ref.tolist()
+            # each factor is exactly its count plus its prior, as the reference adds them
+            assert state.a_dk.tolist() == (state.n_dk + alpha).tolist()
+            assert state.b_wk.tolist() == (state.n_wk + beta).tolist()
+            assert state.f_k.tolist() == (state.n_k + V * beta).tolist()
         assert K == 1 or z.tolist() != z0.tolist()  # the sweeps moved tokens
 
     def test_fit_lda_compiled_matches_the_interpreter(self, monkeypatch):
