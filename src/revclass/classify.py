@@ -6,7 +6,7 @@ from __future__ import annotations
 import math
 import os
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -488,9 +488,9 @@ class BinaryMember:
     """One one-vs-rest member: its class, selected vocabulary, and model.
 
     Degenerate training data (a class with no positives, or one covering
-    the whole corpus) yields a flagged constant-decision stub.  ``ranking``
-    is the class's feature ranking when :func:`train_ovr` built the member;
-    it is not serialized, so it is ``None`` after :func:`load_ovr`.
+    the whole corpus) yields a flagged constant-decision stub.  ``ranking`` is
+    the class's ranking, which :func:`train_member` sets, stubs included; it
+    is not serialized, so it is ``None`` after :func:`load_ovr`.
     """
 
     category: Category
@@ -511,7 +511,7 @@ class BinaryMember:
 
 @dataclass(frozen=True)
 class OvrModel:
-    """Eight binary members, exactly one per category."""
+    """Eight binary members, one per category: ``members[c]`` is category c's."""
 
     members: tuple[BinaryMember, ...]
     method: str
@@ -520,21 +520,21 @@ class OvrModel:
     seed: int
 
     def __post_init__(self):
-        cats = sorted(int(m.category) for m in self.members)
+        members = tuple(sorted(self.members, key=lambda m: int(m.category)))
+        cats = [int(m.category) for m in members]
         if cats != list(range(N_CATEGORIES)):
             raise ValueError(f"expected one member per category, got categories {cats}")
+        object.__setattr__(self, "members", members)
 
     def member_for(self, category: Category | int) -> BinaryMember:
-        cat = int(category)
-        for member in self.members:
-            if int(member.category) == cat:
-                return member
-        raise KeyError(cat)
+        if int(category) not in range(N_CATEGORIES):
+            raise KeyError(int(category))
+        return self.members[int(category)]
 
     def scores(self, docs: Sequence[Sequence[str]]) -> np.ndarray:
         """Member scores of token documents, column c for category c, so a
         row's first maximum is its best category, ties to the lowest index."""
-        return score_documents([self.member_for(c) for c in Category], docs)
+        return score_documents(self.members, docs)
 
 
 def score_documents(members: Sequence[BinaryMember], docs: Sequence[Sequence[str]]) -> np.ndarray:
@@ -562,35 +562,36 @@ def score_documents(members: Sequence[BinaryMember], docs: Sequence[Sequence[str
 
 def train_member(
     corpus: VectorizedCorpus,
-    category: Category | int,
-    terms: Sequence[str] | np.ndarray,
+    ranking: FeatureRanking,
     method: str,
     hp: Hyperparams,
     seed: int,
+    k: int | None = None,
 ) -> BinaryMember:
-    """Train the one-vs-rest member for one class on the given terms, as
-    strings or as an integer array of vocabulary positions (the same member).
+    """Train the one-vs-rest member for ``ranking``'s class on its first k
+    ranked terms (all of them when k is None); the member keeps ``ranking``.
 
     Relevance is (label == category).  A class with no positives, or one
     covering the whole corpus, yields a flagged constant stub with an empty
     vocabulary.  The SVM samples with ``seed + category``.
     """
-    cat = Category(int(category))
+    if method not in CLASSIFIERS:
+        raise ValueError(f"unknown method {method!r}; expected one of {CLASSIFIERS}")
+    cat = ranking.category
     rel = corpus.label_array == int(cat)
-    if not rel.any():
-        return BinaryMember(cat, method, (), None, stub=STUB_NO_POSITIVES)
-    if rel.all():
-        return BinaryMember(cat, method, (), None, stub=STUB_NO_NEGATIVES)
-    if not isinstance(terms, np.ndarray):  # strings
-        terms = np.array([corpus.vocab.index[t] for t in terms], dtype=np.int64)
-    X = corpus.select(terms)
+    if not rel.any() or rel.all():
+        stub = STUB_NO_NEGATIVES if rel.any() else STUB_NO_POSITIVES
+        return BinaryMember(cat, method, (), None, stub=stub, ranking=ranking)
+    positions = ranking.positions[:k]
+    X = corpus.select(positions)
     if method == NB:
         model = train_nb(X, np.where(rel, 1, -1), l=hp.l)
     elif method == LR:
         model = train_lr(X, rel.astype(np.float64), eta=hp.eta, lam=hp.lam, epochs=hp.lr_epochs)
     else:
         model = train_svm(X, np.where(rel, 1.0, -1.0), C=hp.C, epochs=hp.svm_epochs, seed=seed + int(cat))
-    return BinaryMember(cat, method, tuple(map(corpus.vocab.terms.__getitem__, terms.tolist())), model)
+    terms = tuple(map(corpus.vocab.terms.__getitem__, positions.tolist()))
+    return BinaryMember(cat, method, terms, model, ranking=ranking)
 
 
 def rank_classes(corpus: VectorizedCorpus, budgets: Sequence[int], selector: str) -> list[FeatureRanking]:
@@ -613,20 +614,15 @@ def train_ovr(
     """Train the eight one-vs-rest members, each on its own selected features.
 
     Relevance for member c is (label == c); the classes are ranked by
-    :func:`rank_classes`, and each member keeps its ranking in
-    ``BinaryMember.ranking``.  A degenerate class trains a flagged constant
-    stub instead of a model, but is still ranked.
+    :func:`rank_classes`, and each member is trained by :func:`train_member`
+    from its class's ranking, which it keeps.  A degenerate class trains a
+    flagged constant stub instead of a model, but is still ranked.
     """
-    if method not in CLASSIFIERS:
-        raise ValueError(f"unknown method {method!r}; expected one of {CLASSIFIERS}")
     if selector not in METHODS:
         raise ValueError(f"unknown selector {selector!r}; expected one of {METHODS}")
     budgets = tuple(per_class_feature_sizes) if per_class_feature_sizes else DEFAULT_BUDGETS
     hp = hyperparams or Hyperparams()
-    members = tuple(
-        replace(train_member(corpus, r.category, r.positions, method, hp, seed), ranking=r)
-        for r in rank_classes(corpus, budgets, selector)
-    )
+    members = tuple(train_member(corpus, r, method, hp, seed) for r in rank_classes(corpus, budgets, selector))
     return OvrModel(members=members, method=method, selector=selector, budgets=budgets, seed=seed)
 
 

@@ -13,7 +13,6 @@ import functools
 import glob
 import hashlib
 import json
-import math
 import os
 import sys
 
@@ -87,50 +86,51 @@ def _sha256(path) -> str:
 
 
 INT64_MAX = 2**63 - 1
-# The least valid value of each integer setting; each must also fit int64.
-_INT_LEAST = {"seed": 0, "per_series_cap": 1, "topics": 1, "iterations": 1, "top_words": 1, "lr_epochs": 1, "svm_epochs": 1}
 
 
-def _accepts(action: argparse.Action, default, value) -> bool:
-    """Whether a setting's flag would take ``value`` from a config file: one of
-    its choices, an integer (not a bool) within int64 for an int flag, any
-    finite number for a float flag, a string or a list for an untyped one,
-    and null only where the default is None."""
+def _accepts(value, default, action: argparse.Action, least, parse) -> bool:
+    """Whether a setting (see :func:`_setting`) would take ``value``: one of its
+    choices, an integer (not a bool) in [``least``, INT64_MAX] for an int flag,
+    any finite number for a float flag, a string or a list that ``parse`` (if
+    any) reads for an untyped one, and null only where the default is None."""
     if value is None:
         return default is None
     if action.choices:
         return value in action.choices
     if action.type in (int, float):
         number = isinstance(value, (int, action.type)) and not isinstance(value, bool)
-        # NaN, the infinities and ints beyond float range all fail the bound.
-        return number and abs(value) <= (INT64_MAX if action.type is int else sys.float_info.max)
-    return isinstance(value, (str, list))
+        # NaN, the infinities and ints beyond float range all fail the bounds.
+        bound = INT64_MAX if action.type is int else sys.float_info.max
+        return number and (-bound if least is None else least) <= value <= bound
+    try:
+        return isinstance(value, (str, list)) and (not parse or bool(parse(value, action.option_strings[0])))
+    except CliError:
+        return False
 
 
 def _resolve_config(args) -> dict:
     """The command's settings (see :func:`_setting`): a flag's value over the
     config file's over the default.  A config-file key the command does not
-    have, or a value its flag would not accept, is an error naming the file
-    and the key, not a silent default; an integer setting outside
-    [its ``_INT_LEAST`` value, INT64_MAX] is an error naming the flag."""
+    have, or a value the setting would not accept (:func:`_accepts`), is an
+    error naming the file and the key, not a silent default; a number flag's
+    value that it would not accept is an error naming the flag."""
     file_config = read_json(args.config, CliError) if args.config else {}
     unknown = sorted(set(file_config) - set(args.settings))
     if unknown:
         raise CliError(f"config file {args.config}: unknown key(s) {', '.join(map(repr, unknown))}")
     config = {}
-    for key, (default, action) in args.settings.items():
-        if key in file_config and not _accepts(action, default, file_config[key]):
+    for key, (default, action, least, parse) in args.settings.items():
+        name = action.option_strings[0]
+        if key in file_config and not _accepts(file_config[key], default, action, least, parse):
             value = json.dumps(file_config[key])
-            raise CliError(f"config file {args.config}: key {key!r}: {value} is not a valid {action.option_strings[0]} value")
+            raise CliError(f"config file {args.config}: key {key!r}: {value} is not a valid {name} value")
         flag = getattr(args, key)
-        if action.type is float and flag is not None and not math.isfinite(flag):
-            raise CliError(f"{action.option_strings[0]} must be a finite number, got {flag}")
-        value = config[key] = file_config.get(key, default) if flag is None else flag
-        if action.type is int and value is not None and not _INT_LEAST[key] <= value <= INT64_MAX:
+        if action.type and flag is not None and not _accepts(flag, default, action, least, parse):
             # LdaConfig calls the topic count K.
-            name = "--topics: the topic count K" if key == "topics" else action.option_strings[0]
-            bound = f">= {_INT_LEAST[key]}" if value < _INT_LEAST[key] else f"<= {INT64_MAX}"
-            raise CliError(f"{name} must be {bound}, got {value}")
+            name = "--topics: the topic count K" if key == "topics" else name
+            bound = "a finite number" if action.type is float else f">= {least}" if flag < least else f"<= {INT64_MAX}"
+            raise CliError(f"{name} must be {bound}, got {flag}")
+        config[key] = file_config.get(key, default) if flag is None else flag
     return config
 
 
@@ -178,6 +178,9 @@ def _parse_sizes(raw, flag: str, n: int | None = None) -> tuple[int, ...]:
         if len(sizes) != n:
             raise CliError(f"{flag}: expected 1 or {n} sizes, got {len(sizes)}")
     return sizes
+
+
+_class_sizes = functools.partial(_parse_sizes, n=N_CATEGORIES)
 
 
 def _parse_rotation(raw: str):
@@ -269,7 +272,7 @@ def _hyperparams_from_config(config: dict) -> Hyperparams:
 
 
 def cmd_train(args, config):
-    budgets = _parse_sizes(config["sizes"], "--sizes", n=N_CATEGORIES)
+    budgets = _class_sizes(config["sizes"], "--sizes")
     tokenized = TokenizedCorpus.load(args.tokens)
     _require_labeled(tokenized, args.tokens)
     vc = VectorizedCorpus.from_tokens(tokenized.docs, tokenized.labels)
@@ -356,7 +359,7 @@ def cmd_cross_series(args, config):
         config,
         stoplist,
         methods=tuple(methods.split(",") if isinstance(methods, str) else methods),
-        per_class_budgets=_parse_sizes(config["budgets"], "--budgets", n=N_CATEGORIES),
+        per_class_budgets=_class_sizes(config["budgets"], "--budgets"),
         rotations=rotations,
     )
     table = cross_series_experiment(corpus, kbs, exp, seg=seg, out_csv=table_out)
@@ -399,32 +402,33 @@ def _command(sub, name: str, summary: str, seed=42) -> argparse.ArgumentParser:
     runs it through the module attribute ``cmd_<name>``."""
     parser = sub.add_parser(name, help=summary)
     parser.set_defaults(settings={})
-    _setting(parser, "seed", seed, type=int, help="RNG seed (default 42; synth: the spec's)")
+    _setting(parser, "seed", seed, type=int, least=0, help="RNG seed (default 42; synth: the spec's)")
     parser.add_argument("--config", default=None, help="JSON config file; flags take precedence")
     parser.add_argument("--out-dir", required=True, help="output directory")
     parser.add_argument("--quiet", action="store_true", help="suppress progress messages")
     return parser
 
 
-def _setting(parser: argparse.ArgumentParser, key: str, default, **flag) -> None:
+def _setting(parser: argparse.ArgumentParser, key: str, default, least=None, parse=None, **flag) -> None:
     """Declare setting ``key`` of a command as its flag ``--key`` (underscores
-    as dashes), the one place the setting and its default are defined.
-    :func:`_resolve_config` reads the default and checks config-file values
-    against the flag's type and choices."""
+    as dashes), the one place the setting, its default and its values are
+    defined: the flag's type and choices, an int setting's ``least`` value and
+    a size list's ``parse``.  :func:`_resolve_config` checks values by them."""
     action = parser.add_argument("--" + key.replace("_", "-"), dest=key, default=None, **flag)
-    parser.get_default("settings")[key] = (default, action)
+    parser.get_default("settings")[key] = (default, action, least, parse)
 
 
 def _add_hyper_flags(parser: argparse.ArgumentParser) -> None:
     for key, name in _HYPER_FIELDS.items():
         default = getattr(Hyperparams(), name)
-        _setting(parser, key, default, type=type(default))
+        # The int hyperparameters are epoch counts, at least 1.
+        _setting(parser, key, default, type=type(default), least=1 if type(default) is int else None)
 
 
 def _add_experiment_settings(parser: argparse.ArgumentParser) -> None:
     """The settings that :func:`_experiment_config` reads for both experiments."""
     _setting(parser, "selector", CHI2, choices=METHODS)
-    _setting(parser, "per_series_cap", 5000, type=int)
+    _setting(parser, "per_series_cap", 5000, type=int, least=1)
     _add_hyper_flags(parser)
 
 
@@ -453,17 +457,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = _command(sub, "lda", "fit a collapsed-Gibbs topic model and export heat-map data")
     p.add_argument("--tokens", required=True)
-    _setting(p, "topics", 8, type=int)
+    _setting(p, "topics", 8, type=int, least=1)
     _setting(p, "alpha", None, type=float, help="document-topic prior (default 50/topics)")
     _setting(p, "beta", 0.01, type=float)
-    _setting(p, "iterations", 1000, type=int)
-    _setting(p, "top_words", 15, type=int)
+    _setting(p, "iterations", 1000, type=int, least=1)
+    _setting(p, "top_words", 15, type=int, least=1)
 
     p = _command(sub, "train", "train the eight one-vs-rest members")
     p.add_argument("--tokens", required=True)
     _setting(p, "method", SVM, choices=CLASSIFIERS)
     _setting(p, "selector", CHI2, choices=METHODS)
-    _setting(p, "sizes", _BUDGETS, help="per-class feature budgets (1 or 8 comma-separated)")
+    _setting(p, "sizes", _BUDGETS, parse=_class_sizes, help="per-class feature budgets (1 or 8 comma-separated)")
     _add_hyper_flags(p)
 
     p = _command(sub, "evaluate", "score a trained model on a labeled tokenized corpus")
@@ -473,7 +477,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = _command(sub, "sweep", "accuracy vs feature size grid")
     _add_text_inputs(p)
     _setting(p, "surrogates", SURROGATE_OFF, choices=(SURROGATE_ON, SURROGATE_OFF))
-    _setting(p, "sizes", "250,500,1000,2000,4000", help="comma-separated feature sizes")
+    _setting(p, "sizes", "250,500,1000,2000,4000", parse=_parse_sizes, help="comma-separated feature sizes")
     _setting(p, "method", SVM, choices=CLASSIFIERS, help="sweep classifier")
     p.add_argument("--rotation", default=None, help="train pair and test series, 'a,b:c'")
     _add_experiment_settings(p)
@@ -481,7 +485,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = _command(sub, "cross-series", "train-two/test-one rotations, surrogates on vs off")
     _add_text_inputs(p, kb_required=True)
     _setting(p, "methods", ",".join(CLASSIFIERS), help="comma-separated classifiers to average over")
-    _setting(p, "budgets", _BUDGETS, help="per-class feature budgets (1 or 8 values)")
+    _setting(p, "budgets", _BUDGETS, parse=_class_sizes, help="per-class feature budgets (1 or 8 values)")
     p.add_argument("--rotations", default=None, help="semicolon-separated rotations 'a,b:c;...'")
     _add_experiment_settings(p)
 
@@ -501,7 +505,8 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     """Run one command: resolve its settings, run it, print its summary, write
     its run manifest.  A CliError, a ValueError (every input-format error is
-    one) or an OSError exits 2; any other failure exits 1."""
+    one) or an OSError exits 2, any other failure 1, printing the exception's
+    message, or its type's name when it has none."""
     args = _parser().parse_args(argv)
     # The command is looked up when it runs, so a patched cmd_<name> is the one called.
     command = globals()["cmd_" + args.command.replace("-", "_")]
@@ -510,12 +515,10 @@ def main(argv=None) -> int:
         inputs, outputs, summary = command(args, config)
         _say(args, summary)
         _write_manifest(args, config, inputs, outputs)
-    except (CliError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except Exception as exc:  # noqa: BLE001 - runtime failures exit 1
-        print(f"runtime error: {exc}", file=sys.stderr)
-        return 1
+    except Exception as exc:  # noqa: BLE001 - every failure exits 2 or 1
+        usage = isinstance(exc, (CliError, ValueError, OSError))
+        print(f"{'error' if usage else 'runtime error'}: {str(exc) or type(exc).__name__}", file=sys.stderr)
+        return 2 if usage else 1
     return 0
 
 

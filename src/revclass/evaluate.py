@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import os
 import reprlib
+import sys
 import warnings
 from dataclasses import MISSING, dataclass, field, fields
 from itertools import chain
@@ -77,7 +78,7 @@ def ovr_accuracies(model: OvrModel, test: TokenizedCorpus) -> tuple[list[float],
     on a labeled test corpus, read from one documents x categories score matrix."""
     if len(test) == 0:
         raise ValueError("empty test set")
-    return _readouts([model.member_for(c) for c in Category], test)[0]
+    return _readouts(model.members, test)[0]
 
 
 def _readouts(members: Sequence[BinaryMember], test: TokenizedCorpus) -> list[tuple[list[float], float]]:
@@ -170,8 +171,13 @@ class SyntheticSpec:
             if not _has_type_of(value, like):
                 raise ValueError(f"field {f.name!r} must be {_type_name(like)}, got {reprlib.repr(value)}")
             least = 1 if f.name in ("reviews_per_series", "tokens_per_review") else 0
-            if type(like) is int and value < least:
-                raise ValueError(f"field {f.name!r} must be >= {least}, got {value}")
+            # No list holds more than sys.maxsize items; the seed is not a count.
+            most = value if f.name == "seed" else sys.maxsize
+            if type(like) is int and not least <= value <= most:
+                bound = f">= {least}" if value < least else f"<= {most}"
+                raise ValueError(f"field {f.name!r} must be {bound}, got {value}")
+        if len(self.series) * self.reviews_per_series > sys.maxsize:
+            raise ValueError(f"field 'reviews_per_series' times the series count must be <= {sys.maxsize}")
         if len(self.planted_vocab) != N_CATEGORIES:
             raise ValueError(f"planted_vocab must have {N_CATEGORIES} groups")
         if len(self.mention_rate) != N_CATEGORIES:
@@ -400,15 +406,8 @@ def derive_rotations(series: Sequence[str]) -> tuple[Rotation, ...]:
     """The three train-two/test-one rotations of a 3-series corpus."""
     names = sorted(series)
     if len(names) != 3:
-        raise ValueError(
-            f"rotations can only be derived for exactly 3 series, found {len(names)}; "
-            "pass explicit rotations"
-        )
-    out = []
-    for held_out in names:
-        pair = tuple(s for s in names if s != held_out)
-        out.append(((pair[0], pair[1]), held_out))
-    return tuple(out)
+        raise ValueError(f"rotations can only be derived for exactly 3 series, found {len(names)}; pass explicit rotations")
+    return tuple((tuple(s for s in names if s != held_out), held_out) for held_out in names)
 
 
 @dataclass(frozen=True)
@@ -548,8 +547,7 @@ def feature_size_sweep(
         if size > V:
             warnings.warn(f"feature size {size} exceeds vocabulary size {V}; using full vocabulary", stacklevel=2)
         members += [
-            train_member(vc_train, r.category, r.positions[:size], config.sweep_method, config.hyperparams, config.seed)
-            for r in rankings
+            train_member(vc_train, r, config.sweep_method, config.hyperparams, config.seed, size) for r in rankings
         ]
     table = ResultTable()
     for size, (train_acc, _), (test_acc, _) in zip(sizes, _readouts(members, train), _readouts(members, test)):
@@ -581,7 +579,7 @@ def cross_series_experiment(
         label = rotation_label(rot)
         rankings = rank_classes(vc_train, config.per_class_budgets, config.selector)
         members = [
-            train_member(vc_train, r.category, r.positions, method, config.hyperparams, config.seed)
+            train_member(vc_train, r, method, config.hyperparams, config.seed)
             for method in config.methods
             for r in rankings
         ]

@@ -311,9 +311,9 @@ class VectorizedCorpus:
     """Binary bag-of-words view of a labeled corpus.
 
     ``doc_terms[i]`` holds the distinct vocabulary positions present in
-    document i and ``labels[i]`` its resolved category index.  Ranking,
-    training and scoring read the same matrix in CSR form, built once:
-    document i's positions are ``indices[indptr[i]:indptr[i + 1]]``.
+    document i and ``labels[i]`` its resolved category index.  Ranking and
+    training read this matrix in CSR form, built once (document i's positions
+    are ``indices[indptr[i]:indptr[i + 1]]``); scoring builds its own.
     """
 
     vocab: Vocabulary

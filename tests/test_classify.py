@@ -30,6 +30,7 @@ from revclass.classify import (
     svm_decision,
     svm_objective,
     train_lr,
+    train_member,
     train_nb,
     train_ovr,
     train_svm,
@@ -486,6 +487,27 @@ class TestTrainOvr:
             assert a.model.bias == b.model.bias
 
 
+class TestTrainMember:
+    @pytest.mark.parametrize("category", [Category.PLOT, Category.THUMB])
+    def test_unknown_method_raises_naming_it(self, category):
+        vc = VectorizedCorpus.from_tokens([["a"], ["b"]], [0, 1], Vocabulary(("a", "b")))
+        ranking = rank_classes(vc, (2,) * 8, "chi2")[int(category)]  # PLOT trains, THUMB is a stub
+        with pytest.raises(ValueError, match="unknown method 'forest'"):
+            train_member(vc, ranking, "forest", Hyperparams(), 42)
+        with pytest.raises(ValueError, match="unknown method 'forest'"):
+            train_ovr(vc, method="forest")
+
+    def test_every_member_keeps_its_ranking_stubs_included(self):
+        docs = [["a", "b"], ["b"], ["a"]]
+        vc = VectorizedCorpus.from_tokens(docs, [0, 1, 0], Vocabulary(("a", "b")))
+        for ranking in rank_classes(vc, (2,) * 8, "chi2"):
+            for k in (1, None):
+                member = train_member(vc, ranking, "nb", Hyperparams(), 42, k)
+                assert member.ranking is ranking and member.category is ranking.category
+                assert member.stub == (None if ranking.category < 2 else STUB_NO_POSITIVES)
+                assert member.terms == (ranking.terms()[:k] if member.model else ())
+
+
 class TestPredict:
     def test_single_positive_member_wins(self):
         vc = _synthetic_vc(np.random.default_rng(12))
@@ -533,6 +555,26 @@ class TestPredict:
             tokens = [f"c{c}w0", f"c{c}w1", "bg0"]
             assert predict(model, tokens) == predict(shuffled, tokens)
 
+    def test_members_are_kept_in_category_order(self):
+        vc = _synthetic_vc(np.random.default_rng(13))
+        model = train_ovr(vc, method="nb")
+        order = [3, 7, 0, 5, 1, 6, 2, 4]
+        shuffled = OvrModel(
+            members=[model.members[i] for i in order],
+            method=model.method,
+            selector=model.selector,
+            budgets=model.budgets,
+            seed=model.seed,
+        )
+        assert shuffled.members == model.members and isinstance(shuffled.members, tuple)
+        for c in range(8):
+            assert shuffled.members[c].category == c and shuffled.member_for(Category(c)) is shuffled.members[c]
+        for outside in (-1, 8):
+            with pytest.raises(KeyError):
+                shuffled.member_for(outside)
+        with pytest.raises(ValueError, match="one member per category"):
+            OvrModel(model.members[:7] + model.members[:1], model.method, model.selector, model.budgets, model.seed)
+
     def test_planted_reviews_recovered(self):
         vc = _synthetic_vc(np.random.default_rng(15))
         model = train_ovr(vc, method="svm", hyperparams=Hyperparams(svm_epochs=20))
@@ -556,6 +598,17 @@ class TestSerialization:
         for a, b in zip(model.members, loaded.members):
             assert a.terms == b.terms
             assert a.score(set(probe)) == pytest.approx(b.score(set(probe)), rel=1e-12)
+
+    def test_members_listed_out_of_order_load_in_category_order(self, tmp_path):
+        vc = _synthetic_vc(np.random.default_rng(16))
+        model = train_ovr(vc, method="nb")
+        save_ovr(model, tmp_path)
+        manifest = json.loads((tmp_path / "model_manifest.json").read_text(encoding="utf-8"))
+        manifest["members"].reverse()
+        (tmp_path / "model_manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+        loaded = load_ovr(tmp_path)
+        assert [int(m.category) for m in loaded.members] == list(range(8))
+        assert [m.terms for m in loaded.members] == [m.terms for m in model.members]
 
     def test_stub_roundtrip(self, tmp_path):
         docs = [["a"], ["a"]]

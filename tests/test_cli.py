@@ -947,7 +947,30 @@ class TestSettings:
         out = tmp_path / "out"
         argv = ["--corpus", pipeline["ingest"] / "corpus.filtered.jsonl", "--kb-dir", pipeline["synth"] / "kb"]
         assert run([command, *argv, "--config", config, "--out-dir", out, "--quiet"]) == 2
-        assert capsys.readouterr().err == f"error: invalid size list {value!r}\n"
+        message = f"error: config file {config}: key '{key}': {json.dumps(value)} is not a valid --{key} value\n"
+        assert capsys.readouterr().err == message
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command, key, value",
+        [
+            ("train", "sizes", ""),
+            ("train", "sizes", []),
+            ("train", "sizes", [None]),
+            ("train", "sizes", [10, 20]),
+            ("sweep", "sizes", "10,0"),
+            ("sweep", "sizes", [None]),
+            ("cross-series", "budgets", ","),
+            ("cross-series", "budgets", [-3]),
+        ],
+    )
+    def test_size_list_that_does_not_parse_names_the_file_and_key(self, pipeline, tmp_path, capsys, command, key, value):
+        config = _write_config(tmp_path, {key: value})
+        out = tmp_path / "out"
+        argv = _without(_small_run(command, pipeline), f"--{key}")
+        assert run([command, *argv, "--config", config, "--out-dir", out, "--quiet"]) == 2
+        message = f"error: config file {config}: key '{key}': {json.dumps(value)} is not a valid --{key} value\n"
+        assert capsys.readouterr().err == message
         assert not out.exists()
 
     def test_null_alpha_runs_with_the_derived_prior(self, pipeline, tmp_path):
@@ -1028,6 +1051,36 @@ class TestSyntheticSpecFile:
         assert run(["synth", "--spec", spec, "--out-dir", out, "--quiet"]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: invalid synthetic spec {spec}: ") and message in err
+        assert not out.exists()
+
+
+class TestSynthCountsNoListCanHold:
+    """Counts that no list can hold exit 2 naming the field before anything
+    is generated; the generator is stubbed, so no test allocates."""
+
+    @staticmethod
+    def _stub_generator(monkeypatch):
+        def out_of_memory(spec):
+            raise MemoryError()
+
+        monkeypatch.setattr(cli, "generate_synthetic", out_of_memory)
+
+    @pytest.mark.parametrize("field", ["reviews_per_series", "tokens_per_review", "mentions_per_hit"])
+    def test_count_beyond_maxsize_exits_2_naming_the_field(self, monkeypatch, tmp_path, capsys, field):
+        self._stub_generator(monkeypatch)
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({field: 10**30}), encoding="utf-8")
+        out = tmp_path / "out"
+        assert run(["synth", "--spec", spec, "--out-dir", out, "--quiet"]) == 2
+        message = f"error: invalid synthetic spec {spec}: field '{field}' must be <= {sys.maxsize}, got {10**30}\n"
+        assert capsys.readouterr().err == message
+        assert not out.exists()
+
+    def test_an_exception_without_a_message_is_named_by_its_type(self, monkeypatch, tmp_path, capsys):
+        self._stub_generator(monkeypatch)
+        out = tmp_path / "out"
+        assert run(["synth", "--preset", "ablation", "--out-dir", out, "--quiet"]) == 1
+        assert capsys.readouterr().err == "runtime error: MemoryError\n"
         assert not out.exists()
 
 
@@ -1287,7 +1340,10 @@ class TestRunner:
             argv = [*argv, "--config", _write_config(tmp_path, {"seed": -1})]
         out = tmp_path / "out"
         assert run([command, *argv, "--out-dir", out, "--quiet"]) == 2
-        assert capsys.readouterr().err == "error: --seed must be >= 0, got -1\n"
+        message = "error: --seed must be >= 0, got -1\n"
+        if source == "config":
+            message = f"error: config file {argv[-1]}: key 'seed': -1 is not a valid --seed value\n"
+        assert capsys.readouterr().err == message
         assert not out.exists()
 
     @pytest.mark.parametrize("cap", [0, -1])
@@ -1301,7 +1357,10 @@ class TestRunner:
             argv = [*argv, "--config", _write_config(tmp_path, {"per_series_cap": cap})]
         out = tmp_path / "out"
         assert run([command, *argv, "--out-dir", out, "--quiet"]) == 2
-        assert capsys.readouterr().err == f"error: --per-series-cap must be >= 1, got {cap}\n"
+        message = f"error: --per-series-cap must be >= 1, got {cap}\n"
+        if source == "config":
+            message = f"error: config file {argv[-1]}: key 'per_series_cap': {cap} is not a valid --per-series-cap value\n"
+        assert capsys.readouterr().err == message
         assert not out.exists()
 
 
@@ -1443,7 +1502,8 @@ class TestIntegerSettings:
         argv = _without(_small_run(command, pipeline), flag)
         out = tmp_path / "out"
         assert run([command, *argv, "--config", config, "--out-dir", out, "--quiet"]) == 2
-        assert capsys.readouterr().err == self._message(key, flag, f">= {least}", least - 1)
+        message = f"error: config file {config}: key '{key}': {least - 1} is not a valid {flag} value\n"
+        assert capsys.readouterr().err == message
         assert not out.exists()
 
     @pytest.mark.parametrize("value", [INT64_MAX + 1, 10**20, -(2**63) - 1])
@@ -1497,7 +1557,8 @@ class TestIntegerSettings:
         out = tmp_path / "out"
         argv = _without(_small_run(command, pipeline), f"--{key}")
         assert run([command, *argv, "--config", config, "--out-dir", out, "--quiet"]) == 2
-        assert capsys.readouterr().err == f"error: --{key} must be integers in [1, {INT64_MAX}], got {value!r}\n"
+        message = f"error: config file {config}: key '{key}': {json.dumps(value)} is not a valid --{key} value\n"
+        assert capsys.readouterr().err == message
         assert not out.exists()
 
 

@@ -3,6 +3,7 @@ import json
 import os
 import random
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -283,13 +284,56 @@ class TestFeatureSizeSweep:
         test = tokenized.subset(tokenized.series_indices((rotation[1],)))
         vc = VectorizedCorpus.from_tokens(train.docs, train.labels)
         for cat in Category:
-            terms = rank_features(vc, cat, method=config.selector, k=20).terms()
+            ranking = rank_features(vc, cat, method=config.selector, k=20)
             for size in config.feature_sizes:
-                member = train_member(vc, cat, terms[:size], method, FAST_HP, config.seed)
+                member = train_member(vc, ranking, method, FAST_HP, config.seed, size)
                 cell = table.sweep[(int(cat), size)]
                 assert cell.actual_size == size
                 assert cell.train_acc == binary_accuracy(member, train, cat)
                 assert cell.test_acc == binary_accuracy(member, test, cat)
+
+
+class TestMembersKeepTheirRankings:
+    """Both experiments build members from their classes' rankings, which the
+    members keep."""
+
+    @staticmethod
+    def _scored_members(monkeypatch):
+        from revclass import evaluate
+
+        scored = []
+
+        def spy(members, test):
+            scored.append(list(members))
+            return readouts(members, test)
+
+        readouts = evaluate._readouts
+        monkeypatch.setattr(evaluate, "_readouts", spy)
+        return scored
+
+    def test_sweep_members_keep_the_ranking_they_were_cut_from(self, monkeypatch):
+        scored = self._scored_members(monkeypatch)
+        config = ExperimentConfig(feature_sizes=(5, 20), sweep_method="nb", hyperparams=FAST_HP)
+        feature_size_sweep(generate_synthetic(_small_spec())[0], config)
+        members = scored[0]
+        assert len(scored) == 2 and scored[1] == members and len(members) == 2 * N_CATEGORIES
+        for i, member in enumerate(members):
+            size = config.feature_sizes[i // N_CATEGORIES]
+            assert member.category == i % N_CATEGORIES and member.ranking.category == member.category
+            assert len(member.ranking.positions) == 20 and member.terms == member.ranking.terms()[:size]
+
+    def test_cross_series_members_keep_their_rankings(self, monkeypatch):
+        scored = self._scored_members(monkeypatch)
+        corpus, kbs = generate_synthetic(_small_spec())
+        config = ExperimentConfig(methods=("nb", "lr"), per_class_budgets=(30,) * N_CATEGORIES, hyperparams=FAST_HP)
+        cross_series_experiment(corpus, kbs, config)
+        assert len(scored) == 3 * 2  # rotations x surrogate modes
+        for members in scored:
+            assert [m.method for m in members] == ["nb"] * N_CATEGORIES + ["lr"] * N_CATEGORIES
+            for i, member in enumerate(members):
+                assert member.ranking is members[i % N_CATEGORIES].ranking
+                assert member.ranking.category == member.category == i % N_CATEGORIES
+                assert member.terms == member.ranking.terms()
 
 
 class TestCrossSeries:
@@ -562,6 +606,21 @@ class TestSyntheticSpecChecks:
         with pytest.raises(ValueError) as info:
             SyntheticSpec.from_dict({field: value})
         assert str(info.value).startswith(message)
+
+    @pytest.mark.parametrize(
+        "field", ["reviews_per_series", "tokens_per_review", "roles_per_series", "actors_per_series", "mentions_per_hit"]
+    )
+    @pytest.mark.parametrize("value", [sys.maxsize + 1, 10**30])
+    def test_count_no_list_can_hold_is_named(self, field, value):
+        with pytest.raises(ValueError, match=f"^field '{field}' must be <= {sys.maxsize}, got {value}$"):
+            SyntheticSpec.from_dict({field: value})
+
+    def test_more_reviews_than_a_list_can_hold_is_named(self):
+        with pytest.raises(ValueError, match="^field 'reviews_per_series' times the series count must be <= "):
+            SyntheticSpec(reviews_per_series=sys.maxsize // 3 + 1)
+        # The bounds alone allocate nothing: these are accepted, not generated.
+        assert SyntheticSpec(reviews_per_series=sys.maxsize // 3).reviews_per_series == sys.maxsize // 3
+        assert SyntheticSpec(series=("a",), reviews_per_series=sys.maxsize, seed=10**30).seed == 10**30
 
     def test_presets_zero_counts_and_int_for_float_are_accepted(self):
         assert SyntheticSpec.ablation_default() == SyntheticSpec()

@@ -2,8 +2,8 @@
 
 ``FeatureRanking`` keeps the ranked positions and scores as arrays; its
 ``scored``, ``terms()`` and ``to_dict()`` must read exactly as when they were
-built term by term.  ``train_member`` given those positions must train the
-member it trains from the term strings.
+built term by term.  ``train_member`` given a ranking and k must train the
+model that NB, LR or the SVM fits on the ranking's first k positions.
 """
 
 import json
@@ -11,7 +11,19 @@ import json
 import numpy as np
 import pytest
 
-from revclass.classify import LR, NB, SVM, Hyperparams, rank_classes, train_member, train_ovr
+from revclass.classify import (
+    LR,
+    NB,
+    SVM,
+    BinaryMember,
+    Hyperparams,
+    rank_classes,
+    train_lr,
+    train_member,
+    train_nb,
+    train_ovr,
+    train_svm,
+)
 from revclass.corpus import Category
 from revclass.feature_select import rank_features, score_terms
 from revclass.preprocess import VectorizedCorpus, Vocabulary
@@ -107,16 +119,27 @@ def _assert_same_member(a, b):
 
 @pytest.mark.parametrize("method", [NB, LR, SVM])
 @pytest.mark.parametrize("selector", ["chi2", "drc"])
-def test_member_from_positions_equals_member_from_terms(vc, method, selector):
+def test_member_is_the_model_trained_on_the_ranking_s_first_k_positions(vc, method, selector):
     stubs = 0
     for ranking in rank_classes(vc, (5, 9, 40, 3, 5, 9, 40, 3), selector):
-        for size in (1, 4, len(ranking.positions)):
-            by_terms = train_member(vc, ranking.category, ranking.terms()[:size], method, HP, 7)
-            by_positions = train_member(vc, ranking.category, ranking.positions[:size], method, HP, 7)
-            _assert_same_member(by_terms, by_positions)
-            if by_terms.model is not None:
-                assert by_positions.terms == ranking.terms()[:size]
-            stubs += by_terms.stub is not None
+        rel = vc.label_array == int(ranking.category)
+        for k in (1, 4, None):
+            member = train_member(vc, ranking, method, HP, 7, k)
+            assert member.ranking is ranking
+            if member.stub is not None:
+                stubs += 1
+                _assert_same_member(BinaryMember(ranking.category, method, (), None, member.stub), member)
+                continue
+            X = vc.select(ranking.positions[:k])
+            if method == NB:
+                model = train_nb(X, np.where(rel, 1, -1), l=HP.l)
+            elif method == LR:
+                model = train_lr(X, rel.astype(np.float64), eta=HP.eta, lam=HP.lam, epochs=HP.lr_epochs)
+            else:
+                seed = 7 + int(ranking.category)
+                model = train_svm(X, np.where(rel, 1.0, -1.0), C=HP.C, epochs=HP.svm_epochs, seed=seed)
+                assert member.model.seed == seed
+            _assert_same_member(BinaryMember(ranking.category, method, ranking.terms()[:k], model), member)
     assert stubs == 4 * 3  # categories 4-7 have no positives
 
 
@@ -125,4 +148,5 @@ def test_train_ovr_members_equal_members_trained_from_terms(vc, method):
     model = train_ovr(vc, method=method, per_class_feature_sizes=(6,) * 8, hyperparams=HP, seed=11)
     for member in model.members:
         assert member.ranking.terms() == rank_features(vc, member.category, "chi2", k=6).terms()
-        _assert_same_member(train_member(vc, member.category, member.ranking.terms(), method, HP, 11), member)
+        ranking = rank_features(vc, member.category, "chi2", k=6)
+        _assert_same_member(train_member(vc, ranking, method, HP, 11), member)

@@ -154,8 +154,9 @@ class TestJitFallbackEquivalence:
         assert np.array_equal(dk_j, dk_p)
 
     def test_list_sweep_matches_array_sweep(self):
-        # without numba fit_lda runs the kernel's source over nested lists;
-        # it must give the same assignments and counts as over int64 arrays
+        # _gibbs_sweep's Python source is the reference kernel, which
+        # TestListKernel runs over nested lists (fit_lda runs _sweep); over
+        # lists it must give the same assignments and counts as over arrays
         from revclass.topic_model import _gibbs_sweep
 
         sweep = getattr(_gibbs_sweep, "py_func", _gibbs_sweep)
@@ -173,24 +174,6 @@ class TestJitFallbackEquivalence:
         assert n_dk.tolist() == n_dk_l
         assert n_k.tolist() == n_k_l
         assert not np.array_equal(z, state()[0])  # the sweeps moved tokens
-
-    def test_fit_lda_same_over_lists_and_arrays(self, monkeypatch):
-        # both state layouts of fit_lda, driving the kernel's Python source
-        from revclass import topic_model
-
-        kernel = getattr(topic_model._gibbs_sweep, "py_func", topic_model._gibbs_sweep)
-        monkeypatch.setattr(topic_model, "_gibbs_sweep", kernel)
-        docs = _two_topic_corpus(np.random.default_rng(6))
-        cfg = LdaConfig(K=3, iterations=8, seed=4)
-        monkeypatch.setattr(topic_model, "_HAVE_NUMBA", False)
-        over_lists = fit_lda(docs, cfg)
-        monkeypatch.setattr(topic_model, "_HAVE_NUMBA", True)
-        over_arrays = fit_lda(docs, cfg)
-        for a, b in zip(over_lists.assignments, over_arrays.assignments):
-            assert a.dtype == b.dtype == np.int64 and np.array_equal(a, b)
-        for name in ("topic_word_counts", "doc_topic_counts", "topic_word", "doc_topic"):
-            a, b = getattr(over_lists, name), getattr(over_arrays, name)
-            assert a.dtype == b.dtype and np.array_equal(a, b), name
 
 
 class TestTopWords:
@@ -345,8 +328,6 @@ class TestListKernel:
     def test_fit_lda_same_over_lists_and_arrays(self, monkeypatch, K, alpha, beta, seed):
         from revclass import topic_model
 
-        kernel = getattr(topic_model._gibbs_sweep, "py_func", topic_model._gibbs_sweep)
-        monkeypatch.setattr(topic_model, "_gibbs_sweep", kernel)
         docs = _two_topic_corpus(np.random.default_rng(seed), n_docs=40, tokens=30)
         docs[3] = []  # an excluded document leaves the later ones' ids in place
         cfg = LdaConfig(K=K, alpha=alpha, beta=beta, iterations=5, seed=seed)
