@@ -45,7 +45,7 @@ from revclass.evaluate import (
     feature_size_sweep,
     generate_synthetic,
     ovr_accuracies,
-    tokenize_corpus,
+    tokenize_reviews,
 )
 from revclass.feature_select import CHI2, METHODS
 from revclass.preprocess import (
@@ -55,6 +55,7 @@ from revclass.preprocess import (
     load_dictionary,
     load_knowledge_base,
     load_stopwords,
+    token_lines,
     write_knowledge_base,
     WhitespaceSegmenter,
 )
@@ -112,8 +113,9 @@ def _resolve_config(args) -> dict:
     """The command's settings (see :func:`_setting`): a flag's value over the
     config file's over the default.  A config-file key the command does not
     have, or a value the setting would not accept (:func:`_accepts`), is an
-    error naming the file and the key, not a silent default; a number flag's
-    value that it would not accept is an error naming the flag."""
+    error naming the file and the key, not a silent default; a number or
+    size-list flag's value that it would not accept is an error naming the
+    flag, raised before the command reads any input."""
     file_config = read_json(args.config, CliError) if args.config else {}
     unknown = sorted(set(file_config) - set(args.settings))
     if unknown:
@@ -125,6 +127,8 @@ def _resolve_config(args) -> dict:
             value = json.dumps(file_config[key])
             raise CliError(f"config file {args.config}: key {key!r}: {value} is not a valid {name} value")
         flag = getattr(args, key)
+        if parse and flag is not None:
+            parse(flag, name)  # raises naming the flag
         if action.type and flag is not None and not _accepts(flag, default, action, least, parse):
             # LdaConfig calls the topic count K.
             name = "--topics: the topic count K" if key == "topics" else name
@@ -169,7 +173,7 @@ def _parse_sizes(raw, flag: str, n: int | None = None) -> tuple[int, ...]:
     try:
         sizes = tuple(int(part) for part in text.split(",") if part.strip())
     except ValueError:
-        raise CliError(f"invalid size list {raw!r}") from None
+        sizes = ()
     if not sizes or any(not 1 <= s <= INT64_MAX for s in sizes):
         raise CliError(f"{flag} must be integers in [1, {INT64_MAX}], got {raw!r}")
     if n is not None:
@@ -225,10 +229,12 @@ def cmd_preprocess(args, config):
     corpus, kbs, stoplist, seg, inputs = _load_text_inputs(args)
     if mode == SURROGATE_ON and not kbs:
         raise CliError("surrogates on requires --kb-dir")
-    tokenized = tokenize_corpus(corpus, seg, stoplist, kbs, mode)
+    docs = tokenize_reviews(corpus, seg, stoplist, kbs, mode)
     tokens_out = os.path.join(args.out_dir, "tokens.jsonl")
-    tokenized.save(tokens_out)
-    return inputs, [tokens_out], f"tokenized {len(tokenized)} reviews (surrogates {mode})"
+    # Each review's line is written as it is tokenized; json writes a Category label as its int.
+    ids, series = [r.id for r in corpus.reviews], [r.series for r in corpus.reviews]
+    write_text_atomic(tokens_out, token_lines(ids, series, docs, corpus.labels))
+    return inputs, [tokens_out], f"tokenized {len(corpus)} reviews (surrogates {mode})"
 
 
 def cmd_lda(args, config):

@@ -11,7 +11,7 @@ import os
 import unicodedata
 from dataclasses import dataclass, field
 from json.encoder import c_make_encoder, encode_basestring
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 
 class CorpusFormatError(ValueError):
@@ -178,13 +178,14 @@ def write_corpus(corpus: Corpus, path) -> None:
     """Write reviews as :func:`load_corpus` reads them: one JSON object per
     line with sorted keys, non-ASCII text as is, and ``episode`` only when
     set.  Resolved labels are not written."""
-    records = []
-    for r in corpus.reviews:
-        record = {"id": r.id, "series": r.series, "text": r.text, "annotations": list(r.annotations)}
-        if r.episode is not None:
-            record["episode"] = r.episode
-        records.append(record)
-    write_text_atomic(path, json_lines(records))
+    def records():
+        for r in corpus.reviews:
+            record = {"id": r.id, "series": r.series, "text": r.text, "annotations": list(r.annotations)}
+            if r.episode is not None:
+                record["episode"] = r.episode
+            yield record
+
+    write_text_atomic(path, iter_json_lines(records()))
 
 
 def agreement_filter(corpus: Corpus) -> tuple[Corpus, dict[str, int]]:
@@ -288,21 +289,30 @@ def read_json_lines(path, error: type[Exception]):
 _LINE_ENCODER = json.JSONEncoder(ensure_ascii=False, sort_keys=True)
 
 
-def json_lines(records: Iterable[dict]) -> str:
-    """One ``json.dumps(record, ensure_ascii=False, sort_keys=True)`` line per record."""
+def iter_json_lines(records: Iterable[dict]) -> Iterator[str]:
+    """One ``json.dumps(record, ensure_ascii=False, sort_keys=True)`` line per
+    record, each encoded only when it is drawn, so that a writer given the
+    lines holds one record's line at a time, never the whole text."""
     e = _LINE_ENCODER
     if c_make_encoder is None:
-        return "".join([e.encode(record) + "\n" for record in records])
+        return (e.encode(record) + "\n" for record in records)
     # The C encoder that e.encode would build anew for every record, built once per call.
     encode = c_make_encoder({}, e.default, encode_basestring, e.indent, e.key_separator,
                             e.item_separator, e.sort_keys, e.skipkeys, e.allow_nan)
-    return "".join(["".join(encode(record, 0)) + "\n" for record in records])
+    return ("".join(encode(record, 0)) + "\n" for record in records)
 
 
-def write_text_atomic(path, text: str) -> None:
-    """Write ``text`` as UTF-8 to ``path`` (creating its directory) through a
-    uniquely named temporary file in the same directory and a rename: readers
-    see the old file or the new one, and a failed write leaves nothing behind.
+def json_lines(records: Iterable[dict]) -> str:
+    """The lines of :func:`iter_json_lines` as one string."""
+    return "".join(iter_json_lines(records))
+
+
+def write_text_atomic(path, text: str | Iterable[str]) -> None:
+    """Write ``text``, a str or an iterable of str chunks written as they are
+    drawn, as UTF-8 to ``path`` (creating its directory) through a uniquely
+    named temporary file in the same directory and a rename: readers see the
+    old file or the new one, and a failed write, or a chunk that raises,
+    leaves nothing behind.
     """
     directory, name = os.path.split(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
@@ -311,7 +321,7 @@ def write_text_atomic(path, text: str) -> None:
     fh = open(tmp, "x", encoding="utf-8", newline="\n")
     try:
         with fh:
-            fh.write(text)
+            fh.writelines([text] if isinstance(text, str) else text)
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)

@@ -10,7 +10,7 @@ import sys
 import warnings
 from dataclasses import MISSING, dataclass, field, fields
 from itertools import chain
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -472,17 +472,18 @@ def _apply_series_cap(corpus: Corpus, cap: Optional[int]) -> Corpus:
     )
 
 
-def tokenize_corpus(
+def tokenize_reviews(
     corpus: Corpus,
     seg: Optional[Segmenter] = None,
     stoplist: Sequence[str] | frozenset[str] = frozenset(),
     kbs: Optional[dict[str, KnowledgeBase]] = None,
     surrogate_mode: str = SURROGATE_OFF,
-) -> TokenizedCorpus:
-    """Run the text pipeline over a labeled corpus.
+) -> Iterator[list[str]]:
+    """Each review's tokens in corpus order, from the text pipeline, each
+    review tokenized only when it is drawn.
 
     With surrogates on, each review is substituted with its own series' map;
-    a missing knowledge base is an error.
+    a missing knowledge base is an error, raised by this call itself.
     """
     seg = seg or WhitespaceSegmenter()
     stoplist = frozenset(stoplist)  # one object, so its stop sets are built once
@@ -494,10 +495,23 @@ def tokenize_corpus(
         if missing:
             raise ValueError(f"missing knowledge base for series: {sorted(missing)}")
         maps = {s: build_surrogate_map(kbs[s]) for s in corpus.series_index}
+    return (preprocess_text(r.text, seg, stoplist, maps.get(r.series)) for r in corpus.reviews)
+
+
+def tokenize_corpus(
+    corpus: Corpus,
+    seg: Optional[Segmenter] = None,
+    stoplist: Sequence[str] | frozenset[str] = frozenset(),
+    kbs: Optional[dict[str, KnowledgeBase]] = None,
+    surrogate_mode: str = SURROGATE_OFF,
+) -> TokenizedCorpus:
+    """Run the text pipeline (:func:`tokenize_reviews`) over a labeled corpus.
+    Unlike :meth:`TokenizedCorpus.load` it does not merge equal tokens into
+    one ``str``: that would cost the experiments more time than it saves."""
     return TokenizedCorpus(
         ids=tuple(r.id for r in corpus.reviews),
         series=tuple(r.series for r in corpus.reviews),
-        docs=tuple(tuple(preprocess_text(r.text, seg, stoplist, maps.get(r.series))) for r in corpus.reviews),
+        docs=tuple(map(tuple, tokenize_reviews(corpus, seg, stoplist, kbs, surrogate_mode))),
         labels=tuple(None if lab is None else int(lab) for lab in corpus.labels),
     )
 

@@ -7,14 +7,14 @@ import itertools
 import re
 import unicodedata
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from revclass.corpus import (
     N_CATEGORIES,
     CorpusFormatError,
-    json_lines,
+    iter_json_lines,
     read_json,
     read_json_lines,
     read_text,
@@ -407,6 +407,15 @@ def preprocess_text(
     return remove_stopwords(tokens, stoplist) if stoplist else tokens
 
 
+def token_lines(ids: Iterable[str], series: Iterable[str], docs: Iterable[Sequence[str]], labels) -> Iterator[str]:
+    """The lines of a tokens file, one JSON object per review as
+    :meth:`TokenizedCorpus.load` reads it; each review's line is encoded when
+    it is drawn, so ``docs`` may be a generator that tokenizes as it goes."""
+    return iter_json_lines(
+        {"id": rid, "series": s, "label": label, "tokens": doc} for rid, s, doc, label in zip(ids, series, docs, labels)
+    )
+
+
 @dataclass(frozen=True)
 class TokenizedCorpus:
     """Per-review token lists with provenance and resolved labels."""
@@ -437,19 +446,22 @@ class TokenizedCorpus:
         return [i for i, s in enumerate(self.series) if s in names]
 
     def to_jsonl(self) -> str:
-        return json_lines(
-            {"id": rid, "series": series, "label": label, "tokens": list(doc)}
-            for rid, series, doc, label in zip(self.ids, self.series, self.docs, self.labels)
-        )
+        return "".join(token_lines(self.ids, self.series, self.docs, self.labels))
 
     def save(self, path) -> None:
-        write_text_atomic(path, self.to_jsonl())
+        write_text_atomic(path, token_lines(self.ids, self.series, self.docs, self.labels))
 
     @classmethod
     def load(cls, path) -> "TokenizedCorpus":
         """Read a file written by :meth:`save`; a malformed line raises
-        :class:`CorpusFormatError` naming the file, the line and the field."""
+        :class:`CorpusFormatError` naming the file, the line and the field.
+
+        Equal tokens share one ``str`` object across the whole file, so the
+        corpus holds each distinct token once; only a token's first sighting
+        has its type checked.
+        """
         ids, series, docs, labels = [], [], [], []
+        shared: dict[str, str] = {}
         for where, obj in read_json_lines(path, CorpusFormatError):
             for name in ("id", "series", "tokens"):
                 if name not in obj:
@@ -462,11 +474,17 @@ class TokenizedCorpus:
                 raise CorpusFormatError(
                     f"{where}: field 'label' must be an integer in [0, {N_CATEGORIES - 1}] or null"
                 )
-            tokens = obj["tokens"]
-            if not isinstance(tokens, list) or not set(map(type, tokens)) <= {str}:
+            tokens, known = obj["tokens"], len(shared)
+            try:
+                doc = tuple(map(shared.setdefault, tokens, tokens)) if type(tokens) is list else None
+            except TypeError:  # an unhashable token: a list or an object
+                doc = None
+            # The tokens first seen on this line are the last ``added`` entries of ``shared``.
+            added = len(shared) - known
+            if doc is None or added and not all(type(t) is str for t in itertools.islice(reversed(shared), added)):
                 raise CorpusFormatError(f"{where}: field 'tokens' must be a list of strings")
             ids.append(obj["id"])
             series.append(obj["series"])
-            docs.append(tuple(tokens))
+            docs.append(doc)
             labels.append(label)
         return cls(ids=tuple(ids), series=tuple(series), docs=tuple(docs), labels=tuple(labels))

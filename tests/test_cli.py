@@ -10,8 +10,9 @@ import pytest
 
 from revclass import classify, cli, feature_select
 from revclass.cli import main
-from revclass.corpus import Category
-from revclass.preprocess import TokenizedCorpus, VectorizedCorpus
+from revclass.corpus import Category, agreement_filter, load_corpus
+from revclass.evaluate import tokenize_corpus
+from revclass.preprocess import TokenizedCorpus, VectorizedCorpus, load_knowledge_base
 from conftest import review_record, write_jsonl
 
 
@@ -172,6 +173,29 @@ class TestPreprocess:
         assert code == 0
         for line in (out / "tokens.jsonl").read_text(encoding="utf-8").splitlines():
             assert not {"n0", "n1"} & set(json.loads(line)["tokens"])
+
+    @pytest.mark.parametrize("mode", ["on", "off"])
+    def test_streamed_tokens_file_is_tokenize_corpus_to_jsonl(self, pipeline, tmp_path, mode):
+        corpus_path = pipeline["ingest"] / "corpus.filtered.jsonl"
+        kb_dir = pipeline["synth"] / "kb"
+        out = tmp_path / "tokens"
+        argv = ["preprocess", "--corpus", corpus_path, "--kb-dir", kb_dir, "--surrogates", mode, "--out-dir", out]
+        assert run([*argv, "--quiet"]) == 0
+        corpus, _ = agreement_filter(load_corpus(corpus_path))
+        kbs = {kb.series: kb for kb in map(load_knowledge_base, sorted(kb_dir.glob("*.json")))}
+        expected = tokenize_corpus(corpus, kbs=kbs, surrogate_mode=mode).to_jsonl()
+        assert (out / "tokens.jsonl").read_text(encoding="utf-8") == expected
+
+    def test_missing_knowledge_base_exits_2_before_writing(self, pipeline, tmp_path, capsys):
+        kb_dir = tmp_path / "kb"
+        kb_dir.mkdir()
+        shutil.copy(pipeline["synth"] / "kb" / "alpha.json", kb_dir)
+        out = tmp_path / "tokens"
+        argv = ["preprocess", "--corpus", pipeline["ingest"] / "corpus.filtered.jsonl", "--kb-dir", kb_dir,
+                "--surrogates", "on", "--out-dir", out, "--quiet"]
+        assert run(argv) == 2
+        assert capsys.readouterr().err == "error: missing knowledge base for series: ['beta', 'gamma']\n"
+        assert not out.exists()
 
 
 class TestCjkRoundTrip:
@@ -1540,12 +1564,24 @@ class TestIntegerSettings:
             ("sweep", "--sizes", f"10,{2**64}"),
             ("cross-series", "--budgets", str(INT64_MAX + 1)),
             ("cross-series", "--budgets", "0"),
+            ("train", "--sizes", "10,x"),
+            ("sweep", "--sizes", "10,x"),
+            ("cross-series", "--budgets", "10,x"),
         ],
     )
     def test_size_list_outside_int64_exits_2_naming_the_flag(self, pipeline, tmp_path, capsys, command, flag, value):
         out = tmp_path / "out"
         assert run([command, *_small_run(command, pipeline), flag, value, "--out-dir", out, "--quiet"]) == 2
         assert capsys.readouterr().err == f"error: {flag} must be integers in [1, {INT64_MAX}], got {value!r}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, flag", [("sweep", "--sizes"), ("cross-series", "--budgets")])
+    def test_bad_size_list_is_reported_before_a_missing_corpus(self, pipeline, tmp_path, capsys, command, flag):
+        argv = _small_run(command, pipeline)
+        argv[argv.index("--corpus") + 1] = tmp_path / "missing.jsonl"
+        out = tmp_path / "out"
+        assert run([command, *argv, flag, "10,x", "--out-dir", out, "--quiet"]) == 2
+        assert capsys.readouterr().err == f"error: {flag} must be integers in [1, {INT64_MAX}], got '10,x'\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("command, key", [("train", "sizes"), ("cross-series", "budgets")])

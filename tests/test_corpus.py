@@ -21,6 +21,7 @@ from revclass.corpus import (
     write_corpus,
     write_csv,
     write_json_atomic,
+    write_text_atomic,
 )
 from revclass.preprocess import TokenizedCorpus
 from conftest import review_record, write_jsonl
@@ -593,6 +594,23 @@ def test_write_json_atomic_fails_as_json_dumps_fails(tmp_path):
     shared = [1]
     write_json_atomic(tmp_path / "shared.json", {"a": shared, "b": [shared]})
     assert (tmp_path / "shared.json").read_bytes() == _indented_bytes({"a": shared, "b": [shared]})
+
+
+def test_write_text_atomic_writes_chunks_and_a_chunk_that_raises_keeps_the_old_file(tmp_path):
+    path = tmp_path / "out.txt"
+    write_text_atomic(path, "old\n")
+
+    def chunks():
+        yield "new "
+        yield "x" * 100_000  # more than the file's buffer, so bytes reach the temporary file
+        raise RuntimeError("tokenizing failed")
+
+    with pytest.raises(RuntimeError, match="tokenizing failed"):
+        write_text_atomic(path, chunks())
+    assert path.read_text(encoding="utf-8") == "old\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+    write_text_atomic(path, iter(["a\n", "", "皇上\n"]))
+    assert path.read_bytes() == "a\n皇上\n".encode("utf-8")
 
 
 def test_write_csv_writes_floats_to_6_decimals_and_the_rest_with_str(tmp_path):

@@ -297,8 +297,13 @@ class TestTokenizedCorpus:
             ('{"id": "r1", "series": "s", "label": 0, "tokens": "plot twist"}', "line 2: field 'tokens'"),
             ('{"id": "r1", "series": "s", "label": 0, "tokens": ["plot", 3]}', "line 2: field 'tokens'"),
             ('{"id": "r1", "series": "s", "label": 0}', "line 2: missing field 'tokens'"),
+            ('{"id": "r1", "series": "s", "label": 0, "tokens": ["a", 1, "b"]}', "line 2: field 'tokens'"),
+            ('{"id": "r1", "series": "s", "label": 0, "tokens": ["a", ["a"]]}', "line 2: field 'tokens'"),
         ],
-        ids=["invalid_json", "not_an_object", "string_tokens", "non_string_token", "missing_tokens"],
+        ids=[
+            "invalid_json", "not_an_object", "string_tokens", "non_string_token", "missing_tokens",
+            "non_string_token_after_a_known_one", "list_token_after_a_known_one",
+        ],
     )
     def test_load_rejects_malformed_line_naming_file_line_and_field(self, tmp_path, line, message):
         path = tmp_path / "tokens.jsonl"
@@ -319,10 +324,16 @@ class TestTokenizedCorpus:
             ("tokens", "[true]", "field 'tokens' must be a list of strings"),
             ("id", "5", "field 'id' must be a non-empty string"),
             ("series", '""', "field 'series' must be a non-empty string"),
+            ("tokens", '[["a"]]', "field 'tokens' must be a list of strings"),
+            ("tokens", "[{}]", "field 'tokens' must be a list of strings"),
+            ("tokens", "NaN", "field 'tokens' must be a list of strings"),
+            ("tokens", '["a", NaN, NaN]', "field 'tokens' must be a list of strings"),
+            ("tokens", '{"a": "a"}', "field 'tokens' must be a list of strings"),
         ],
         ids=[
             "label_true", "label_minus_one", "label_eight", "label_float",
             "int_token", "null_token", "true_token", "int_id", "empty_series",
+            "list_token", "object_token", "nan_tokens", "nan_token", "object_tokens",
         ],
     )
     def test_load_messages(self, tmp_path, field, value, message):
@@ -333,6 +344,22 @@ class TestTokenizedCorpus:
         with pytest.raises(CorpusFormatError) as info:
             TokenizedCorpus.load(path)
         assert str(info.value) == f"{path}: line 1: {message}"
+
+    def test_load_shares_one_string_per_distinct_token(self, tmp_path):
+        corpus = TokenizedCorpus(
+            ids=("r0", "r1", "r2"),
+            series=("s", "s", "t"),
+            docs=(("role_1", "很", "好", "很"), (), ("好", "role_1", "还行")),
+            labels=(0, None, 7),
+        )
+        path = tmp_path / "tokens.jsonl"
+        corpus.save(path)
+        loaded = TokenizedCorpus.load(path)
+        assert loaded == corpus
+        tokens = [t for doc in loaded.docs for t in doc]
+        distinct = {t: t for t in tokens}
+        assert all(t is distinct[t] for t in tokens)
+        assert loaded.docs[0][0] is loaded.docs[2][1] and loaded.docs[0][1] is loaded.docs[0][3]
 
 
 class TestWriteKnowledgeBase:
