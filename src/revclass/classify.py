@@ -573,7 +573,9 @@ def train_member(
 
     Relevance is (label == category).  A class with no positives, or one
     covering the whole corpus, yields a flagged constant stub with an empty
-    vocabulary.  The SVM samples with ``seed + category``.
+    vocabulary.  The SVM samples with ``seed + category``.  A trained model
+    whose bias or weights are not all finite raises ValueError naming the
+    method, the category and the hyperparameters.
     """
     if method not in CLASSIFIERS:
         raise ValueError(f"unknown method {method!r}; expected one of {CLASSIFIERS}")
@@ -591,7 +593,10 @@ def train_member(
     else:
         model = train_svm(X, np.where(rel, 1.0, -1.0), C=hp.C, epochs=hp.svm_epochs, seed=seed + int(cat))
     terms = tuple(map(corpus.vocab.terms.__getitem__, positions.tolist()))
-    return BinaryMember(cat, method, terms, model, ranking=ranking)
+    member = BinaryMember(cat, method, terms, model, ranking=ranking)
+    if not (math.isfinite(model.bias) and np.isfinite(model.weights).all()):
+        raise ValueError(f"{method} member for category {int(cat)} has non-finite weights at {_member_hyperparameters(member)}")
+    return member
 
 
 def rank_classes(corpus: VectorizedCorpus, budgets: Sequence[int], selector: str) -> list[FeatureRanking]:

@@ -302,11 +302,6 @@ def iter_json_lines(records: Iterable[dict]) -> Iterator[str]:
     return ("".join(encode(record, 0)) + "\n" for record in records)
 
 
-def json_lines(records: Iterable[dict]) -> str:
-    """The lines of :func:`iter_json_lines` as one string."""
-    return "".join(iter_json_lines(records))
-
-
 def write_text_atomic(path, text: str | Iterable[str]) -> None:
     """Write ``text``, a str or an iterable of str chunks written as they are
     drawn, as UTF-8 to ``path`` (creating its directory) through a uniquely

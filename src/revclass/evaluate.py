@@ -457,19 +457,10 @@ def write_generalization_csv(table: ResultTable, path) -> None:
 def _apply_series_cap(corpus: Corpus, cap: Optional[int]) -> Corpus:
     if cap is None:
         return corpus
-    taken: dict[str, int] = {}
-    keep = []
-    for i, review in enumerate(corpus.reviews):
-        count = taken.get(review.series, 0)
-        if count < cap:
-            taken[review.series] = count + 1
-            keep.append(i)
+    keep = sorted(i for rows in corpus.series_index.values() for i in rows[:cap])
     if len(keep) == len(corpus.reviews):
         return corpus
-    return Corpus(
-        reviews=tuple(corpus.reviews[i] for i in keep),
-        labels=tuple(corpus.labels[i] for i in keep),
-    )
+    return Corpus(reviews=tuple(corpus.reviews[i] for i in keep), labels=tuple(corpus.labels[i] for i in keep))
 
 
 def tokenize_reviews(

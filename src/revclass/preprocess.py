@@ -135,7 +135,7 @@ class SurrogateMap:
     """Mapping from every known surface string to its generic tag (role_i / actor_j)."""
 
     entries: dict[str, str]
-    _pattern: Optional[re.Pattern] = field(default=None, compare=False, repr=False)
+    _pattern: Optional[re.Pattern] = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.entries:
@@ -263,14 +263,13 @@ def _stop_sets(stoplist: frozenset[str]) -> tuple[frozenset[str], frozenset[str]
 
 @dataclass(frozen=True)
 class Vocabulary:
-    """Ordered unique terms with a term -> position index."""
+    """Ordered unique terms with a term -> position index, always derived from the terms."""
 
     terms: tuple[str, ...]
-    index: dict[str, int] = field(default_factory=dict, compare=False)
+    index: dict[str, int] = field(init=False, compare=False)
 
     def __post_init__(self):
-        if not self.index:
-            object.__setattr__(self, "index", {t: i for i, t in enumerate(self.terms)})
+        object.__setattr__(self, "index", {t: i for i, t in enumerate(self.terms)})
         if len(self.index) != len(self.terms):
             raise ValueError("vocabulary terms must be unique")
 

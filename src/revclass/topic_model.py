@@ -222,13 +222,12 @@ def fit_lda(
     docs: Sequence[Sequence[str]],
     cfg: LdaConfig,
     doc_ids: Optional[Sequence[str]] = None,
-    check_counts: bool = True,
 ) -> LdaModel:
     """Run collapsed Gibbs sampling from a seeded random initialization.
 
     Empty documents are excluded with a warning naming their ids.  For a
     fixed seed and document order the assignments are reproducible exactly.
-    ``check_counts`` asserts count conservation after every sweep.
+    Count conservation is checked after every sweep.
     """
     if doc_ids is None:
         doc_ids = [f"doc_{i}" for i in range(len(docs))]
@@ -269,7 +268,7 @@ def fit_lda(
     z, doc_of, word_of = tokens(z), tokens(doc_of), tokens(word_of)
     for _ in range(cfg.iterations):
         state.sweep(z, doc_of, word_of, tokens(rng.random(n_tokens)))
-        if check_counts and not _conserved(n_tokens, state.n_k, state.n_wk, state.n_dk):
+        if not _conserved(n_tokens, state.n_k, state.n_wk, state.n_dk):
             raise AssertionError("count conservation violated during sampling")
     z = np.asarray(z, dtype=np.int64)
     n_dk, n_kw, n_k = state.counts()

@@ -193,7 +193,7 @@ def test_criterion_6_lda_recovery():
         total_tokens = 200 * 50
 
         start = time.perf_counter()
-        model = fit_lda(docs, LdaConfig(K=2, iterations=1000, seed=9), check_counts=True)
+        model = fit_lda(docs, LdaConfig(K=2, iterations=1000, seed=9))
         elapsed = time.perf_counter() - start
 
         assert model.topic_word_counts.sum() == total_tokens

@@ -1554,3 +1554,41 @@ def test_score_documents_matches_a_term_by_term_lookup():
         want = member.model.bias + classify._times(matrix.select(pos[pos >= 0]), member.model.weights[pos >= 0])
         assert np.array_equal(scores[:, j], want)
     assert missing > 0
+
+
+class TestNonFiniteMember:
+    """train_member refuses a model whose bias or weights are not all finite,
+    naming the method, the category and the hyperparameters."""
+
+    # "a" is in every positive row of category 0.
+    _DOCS = [["a"], ["a", "b"], ["b"], ["c"]]
+
+    def _ranking(self, vc):
+        return rank_classes(vc, (3,) * 8, "chi2")[0]
+
+    def test_nb_with_a_term_in_every_positive_row_and_tiny_smoothing(self):
+        vc = VectorizedCorpus.from_tokens(self._DOCS, [0, 0, 1, 1])
+        ranking = self._ranking(vc)
+        a = vc.vocab.index["a"]
+        # train_nb keeps such a model; a review holding "a" would score nan
+        with np.errstate(divide="ignore"):
+            model = train_nb(vc.select(np.array([a])), np.array([1, 1, -1, -1]), l=1e-20)
+        assert model.cond_pos[0] == 1.0 and model.bias == -math.inf and model.weights[0] == math.inf
+        with np.errstate(divide="ignore"), pytest.raises(ValueError, match=r"^nb member for category 0 has non-finite weights at \{'l': 1e-20\}$"):
+            train_member(vc, ranking, "nb", Hyperparams(l=1e-20), 42)
+        with np.errstate(divide="ignore"), pytest.raises(ValueError, match="non-finite weights"):
+            train_ovr(vc, method="nb", per_class_feature_sizes=(3,) * 8, hyperparams=Hyperparams(l=1e-20))
+        assert train_member(vc, ranking, "nb", Hyperparams(l=1e-3), 42).model is not None
+
+    @pytest.mark.parametrize(
+        "method, hp, named",
+        [
+            ("nb", Hyperparams(l=1e308), "{'l': 1e+308}"),
+            ("svm", Hyperparams(C=1e308, svm_epochs=3), "{'C': 1e+308, 'epochs': 3, 'seed': 7}"),
+        ],
+    )
+    def test_huge_hyperparameter_raises_naming_it(self, method, hp, named):
+        vc = VectorizedCorpus.from_tokens(self._DOCS, [0, 0, 1, 1])
+        with np.errstate(all="ignore"), pytest.raises(ValueError) as exc:
+            train_member(vc, self._ranking(vc), method, hp, 7)
+        assert str(exc.value) == f"{method} member for category 0 has non-finite weights at {named}"

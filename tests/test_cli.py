@@ -1607,3 +1607,26 @@ def test_model_manifest_budgets_not_a_list_exits_2(pipeline, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith(f"error: {model / 'model_manifest.json'}: field 'budgets' must be ")
     assert not out.exists()
+
+
+class TestNonFiniteMember:
+    @pytest.mark.parametrize(
+        "method, flag, named",
+        [("svm", "--svm-c", "{'C': 1e+308, 'epochs': 50, 'seed': 42}"), ("nb", "--nb-smoothing", "{'l': 1e+308}")],
+    )
+    def test_train_exits_2_naming_the_member_before_writing(self, pipeline, tmp_path, capsys, method, flag, named):
+        out = tmp_path / "train"
+        tokens = pipeline["tokens"] / "tokens.jsonl"
+        code = run(["train", "--tokens", tokens, "--method", method, flag, "1e308", "--out-dir", out, "--quiet"])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {method} member for category 0 has non-finite weights at {named}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["sweep", "cross-series"])
+    def test_experiment_exits_2_before_writing(self, pipeline, tmp_path, capsys, command):
+        out = tmp_path / command
+        argv = [command, "--corpus", pipeline["ingest"] / "corpus.filtered.jsonl", "--kb-dir", pipeline["synth"] / "kb"]
+        code = run([*argv, "--method", "svm", "--svm-c", "1e308", "--svm-epochs", "2", "--out-dir", out, "--quiet"])
+        assert code == 2
+        assert "svm member for category 0 has non-finite weights at {'C': 1e+308, 'epochs': 2, " in capsys.readouterr().err
+        assert not out.exists()

@@ -14,7 +14,7 @@ from revclass.corpus import (
     CorpusFormatError,
     Review,
     agreement_filter,
-    json_lines,
+    iter_json_lines,
     load_corpus,
     read_json_lines,
     split_by_series,
@@ -464,8 +464,8 @@ def test_json_lines_gives_json_dumps_bytes(monkeypatch, c_encoder):
     if not c_encoder:
         monkeypatch.setattr(revclass.corpus, "c_make_encoder", None)
     expected = "".join(json.dumps(r, ensure_ascii=False, sort_keys=True) + "\n" for r in _RECORDS)
-    assert json_lines(_RECORDS).encode("utf-8") == expected.encode("utf-8")
-    assert json_lines(iter(_RECORDS)) == expected and json_lines([]) == ""
+    assert "".join(iter_json_lines(_RECORDS)).encode("utf-8") == expected.encode("utf-8")
+    assert "".join(iter_json_lines(iter(_RECORDS))) == expected and "".join(iter_json_lines([])) == ""
 
 
 def test_json_lines_fails_as_json_dumps_fails():
@@ -475,11 +475,11 @@ def test_json_lines_fails_as_json_dumps_fails():
         with pytest.raises((ValueError, TypeError)) as want:
             json.dumps(bad, ensure_ascii=False, sort_keys=True)
         with pytest.raises(want.type) as got:
-            json_lines([{"ok": 1}, bad])
+            "".join(iter_json_lines([{"ok": 1}, bad]))
         assert str(got.value) == str(want.value)
     # one list twice is no cycle
     shared = [1]
-    assert json_lines([{"a": shared, "b": shared}]) == '{"a": [1], "b": [1]}\n'
+    assert "".join(iter_json_lines([{"a": shared, "b": shared}])) == '{"a": [1], "b": [1]}\n'
 
 
 def _strip_loop(path):

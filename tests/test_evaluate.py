@@ -793,3 +793,37 @@ class TestGeneratorMatchesThePreviousBody:
         )
         with pytest.raises(ValueError, match="text must be non-empty"):
             generate_synthetic(spec)
+
+
+def _previous_apply_series_cap(corpus, cap):
+    """The series cap as it was: reviews counted per series in one loop over the corpus."""
+    if cap is None:
+        return corpus
+    taken: dict[str, int] = {}
+    keep = []
+    for i, review in enumerate(corpus.reviews):
+        count = taken.get(review.series, 0)
+        if count < cap:
+            taken[review.series] = count + 1
+            keep.append(i)
+    if len(keep) == len(corpus.reviews):
+        return corpus
+    return Corpus(reviews=tuple(corpus.reviews[i] for i in keep), labels=tuple(corpus.labels[i] for i in keep))
+
+
+class TestSeriesCapOverTheSeriesIndex:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_same_reviews_labels_and_identity_as_the_counting_loop(self, seed):
+        from revclass.evaluate import _apply_series_cap
+
+        rng = random.Random(seed)
+        series = [rng.choice(["甲", "b", "c", "d"]) for _ in range(rng.randint(1, 40))]
+        reviews = tuple(Review(id=f"r{i}", series=s, text="t", annotations=(i % 8, i % 8)) for i, s in enumerate(series))
+        labels = tuple(rng.choice([None, *Category]) for _ in series)
+        longest = max(series.count(s) for s in series)
+        for cap in range(1, longest + 2):
+            corpus = Corpus(reviews=reviews, labels=labels)
+            want = _previous_apply_series_cap(corpus, cap)
+            got = _apply_series_cap(corpus, cap)
+            assert got.reviews == want.reviews and got.labels == want.labels
+            assert (got is corpus) == (want is corpus) == (cap >= longest)

@@ -1,3 +1,6 @@
+import dataclasses
+import re
+
 import numpy as np
 import pytest
 
@@ -378,3 +381,27 @@ class TestWriteKnowledgeBase:
         assert "莞贵人" in path.read_text(encoding="utf-8")
         write_knowledge_base(load_knowledge_base(path), tmp_path / "again.json")
         assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
+
+
+class TestDerivedFieldsCannotBePassed:
+    def test_vocabulary_index_is_not_an_argument(self):
+        with pytest.raises(TypeError):
+            Vocabulary(("a", "b"), {"x": 0, "y": 1})
+        with pytest.raises(TypeError):
+            Vocabulary(terms=("a", "b"), index={"a": 0, "b": 1})
+
+    def test_replaced_vocabulary_rederives_its_index(self):
+        v = Vocabulary(("a", "b"))
+        w = dataclasses.replace(v, terms=("c", "d"))
+        assert w.index == {"c": 0, "d": 1} and "c" in w and "a" not in w
+        assert v.index == {"a": 0, "b": 1} and w != v
+        with pytest.raises(ValueError, match="vocabulary terms must be unique"):
+            dataclasses.replace(v, terms=("c", "c"))
+
+    def test_surrogate_map_pattern_is_not_an_argument(self):
+        with pytest.raises(TypeError):
+            SurrogateMap({"白子画": "role_1"}, re.compile("x"))
+        with pytest.raises(TypeError):
+            SurrogateMap({"白子画": "role_1"}, _pattern=re.compile("x"))
+        replaced = dataclasses.replace(SurrogateMap({"白子画": "role_1"}), entries={"花千骨": "role_2"})
+        assert substitute("白子画 花千骨", replaced) == "白子画 role_2"

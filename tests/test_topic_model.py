@@ -80,7 +80,7 @@ class TestFitLda:
     def test_count_conservation(self):
         docs = _two_topic_corpus(np.random.default_rng(4))
         total = sum(len(d) for d in docs)
-        model = fit_lda(docs, LdaConfig(K=4, iterations=25, seed=2), check_counts=True)
+        model = fit_lda(docs, LdaConfig(K=4, iterations=25, seed=2))
         assert model.topic_word_counts.sum() == total
         assert model.doc_topic_counts.sum() == total
         lengths = [len(a) for a in model.assignments]
@@ -442,3 +442,25 @@ class TestNonFinitePriors:
     def test_rejected(self, field, value):
         with pytest.raises(ValueError, match="alpha and beta must be finite and > 0"):
             LdaConfig(K=2, **{field: value})
+
+
+class TestCountConservation:
+    @pytest.mark.parametrize("numba", [False, True])
+    def test_a_sweep_that_drops_a_token_raises(self, monkeypatch, numba):
+        from revclass import topic_model
+
+        real = getattr(topic_model._sweep, "py_func", topic_model._sweep)
+        sweeps = []
+
+        def dropping(n_dk, n_wk, n_k, *rest):
+            real(n_dk, n_wk, n_k, *rest)
+            sweeps.append(None)
+            if len(sweeps) == 2:
+                n_k[0] -= 1  # one token gone from the topic totals
+
+        monkeypatch.setattr(topic_model, "_sweep", dropping)
+        monkeypatch.setattr(topic_model, "_HAVE_NUMBA", numba)
+        docs = _two_topic_corpus(np.random.default_rng(1), n_docs=10, tokens=8)
+        with pytest.raises(AssertionError, match=r"^count conservation violated during sampling$"):
+            fit_lda(docs, LdaConfig(K=3, iterations=5, seed=1))
+        assert len(sweeps) == 2  # raised right after the sweep that dropped it
