@@ -9,7 +9,7 @@ and evaluate cross-series generalization.
 
 __version__ = "0.1.0"
 
-from revclass.corpus import Category, Corpus, Review, agreement_filter, load_corpus, split_by_series
+from revclass.corpus import Category, Corpus, Review, agreement_filter, load_corpus
 from revclass.preprocess import (
     DictionarySegmenter,
     KnowledgeBase,
@@ -20,8 +20,6 @@ from revclass.preprocess import (
     build_surrogate_map,
     remove_stopwords,
     substitute,
-    tokenize,
-    vectorize,
 )
 from revclass.feature_select import ContingencyTable, FeatureRanking, chi_square, contingency, drc, rank_features, rcv
 from revclass.classify import (
@@ -29,7 +27,6 @@ from revclass.classify import (
     NbModel,
     OvrModel,
     SvmModel,
-    hinge,
     lr_prob,
     nb_log_odds,
     predict,

@@ -50,11 +50,6 @@ def _times(X: SparseRows, w: np.ndarray, ones: bool = False) -> np.ndarray:
     return np.bincount(X.rows, weights=w[X.cols] if ones else X.vals * w[X.cols], minlength=X.shape[0])
 
 
-def hinge(z: float) -> float:
-    """Soft-margin penalty h(z) = max(0, 1 - z)."""
-    return max(0.0, 1.0 - z)
-
-
 def _decision_value(m: NbModel | LrModel | SvmModel, x: np.ndarray) -> float:
     """bias + weights.x for one dense feature vector; every model is this
     linear form (see :func:`score_documents`)."""
@@ -85,8 +80,11 @@ class NbModel:
     weights: np.ndarray = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self):
-        absent = np.log1p(-self.cond_pos) - np.log1p(-self.cond_neg)
-        present = np.log(self.cond_pos) - np.log(self.cond_neg)
+        # A conditional of 0 or 1 gives infinities and NaNs here, which
+        # train_member rejects, so numpy need not warn of them.
+        with np.errstate(divide="ignore", invalid="ignore"):
+            absent = np.log1p(-self.cond_pos) - np.log1p(-self.cond_neg)
+            present = np.log(self.cond_pos) - np.log(self.cond_neg)
         object.__setattr__(self, "bias", float(absent.sum()) + self.log_prior_pos - self.log_prior_neg)
         object.__setattr__(self, "weights", present - absent)
 
@@ -275,7 +273,7 @@ class SvmModel:
 
 
 def svm_objective(w: np.ndarray, w0: float, X: np.ndarray, y: np.ndarray, C: float) -> float:
-    """Primal objective 1/2 ||w||^2 + C * sum hinge(y * (w.x + w0))."""
+    """Primal objective 1/2 ||w||^2 + C * sum max(0, 1 - y * (w.x + w0))."""
     margins = y * (X @ w + w0)
     return float(0.5 * (w @ w) + C * np.maximum(0.0, 1.0 - margins).sum())
 
@@ -500,14 +498,6 @@ class BinaryMember:
     stub: Optional[str] = None
     ranking: Optional[FeatureRanking] = field(default=None, repr=False, compare=False)
 
-    def score(self, tokens: Iterable[str]) -> float:
-        """Cross-member comparable score of one review (see :func:`score_documents`)."""
-        return float(score_documents([self], [tuple(tokens)])[0, 0])
-
-    def decide(self, tokens: Iterable[str]) -> bool:
-        """Positive decision for this member's class (ties resolve positive)."""
-        return self.score(tokens) >= 0.0
-
 
 @dataclass(frozen=True)
 class OvrModel:
@@ -525,16 +515,6 @@ class OvrModel:
         if cats != list(range(N_CATEGORIES)):
             raise ValueError(f"expected one member per category, got categories {cats}")
         object.__setattr__(self, "members", members)
-
-    def member_for(self, category: Category | int) -> BinaryMember:
-        if int(category) not in range(N_CATEGORIES):
-            raise KeyError(int(category))
-        return self.members[int(category)]
-
-    def scores(self, docs: Sequence[Sequence[str]]) -> np.ndarray:
-        """Member scores of token documents, column c for category c, so a
-        row's first maximum is its best category, ties to the lowest index."""
-        return score_documents(self.members, docs)
 
 
 def score_documents(members: Sequence[BinaryMember], docs: Sequence[Sequence[str]]) -> np.ndarray:
@@ -574,8 +554,9 @@ def train_member(
     Relevance is (label == category).  A class with no positives, or one
     covering the whole corpus, yields a flagged constant stub with an empty
     vocabulary.  The SVM samples with ``seed + category``.  A trained model
-    whose bias or weights are not all finite raises ValueError naming the
-    method, the category and the hyperparameters.
+    whose bias or weights are not all finite, or an LR fit whose objective
+    turns non-finite, raises ValueError naming the method, the category and
+    the hyperparameters.
     """
     if method not in CLASSIFIERS:
         raise ValueError(f"unknown method {method!r}; expected one of {CLASSIFIERS}")
@@ -589,7 +570,11 @@ def train_member(
     if method == NB:
         model = train_nb(X, np.where(rel, 1, -1), l=hp.l)
     elif method == LR:
-        model = train_lr(X, rel.astype(np.float64), eta=hp.eta, lam=hp.lam, epochs=hp.lr_epochs)
+        try:
+            model = train_lr(X, rel.astype(np.float64), eta=hp.eta, lam=hp.lam, epochs=hp.lr_epochs)
+        except ArithmeticError:
+            at = {"eta": hp.eta, "lam": hp.lam, "epochs": hp.lr_epochs}
+            raise ValueError(f"{method} member for category {int(cat)} has a non-finite objective at {at}") from None
     else:
         model = train_svm(X, np.where(rel, 1.0, -1.0), C=hp.C, epochs=hp.svm_epochs, seed=seed + int(cat))
     terms = tuple(map(corpus.vocab.terms.__getitem__, positions.tolist()))
@@ -635,7 +620,7 @@ def predict(m: OvrModel, tokens: Iterable[str]) -> Category:
     """Single-label assignment: every member scores the review on its own
     vocabulary projection; highest score wins, ties go to the lowest
     category index (invariant under member order)."""
-    return Category(int(m.scores([tuple(tokens)])[0].argmax()))
+    return Category(int(score_documents(m.members, [tuple(tokens)])[0].argmax()))
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Labeled review corpora: reading and writing, annotator-agreement filtering, series splits,
+"""Labeled review corpora: reading and writing, annotator-agreement filtering,
 and the atomic file writers that every output of the package goes through."""
 
 from __future__ import annotations
@@ -9,7 +9,7 @@ import json
 import json.scanner
 import os
 import unicodedata
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from json.encoder import c_make_encoder, encode_basestring
 from typing import Iterable, Iterator, Optional
 
@@ -34,13 +34,6 @@ class Category(enum.IntEnum):
     @property
     def display_name(self) -> str:
         return _CATEGORY_NAMES[self.value]
-
-    @classmethod
-    def from_name(cls, name: str) -> "Category":
-        try:
-            return cls(_CATEGORY_NAMES.index(name))
-        except ValueError:
-            raise ValueError(f"unknown category name: {name!r}") from None
 
 
 _CATEGORY_NAMES = (
@@ -87,29 +80,24 @@ class Corpus:
 
     ``labels[i]`` is the resolved category of ``reviews[i]`` when all its
     annotations agree (set by :func:`agreement_filter`), else ``None``.
-    ``series_index`` partitions review positions by series, built on first read unless given.
     """
 
     reviews: tuple[Review, ...]
     labels: tuple[Optional[Category], ...] = ()
-    series_index: dict[str, tuple[int, ...]] = field(default_factory=dict)
 
     def __post_init__(self):
         if not self.labels:
             object.__setattr__(self, "labels", (None,) * len(self.reviews))
         if len(self.labels) != len(self.reviews):
             raise ValueError("labels must align with reviews")
-        if not self.series_index:
-            object.__delattr__(self, "series_index")  # built by __getattr__ on first read
 
-    def __getattr__(self, name):
-        if name != "series_index":
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+    @functools.cached_property
+    def series_index(self) -> dict[str, tuple[int, ...]]:
+        """Review positions by series, series in first-occurrence order."""
         index: dict[str, list[int]] = {}
         for i, r in enumerate(self.reviews):
             index.setdefault(r.series, []).append(i)
-        object.__setattr__(self, name, {s: tuple(ix) for s, ix in index.items()})
-        return self.series_index
+        return {s: tuple(ix) for s, ix in index.items()}
 
     def __len__(self) -> int:
         return len(self.reviews)
@@ -209,31 +197,6 @@ def agreement_filter(corpus: Corpus) -> tuple[Corpus, dict[str, int]]:
         else:
             drops["disagreement"] += 1
     return Corpus(reviews=tuple(kept), labels=tuple(labels)), drops
-
-
-def split_by_series(corpus: Corpus, train: set[str], test: set[str]) -> tuple[Corpus, Corpus]:
-    """Partition a corpus into train/test by series membership.
-
-    ``train`` and ``test`` must be disjoint and name only series present in
-    the corpus.  Reviews of series in neither set are left out of both
-    outputs; both outputs preserve corpus order.
-    """
-    overlap = set(train) & set(test)
-    if overlap:
-        raise ValueError(f"train and test series overlap: {sorted(overlap)}")
-    known = set(corpus.series_index)
-    unknown = (set(train) | set(test)) - known
-    if unknown:
-        raise ValueError(f"unknown series: {sorted(unknown)}")
-
-    def take(wanted: set[str]) -> Corpus:
-        idx = [i for i, r in enumerate(corpus.reviews) if r.series in wanted]
-        return Corpus(
-            reviews=tuple(corpus.reviews[i] for i in idx),
-            labels=tuple(corpus.labels[i] for i in idx),
-        )
-
-    return take(set(train)), take(set(test))
 
 
 def read_text(path, error: type[Exception]) -> str:

@@ -521,6 +521,9 @@ def _splits(corpus, config, kbs, seg, modes, rotations):
             test = tokenized.subset(tokenized.series_indices((t,)))
             if len(train) == 0 or len(test) == 0:
                 raise ValueError(f"rotation {rotation_label(rot)} produced an empty split")
+            missing = sorted({a, b}.difference(train.series))
+            if missing:
+                raise ValueError(f"rotation {rotation_label(rot)} trains on series without reviews: {missing}")
             yield mode, rot, train, test, VectorizedCorpus.from_tokens(train.docs, train.labels)
 
 

@@ -63,23 +63,18 @@ def contingency(corpus: VectorizedCorpus, term: str, category: Category | int) -
     return ContingencyTable(A=A, B=B, C=C, D=D)
 
 
-def chi_square(t: ContingencyTable, mode: str = "squared") -> float:
-    """Chi-square association score of a 2x2 table.
+def chi_square(t: ContingencyTable) -> float:
+    """Chi-square association score of a 2x2 table, the standard statistic
+    N*(AD - CB)^2 / ((A+C)(B+D)(A+B)(C+D)).
 
-    ``mode="squared"`` (default) is the standard statistic
-    N*(AD - CB)^2 / ((A+C)(B+D)(A+B)(C+D)).  ``mode="literal"`` leaves the
-    numerator term unsquared, N*(AD - CB) / (...), which is sign-sensitive.
     Degenerate tables (a zero margin) score 0: a constant word or class
     carries no signal.
     """
-    if mode not in ("squared", "literal"):
-        raise ValueError(f"unknown chi-square mode {mode!r}")
     if t.has_zero_margin:
         return 0.0
     cross = float(t.A) * t.D - float(t.C) * t.B
-    num = cross * cross if mode == "squared" else cross
     denom = float(t.A + t.C) * (t.B + t.D) * (t.A + t.B) * (t.C + t.D)
-    return t.N * num / denom
+    return t.N * (cross * cross) / denom
 
 
 def rcv(t: ContingencyTable) -> float:

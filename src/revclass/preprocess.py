@@ -230,11 +230,6 @@ def load_dictionary(path) -> DictionarySegmenter:
     return DictionarySegmenter(line.strip() for line in lines if line.strip())
 
 
-def tokenize(text: str, seg: Segmenter) -> list[str]:
-    """Break text into tokens with the given segmenter."""
-    return seg(text)
-
-
 def load_stopwords(path) -> frozenset[str]:
     """Load stop words, one per line; '#' comment lines and blanks ignored."""
     words: set[str] = set()
@@ -283,16 +278,6 @@ class Vocabulary:
     def from_documents(cls, docs: Iterable[Sequence[str]]) -> "Vocabulary":
         """Collect terms in first-occurrence order across documents."""
         return cls(terms=tuple(dict.fromkeys(itertools.chain.from_iterable(docs))))
-
-
-def vectorize(tokens: Sequence[str], vocab: Vocabulary) -> np.ndarray:
-    """Binary presence vector over the vocabulary; out-of-vocabulary tokens ignored."""
-    x = np.zeros(len(vocab), dtype=np.int8)
-    for t in tokens:
-        pos = vocab.index.get(t)
-        if pos is not None:
-            x[pos] = 1
-    return x
 
 
 class SparseRows(NamedTuple):
@@ -402,7 +387,7 @@ def preprocess_text(
     """
     if surrogates is not None:
         text = substitute(text, surrogates)
-    tokens = list(filter(str.strip, tokenize(text, seg)))
+    tokens = list(filter(str.strip, seg(text)))
     return remove_stopwords(tokens, stoplist) if stoplist else tokens
 
 

@@ -18,7 +18,6 @@ from revclass.classify import (
     STUB_NO_NEGATIVES,
     STUB_NO_POSITIVES,
     _sigmoid,
-    hinge,
     load_ovr,
     lr_gradient,
     lr_prob,
@@ -235,17 +234,6 @@ class TestLrProb:
 # ---------------------------------------------------------------------------
 # Linear SVM
 # ---------------------------------------------------------------------------
-
-
-class TestHinge:
-    def test_values(self):
-        assert hinge(2.0) == 0.0
-        assert hinge(0.0) == 1.0
-        assert hinge(-1.0) == 2.0
-
-    def test_nonnegative(self):
-        for z in np.linspace(-5, 5, 101):
-            assert hinge(float(z)) >= 0.0
 
 
 def _separable_set(rng, n=20, d=6, margin=0.5):
@@ -467,9 +455,9 @@ class TestTrainOvr:
         docs = [["a", "b"], ["b"], ["a"]]
         vc = VectorizedCorpus.from_tokens(docs, [0, 0, 0], Vocabulary(("a", "b")))
         model = train_ovr(vc, method="nb")
-        assert model.member_for(0).stub == STUB_NO_NEGATIVES
+        assert model.members[0].stub == STUB_NO_NEGATIVES
         for cat in range(1, 8):
-            assert model.member_for(cat).stub == STUB_NO_POSITIVES
+            assert model.members[cat].stub == STUB_NO_POSITIVES
 
     def test_every_method_trains(self):
         vc = _synthetic_vc(np.random.default_rng(10))
@@ -568,10 +556,7 @@ class TestPredict:
         )
         assert shuffled.members == model.members and isinstance(shuffled.members, tuple)
         for c in range(8):
-            assert shuffled.members[c].category == c and shuffled.member_for(Category(c)) is shuffled.members[c]
-        for outside in (-1, 8):
-            with pytest.raises(KeyError):
-                shuffled.member_for(outside)
+            assert shuffled.members[c].category == c
         with pytest.raises(ValueError, match="one member per category"):
             OvrModel(model.members[:7] + model.members[:1], model.method, model.selector, model.budgets, model.seed)
 
@@ -597,7 +582,7 @@ class TestSerialization:
         probe = ["c0w0", "c4w2", "bg3"]
         for a, b in zip(model.members, loaded.members):
             assert a.terms == b.terms
-            assert a.score(set(probe)) == pytest.approx(b.score(set(probe)), rel=1e-12)
+            assert score_documents([a], [probe])[0, 0] == pytest.approx(score_documents([b], [probe])[0, 0], rel=1e-12)
 
     def test_members_listed_out_of_order_load_in_category_order(self, tmp_path):
         vc = _synthetic_vc(np.random.default_rng(16))
@@ -616,8 +601,8 @@ class TestSerialization:
         model = train_ovr(vc, method="nb")
         save_ovr(model, tmp_path / "model")
         loaded = load_ovr(tmp_path / "model")
-        assert loaded.member_for(0).stub == STUB_NO_NEGATIVES
-        assert loaded.member_for(5).stub == STUB_NO_POSITIVES
+        assert loaded.members[0].stub == STUB_NO_NEGATIVES
+        assert loaded.members[5].stub == STUB_NO_POSITIVES
 
 
 @pytest.fixture(scope="module")
@@ -678,7 +663,7 @@ class TestLrMemberScore:
 
     def test_tiny_negative_decision_value_decides_negative(self):
         # sigma(-1e-17) rounds to exactly 0.5
-        assert not self._member(0, -1e-17).decide(["a"])
+        assert score_documents([self._member(0, -1e-17)], [("a",)])[0, 0] < 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -757,7 +742,7 @@ class TestBatchScores:
                 want = bias + float(weights.sum()) if len(weights) else bias
                 # Relative to the summands: the order of the additions changed.
                 assert abs(scores[i, j] - want) <= 1e-12 * (abs(bias) + float(np.abs(weights).sum()))
-                assert (scores[i, j] >= 0.0) == (want >= 0.0) == member.decide(doc)
+                assert (scores[i, j] >= 0.0) == (want >= 0.0) == (score_documents([member], [doc])[0, 0] >= 0.0)
             assert predict(model, doc) is _reference_predict(model, doc)
         assert scores.argmax(axis=1).tolist() == [int(_reference_predict(model, doc)) for doc in docs]
 
@@ -765,9 +750,9 @@ class TestBatchScores:
         docs = _probe_docs(np.random.default_rng(43), n=40)
         for model in _stub_models():
             assert {m.stub for m in model.members} - {None}
-            scores = model.scores(docs)
+            scores = score_documents(model.members, docs)
             for c in range(8):
-                member = model.member_for(c)
+                member = model.members[c]
                 if member.stub:
                     assert (scores[:, c] == _reference_score(member, ())).all()
                 else:
@@ -779,19 +764,19 @@ class TestBatchScores:
         vc = _synthetic_vc(np.random.default_rng(44))
         model = train_ovr(vc, method="nb")
         docs = _probe_docs(np.random.default_rng(45), n=30)
-        batch = model.scores(docs)
+        batch = score_documents(model.members, docs)
         rng = np.random.default_rng(46)
         for i, doc in enumerate(docs):
             shuffled = list(doc) * 2
             rng.shuffle(shuffled)
             for member in model.members:
                 # One document alone, reordered and repeated, scores bit-identically.
-                assert member.score(shuffled) == batch[i, int(member.category)]
+                assert score_documents([member], [shuffled])[0, 0] == batch[i, int(member.category)]
 
     def test_no_documents(self):
         vc = _synthetic_vc(np.random.default_rng(47))
         model = train_ovr(vc, method="svm", hyperparams=Hyperparams(svm_epochs=2))
-        assert model.scores([]).shape == (0, 8)
+        assert score_documents(model.members, []).shape == (0, 8)
 
 
 # ---------------------------------------------------------------------------

@@ -1630,3 +1630,25 @@ class TestNonFiniteMember:
         assert code == 2
         assert "svm member for category 0 has non-finite weights at {'C': 1e+308, 'epochs': 2, " in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_nb_train_exits_2_without_numpy_warnings(self, pipeline, tmp_path, capsys):
+        out = tmp_path / "train"
+        tokens = pipeline["tokens"] / "tokens.jsonl"
+        code = run(["train", "--tokens", tokens, "--method", "nb", "--nb-smoothing", "1e308", "--out-dir", out, "--quiet"])
+        assert code == 2
+        assert capsys.readouterr().err == "error: nb member for category 0 has non-finite weights at {'l': 1e+308}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["train", "sweep", "cross-series"])
+    def test_diverging_lr_exits_2_naming_its_hyperparameters(self, pipeline, tmp_path, capsys, command):
+        out = tmp_path / command
+        if command == "train":
+            argv = [command, "--tokens", pipeline["tokens"] / "tokens.jsonl"]
+        else:
+            argv = [command, "--corpus", pipeline["ingest"] / "corpus.filtered.jsonl", "--kb-dir", pipeline["synth"] / "kb"]
+        code = run([*argv, "--method", "lr", "--lr-lambda", "1e308", "--lr-epochs", "2", "--out-dir", out, "--quiet"])
+        assert code == 2
+        want = "error: lr member for category 0 has a non-finite objective at {'eta': 0.1, 'lam': 1e+308, 'epochs': 2}\n"
+        assert capsys.readouterr().err == want
+        assert not out.exists()

@@ -17,12 +17,12 @@ from revclass.corpus import (
     iter_json_lines,
     load_corpus,
     read_json_lines,
-    split_by_series,
     write_corpus,
     write_csv,
     write_json_atomic,
     write_text_atomic,
 )
+from revclass.evaluate import SURROGATE_OFF, ExperimentConfig, _splits, derive_rotations
 from revclass.preprocess import TokenizedCorpus
 from conftest import review_record, write_jsonl
 
@@ -42,10 +42,11 @@ class TestCategory:
         ]
 
     def test_index_name_bijection(self):
-        for c in Category:
-            assert Category.from_name(c.display_name) is c
+        assert len({c.display_name for c in Category}) == len(Category) == 8
+        for i, c in enumerate(Category):
+            assert int(c) == i and Category(i) is c
         with pytest.raises(ValueError):
-            Category.from_name("sentiment")
+            Category(8)
 
 
 class TestLoadCorpus:
@@ -143,54 +144,66 @@ class TestAgreementFilter:
         assert len(kept) + sum(drops.values()) == len(corpus)
 
 
-def _three_series_corpus():
+def _series_corpus(series=("s1", "s2", "s3")):
     reviews = []
-    for series in ("s1", "s2", "s3"):
+    for name in series:
         for i in range(4):
-            reviews.append(Review(f"{series}-{i}", series, "text", (0, 0)))
-    return Corpus(reviews=tuple(reviews))
+            reviews.append(Review(f"{name}-{i}", name, f"w{i}", (i, i)))
+    return agreement_filter(Corpus(reviews=tuple(reviews)))[0]
+
+
+def _split(corpus, rotation):
+    """The experiments' (train, test) split of ``corpus`` for one rotation."""
+    [(_, _, train, test, _)] = _splits(corpus, ExperimentConfig(), None, None, (SURROGATE_OFF,), (rotation,))
+    return train, test
 
 
 class TestSplitBySeries:
     def test_partition_sizes(self):
-        corpus = _three_series_corpus()
-        train, test = split_by_series(corpus, {"s1", "s2"}, {"s3"})
+        corpus = _series_corpus()
+        train, test = _split(corpus, (("s1", "s2"), "s3"))
         assert len(train) + len(test) == len(corpus)
-        assert set(r.series for r in train.reviews) == {"s1", "s2"}
-        assert set(r.series for r in test.reviews) == {"s3"}
+        assert set(train.series) == {"s1", "s2"}
+        assert set(test.series) == {"s3"}
 
     def test_overlap_is_error(self):
-        with pytest.raises(ValueError, match="overlap"):
-            split_by_series(_three_series_corpus(), {"s1"}, {"s1"})
+        with pytest.raises(ValueError, match="disjoint"):
+            ExperimentConfig(rotation=(("s1", "s2"), "s1"))
+        with pytest.raises(ValueError, match="disjoint"):
+            ExperimentConfig(rotations=((("s1", "s2"), "s3"), (("s2", "s2"), "s1")))
 
     def test_unknown_series_is_error(self):
-        with pytest.raises(ValueError, match="unknown"):
-            split_by_series(_three_series_corpus(), {"s1", "nope"}, {"s3"})
+        corpus = _series_corpus()
+        with pytest.raises(ValueError, match=r"^rotation s1&nope-s3 trains on series without reviews: \['nope'\]$"):
+            _split(corpus, (("s1", "nope"), "s3"))
+        with pytest.raises(ValueError, match=r"^rotation s1&s2-nope produced an empty split$"):
+            _split(corpus, (("s1", "s2"), "nope"))
 
     def test_three_rotations_are_disjoint(self):
-        corpus = _three_series_corpus()
-        rotations = [({"s1", "s2"}, {"s3"}), ({"s1", "s3"}, {"s2"}), ({"s2", "s3"}, {"s1"})]
+        corpus = _series_corpus()
         test_ids = []
-        for train_set, test_set in rotations:
-            train, test = split_by_series(corpus, train_set, test_set)
-            assert set(r.id for r in train.reviews).isdisjoint(r.id for r in test.reviews)
-            test_ids.append(frozenset(r.id for r in test.reviews))
+        for rotation in derive_rotations(corpus.series_index):
+            train, test = _split(corpus, rotation)
+            assert set(train.ids).isdisjoint(test.ids)
+            test_ids.append(frozenset(test.ids))
         # the three held-out sets partition the corpus
         assert len(frozenset.union(*test_ids)) == len(corpus)
         assert sum(len(t) for t in test_ids) == len(corpus)
 
     def test_union_covers_requested_series_only(self):
-        corpus = _three_series_corpus()
-        train, test = split_by_series(corpus, {"s1"}, {"s2"})
-        got = set(r.id for r in train.reviews) | set(r.id for r in test.reviews)
-        expected = {r.id for r in corpus.reviews if r.series in ("s1", "s2")}
+        corpus = _series_corpus(("s1", "s2", "s3", "s4"))
+        train, test = _split(corpus, (("s1", "s2"), "s3"))
+        got = set(train.ids) | set(test.ids)
+        expected = {r.id for r in corpus.reviews if r.series in ("s1", "s2", "s3")}
         assert got == expected
 
     def test_order_preserved(self):
-        corpus = _three_series_corpus()
-        train, _ = split_by_series(corpus, {"s1", "s2"}, {"s3"})
-        ids = [r.id for r in train.reviews]
-        assert ids == sorted(ids, key=lambda i: [r.id for r in corpus.reviews].index(i))
+        corpus = _series_corpus(("s2", "s1", "s3"))
+        train, test = _split(corpus, (("s1", "s2"), "s3"))
+        order = [r.id for r in corpus.reviews]
+        assert list(train.ids) == [i for i in order if i[:2] in ("s1", "s2")]
+        assert list(test.ids) == [i for i in order if i[:2] == "s3"]
+        assert train.labels == (0, 1, 2, 3) * 2
 
 
 class TestWriteCorpus:
@@ -439,14 +452,16 @@ def test_series_index_is_built_on_first_read(tmp_path):
 
 def test_series_index_given_compared_replaced_and_pickled(tmp_path):
     reviews = _loaded_reviews(tmp_path)
-    given = {"beta": (1, 2, 3), "甄嬛传": (0,)}
-    assert Corpus(reviews=reviews, series_index=given).series_index is given
-    unread = Corpus(reviews=reviews)
-    assert unread == Corpus(reviews=reviews, series_index={"甄嬛传": (0,), "beta": (1, 2, 3)})
-    assert repr(Corpus(reviews=reviews)) == repr(Corpus(reviews=reviews, series_index={"甄嬛传": (0,), "beta": (1, 2, 3)}))
-    assert pickle.loads(pickle.dumps(Corpus(reviews=reviews))).series_index == unread.series_index
-    # replace with an empty index rebuilds it from the new reviews
-    reversed_ = dataclasses.replace(unread, reviews=reviews[::-1], series_index={})
+    with pytest.raises(TypeError, match="series_index"):
+        Corpus(reviews=reviews, series_index={"beta": (1, 2, 3), "甄嬛传": (0,)})
+    unread, read = Corpus(reviews=reviews), Corpus(reviews=reviews)
+    assert read.series_index == {"甄嬛传": (0,), "beta": (1, 2, 3)}
+    assert unread == read
+    assert repr(unread) == repr(read)
+    assert pickle.loads(pickle.dumps(unread)).series_index == read.series_index
+    assert pickle.loads(pickle.dumps(read)).series_index == read.series_index
+    # replace rebuilds the index from the new reviews, also once it has been read
+    reversed_ = dataclasses.replace(read, reviews=reviews[::-1])
     assert reversed_.series_index == {"beta": (0, 1, 2), "甄嬛传": (3,)}
 
 

@@ -99,7 +99,7 @@ class TestBinaryAccuracy:
         vc = VectorizedCorpus.from_tokens(train.docs, train.labels)
         model = train_ovr(vc, method="nb")
         for cat in (Category.PLOT, Category.ROLE):
-            assert binary_accuracy(model.member_for(cat), test, cat) >= 0.9
+            assert binary_accuracy(model.members[cat], test, cat) >= 0.9
 
 
 class TestGenerateSynthetic:
@@ -242,9 +242,7 @@ class TestFeatureSizeSweep:
                 scrambled_reviews.append(dataclasses.replace(review, text=" ".join(words[::-1])))
             else:
                 scrambled_reviews.append(review)
-        scrambled = dataclasses.replace(
-            corpus, reviews=tuple(scrambled_reviews), series_index={}
-        )
+        scrambled = dataclasses.replace(corpus, reviews=tuple(scrambled_reviews))
         table2 = feature_size_sweep(scrambled, config)
         for key, cell in table.sweep.items():
             assert table2.sweep[key].train_acc == cell.train_acc
@@ -550,7 +548,7 @@ class TestOvrAccuracies:
         vc = VectorizedCorpus.from_tokens([train.docs[i] for i in keep], [train.labels[i] for i in keep])
         model = train_ovr(vc, method=method, per_class_feature_sizes=(30,) * 8, hyperparams=FAST_HP)
         per_category, multi = ovr_accuracies(model, test)
-        assert per_category == [binary_accuracy(model.member_for(c), test, c) for c in range(8)]
+        assert per_category == [binary_accuracy(model.members[c], test, c) for c in range(8)]
         assert multi == accuracy([predict(model, doc) for doc in test.docs], test.labels)
 
     def test_ties_go_to_the_lowest_category(self):
@@ -827,3 +825,12 @@ class TestSeriesCapOverTheSeriesIndex:
             got = _apply_series_cap(corpus, cap)
             assert got.reviews == want.reviews and got.labels == want.labels
             assert (got is corpus) == (want is corpus) == (cap >= longest)
+
+    def test_index_read_before_the_reviews_are_replaced_is_not_kept(self):
+        from revclass.evaluate import _apply_series_cap
+
+        rs = tuple(Review(id=f"r{i}", series=s, text="t", annotations=(0, 0)) for i, s in enumerate("aab"))
+        c = Corpus(reviews=rs)
+        assert c.series_index == {"a": (0, 1), "b": (2,)}
+        capped = _apply_series_cap(dataclasses.replace(c, reviews=rs[::-1]), 1)
+        assert [r.id for r in capped.reviews] == ["r2", "r1"]

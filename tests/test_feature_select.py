@@ -85,13 +85,6 @@ class TestChiSquare:
         oracle = chi2_contingency([[30, 20], [10, 40]], correction=False).statistic
         assert chi_square(t) == pytest.approx(oracle, rel=1e-12)
 
-    def test_literal_mode_keeps_sign(self):
-        t = ContingencyTable(30, 20, 10, 40)
-        assert chi_square(t, mode="literal") == pytest.approx(100 * 1000 / 6_000_000)
-        flipped = ContingencyTable(20, 30, 40, 10)
-        assert chi_square(flipped, mode="literal") < 0
-        assert chi_square(flipped, mode="squared") > 0
-
     def test_zero_margin_scores_zero(self):
         t = ContingencyTable(0, 0, 5, 5)  # word never occurs
         assert t.has_zero_margin

@@ -20,8 +20,6 @@ from revclass.preprocess import (
     load_stopwords,
     remove_stopwords,
     substitute,
-    tokenize,
-    vectorize,
     write_knowledge_base,
 )
 
@@ -127,11 +125,11 @@ class TestSubstitute:
 
 class TestTokenize:
     def test_whitespace_segmenter_keeps_tags(self):
-        assert tokenize("role_1 很 好", WhitespaceSegmenter()) == ["role_1", "很", "好"]
+        assert WhitespaceSegmenter()("role_1 很 好") == ["role_1", "很", "好"]
 
     def test_empty_text(self):
-        assert tokenize("", WhitespaceSegmenter()) == []
-        assert tokenize("", DictionarySegmenter(["好"])) == []
+        assert WhitespaceSegmenter()("") == []
+        assert DictionarySegmenter(["好"])("") == []
 
     def test_dictionary_longest_match(self):
         seg = DictionarySegmenter(["这部", "剧", "很", "好看", "好"])
@@ -189,18 +187,24 @@ class TestRemoveStopwords:
         assert load_stopwords(path) == {"LOL", "4242"}
 
 
+def _presence(tokens, vocab):
+    """One document's row over the whole vocabulary, as the members see it."""
+    vc = VectorizedCorpus.from_tokens([tokens], [0], vocab)
+    return vc.dense_matrix(range(len(vocab)))[0]
+
+
 class TestVectorize:
     def test_presence_not_count(self):
         vocab = Vocabulary(("a", "b", "c"))
-        assert vectorize(["a", "a", "b"], vocab).tolist() == [1, 1, 0]
+        assert _presence(["a", "a", "b"], vocab).tolist() == [1, 1, 0]
 
     def test_empty_tokens(self):
         vocab = Vocabulary(("a", "b", "c"))
-        assert vectorize([], vocab).tolist() == [0, 0, 0]
+        assert _presence([], vocab).tolist() == [0, 0, 0]
 
     def test_all_oov(self):
         vocab = Vocabulary(("a", "b", "c"))
-        assert vectorize(["x", "y"], vocab).tolist() == [0, 0, 0]
+        assert _presence(["x", "y"], vocab).tolist() == [0, 0, 0]
 
     def test_dedup_invariant(self):
         vocab = Vocabulary(("a", "b", "c", "d"))
@@ -208,7 +212,7 @@ class TestVectorize:
         pool = ["a", "b", "c", "d", "e", "f"]
         for _ in range(50):
             tokens = [pool[int(rng.integers(0, len(pool)))] for _ in range(int(rng.integers(0, 10)))]
-            assert np.array_equal(vectorize(tokens, vocab), vectorize(sorted(set(tokens)), vocab))
+            assert np.array_equal(_presence(tokens, vocab), _presence(sorted(set(tokens)), vocab))
 
     def test_vocabulary_first_occurrence_order(self):
         vocab = Vocabulary.from_documents([["b", "a"], ["a", "c"]])
