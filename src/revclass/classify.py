@@ -94,7 +94,8 @@ def train_nb(X: np.ndarray | SparseRows, y: np.ndarray, l: float = 1.0) -> NbMod
     :class:`SparseRows`) and labels y in {-1, +1}.
 
     Conditional estimates follow (count(x_j=1, side) + l) / (count(side) + 2l);
-    priors are empirical label frequencies.
+    priors are empirical label frequencies.  0/1 values are counted as
+    integers, exact in float64 below 2**53.
     """
     if l <= 0:
         raise ValueError("smoothing l must be > 0")
@@ -109,8 +110,14 @@ def train_nb(X: np.ndarray | SparseRows, y: np.ndarray, l: float = 1.0) -> NbMod
         raise ValueError("training set must contain both labels")
     on_pos = pos[X.rows]
     d = X.shape[1]
-    cond_pos = (np.bincount(X.cols[on_pos], weights=X.vals[on_pos], minlength=d) + l) / (n_pos + 2 * l)
-    cond_neg = (np.bincount(X.cols[~on_pos], weights=X.vals[~on_pos], minlength=d) + l) / (n_neg + 2 * l)
+    if np.all(X.vals == 1.0):
+        count_pos = np.bincount(X.cols[on_pos], minlength=d)
+        count_neg = np.bincount(X.cols, minlength=d) - count_pos
+    else:
+        count_pos = np.bincount(X.cols[on_pos], weights=X.vals[on_pos], minlength=d)
+        count_neg = np.bincount(X.cols[~on_pos], weights=X.vals[~on_pos], minlength=d)
+    cond_pos = (count_pos + l) / (n_pos + 2 * l)
+    cond_neg = (count_neg + l) / (n_neg + 2 * l)
     n = n_pos + n_neg
     return NbModel(
         log_prior_pos=math.log(n_pos / n),
@@ -536,7 +543,7 @@ def score_documents(members: Sequence[BinaryMember], docs: Sequence[Sequence[str
             scores[:, j] = -math.inf if member.stub == STUB_NO_POSITIVES else math.inf
             continue
         pos = np.fromiter(map(vocab.index.__getitem__, member.terms), np.int64, len(member.terms))
-        scores[:, j] = member.model.bias + _times(vc.select(pos), member.model.weights)
+        scores[:, j] = member.model.bias + _times(vc.select(pos), member.model.weights, True)
     return scores
 
 

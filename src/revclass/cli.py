@@ -12,6 +12,7 @@ import datetime
 import functools
 import glob
 import hashlib
+import itertools
 import json
 import os
 import sys
@@ -87,6 +88,16 @@ def _sha256(path) -> str:
 
 
 INT64_MAX = 2**63 - 1
+
+# The most cells a setting may make one table hold, checked before it is built:
+# lda's K x (D + V) Gibbs counts (about 40 bytes a cell while sampling) and
+# train's SVM table of epochs x N / 2 harmonic sums (8 bytes a cell).
+MAX_TABLE_CELLS = 2**24
+
+
+def _check_cells(cells: int, flag: str, table: str) -> None:
+    if cells > MAX_TABLE_CELLS:
+        raise CliError(f"{flag}: {table} would hold {cells} cells, more than {MAX_TABLE_CELLS}")
 
 
 def _accepts(value, default, action: argparse.Action, least, parse) -> bool:
@@ -240,6 +251,8 @@ def cmd_preprocess(args, config):
 def cmd_lda(args, config):
     out_dir = args.out_dir
     tokenized = TokenizedCorpus.load(args.tokens)
+    D, V = sum(map(bool, tokenized.docs)), len(set(itertools.chain.from_iterable(tokenized.docs)))  # as fit_lda counts
+    _check_cells(config["topics"] * (D + V), "--topics", f"the Gibbs counts over {D} documents and {V} terms")
     cfg = LdaConfig(
         K=config["topics"],
         alpha=config["alpha"],
@@ -284,6 +297,8 @@ def cmd_train(args, config):
     vc = VectorizedCorpus.from_tokens(tokenized.docs, tokenized.labels)
     if not len(vc.vocab):
         raise CliError(f"the vocabulary built from {args.tokens} is empty (every review has no tokens)")
+    if config["method"] == SVM:
+        _check_cells(config["svm_epochs"] * len(vc) // 2, "--svm-epochs", f"the SVM's harmonic sums over {len(vc)} reviews")
     model = train_ovr(
         vc,
         method=config["method"],

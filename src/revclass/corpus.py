@@ -229,24 +229,57 @@ def read_json(path, error: type[Exception]) -> dict:
 _scan_json = json.scanner.make_scanner(json.JSONDecoder())
 
 
+# Bytes that read_json_lines reads at a time, then cuts at the last line end.
+_READ_BLOCK = 2**18
+
+
+def _text_blocks(path, error: type[Exception]) -> Iterator[str]:
+    """The text of :func:`read_text` in blocks that end at a line end, but
+    the last; a byte that is not UTF-8 raises ``error`` naming its offset in
+    the file, after a block of the lines before its line."""
+    with open(path, "rb") as fh:
+        offset, rest, bad, more = 0, b"", None, True
+        while more:
+            # A line longer than a block takes reads that double the bytes held.
+            data = fh.read(max(_READ_BLOCK, len(rest)))
+            data, more = rest + data, bool(data)
+            # Line ends are ASCII, so no cut falls inside a character; a "\r"
+            # last may begin a "\r\n", so it ends no line until the next read.
+            end = max(data.rfind(b"\n"), data.rfind(b"\r", 0, -1)) + 1 if more else len(data)
+            try:
+                text = data[:end].decode("utf-8")
+            except UnicodeDecodeError as exc:
+                bad = offset + exc.start
+                text = data[: max(data.rfind(b"\n", 0, exc.start), data.rfind(b"\r", 0, exc.start)) + 1].decode("utf-8")
+            offset, rest, data = offset + end, data[end:], None  # the block's bytes go before its lines are parsed
+            yield text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
+            if bad is not None:
+                raise error(f"{path}: invalid UTF-8 at byte {bad}")
+
+
 def read_json_lines(path, error: type[Exception]):
-    """Yield ``("<path>: line <n>", obj)`` for each non-blank line of a UTF-8
-    JSON-lines file; a line that is not a JSON object, or a file that is not
-    UTF-8, raises ``error`` naming the file (and the line)."""
-    for lineno, line in enumerate(read_text(path, error).split("\n"), start=1):
-        if line and not line.isspace():
-            where = f"{path}: line {lineno}"
-            # A line that is exactly one object takes the scanner; any other
-            # line, valid or not, goes through json.loads and its messages.
-            if line[0] == "{":
-                try:
-                    obj, end = _scan_json(line, 0)
-                except (ValueError, StopIteration):
-                    end = -1
-                if end == len(line):
-                    yield where, obj
-                    continue
-            yield where, _json_object(line, where, error)
+    """Yield ``("<path>: line <n>", obj)`` for each non-blank line of
+    ``read_text(path, error).split("\\n")``, reading a block of lines at a
+    time; a line that is not a JSON object, or a byte that is not UTF-8,
+    raises ``error`` naming the file (and the line), in file order."""
+    last = 0  # the lines before the block's first line
+    for block in _text_blocks(path, error):
+        lines = block.split("\n")
+        for lineno, line in enumerate(lines, start=last + 1):
+            if line and not line.isspace():
+                where = f"{path}: line {lineno}"
+                # A line that is exactly one object takes the scanner; any other
+                # line, valid or not, goes through json.loads and its messages.
+                if line[0] == "{":
+                    try:
+                        obj, end = _scan_json(line, 0)
+                    except (ValueError, StopIteration):
+                        end = -1
+                    if end == len(line):
+                        yield where, obj
+                        continue
+                yield where, _json_object(line, where, error)
+        last += len(lines) - 1  # a block's last piece begins the next block's first line
 
 
 _LINE_ENCODER = json.JSONEncoder(ensure_ascii=False, sort_keys=True)

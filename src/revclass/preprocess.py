@@ -271,9 +271,6 @@ class Vocabulary:
     def __len__(self) -> int:
         return len(self.terms)
 
-    def __contains__(self, term: str) -> bool:
-        return term in self.index
-
     @classmethod
     def from_documents(cls, docs: Iterable[Sequence[str]]) -> "Vocabulary":
         """Collect terms in first-occurrence order across documents."""
@@ -338,9 +335,11 @@ class VectorizedCorpus:
         """``N_CATEGORIES`` x V counts of the documents labeled c that hold term
         t; a label outside the categories is counted in no row."""
         V = len(self.vocab)
-        y = self.label_array[self.rows]
+        y = self.label_array
         known = (y >= 0) & (y < N_CATEGORIES)
-        keys = y[known] * V + self.indices[known]
+        lengths = np.diff(self.indptr)
+        keys = np.repeat(y[known] * V, lengths[known])
+        keys += self.indices if known.all() else self.indices[np.repeat(known, lengths)]
         return np.bincount(keys, minlength=N_CATEGORIES * V).reshape(N_CATEGORIES, V)
 
     @classmethod
@@ -359,12 +358,15 @@ class VectorizedCorpus:
     def select(self, term_positions: Sequence[int]) -> SparseRows:
         """Documents x selected-terms binary matrix, the matrix members train
         on; column j is vocabulary position ``term_positions[j]``, and a row
-        keeps its terms in vocabulary order."""
+        keeps its terms in vocabulary order.  ``vals`` is a read-only view of
+        one 1.0."""
         column = np.full(len(self.vocab), -1, dtype=np.int64)
         column[np.asarray(term_positions, dtype=np.int64)] = np.arange(len(term_positions))
-        cols = column[self.indices]
-        at = np.flatnonzero(cols >= 0)
-        return SparseRows(self.rows[at], cols[at], np.ones(len(at)), (len(self), len(term_positions)))
+        cols, rows = column[self.indices], self.rows
+        if cols.min(initial=0) < 0:  # some stored term is not selected
+            keep = cols >= 0
+            cols, rows = cols[keep], rows[keep]
+        return SparseRows(rows, cols, np.broadcast_to(1.0, cols.shape), (len(self), len(term_positions)))
 
     def dense_matrix(self, term_positions: Sequence[int]) -> np.ndarray:
         """:meth:`select` as a dense float64 array."""

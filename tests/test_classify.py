@@ -865,6 +865,34 @@ class TestSparseTrainingMatchesDenseReference:
         assert np.allclose(dense[0], sparse[0], rtol=1e-12, atol=1e-12) and dense[1] == pytest.approx(sparse[1])
 
 
+def test_nb_on_selected_rows_equals_nb_on_their_dense_copy():
+    rng = np.random.default_rng(11)
+    docs = [[f"t{j}" for j in rng.integers(0, 20, rng.integers(0, 9))] for _ in range(80)]
+    vc = VectorizedCorpus.from_tokens(docs, rng.integers(0, 2, 80))
+    y = np.where(vc.label_array == 1, 1, -1)
+    for selected in (np.arange(len(vc.vocab)), rng.permutation(len(vc.vocab))[:7]):
+        X = vc.select(selected)
+        dense = np.zeros(X.shape)
+        dense[X.rows, X.cols] = 1.0
+        for l in (1.0, 0.37):
+            got, want = train_nb(X, y, l=l), train_nb(dense, y, l=l)
+            assert (got.log_prior_pos, got.log_prior_neg, got.smoothing) == (want.log_prior_pos, want.log_prior_neg, l)
+            assert np.array_equal(got.cond_pos, want.cond_pos) and np.array_equal(got.cond_neg, want.cond_neg)
+            assert np.array_equal(got.weights, want.weights) and got.bias == want.bias
+            ref = _dense_nb_reference(dense, y, l)
+            assert np.array_equal(got.cond_pos, ref[0]) and np.array_equal(got.cond_neg, ref[1])
+
+
+def test_nb_sums_values_other_than_one():
+    X = np.array([[2.0, 0.0], [0.5, 1.0], [0.0, 3.0], [1.0, 0.0]])
+    y = np.array([1, 1, -1, -1])
+    model = train_nb(X, y, l=1.0)
+    # Summed values, not counts of nonzeros: (2.5 + 1) / 4 and (1 + 1) / 4 on the positive side.
+    assert model.cond_pos.tolist() == [3.5 / 4, 2.0 / 4] and model.cond_neg.tolist() == [2.0 / 4, 4.0 / 4]
+    ref = _dense_nb_reference(X, y, 1.0)
+    assert np.array_equal(model.cond_pos, ref[0]) and np.array_equal(model.cond_neg, ref[1])
+
+
 def test_svm_on_selected_rows_equals_svm_on_the_dense_matrix():
     vc = _synthetic_vc(np.random.default_rng(12))
     y = np.where(np.asarray(vc.labels) == 2, 1.0, -1.0)

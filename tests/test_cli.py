@@ -1546,7 +1546,7 @@ class TestIntegerSettings:
 
     @pytest.mark.parametrize(
         "command, key",
-        [("lda", "topics"), ("lda", "iterations"), ("lda", "top_words"), ("train", "svm_epochs"),
+        [("lda", "iterations"), ("lda", "top_words"), ("train", "svm_epochs"),
          ("sweep", "lr_epochs"), ("cross-series", "per_series_cap")],
     )
     def test_int64_max_passes_the_boundary(self, pipeline, tmp_path, capsys, command, key):
@@ -1652,3 +1652,79 @@ class TestNonFiniteMember:
         want = "error: lr member for category 0 has a non-finite objective at {'eta': 0.1, 'lam': 1e+308, 'epochs': 2}\n"
         assert capsys.readouterr().err == want
         assert not out.exists()
+
+
+class TestTableBounds:
+    """lda's K x (D + V) Gibbs counts and train's SVM table of epochs x N / 2
+    harmonic sums are checked against cli.MAX_TABLE_CELLS before either is
+    built, and a value over it exits 2 naming its flag."""
+
+    _TABLES = {
+        "lda": ("--topics", "the Gibbs counts over {D} documents and {V} terms"),
+        "train": ("--svm-epochs", "the SVM's harmonic sums over {N} reviews"),
+    }
+
+    @staticmethod
+    def _sizes(tokens):
+        """The documents with tokens, the distinct tokens and the reviews."""
+        tokenized = TokenizedCorpus.load(tokens)
+        docs = [doc for doc in tokenized.docs if doc]
+        return {"D": len(docs), "V": len({t for doc in docs for t in doc}), "N": len(tokenized)}
+
+    @classmethod
+    def _cells(cls, tokens, command, value):
+        sizes = cls._sizes(tokens)
+        return value * (sizes["D"] + sizes["V"]) if command == "lda" else value * sizes["N"] // 2
+
+    @staticmethod
+    def _argv(pipeline, command, value, out):
+        if command == "lda":
+            flags = ["--topics", value, "--iterations", 2]
+        else:
+            flags = ["--method", "svm", "--svm-epochs", value, "--sizes", 20]
+        return [command, "--tokens", pipeline["tokens"] / "tokens.jsonl", *flags, "--out-dir", out, "--quiet"]
+
+    @pytest.mark.parametrize("command, value", [("lda", 10**9), ("lda", INT64_MAX), ("train", 10**12), ("train", INT64_MAX)])
+    def test_a_huge_value_exits_2_naming_its_flag_before_the_table_is_built(
+        self, pipeline, tmp_path, capsys, monkeypatch, command, value
+    ):
+        def build(*args, **kwargs):
+            raise AssertionError("the table was built")
+
+        monkeypatch.setattr(cli, "fit_lda", build)
+        monkeypatch.setattr(cli, "train_ovr", build)
+        out = tmp_path / "out"
+        tokens = pipeline["tokens"] / "tokens.jsonl"
+        flag, table = self._TABLES[command]
+        table = table.format(**self._sizes(tokens))
+        assert run(self._argv(pipeline, command, value, out)) == 2
+        cells = self._cells(tokens, command, value)
+        assert capsys.readouterr().err == f"error: {flag}: {table} would hold {cells} cells, more than {2**24}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, value", [("lda", 3), ("train", 2)])
+    def test_a_table_of_exactly_the_bound_is_built(self, pipeline, tmp_path, capsys, monkeypatch, command, value):
+        cells = self._cells(pipeline["tokens"] / "tokens.jsonl", command, value)
+        monkeypatch.setattr(cli, "MAX_TABLE_CELLS", cells)
+        assert run(self._argv(pipeline, command, value, tmp_path / "at")) == 0
+        monkeypatch.setattr(cli, "MAX_TABLE_CELLS", cells - 1)
+        assert run(self._argv(pipeline, command, value, tmp_path / "over")) == 2
+        assert f"would hold {cells} cells, more than {cells - 1}\n" in capsys.readouterr().err
+        assert not (tmp_path / "over").exists()
+
+    @pytest.mark.parametrize("method", ["nb", "lr"])
+    def test_only_the_svm_checks_its_epochs(self, pipeline, tmp_path, monkeypatch, method):
+        monkeypatch.setattr(cli, "MAX_TABLE_CELLS", 0)
+        argv = ["train", "--tokens", pipeline["tokens"] / "tokens.jsonl", "--method", method, "--svm-epochs", 10**12]
+        assert run([*argv, "--lr-epochs", 3, "--sizes", 20, "--out-dir", tmp_path / "out", "--quiet"]) == 0
+
+    @pytest.mark.parametrize("preset", ["ablation", "sweep"])
+    def test_the_presets_fit_at_the_default_settings(self, tmp_path, preset):
+        assert run(["synth", "--preset", preset, "--out-dir", tmp_path / "synth", "--quiet"]) == 0
+        assert run(["ingest", "--corpus", tmp_path / "synth" / "corpus.jsonl", "--out-dir", tmp_path / "ingest", "--quiet"]) == 0
+        corpus = tmp_path / "ingest" / "corpus.filtered.jsonl"
+        argv = ["preprocess", "--corpus", corpus, "--kb-dir", tmp_path / "synth" / "kb", "--surrogates", "on"]
+        assert run([*argv, "--out-dir", tmp_path / "tokens", "--quiet"]) == 0
+        tokens = tmp_path / "tokens" / "tokens.jsonl"
+        assert self._cells(tokens, "lda", 8) <= cli.MAX_TABLE_CELLS
+        assert self._cells(tokens, "train", classify.Hyperparams().svm_epochs) <= cli.MAX_TABLE_CELLS

@@ -639,3 +639,111 @@ def test_write_csv_writes_floats_to_6_decimals_and_the_rest_with_str(tmp_path):
     write_csv(tmp_path / "t.csv", ("name", "v", "w", "x", "y"), rows)
     hand = [",".join(f"{v:.6f}" if isinstance(v, float) else str(v) for v in row) for row in rows]
     assert (tmp_path / "t.csv").read_text(encoding="utf-8") == "\n".join(["name,v,w,x,y", *hand]) + "\n"
+
+
+def _previous_read_json_lines(path, error):
+    """read_json_lines as it was, for files of valid JSON objects: the whole
+    text read and split into lines before the first line is parsed."""
+    lines = enumerate(revclass.corpus.read_text(path, error).split("\n"), start=1)
+    return [(f"{path}: line {n}", json.loads(line)) for n, line in lines if line and not line.isspace()]
+
+
+def _read_until_error(path):
+    """The items read_json_lines yields, and the message of the error it ends with (or None)."""
+    got = []
+    try:
+        for item in read_json_lines(path, CorpusFormatError):
+            got.append(item)
+    except CorpusFormatError as exc:
+        return got, str(exc)
+    return got, None
+
+
+_BLOCK_SIZES = [1, 2, 3, 7]
+
+
+@pytest.mark.parametrize("block", _BLOCK_SIZES)
+class TestReadJsonLinesByBlock:
+    """read_json_lines reads a block of bytes at a time (module constant
+    _READ_BLOCK, patched small here) and gives the lines, numbers and errors
+    of read_text(...).split("\\n") whatever the block size."""
+
+    def test_crlf_lone_cr_and_blank_lines_give_the_text_mode_lines(self, tmp_path, monkeypatch, block):
+        monkeypatch.setattr(revclass.corpus, "_READ_BLOCK", block, raising=False)
+        path = tmp_path / "lines.jsonl"
+        path.write_bytes(b'{"a": 1}\r\n\r\n{"b": 2}\r{"c": 3}\r\r\n \t\r\n{"d": 4}\n\r{"e": 5}\r')
+        got = list(read_json_lines(path, CorpusFormatError))
+        assert got == _previous_read_json_lines(path, CorpusFormatError)
+        assert [w for w, _ in got] == [f"{path}: line {n}" for n in (1, 3, 4, 7, 9)]
+
+    def test_a_character_split_across_reads(self, tmp_path, monkeypatch, block):
+        monkeypatch.setattr(revclass.corpus, "_READ_BLOCK", block, raising=False)
+        path = tmp_path / "lines.jsonl"
+        # Characters of 2, 3 and 4 bytes; the 3-byte one spans bytes 7 to 9.
+        path.write_text('{"a": "皇é"}\n{"b": "\U0001f600x"}\r\n{"c": "好"}', encoding="utf-8")
+        assert list(read_json_lines(path, CorpusFormatError)) == [
+            (f"{path}: line 1", {"a": "皇é"}),
+            (f"{path}: line 2", {"b": "\U0001f600x"}),
+            (f"{path}: line 3", {"c": "好"}),
+        ]
+
+    @pytest.mark.parametrize("bad", [b"\xff", b"\xe7\x9a", b"\xed\xa0\x80"], ids=["ff", "truncated", "surrogate"])
+    def test_an_invalid_byte_after_the_first_block_is_named_by_its_offset_in_the_file(
+        self, tmp_path, monkeypatch, block, bad
+    ):
+        monkeypatch.setattr(revclass.corpus, "_READ_BLOCK", block, raising=False)
+        path = tmp_path / "lines.jsonl"
+        data = b'{"a": "\xe7\x9a\x87"}\r\n\n{"b": 2}\r{"c": "' + bad + b'"}\n{"d": 4}\n'
+        path.write_bytes(data)
+        with pytest.raises(CorpusFormatError) as whole:
+            revclass.corpus.read_text(path, CorpusFormatError)
+        assert str(whole.value) == f"{path}: invalid UTF-8 at byte {data.rindex(bad)}"
+        with pytest.raises(CorpusFormatError) as by_block:
+            list(read_json_lines(path, CorpusFormatError))
+        assert str(by_block.value) == str(whole.value)
+
+    def test_errors_come_in_file_order(self, tmp_path, monkeypatch, block):
+        monkeypatch.setattr(revclass.corpus, "_READ_BLOCK", block, raising=False)
+        path = tmp_path / "lines.jsonl"
+        # A malformed line before an invalid byte is the error.
+        path.write_bytes(b'{"a": 1}\r\n{"b": \n{"c": "\xff"}\n')
+        with pytest.raises(CorpusFormatError, match=r": line 2: invalid JSON \("):
+            list(read_json_lines(path, CorpusFormatError))
+        # The lines before the invalid byte's line are read before it is named.
+        path.write_bytes(b'{"a": 1}\r\n\n{"b": 2}\r{"c": "\xe7\x9a"}\n["not an object"]\n')
+        assert _read_until_error(path) == (
+            [(f"{path}: line 1", {"a": 1}), (f"{path}: line 3", {"b": 2})],
+            f"{path}: invalid UTF-8 at byte 27",
+        )
+
+
+def test_read_json_lines_by_block_equals_the_whole_text_split_on_random_files(tmp_path, monkeypatch):
+    rng = random.Random(26)
+    pieces = ['{"a": 1}', '{"t": "皇上 很 好看"}', '{"e": "\U0001f600 é"}', '{"s": " \\r\\n "}', "", " ", "\t\x0b",
+              "\x85", "　", '{"u": "  "}', '{"x": [1, {"y": null}]}']
+    ends = ["\n", "\r\n", "\r"]
+    path = tmp_path / "lines.jsonl"
+    for case in range(300):
+        lines = [rng.choice(pieces) for _ in range(rng.randint(0, 12))]
+        data = "".join(line + rng.choice(ends) for line in lines).encode("utf-8")
+        if rng.random() < 0.5:
+            data += rng.choice(pieces).encode("utf-8")
+        invalid = data and rng.random() < 0.3
+        if invalid:
+            at = rng.randrange(len(data) + 1)
+            data = data[:at] + rng.choice([b"\xff", b"\xc3", b"\xe7\x9a", b"\x80"]) + data[at:]
+        path.write_bytes(data)
+        if invalid:
+            with pytest.raises(CorpusFormatError) as whole:
+                revclass.corpus.read_text(path, CorpusFormatError)
+            want = str(whole.value)
+        else:
+            want = _previous_read_json_lines(path, CorpusFormatError)
+        read = []
+        for block in [*_BLOCK_SIZES, 2**18]:
+            monkeypatch.setattr(revclass.corpus, "_READ_BLOCK", block, raising=False)
+            got, message = _read_until_error(path)
+            assert (message if invalid else got) == want, (case, block, data)
+            read.append(got)
+        # What is read before an error does not depend on the block size either.
+        assert all(got == read[0] for got in read), (case, data)

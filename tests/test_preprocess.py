@@ -269,6 +269,42 @@ class TestVectorizedCorpus:
             for i in range(len(vc)):
                 assert [selected[j] for j in X.cols[X.rows == i]] == [t for t in vc.doc_terms[i] if t in selected]
 
+    def test_select_equals_the_flatnonzero_construction(self):
+        rng = np.random.default_rng(7)
+        docs = [[f"t{j}" for j in rng.integers(0, 15, rng.integers(0, 9))] for _ in range(60)]
+        vc = VectorizedCorpus.from_tokens(docs, [0] * len(docs))
+        V = len(vc.vocab)
+        for selected in (rng.permutation(V)[:6], rng.permutation(V), np.arange(V), [], [4]):
+            # select as it was: the positions of the selected entries, then copies at them.
+            column = np.full(V, -1, dtype=np.int64)
+            column[np.asarray(selected, dtype=np.int64)] = np.arange(len(selected))
+            cols = column[vc.indices]
+            at = np.flatnonzero(cols >= 0)
+            X = vc.select(selected)
+            assert X.rows.tolist() == vc.rows[at].tolist() and X.cols.tolist() == cols[at].tolist()
+            assert X.vals.shape == X.cols.shape and X.vals.tolist() == [1.0] * len(at)
+            assert X.shape == (len(vc), len(selected))
+
+    def test_selected_values_are_read_only(self):
+        vc = VectorizedCorpus.from_tokens([["a", "b"], ["b"]], [0, 1])
+        for selected in ([0, 1], [1]):
+            vals = vc.select(selected).vals
+            assert not vals.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                vals[0] = 2.0
+
+    def test_class_term_counts_equal_the_per_entry_construction(self):
+        rng = np.random.default_rng(8)
+        docs = [[f"t{j}" for j in rng.integers(0, 15, rng.integers(0, 9))] for _ in range(60)]
+        for labels in (rng.integers(0, 8, 60), rng.integers(-2, 10, 60), np.full(60, -1)):
+            vc = VectorizedCorpus.from_tokens(docs, labels)
+            # class_term_counts as it was: each entry's label through its row.
+            V = len(vc.vocab)
+            y = vc.label_array[vc.rows]
+            known = (y >= 0) & (y < 8)
+            want = np.bincount(y[known] * V + vc.indices[known], minlength=8 * V).reshape(8, V)
+            assert vc.class_term_counts.tolist() == want.tolist()
+
     def test_constructor_takes_sets_of_positions(self):
         vocab = Vocabulary(("a", "b", "c"))
         vc = VectorizedCorpus(vocab, (frozenset({2, 0}), frozenset()), (1, 1))
@@ -397,7 +433,7 @@ class TestDerivedFieldsCannotBePassed:
     def test_replaced_vocabulary_rederives_its_index(self):
         v = Vocabulary(("a", "b"))
         w = dataclasses.replace(v, terms=("c", "d"))
-        assert w.index == {"c": 0, "d": 1} and "c" in w and "a" not in w
+        assert w.index == {"c": 0, "d": 1} and "c" in w.index and "a" not in w.index
         assert v.index == {"a": 0, "b": 1} and w != v
         with pytest.raises(ValueError, match="vocabulary terms must be unique"):
             dataclasses.replace(v, terms=("c", "c"))
