@@ -5,13 +5,12 @@ from __future__ import annotations
 
 import math
 import os
-import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from revclass.corpus import Category, N_CATEGORIES, read_json, write_json_atomic
+from revclass.corpus import NUMBER, Category, Field, N_CATEGORIES, check, integer, one_of, read_json, write_json_atomic
 from revclass.feature_select import CHI2, METHODS, FeatureRanking, rank_features
 from revclass.preprocess import SparseRows, VectorizedCorpus, Vocabulary
 
@@ -384,9 +383,10 @@ def _svm_sums(X: SparseRows, y, gain, draws, epochs, start, harmonic) -> tuple[l
     bit for bit the same either way.
     """
     n, d = X.shape
-    # Grouped by row, as _row_lists needs: the identity for select and dense input.
-    order = np.argsort(X.rows, kind="stable")
-    X = SparseRows(X.rows[order], X.cols[order], X.vals[order], X.shape)
+    # Grouped by row, as _row_lists needs; select and dense input already are.
+    if (np.diff(X.rows) < 0).any():
+        order = np.argsort(X.rows, kind="stable")
+        X = SparseRows(X.rows[order], X.cols[order], X.vals[order], X.shape)
     rows = _row_lists(X.rows, X.cols, n)
     longest = max(map(len, rows))
     ones = bool(np.all(X.vals == 1.0))
@@ -635,16 +635,21 @@ def predict(m: OvrModel, tokens: Iterable[str]) -> Category:
 # ---------------------------------------------------------------------------
 
 
+_INTEGER = Field(int, phrase="an integer")
+_VECTOR = Field(list, items=NUMBER, phrase="a list of finite numbers")
+# NB's conditionals: the floats strictly between 0 and 1.
+_OPEN_UNIT = Field(float, math.nextafter(0.0, 1.0), math.nextafter(1.0, 0.0))
+_PROBABILITIES = Field(list, items=_OPEN_UNIT, phrase="a list of probabilities strictly between 0 and 1")
 # Per method: the model type and the fields of a member file's "parameters"
 # and "hyperparameters" objects, named as the model's constructor arguments
-# (NB also writes its smoothing as hyperparameter "l", which is not read).
+# (NB also writes its smoothing as hyperparameter "l", which is not read);
+# a list parameter holds one value per vocabulary term.
 _MEMBER_FIELDS = {
-    NB: (NbModel, ("log_prior_pos", "log_prior_neg", "cond_pos", "cond_neg", "smoothing"), ()),
-    LR: (LrModel, ("weights", "bias"), ("eta", "lam", "epochs")),
-    SVM: (SvmModel, ("weights", "bias"), ("C", "epochs", "seed")),
+    NB: (NbModel, {"log_prior_pos": NUMBER, "log_prior_neg": NUMBER, "cond_pos": _PROBABILITIES,
+                   "cond_neg": _PROBABILITIES, "smoothing": NUMBER}, {}),
+    LR: (LrModel, {"weights": _VECTOR, "bias": NUMBER}, {"eta": NUMBER, "lam": NUMBER, "epochs": _INTEGER}),
+    SVM: (SvmModel, {"weights": _VECTOR, "bias": NUMBER}, {"C": NUMBER, "epochs": _INTEGER, "seed": _INTEGER}),
 }
-# Parameters with one value per vocabulary term.
-_VECTOR_FIELDS = ("cond_pos", "cond_neg", "weights")
 # The "format_version" save_ovr writes; a manifest without one is version 1.
 MODEL_FORMAT_VERSION = 1
 
@@ -652,8 +657,9 @@ MODEL_FORMAT_VERSION = 1
 def _member_parameters(member: BinaryMember) -> dict:
     if member.stub:
         return {"stub": member.stub}
-    params = {key: getattr(member.model, key) for key in _MEMBER_FIELDS[member.method][1]}
-    return {key: [float(v) for v in value] if key in _VECTOR_FIELDS else value for key, value in params.items()}
+    fields = _MEMBER_FIELDS[member.method][1]
+    params = {key: getattr(member.model, key) for key in fields}
+    return {key: [float(v) for v in value] if fields[key].type is list else value for key, value in params.items()}
 
 
 def _member_hyperparameters(member: BinaryMember) -> dict:
@@ -699,115 +705,68 @@ class ModelFormatError(ValueError):
     :func:`save_ovr` writes; the message names the file and the field."""
 
 
-def _checked(path, obj, names, section="") -> dict:
-    """``obj`` when it is a JSON object holding every named field; ``section``
-    is the field that holds ``obj``, empty for the top level of a file."""
-    if not isinstance(obj, dict):
-        raise ModelFormatError(f"{path}: field {section!r} must be a JSON object")
-    for name in names:
-        if name not in obj:
-            qualified = f"{section}.{name}" if section else name
-            raise ModelFormatError(f"{path}: missing field {qualified!r}")
-    return obj
-
-
-def _field_value(path, section: str, key: str, value, n_terms: int):
-    """``value`` of ``section.key`` in member file ``path``, checked, as the
-    model takes it: ``epochs`` and ``seed`` ints, other scalars finite numbers
-    (not bools), vectors lists of them, one per term (NB's in (0, 1))."""
-    where = f"{path}: field '{section}.{key}'"
-    if key not in _VECTOR_FIELDS:
-        if key in ("epochs", "seed"):
-            if type(value) is not int:  # not True or 2.0
-                raise ModelFormatError(f"{where} must be an integer")
-        # NaN, the infinities and ints beyond the float range fail the bound.
-        elif type(value) not in (int, float) or not abs(value) <= sys.float_info.max:
-            raise ModelFormatError(f"{where} must be a finite number")
-        return value
-    if not isinstance(value, list) or len(value) != n_terms:
-        raise ModelFormatError(f"{where} must hold one value per vocabulary term ({n_terms})")
-    # The types in one pass at C speed: a bool, which numpy would read as 0 or
-    # 1, fails here, and so do strings, nulls and nested lists.
-    if not {*map(type, value)} <= {int, float}:
-        raise ModelFormatError(f"{where} must hold finite numbers")
-    array = np.asarray(value)
-    # An int beyond the 64-bit range makes an object array.
-    if array.dtype.kind not in "iuf" or not np.isfinite(array).all():
-        raise ModelFormatError(f"{where} must hold finite numbers")
-    if key != "weights" and not ((array > 0) & (array < 1)).all():  # NB's conditionals
-        raise ModelFormatError(f"{where} must hold probabilities strictly between 0 and 1")
-    return array
-
-
-def _load_model_json(path, names) -> dict:
-    return _checked(path, read_json(path, ModelFormatError), names)
+_MANIFEST = Field(dict, fields={
+    "format_version": Field(int, MODEL_FORMAT_VERSION, MODEL_FORMAT_VERSION, str(MODEL_FORMAT_VERSION), optional=True),
+    "method": one_of(CLASSIFIERS),
+    "selector": one_of(METHODS),
+    "budgets": Field(list, N_CATEGORIES, N_CATEGORIES, f"a list of {N_CATEGORIES} positive integers", Field(int, 1)),
+    "seed": Field(int, 0, phrase="an integer >= 0"),
+    "members": Field(list, items=Field(str), phrase="a list of file names in the model directory",
+                     test=lambda names: all(n not in ("", ".", "..") and os.path.basename(n) == n for n in names)),
+})
+_STUBS = (STUB_NO_POSITIVES, STUB_NO_NEGATIVES)
+_MEMBER = Field(dict, fields={
+    "method": Field(str, phrase="a string"),
+    "category": integer(0, N_CATEGORIES - 1),
+    "vocabulary": Field(list, phrase="a list of distinct strings", items=Field(str), test=lambda v: len({*v}) == len(v)),
+    "parameters": Field(dict, phrase="a JSON object", fields={"stub": replace(one_of(_STUBS), optional=True)}),
+    "hyperparameters": Field(dict, phrase="a JSON object"),
+})
 
 
 def load_ovr(model_dir) -> OvrModel:
     """Reload an OvrModel written by :func:`save_ovr`.
 
-    Every file is checked on load: it must be valid JSON with the fields
-    the loader reads, the manifest's ``format_version`` (1 when absent)
-    must be :data:`MODEL_FORMAT_VERSION`, each member's method must be the manifest's, every
-    parameter vector needs one value per vocabulary term, and the manifest
-    must list one member file per category, each by a plain file name in
-    ``model_dir``, with a known ``selector``, eight positive ``budgets`` and
-    a ``seed`` >= 0.  The vocabulary must be distinct strings and each
-    parameter pass :func:`_field_value`.  A failed check raises
-    :class:`ModelFormatError` naming the file and the field.
+    Every file is checked on load against its declared fields, and each
+    member's method must be the manifest's, every parameter vector needs one
+    value per vocabulary term, and the manifest must list one member file
+    per category.  A failed check raises :class:`ModelFormatError` naming
+    the file and the field.
     """
     manifest_path = os.path.join(model_dir, "model_manifest.json")
-    manifest = _load_model_json(manifest_path, ("members", "method", "selector", "budgets", "seed"))
-    version = manifest.get("format_version", 1)
-    if type(version) is not int or version != MODEL_FORMAT_VERSION:  # not True, 1.0 or "1"
-        raise ModelFormatError(f"{manifest_path}: field 'format_version' must be {MODEL_FORMAT_VERSION}, got {version!r}")
-    if manifest["method"] not in CLASSIFIERS:
-        raise ModelFormatError(f"{manifest_path}: field 'method' must be one of {CLASSIFIERS}")
-    if manifest["selector"] not in METHODS:
-        raise ModelFormatError(f"{manifest_path}: field 'selector' must be one of {METHODS}")
-    budgets = manifest["budgets"]
-    if not isinstance(budgets, list) or len(budgets) != N_CATEGORIES or any(type(b) is not int or b < 1 for b in budgets):
-        raise ModelFormatError(f"{manifest_path}: field 'budgets' must be a list of {N_CATEGORIES} positive integers")
-    if type(manifest["seed"]) is not int or manifest["seed"] < 0:  # not True or 2.0
-        raise ModelFormatError(f"{manifest_path}: field 'seed' must be an integer >= 0")
-    names = manifest["members"]
-    if not isinstance(names, list) or not all(
-        isinstance(name, str) and name not in ("", ".", "..") and os.path.basename(name) == name for name in names
-    ):
-        raise ModelFormatError(f"{manifest_path}: field 'members' must be a list of file names in the model directory")
-    model_type, param_names, hyper_names = _MEMBER_FIELDS[manifest["method"]]
+    manifest = check(read_json(manifest_path, ModelFormatError), _MANIFEST, manifest_path, ModelFormatError)
+    method = manifest["method"]
+    model_type, params, hypers = _MEMBER_FIELDS[method]
+    trained = Field(dict, fields={"parameters": Field(dict, fields=params),
+                                  "hyperparameters": Field(dict, fields=hypers)})
     members = []
     files = {}  # category -> member file that holds it
-    for name in names:
+    for name in manifest["members"]:
         path = os.path.join(model_dir, name)
         if not os.path.isfile(path):
             raise ModelFormatError(f"{manifest_path}: field 'members' names {name!r}, which is not a file")
-        doc = _load_model_json(path, ("method", "category", "vocabulary", "parameters", "hyperparameters"))
-        method = doc["method"]
-        if method != manifest["method"]:
-            raise ModelFormatError(f"{path}: field 'method' is {method!r}, but the manifest's is {manifest['method']!r}")
-        if type(doc["category"]) is not int or doc["category"] not in range(N_CATEGORIES):  # not True or 1.0
-            raise ModelFormatError(f"{path}: field 'category' must be an index in [0, {N_CATEGORIES - 1}]")
+        doc = check(read_json(path, ModelFormatError), _MEMBER, path, ModelFormatError)
+        if doc["method"] != method:
+            raise ModelFormatError(f"{path}: field 'method' is {doc['method']!r}, but the manifest's is {method!r}")
         cat = Category(doc["category"])
         if cat in files:
             raise ModelFormatError(
                 f"{manifest_path}: field 'members' lists category {int(cat)} twice ({files[cat]} and {name})"
             )
         files[cat] = name
-        terms = doc["vocabulary"]
-        if not isinstance(terms, list) or not all(isinstance(t, str) for t in terms) or len(set(terms)) < len(terms):
-            raise ModelFormatError(f"{path}: field 'vocabulary' must be a list of distinct strings")
-        terms = tuple(terms)
-        params = _checked(path, doc["parameters"], (), "parameters")
-        if "stub" in params:
-            if params["stub"] not in (STUB_NO_POSITIVES, STUB_NO_NEGATIVES):
-                raise ModelFormatError(f"{path}: field 'parameters.stub' has unknown value {params['stub']!r}")
-            members.append(BinaryMember(cat, method, terms, None, stub=params["stub"]))
+        terms = tuple(doc["vocabulary"])
+        if "stub" in doc["parameters"]:
+            members.append(BinaryMember(cat, method, terms, None, stub=doc["parameters"]["stub"]))
             continue
-        _checked(path, params, param_names, "parameters")
-        hp = _checked(path, doc["hyperparameters"], hyper_names, "hyperparameters")
-        fields = {key: _field_value(path, "parameters", key, params[key], len(terms)) for key in param_names}
-        fields.update({key: _field_value(path, "hyperparameters", key, hp[key], len(terms)) for key in hyper_names})
+        check(doc, trained, path, ModelFormatError)
+        fields = {key: doc["hyperparameters"][key] for key in hypers}
+        for key, f in params.items():
+            fields[key] = doc["parameters"][key]
+            if f.type is list:
+                if len(fields[key]) != len(terms):
+                    per_term = f"must hold one value per vocabulary term ({len(terms)})"
+                    raise ModelFormatError(f"{path}: field 'parameters.{key}' {per_term}")
+                fields[key] = np.array(fields[key], dtype=np.float64)
         members.append(BinaryMember(cat, method, terms, model_type(**fields)))
     if len(members) != N_CATEGORIES:
         raise ModelFormatError(
@@ -815,8 +774,8 @@ def load_ovr(model_dir) -> OvrModel:
         )
     return OvrModel(
         members=tuple(members),
-        method=manifest["method"],
+        method=method,
         selector=manifest["selector"],
-        budgets=tuple(budgets),
+        budgets=tuple(manifest["budgets"]),
         seed=manifest["seed"],
     )

@@ -8,12 +8,12 @@ inputs and seeds are byte-identical (manifest timestamp aside).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import datetime
 import functools
 import glob
 import hashlib
 import itertools
-import json
 import os
 import sys
 
@@ -28,8 +28,14 @@ from revclass.classify import (
     train_ovr,
 )
 from revclass.corpus import (
+    INT64_MAX,
     N_CATEGORIES,
+    NUMBER,
+    Field,
     agreement_filter,
+    check,
+    integer,
+    one_of,
     load_corpus,
     read_json,
     write_corpus,
@@ -43,6 +49,7 @@ from revclass.evaluate import (
     SURROGATE_ON,
     SyntheticSpec,
     cross_series_experiment,
+    derive_rotations,
     feature_size_sweep,
     generate_synthetic,
     ovr_accuracies,
@@ -60,7 +67,7 @@ from revclass.preprocess import (
     write_knowledge_base,
     WhitespaceSegmenter,
 )
-from revclass.topic_model import LdaConfig, export_heatmap, fit_lda, top_words
+from revclass.topic_model import LDA_FIELDS, LdaConfig, export_heatmap, fit_lda, top_words
 
 MANIFEST_NAME = "run_manifest.json"
 
@@ -87,64 +94,34 @@ def _sha256(path) -> str:
     return digest.hexdigest()
 
 
-INT64_MAX = 2**63 - 1
-
 # The most cells a setting may make one table hold, checked before it is built:
 # lda's K x (D + V) Gibbs counts (about 40 bytes a cell while sampling) and
-# train's SVM table of epochs x N / 2 harmonic sums (8 bytes a cell).
+# the SVM's table of epochs x N / 2 harmonic sums (8 bytes a cell).
 MAX_TABLE_CELLS = 2**24
 
 
 def _check_cells(cells: int, flag: str, table: str) -> None:
-    if cells > MAX_TABLE_CELLS:
-        raise CliError(f"{flag}: {table} would hold {cells} cells, more than {MAX_TABLE_CELLS}")
-
-
-def _accepts(value, default, action: argparse.Action, least, parse) -> bool:
-    """Whether a setting (see :func:`_setting`) would take ``value``: one of its
-    choices, an integer (not a bool) in [``least``, INT64_MAX] for an int flag,
-    any finite number for a float flag, a string or a list that ``parse`` (if
-    any) reads for an untyped one, and null only where the default is None."""
-    if value is None:
-        return default is None
-    if action.choices:
-        return value in action.choices
-    if action.type in (int, float):
-        number = isinstance(value, (int, action.type)) and not isinstance(value, bool)
-        # NaN, the infinities and ints beyond float range all fail the bounds.
-        bound = INT64_MAX if action.type is int else sys.float_info.max
-        return number and (-bound if least is None else least) <= value <= bound
-    try:
-        return isinstance(value, (str, list)) and (not parse or bool(parse(value, action.option_strings[0])))
-    except CliError:
-        return False
+    phrase = f"at most {MAX_TABLE_CELLS} cells, not {cells}"
+    check(cells, Field(int, most=MAX_TABLE_CELLS, phrase=phrase), f"{flag}: {table}", CliError)
 
 
 def _resolve_config(args) -> dict:
     """The command's settings (see :func:`_setting`): a flag's value over the
     config file's over the default.  A config-file key the command does not
-    have, or a value the setting would not accept (:func:`_accepts`), is an
-    error naming the file and the key, not a silent default; a number or
-    size-list flag's value that it would not accept is an error naming the
-    flag, raised before the command reads any input."""
+    have is an error naming the file; a value that the setting's field does
+    not take is one naming the file and the key, or the flag, raised before
+    the command reads any input."""
     file_config = read_json(args.config, CliError) if args.config else {}
     unknown = sorted(set(file_config) - set(args.settings))
     if unknown:
         raise CliError(f"config file {args.config}: unknown key(s) {', '.join(map(repr, unknown))}")
     config = {}
-    for key, (default, action, least, parse) in args.settings.items():
-        name = action.option_strings[0]
-        if key in file_config and not _accepts(file_config[key], default, action, least, parse):
-            value = json.dumps(file_config[key])
-            raise CliError(f"config file {args.config}: key {key!r}: {value} is not a valid {name} value")
+    for key, (default, field) in args.settings.items():
+        if key in file_config:
+            check(file_config[key], field, args.config, CliError, key)
         flag = getattr(args, key)
-        if parse and flag is not None:
-            parse(flag, name)  # raises naming the flag
-        if action.type and flag is not None and not _accepts(flag, default, action, least, parse):
-            # LdaConfig calls the topic count K.
-            name = "--topics: the topic count K" if key == "topics" else name
-            bound = "a finite number" if action.type is float else f">= {least}" if flag < least else f"<= {INT64_MAX}"
-            raise CliError(f"{name} must be {bound}, got {flag}")
+        if flag is not None:
+            check(flag, field, "--" + key.replace("_", "-"), CliError)
         config[key] = file_config.get(key, default) if flag is None else flag
     return config
 
@@ -179,23 +156,21 @@ def _load_kb_dir(path) -> tuple[dict[str, KnowledgeBase], list[str]]:
     return kbs, files
 
 
-def _parse_sizes(raw, flag: str, n: int | None = None) -> tuple[int, ...]:
-    text = ",".join(map(str, raw)) if isinstance(raw, list) else raw
+def _sizes(raw, n: int = 0) -> tuple[int, ...]:
+    """The integers in [1, INT64_MAX] that a size-list value, a list or a
+    comma-separated string, lists, one of them repeated ``n`` times; () when
+    it lists anything else."""
     try:
+        text = ",".join(map(str, raw)) if isinstance(raw, list) else raw
         sizes = tuple(int(part) for part in text.split(",") if part.strip())
     except ValueError:
-        sizes = ()
-    if not sizes or any(not 1 <= s <= INT64_MAX for s in sizes):
-        raise CliError(f"{flag} must be integers in [1, {INT64_MAX}], got {raw!r}")
-    if n is not None:
-        if len(sizes) == 1:
-            sizes = sizes * n
-        if len(sizes) != n:
-            raise CliError(f"{flag}: expected 1 or {n} sizes, got {len(sizes)}")
-    return sizes
+        return ()
+    if not all(1 <= s <= INT64_MAX for s in sizes):
+        return ()
+    return sizes * n if n and len(sizes) == 1 else sizes
 
 
-_class_sizes = functools.partial(_parse_sizes, n=N_CATEGORIES)
+_class_sizes = functools.partial(_sizes, n=N_CATEGORIES)
 
 
 def _parse_rotation(raw: str):
@@ -291,7 +266,7 @@ def _hyperparams_from_config(config: dict) -> Hyperparams:
 
 
 def cmd_train(args, config):
-    budgets = _class_sizes(config["sizes"], "--sizes")
+    budgets = _class_sizes(config["sizes"])
     tokenized = TokenizedCorpus.load(args.tokens)
     _require_labeled(tokenized, args.tokens)
     vc = VectorizedCorpus.from_tokens(tokenized.docs, tokenized.labels)
@@ -355,17 +330,30 @@ def _load_text_inputs(args):
     return corpus, (kbs or None), stoplist, seg, inputs
 
 
+def _check_svm_epochs(config: dict, corpus, rotations, derived: int) -> None:
+    """Bound --svm-epochs as train does, before any training, by the largest
+    training split after the per-series cap: of the experiment's rotations,
+    or else of the first ``derived`` it derives (a corpus of other than 3
+    series derives none, and the experiment fails before it trains)."""
+    capped = {s: min(len(ix), config["per_series_cap"]) for s, ix in corpus.series_index.items()}
+    rotations = rotations or (derive_rotations(list(capped))[:derived] if len(capped) == 3 else ())
+    n = max((capped.get(a, 0) + capped.get(b, 0) for (a, b), _ in rotations), default=0)
+    _check_cells(config["svm_epochs"] * n // 2, "--svm-epochs", f"the SVM's harmonic sums over {n} reviews")
+
+
 def cmd_sweep(args, config):
     corpus, kbs, stoplist, seg, inputs = _load_text_inputs(args)
     sweep_out = os.path.join(args.out_dir, "sweep.csv")
     exp = _experiment_config(
         config,
         stoplist,
-        feature_sizes=_parse_sizes(config["sizes"], "--sizes"),
+        feature_sizes=_sizes(config["sizes"]),
         rotation=_parse_rotation(args.rotation) if args.rotation else None,
         surrogate_mode=config["surrogates"],
         sweep_method=config["method"],
     )
+    if exp.sweep_method == SVM:
+        _check_svm_epochs(config, corpus, exp.rotation and (exp.rotation,), 1)
     feature_size_sweep(corpus, exp, kbs=kbs, seg=seg, out_csv=sweep_out)
     return inputs, [sweep_out], f"swept {len(exp.feature_sizes)} feature sizes x 8 categories"
 
@@ -380,9 +368,11 @@ def cmd_cross_series(args, config):
         config,
         stoplist,
         methods=tuple(methods.split(",") if isinstance(methods, str) else methods),
-        per_class_budgets=_class_sizes(config["budgets"], "--budgets"),
+        per_class_budgets=_class_sizes(config["budgets"]),
         rotations=rotations,
     )
+    if SVM in exp.methods:
+        _check_svm_epochs(config, corpus, rotations, 3)
     table = cross_series_experiment(corpus, kbs, exp, seg=seg, out_csv=table_out)
     multi_out = os.path.join(out_dir, "crossseries_multiclass.csv")
     write_csv(multi_out, ("rotation", "surrogate", "accuracy"), [(*k, v) for k, v in sorted(table.multiclass.items())])
@@ -397,7 +387,7 @@ def cmd_synth(args, config):
             spec = SyntheticSpec.from_dict({**spec.to_dict(), "seed": config["seed"]})
         corpus, kbs = generate_synthetic(spec)
     except (TypeError, ValueError) as exc:
-        raise CliError(f"invalid synthetic spec {args.spec or config['preset']}: {exc}") from None
+        raise CliError(f"{args.spec or config['preset']}: {exc}") from None
     corpus_out = os.path.join(out_dir, "corpus.jsonl")
     write_corpus(corpus, corpus_out)
     outputs = [corpus_out]
@@ -423,33 +413,37 @@ def _command(sub, name: str, summary: str, seed=42) -> argparse.ArgumentParser:
     runs it through the module attribute ``cmd_<name>``."""
     parser = sub.add_parser(name, help=summary)
     parser.set_defaults(settings={})
-    _setting(parser, "seed", seed, type=int, least=0, help="RNG seed (default 42; synth: the spec's)")
+    _setting(parser, "seed", seed, integer(0), help="RNG seed (default 42; synth: the spec's)")
     parser.add_argument("--config", default=None, help="JSON config file; flags take precedence")
     parser.add_argument("--out-dir", required=True, help="output directory")
     parser.add_argument("--quiet", action="store_true", help="suppress progress messages")
     return parser
 
 
-def _setting(parser: argparse.ArgumentParser, key: str, default, least=None, parse=None, **flag) -> None:
+def _setting(parser: argparse.ArgumentParser, key: str, default, field: Field, **flag) -> None:
     """Declare setting ``key`` of a command as its flag ``--key`` (underscores
     as dashes), the one place the setting, its default and its values are
-    defined: the flag's type and choices, an int setting's ``least`` value and
-    a size list's ``parse``.  :func:`_resolve_config` checks values by them."""
-    action = parser.add_argument("--" + key.replace("_", "-"), dest=key, default=None, **flag)
-    parser.get_default("settings")[key] = (default, action, least, parse)
+    defined: ``field`` declares the values that :func:`_resolve_config` takes
+    (null too, where the default is None), and types the flag."""
+    if default is None:
+        field = dataclasses.replace(field, nullable=True)
+    kind = field.type if field.type in (int, float) else None
+    choices = field.choices or None
+    parser.add_argument("--" + key.replace("_", "-"), dest=key, default=None, type=kind, choices=choices, **flag)
+    parser.get_default("settings")[key] = (default, field)
 
 
 def _add_hyper_flags(parser: argparse.ArgumentParser) -> None:
     for key, name in _HYPER_FIELDS.items():
         default = getattr(Hyperparams(), name)
         # The int hyperparameters are epoch counts, at least 1.
-        _setting(parser, key, default, type=type(default), least=1 if type(default) is int else None)
+        _setting(parser, key, default, integer(1) if type(default) is int else NUMBER)
 
 
 def _add_experiment_settings(parser: argparse.ArgumentParser) -> None:
     """The settings that :func:`_experiment_config` reads for both experiments."""
-    _setting(parser, "selector", CHI2, choices=METHODS)
-    _setting(parser, "per_series_cap", 5000, type=int, least=1)
+    _setting(parser, "selector", CHI2, one_of(METHODS))
+    _setting(parser, "per_series_cap", 5000, integer(1))
     _add_hyper_flags(parser)
 
 
@@ -461,6 +455,12 @@ def _add_text_inputs(parser: argparse.ArgumentParser, kb_required: bool = False)
 
 
 _BUDGETS = ",".join(str(s) for s in DEFAULT_BUDGETS)
+_LISTED = f"integers in [1, {INT64_MAX}], listed or comma-separated"
+_SIZES = Field((str, list), phrase=_LISTED, test=lambda raw: bool(_sizes(raw)))
+_CLASS_SIZES = Field(
+    (str, list), phrase=f"1 or {N_CATEGORIES} {_LISTED}", test=lambda raw: len(_class_sizes(raw)) == N_CATEGORIES
+)
+_SURROGATES = one_of((SURROGATE_ON, SURROGATE_OFF))
 _PRESETS = {"ablation": SyntheticSpec.ablation_default, "sweep": SyntheticSpec.sweep_default}
 
 
@@ -474,21 +474,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = _command(sub, "preprocess", "substitute surrogate tags, tokenize, remove stop words")
     _add_text_inputs(p)
-    _setting(p, "surrogates", SURROGATE_OFF, choices=(SURROGATE_ON, SURROGATE_OFF))
+    _setting(p, "surrogates", SURROGATE_OFF, _SURROGATES)
 
     p = _command(sub, "lda", "fit a collapsed-Gibbs topic model and export heat-map data")
     p.add_argument("--tokens", required=True)
-    _setting(p, "topics", 8, type=int, least=1)
-    _setting(p, "alpha", None, type=float, help="document-topic prior (default 50/topics)")
-    _setting(p, "beta", 0.01, type=float)
-    _setting(p, "iterations", 1000, type=int, least=1)
-    _setting(p, "top_words", 15, type=int, least=1)
+    _setting(p, "topics", 8, LDA_FIELDS["K"])
+    _setting(p, "alpha", None, LDA_FIELDS["alpha"], help="document-topic prior (default 50/topics)")
+    _setting(p, "beta", 0.01, LDA_FIELDS["beta"])
+    _setting(p, "iterations", 1000, LDA_FIELDS["iterations"])
+    _setting(p, "top_words", 15, integer(1))
 
     p = _command(sub, "train", "train the eight one-vs-rest members")
     p.add_argument("--tokens", required=True)
-    _setting(p, "method", SVM, choices=CLASSIFIERS)
-    _setting(p, "selector", CHI2, choices=METHODS)
-    _setting(p, "sizes", _BUDGETS, parse=_class_sizes, help="per-class feature budgets (1 or 8 comma-separated)")
+    _setting(p, "method", SVM, one_of(CLASSIFIERS))
+    _setting(p, "selector", CHI2, one_of(METHODS))
+    _setting(p, "sizes", _BUDGETS, _CLASS_SIZES, help="per-class feature budgets (1 or 8 comma-separated)")
     _add_hyper_flags(p)
 
     p = _command(sub, "evaluate", "score a trained model on a labeled tokenized corpus")
@@ -497,22 +497,23 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = _command(sub, "sweep", "accuracy vs feature size grid")
     _add_text_inputs(p)
-    _setting(p, "surrogates", SURROGATE_OFF, choices=(SURROGATE_ON, SURROGATE_OFF))
-    _setting(p, "sizes", "250,500,1000,2000,4000", parse=_parse_sizes, help="comma-separated feature sizes")
-    _setting(p, "method", SVM, choices=CLASSIFIERS, help="sweep classifier")
+    _setting(p, "surrogates", SURROGATE_OFF, _SURROGATES)
+    _setting(p, "sizes", "250,500,1000,2000,4000", _SIZES, help="comma-separated feature sizes")
+    _setting(p, "method", SVM, one_of(CLASSIFIERS), help="sweep classifier")
     p.add_argument("--rotation", default=None, help="train pair and test series, 'a,b:c'")
     _add_experiment_settings(p)
 
     p = _command(sub, "cross-series", "train-two/test-one rotations, surrogates on vs off")
     _add_text_inputs(p, kb_required=True)
-    _setting(p, "methods", ",".join(CLASSIFIERS), help="comma-separated classifiers to average over")
-    _setting(p, "budgets", _BUDGETS, parse=_class_sizes, help="per-class feature budgets (1 or 8 values)")
+    methods = Field((str, list), phrase="a string or a list")
+    _setting(p, "methods", ",".join(CLASSIFIERS), methods, help="comma-separated classifiers to average over")
+    _setting(p, "budgets", _BUDGETS, _CLASS_SIZES, help="per-class feature budgets (1 or 8 values)")
     p.add_argument("--rotations", default=None, help="semicolon-separated rotations 'a,b:c;...'")
     _add_experiment_settings(p)
 
     p = _command(sub, "synth", "generate a seeded synthetic corpus with knowledge bases", seed=None)
     p.add_argument("--spec", default=None, help="synthetic-spec JSON file")
-    _setting(p, "preset", "ablation", choices=tuple(_PRESETS))
+    _setting(p, "preset", "ablation", one_of(tuple(_PRESETS)))
 
     return parser
 

@@ -7,11 +7,13 @@ import enum
 import functools
 import json
 import json.scanner
+import math
 import os
+import sys
 import unicodedata
 from dataclasses import dataclass
 from json.encoder import c_make_encoder, encode_basestring
-from typing import Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional, Union
 
 
 class CorpusFormatError(ValueError):
@@ -103,42 +105,109 @@ class Corpus:
         return len(self.reviews)
 
 
-_REQUIRED_FIELDS = ("id", "series", "text", "annotations")
+INT64_MAX = 2**63 - 1
+
+
+@dataclass(frozen=True)
+class Field:
+    """One field of a boundary file, declared once for :func:`check`: its JSON
+    type or types (``int`` is never a bool; ``float`` is any finite number),
+    its least and most value (a length, for a string, list or object), what
+    each item of a list is, the fields of an object, each required unless
+    ``optional``, the ``choices`` it takes, whether it takes null, a last
+    ``test``, and the ``phrase`` that says what it must be."""
+
+    type: Union[type, tuple[type, ...]]
+    least: float = -math.inf
+    most: float = math.inf
+    phrase: str = ""
+    items: Optional[Field] = None
+    fields: Optional[dict[str, Field]] = None
+    choices: tuple = ()
+    nullable: bool = False
+    optional: bool = False
+    test: Optional[Callable[[object], bool]] = None
+
+
+def integer(least: int, most: int = INT64_MAX) -> Field:
+    return Field(int, least, most, phrase=f"an integer in [{least}, {most}]")
+
+
+def one_of(choices: tuple) -> Field:
+    return Field(str, choices=choices, phrase=f"one of {choices}")
+
+
+NON_EMPTY = Field(str, 1, phrase="a non-empty string")
+NUMBER = Field(float, phrase="a finite number")
+
+
+def check(value, field: Field, where, error: type[Exception], path: str = ""):
+    """``value``, field ``path`` of file ``where``, when it is as ``field``
+    declares, with an object's fields and a list's lists and objects checked
+    in turn as ``<path>.<name>`` and ``<path>[<i>]``.  Otherwise raises
+    ``error("<where>: field '<path>' must be <phrase>")``, or ``"<where>:
+    missing field '<path>'"``; ``where`` may be empty, and without a path it
+    names the value itself, such as a flag: ``"<where> must be <phrase>"``."""
+    at = f"{where}: " if where else ""
+    if not _fits(value, field):
+        raise error(f"{at}field {path!r} must be {field.phrase}" if path else f"{where} must be {field.phrase}")
+    if value is None:
+        return value
+    for name, f in (field.fields or {}).items():
+        sub = f"{path}.{name}" if path else name
+        if name in value:
+            check(value[name], f, where, error, sub)
+        elif not f.optional:
+            raise error(f"{at}missing field {sub!r}")
+    if field.items is not None and field.items.type in (list, dict):
+        for i, item in enumerate(value):
+            check(item, field.items, where, error, f"{path}[{i}]")
+    return value
+
+
+def _fits(value, f: Field) -> bool:
+    """Whether ``value`` is as ``f`` declares, but for what :func:`check` takes in turn."""
+    if value is None or f.choices:
+        return f.nullable if value is None else value in f.choices
+    kinds, kind = f.type if isinstance(f.type, tuple) else (f.type,), type(value)
+    if kind not in kinds and not (kind is int and float in kinds):
+        return False
+    if kind is int or kind is float:  # NaN fails the bounds
+        fits = f.least <= value <= f.most and (float not in kinds or abs(value) <= sys.float_info.max)
+    else:
+        item = f.items
+        fits = f.least <= len(value) <= f.most and (
+            item is None or item.type in (list, dict) or all(_fits(v, item) for v in value)
+        )
+    return fits and (f.test is None or f.test(value))
+
+
+# A corpus line's fields: _parse_line tests them in one pass, and words its errors by them.
+_REVIEW_LINE = Field(dict, fields={
+    "id": NON_EMPTY, "series": NON_EMPTY, "text": NON_EMPTY,
+    "annotations": Field(list, items=integer(0, N_CATEGORIES - 1),
+                         phrase=f"a list of integers in [0, {N_CATEGORIES - 1}]"),
+    "episode": Field(int, 0, phrase="a non-negative integer", nullable=True, optional=True),
+})
 
 # Review's slot setters: _parse_line checks more strictly than __post_init__, so it skips it.
 _set_id, _set_series, _set_text, _set_annotations, _set_episode = (getattr(Review, s).__set__ for s in Review.__slots__)
 
 
 def _parse_line(obj: dict, where: str) -> Review:
-    for name in _REQUIRED_FIELDS:
-        if name not in obj:
-            raise CorpusFormatError(f"{where}: missing field {name!r}")
-    rid = obj["id"]
-    if not isinstance(rid, str) or not rid:
-        raise CorpusFormatError(f"{where}: field 'id' must be a non-empty string")
-    series = obj["series"]
-    if not isinstance(series, str) or not series:
-        raise CorpusFormatError(f"{where}: field 'series' must be a non-empty string")
-    text = obj["text"]
-    if not isinstance(text, str):
-        raise CorpusFormatError(f"{where}: field 'text' must be a string")
-    text = unicodedata.normalize("NFC", text)
-    if not text:
-        raise CorpusFormatError(f"{where}: field 'text' is empty after normalization")
-    annotations = obj["annotations"]
-    if not isinstance(annotations, list) or not set(map(type, annotations)) <= {int}:
-        raise CorpusFormatError(f"{where}: field 'annotations' must be a list of integers")
-    if annotations and not (0 <= min(annotations) and max(annotations) < N_CATEGORIES):
-        raise CorpusFormatError(
-            f"{where}: field 'annotations' has a value outside [0, {N_CATEGORIES - 1}]"
-        )
-    episode = obj.get("episode")
-    if episode is not None and (isinstance(episode, bool) or not isinstance(episode, int) or episode < 0):
-        raise CorpusFormatError(f"{where}: field 'episode' must be a non-negative integer")
+    rid, series, text, annotations, episode = map(obj.get, ("id", "series", "text", "annotations", "episode"))
+    if not (
+        type(rid) is str and rid and type(series) is str and series and type(text) is str and text
+        and type(annotations) is list and set(map(type, annotations)) <= {int}
+        and (not annotations or 0 <= min(annotations) and max(annotations) < N_CATEGORIES)
+        and (episode is None or type(episode) is int and episode >= 0)
+    ):
+        check(obj, _REVIEW_LINE, where, CorpusFormatError)
     review = object.__new__(Review)
     _set_id(review, rid)
     _set_series(review, series)
-    _set_text(review, text)
+    # NFC never empties a non-empty text.
+    _set_text(review, unicodedata.normalize("NFC", text))
     _set_annotations(review, tuple(annotations))
     _set_episode(review, episode)
     return review

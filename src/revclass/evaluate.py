@@ -5,10 +5,9 @@ the feature-size sweep, and the cross-series surrogate ablation."""
 from __future__ import annotations
 
 import os
-import reprlib
 import sys
 import warnings
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 from itertools import chain
 from typing import Iterator, Optional, Sequence
 
@@ -26,7 +25,8 @@ from revclass.classify import (
     train_member,
     train_svm,  # unused here; perfbench's tracing self-test reads this binding
 )
-from revclass.corpus import _CATEGORIES, Category, Corpus, N_CATEGORIES, Review, write_csv
+from revclass.corpus import _CATEGORIES, NON_EMPTY, N_CATEGORIES, Category, Corpus, Field, Review, check, integer
+from revclass.corpus import write_csv
 from revclass.feature_select import CHI2, METHODS
 from revclass.preprocess import (
     KnowledgeBase,
@@ -118,26 +118,26 @@ def _default_noise() -> tuple[str, ...]:
     return tuple(f"noise_{i}" for i in range(300))
 
 
-def _has_type_of(value, like) -> bool:
-    """Whether ``value`` has the type of ``like``: tuples element by element
-    against ``like``'s first, ints not bools, and a float taking an int too."""
-    if isinstance(like, tuple):
-        return isinstance(value, tuple) and all(_has_type_of(v, like[0]) for v in value)
-    if type(like) is float:
-        return type(value) in (int, float)
-    return type(value) is type(like)
-
-
-def _type_name(like) -> str:
-    return f"list of {_type_name(like[0])}" if isinstance(like, tuple) else type(like).__name__
-
-
 def _as_lists(value):
     return [_as_lists(v) for v in value] if isinstance(value, tuple) else value
 
 
 def _as_tuples(value):
     return tuple(_as_tuples(v) for v in value) if isinstance(value, list) else value
+
+
+_STRINGS = Field(list, items=Field(str), phrase="a list of strings")
+_FRACTION = Field(float, 0, 1, phrase="a number in [0, 1]")
+# A spec's fields in their JSON form (to_dict).  No list holds more than sys.maxsize items; the seed is not a count.
+_SPEC = Field(dict, fields={
+    "series": Field(list, 1, items=NON_EMPTY, phrase="a non-empty list of non-empty strings"),
+    "reviews_per_series": integer(1, sys.maxsize), "tokens_per_review": integer(1, sys.maxsize),
+    "planted_vocab": Field(list, N_CATEGORIES, N_CATEGORIES, f"a list of {N_CATEGORIES} lists of strings", _STRINGS),
+    "noise_vocab": _STRINGS, "roles_per_series": integer(0, sys.maxsize), "actors_per_series": integer(0, sys.maxsize),
+    "mention_rate": Field(list, N_CATEGORIES, N_CATEGORIES, f"a list of {N_CATEGORIES} numbers in [0, 1]", _FRACTION),
+    "mentions_per_hit": integer(0, sys.maxsize), "planted_fraction": _FRACTION,
+    "seed": Field(int, 0, phrase="an integer >= 0"),
+})
 
 
 @dataclass(frozen=True)
@@ -165,38 +165,16 @@ class SyntheticSpec:
     seed: int = 7
 
     def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
-            like = f.default_factory() if f.default is MISSING else f.default
-            if not _has_type_of(value, like):
-                raise ValueError(f"field {f.name!r} must be {_type_name(like)}, got {reprlib.repr(value)}")
-            least = 1 if f.name in ("reviews_per_series", "tokens_per_review") else 0
-            # No list holds more than sys.maxsize items; the seed is not a count.
-            most = value if f.name == "seed" else sys.maxsize
-            if type(like) is int and not least <= value <= most:
-                bound = f">= {least}" if value < least else f"<= {most}"
-                raise ValueError(f"field {f.name!r} must be {bound}, got {value}")
+        check(self.to_dict(), _SPEC, "", ValueError)
         if len(self.series) * self.reviews_per_series > sys.maxsize:
             raise ValueError(f"field 'reviews_per_series' times the series count must be <= {sys.maxsize}")
-        if len(self.planted_vocab) != N_CATEGORIES:
-            raise ValueError(f"planted_vocab must have {N_CATEGORIES} groups")
-        if len(self.mention_rate) != N_CATEGORIES:
-            raise ValueError(f"mention_rate must have {N_CATEGORIES} entries")
-        if any(not 0.0 <= r <= 1.0 for r in self.mention_rate):
-            raise ValueError("mention rates must lie in [0, 1]")
         seen: set[str] = set()
         for group in self.planted_vocab:
             for word in group:
                 if word in seen:
                     raise ValueError(f"planted vocabularies overlap on {word!r}")
                 seen.add(word)
-        if not 0.0 <= self.planted_fraction <= 1.0:
-            raise ValueError("planted_fraction must lie in [0, 1]")
-        if not self.series:
-            raise ValueError("field 'series' must name at least one series")
         for i, name in enumerate(self.series):
-            if not name:
-                raise ValueError("field 'series' has a blank name")
             if name in self.series[:i]:
                 raise ValueError(f"field 'series' names {name!r} twice")
             # synth writes kb/<name>.json, which --kb-dir reads as kb/*.json.

@@ -13,7 +13,10 @@ import numpy as np
 
 from revclass.corpus import (
     N_CATEGORIES,
+    NON_EMPTY,
     CorpusFormatError,
+    Field,
+    check,
     iter_json_lines,
     read_json,
     read_json_lines,
@@ -34,7 +37,7 @@ class KnowledgeBaseError(ValueError):
 
 @dataclass(frozen=True)
 class PersonEntry:
-    """A role or actor with its surface forms and importance rank (1 = most important)."""
+    """A role or actor with its NFC-normalized surface forms and importance rank (1 = most important)."""
 
     canonical_name: str
     kind: str  # "role" | "actor"
@@ -42,29 +45,12 @@ class PersonEntry:
     aliases: tuple[str, ...] = ()
 
     def __post_init__(self):
-        if self.kind not in ("role", "actor"):
-            raise KnowledgeBaseError(f"kind must be 'role' or 'actor', got {self.kind!r}")
-        if isinstance(self.rank, bool) or not isinstance(self.rank, int):
-            raise KnowledgeBaseError(f"rank must be an integer, got {self.rank!r}")
-        if self.rank < 1:
-            raise KnowledgeBaseError(f"{self.canonical_name!r}: rank must be >= 1")
-        if not isinstance(self.aliases, (list, tuple)):
-            raise KnowledgeBaseError(f"aliases must be a list of strings, got {self.aliases!r}")
-        object.__setattr__(self, "canonical_name", _nfc_nonempty(self.canonical_name, "canonical_name"))
-        object.__setattr__(self, "aliases", tuple(_nfc_nonempty(a, "alias") for a in self.aliases))
+        object.__setattr__(self, "canonical_name", unicodedata.normalize("NFC", self.canonical_name))
+        object.__setattr__(self, "aliases", tuple(unicodedata.normalize("NFC", a) for a in self.aliases))
 
     @property
     def surfaces(self) -> tuple[str, ...]:
         return (self.canonical_name, *self.aliases)
-
-
-def _nfc_nonempty(s: str, what: str) -> str:
-    if not isinstance(s, str):
-        raise KnowledgeBaseError(f"{what} must be a string, got {s!r}")
-    s = unicodedata.normalize("NFC", s)
-    if not s:
-        raise KnowledgeBaseError(f"{what} must be non-empty")
-    return s
 
 
 @dataclass(frozen=True)
@@ -89,33 +75,27 @@ class KnowledgeBase:
                 raise KnowledgeBaseError(f"{kind} ranks must be unique and contiguous from 1, got {ranks}")
 
 
+_PERSON = Field(dict, phrase="a JSON object", fields={
+    "name": NON_EMPTY, "rank": Field(int, 1, phrase="an integer >= 1"),
+    "aliases": Field(list, items=NON_EMPTY, phrase="a list of non-empty strings", optional=True),
+})
+_PEOPLE = Field(list, items=_PERSON, phrase="a list", optional=True)
+_KNOWLEDGE_BASE = Field(dict, fields={"series": Field(str, phrase="a string"), "roles": _PEOPLE, "actors": _PEOPLE})
+
+
 def load_knowledge_base(path) -> KnowledgeBase:
     """Load a knowledge-base JSON file: {"series", "roles": [...], "actors": [...]}.
 
     A malformed file, ranks that are not contiguous or a surface claimed by
     two entries raises :class:`KnowledgeBaseError` naming the file.
     """
-    obj = read_json(path, KnowledgeBaseError)
-    if not isinstance(obj.get("series"), str):
-        raise KnowledgeBaseError(f"{path}: expected an object with a 'series' string")
+    obj = check(read_json(path, KnowledgeBaseError), _KNOWLEDGE_BASE, path, KnowledgeBaseError)
 
     def entries(key: str, kind: str) -> tuple[PersonEntry, ...]:
-        items = obj.get(key, [])
-        if not isinstance(items, list):
-            raise KnowledgeBaseError(f"{path}: field {key!r} must be a list")
-        out = []
-        for i, item in enumerate(items):
-            if not isinstance(item, dict) or "name" not in item or "rank" not in item:
-                raise KnowledgeBaseError(f"{path}: field '{key}[{i}]' needs 'name' and 'rank'")
-            try:
-                out.append(PersonEntry(item["name"], kind, item["rank"], item.get("aliases", ())))
-            except KnowledgeBaseError as exc:
-                raise KnowledgeBaseError(f"{path}: field '{key}[{i}]': {exc}") from None
-        return tuple(out)
+        return tuple(PersonEntry(e["name"], kind, e["rank"], tuple(e.get("aliases", ()))) for e in obj.get(key, []))
 
-    roles, actors = entries("roles", "role"), entries("actors", "actor")
     try:
-        kb = KnowledgeBase(series=obj["series"], roles=roles, actors=actors)
+        kb = KnowledgeBase(series=obj["series"], roles=entries("roles", "role"), actors=entries("actors", "actor"))
         build_surrogate_map(kb)
     except KnowledgeBaseError as exc:
         raise KnowledgeBaseError(f"{path}: {exc}") from None
@@ -143,9 +123,6 @@ class SurrogateMap:
             ordered = sorted(self.entries, key=len, reverse=True)
             pattern = re.compile("|".join(re.escape(s) for s in ordered))
             object.__setattr__(self, "_pattern", pattern)
-
-    def __len__(self) -> int:
-        return len(self.entries)
 
 
 def build_surrogate_map(kb: KnowledgeBase) -> SurrogateMap:
@@ -402,6 +379,14 @@ def token_lines(ids: Iterable[str], series: Iterable[str], docs: Iterable[Sequen
     )
 
 
+# A tokens line's fields: TokenizedCorpus.load tests them in one pass, and words its errors by them.
+_TOKENS_LINE = Field(dict, fields={
+    "id": NON_EMPTY, "series": NON_EMPTY, "tokens": Field(list, items=Field(str), phrase="a list of strings"),
+    "label": Field(int, 0, N_CATEGORIES - 1, f"an integer in [0, {N_CATEGORIES - 1}] or null",
+                   nullable=True, optional=True),
+})
+
+
 @dataclass(frozen=True)
 class TokenizedCorpus:
     """Per-review token lists with provenance and resolved labels."""
@@ -449,28 +434,23 @@ class TokenizedCorpus:
         ids, series, docs, labels = [], [], [], []
         shared: dict[str, str] = {}
         for where, obj in read_json_lines(path, CorpusFormatError):
-            for name in ("id", "series", "tokens"):
-                if name not in obj:
-                    raise CorpusFormatError(f"{where}: missing field {name!r}")
-            for name in ("id", "series"):
-                if type(obj[name]) is not str or not obj[name]:
-                    raise CorpusFormatError(f"{where}: field {name!r} must be a non-empty string")
-            label = obj.get("label")
-            if label is not None and (type(label) is not int or label not in range(N_CATEGORIES)):
-                raise CorpusFormatError(
-                    f"{where}: field 'label' must be an integer in [0, {N_CATEGORIES - 1}] or null"
-                )
-            tokens, known = obj["tokens"], len(shared)
+            rid, name, label, tokens = obj.get("id"), obj.get("series"), obj.get("label"), obj.get("tokens")
+            known = len(shared)
             try:
                 doc = tuple(map(shared.setdefault, tokens, tokens)) if type(tokens) is list else None
             except TypeError:  # an unhashable token: a list or an object
                 doc = None
             # The tokens first seen on this line are the last ``added`` entries of ``shared``.
             added = len(shared) - known
-            if doc is None or added and not all(type(t) is str for t in itertools.islice(reversed(shared), added)):
-                raise CorpusFormatError(f"{where}: field 'tokens' must be a list of strings")
-            ids.append(obj["id"])
-            series.append(obj["series"])
+            if not (
+                type(rid) is str and rid and type(name) is str and name
+                and (label is None or type(label) is int and 0 <= label < N_CATEGORIES)
+                and doc is not None
+                and (not added or all(type(t) is str for t in itertools.islice(reversed(shared), added)))
+            ):
+                check(obj, _TOKENS_LINE, where, CorpusFormatError)
+            ids.append(rid)
+            series.append(name)
             docs.append(doc)
             labels.append(label)
         return cls(ids=tuple(ids), series=tuple(series), docs=tuple(docs), labels=tuple(labels))

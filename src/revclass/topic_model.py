@@ -9,14 +9,14 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 from itertools import chain
 from typing import Optional, Sequence
 
 import numpy as np
 
-from revclass.corpus import write_csv, write_json_atomic
+from revclass.corpus import Field, check, integer, write_csv, write_json_atomic
 from revclass.preprocess import Vocabulary
 
 try:
@@ -33,6 +33,11 @@ except ImportError:  # numba is the optional `fast` extra
         return wrap if not (args and callable(args[0])) else args[0]
 
 
+# LdaConfig's fields, which lda's settings take too; a null alpha is 50/K.
+_PRIOR = Field(float, math.nextafter(0.0, 1.0), phrase="a finite number > 0")
+LDA_FIELDS = {"K": integer(1), "alpha": replace(_PRIOR, nullable=True), "beta": _PRIOR, "iterations": integer(1)}
+
+
 @dataclass(frozen=True)
 class LdaConfig:
     """Gibbs-sampling hyperparameters.
@@ -47,14 +52,9 @@ class LdaConfig:
     seed: int = 42
 
     def __post_init__(self):
-        if self.K < 1:
-            raise ValueError("K must be >= 1")
+        check(vars(self), Field(dict, fields=LDA_FIELDS), "", ValueError)
         if self.alpha is None:
             object.__setattr__(self, "alpha", 50.0 / self.K)
-        if not (0 < self.alpha < math.inf and 0 < self.beta < math.inf):
-            raise ValueError(f"alpha and beta must be finite and > 0, got alpha={self.alpha}, beta={self.beta}")
-        if self.iterations < 1:
-            raise ValueError("iterations must be >= 1")
 
 
 @dataclass(frozen=True)

@@ -1161,9 +1161,29 @@ def test_svm_entries_not_grouped_by_row_train_the_dense_model():
     order = rng.permutation(rows.size)
     assert np.any(np.diff(rows[order]) < 0)
     permuted = train_svm(SparseRows(rows[order], cols[order], X[rows, cols][order], X.shape), y, C=1.0, epochs=5)
+    grouped = train_svm(SparseRows(rows, cols, X[rows, cols], X.shape), y, C=1.0, epochs=5)
     dense = train_svm(X, y, C=1.0, epochs=5)
-    assert permuted.weights.tobytes() == dense.weights.tobytes()
-    assert permuted.bias == dense.bias
+    for model in (permuted, grouped):
+        assert model.weights.tobytes() == dense.weights.tobytes()
+        assert model.bias == dense.bias
+
+
+def test_svm_reorders_only_entries_not_grouped_by_row(monkeypatch):
+    rng = np.random.default_rng(8)
+    X = (rng.random((30, 8)) < 0.4).astype(float)
+    y = np.where(np.arange(30) % 2, 1.0, -1.0)
+    rows, cols = np.nonzero(X)
+    order = rng.permutation(rows.size)
+    split = []  # the rows array that each fit's entries are split into rows by
+    row_lists = classify._row_lists
+    monkeypatch.setattr(classify, "_row_lists", lambda r, c, n: split.append(r) or row_lists(r, c, n))
+    vc = VectorizedCorpus.from_tokens([[str(j) for j in np.flatnonzero(row)] for row in X], [0] * 30)
+    inputs = [vc.select(np.arange(len(vc.vocab))), SparseRows(rows, cols, X[rows, cols], X.shape),
+              SparseRows(rows[order], cols[order], X[rows, cols][order], X.shape)]
+    for X_in in inputs:
+        split.clear()
+        train_svm(X_in, y, C=1.0, epochs=2)
+        assert (split[0] is X_in.rows) == (X_in is not inputs[2])
 
 
 def _planted_rows(n, d, density, flip, seed):

@@ -15,6 +15,8 @@ from revclass.evaluate import tokenize_corpus
 from revclass.preprocess import TokenizedCorpus, VectorizedCorpus, load_knowledge_base
 from conftest import review_record, write_jsonl
 
+INT64_MAX = 2**63 - 1
+
 
 def run(argv):
     return main([str(a) for a in argv])
@@ -562,7 +564,7 @@ class TestBoundaryValidation:
             (_edit(lambda d: d.update(vocabulary="".join(d["vocabulary"]))), "'vocabulary'"),
             (_edit(lambda d: d.update(parameters=5)), "field 'parameters' must be a JSON object"),
             (_edit(lambda d: d.update(hyperparameters=[])), "field 'hyperparameters' must be a JSON object"),
-            (_edit(lambda d: d["parameters"].update(stub="maybe")), "field 'parameters.stub' has unknown value 'maybe'"),
+            (_edit(lambda d: d["parameters"].update(stub="maybe")), "field 'parameters.stub' must be one of ('no_positives', 'no_negatives')"),
         ],
         ids=[
             "truncated", "short_cond_pos", "missing_field", "other_method",
@@ -665,16 +667,16 @@ class TestBoundaryValidation:
     @pytest.mark.parametrize(
         "change, field",
         [
-            (lambda kb: kb["roles"][0].update(aliases="ab"), "'roles[0]': aliases must be a list of strings"),
-            (lambda kb: kb["actors"][1].update(rank="one"), "'actors[1]': rank must be an integer"),
-            (lambda kb: kb["roles"][2].update(name=7), "'roles[2]': canonical_name must be a string"),
+            (lambda kb: kb["roles"][0].update(aliases="ab"), "field 'roles[0].aliases' must be a list of non-empty strings"),
+            (lambda kb: kb["actors"][1].update(rank="one"), "field 'actors[1].rank' must be an integer >= 1"),
+            (lambda kb: kb["roles"][2].update(name=7), "field 'roles[2].name' must be a non-empty string"),
             (lambda kb: kb.update(roles={"name": "alpha_hero1", "rank": 1}), "field 'roles' must be a list"),
             (lambda kb: kb.update(actors="alpha_star1"), "field 'actors' must be a list"),
             (None, "invalid JSON"),
-            (lambda kb: kb.pop("series"), "expected an object with a 'series' string"),
-            (lambda kb: kb["roles"][0].pop("rank"), "field 'roles[0]' needs 'name' and 'rank'"),
-            (lambda kb: kb["roles"][1].update(rank=0), "'roles[1]': 'alpha_hero2': rank must be >= 1"),
-            (lambda kb: kb["actors"][0].update(aliases=[""]), "'actors[0]': alias must be non-empty"),
+            (lambda kb: kb.pop("series"), "missing field 'series'"),
+            (lambda kb: kb["roles"][0].pop("rank"), "missing field 'roles[0].rank'"),
+            (lambda kb: kb["roles"][1].update(rank=0), "field 'roles[1].rank' must be an integer >= 1"),
+            (lambda kb: kb["actors"][0].update(aliases=[""]), "field 'actors[0].aliases' must be a list of non-empty strings"),
         ],
         ids=[
             "string_aliases", "string_rank", "number_name", "roles_object", "actors_string", "invalid_json",
@@ -732,10 +734,10 @@ class TestBoundaryValidation:
     @pytest.mark.parametrize(
         "flag, value, message",
         [
-            ("--topics", 0, "K must be >= 1"),
-            ("--iterations", 0, "iterations must be >= 1"),
-            ("--top-words", -3, "--top-words must be >= 1, got -3"),
-            ("--top-words", 0, "--top-words must be >= 1, got 0"),
+            ("--topics", 0, f"--topics must be an integer in [1, {INT64_MAX}]"),
+            ("--iterations", 0, f"--iterations must be an integer in [1, {INT64_MAX}]"),
+            ("--top-words", -3, f"--top-words must be an integer in [1, {INT64_MAX}]"),
+            ("--top-words", 0, f"--top-words must be an integer in [1, {INT64_MAX}]"),
         ],
         ids=["topics_0", "iterations_0", "top_words_negative", "top_words_0"],
     )
@@ -884,6 +886,17 @@ def _small_run(command, pipeline):
     }[command]
 
 
+def _sizes_phrase(command):
+    """What a size-list setting must be: sweep's sizes, or 1 or 8 per-class sizes."""
+    count = "" if command == "sweep" else "1 or 8 "
+    return f"{count}integers in [1, {INT64_MAX}], listed or comma-separated"
+
+
+def _float_phrase(command):
+    """What a float setting must be: lda's priors lie above 0."""
+    return "a finite number > 0" if command == "lda" else "a finite number"
+
+
 def _write_config(tmp_path, obj):
     config = tmp_path / "config.json"
     config.write_text(json.dumps(obj), encoding="utf-8")
@@ -939,14 +952,14 @@ class TestSettings:
         out = tmp_path / "out"
         assert run([command, *_small_run(command, pipeline), "--config", config, "--out-dir", out, "--quiet"]) == 2
         err = capsys.readouterr().err
-        assert err.startswith(f"error: config file {config}: key '{key}': {json.dumps(value)} is not a valid --")
+        assert err.startswith(f"error: {config}: field '{key}' must be ")
         assert not out.exists()
 
     def test_config_value_is_checked_even_when_a_flag_overrides_it(self, pipeline, tmp_path, capsys):
         config = _write_config(tmp_path, {"topics": "3"})
         out = tmp_path / "out"
         assert run(["lda", *_small_run("lda", pipeline), "--config", config, "--out-dir", out, "--quiet"]) == 2
-        assert "key 'topics'" in capsys.readouterr().err
+        assert "field 'topics'" in capsys.readouterr().err
 
     def test_int_for_a_float_setting_runs(self, pipeline, tmp_path):
         config = _write_config(tmp_path, {"svm_c": 2})
@@ -971,7 +984,7 @@ class TestSettings:
         out = tmp_path / "out"
         argv = ["--corpus", pipeline["ingest"] / "corpus.filtered.jsonl", "--kb-dir", pipeline["synth"] / "kb"]
         assert run([command, *argv, "--config", config, "--out-dir", out, "--quiet"]) == 2
-        message = f"error: config file {config}: key '{key}': {json.dumps(value)} is not a valid --{key} value\n"
+        message = f"error: {config}: field '{key}' must be {_sizes_phrase(command)}\n"
         assert capsys.readouterr().err == message
         assert not out.exists()
 
@@ -993,7 +1006,7 @@ class TestSettings:
         out = tmp_path / "out"
         argv = _without(_small_run(command, pipeline), f"--{key}")
         assert run([command, *argv, "--config", config, "--out-dir", out, "--quiet"]) == 2
-        message = f"error: config file {config}: key '{key}': {json.dumps(value)} is not a valid --{key} value\n"
+        message = f"error: {config}: field '{key}' must be {_sizes_phrase(command)}\n"
         assert capsys.readouterr().err == message
         assert not out.exists()
 
@@ -1036,7 +1049,7 @@ class TestExperimentFlagErrors:
             ("cross-series", ["--methods", "nb,forest"], "unknown classifier method 'forest'"),
             ("sweep", ["--rotation", "alpha,beta:alpha"], "rotation series must be disjoint"),
             ("sweep", ["--sizes", "30,10"], "feature sizes must be positive and strictly ascending"),
-            ("cross-series", ["--budgets", "1,2"], "--budgets: expected 1 or 8 sizes, got 2"),
+            ("cross-series", ["--budgets", "1,2"], f"--budgets must be {_sizes_phrase('cross-series')}"),
         ],
     )
     def test_bad_experiment_flag_exits_2(self, pipeline, tmp_path, capsys, command, flags, message):
@@ -1051,16 +1064,16 @@ class TestSyntheticSpecFile:
     @pytest.mark.parametrize(
         "field, value, message",
         [
-            ("series", "abc", "field 'series' must be list of str"),
-            ("reviews_per_series", -5, "field 'reviews_per_series' must be >= 1"),
-            ("tokens_per_review", "x", "field 'tokens_per_review' must be int"),
+            ("series", "abc", "field 'series' must be a non-empty list of non-empty strings"),
+            ("reviews_per_series", -5, f"field 'reviews_per_series' must be an integer in [1, {sys.maxsize}]"),
+            ("tokens_per_review", "x", f"field 'tokens_per_review' must be an integer in [1, {sys.maxsize}]"),
             ("noise_vocab", [], "field 'noise_vocab' must be non-empty"),
             ("planted_vocab", [[]] + [[f"w{c}"] for c in range(1, 8)], "field 'planted_vocab' has an empty group 0"),
             ("roles_per_series", 0, "field 'roles_per_series' must be >= 6"),
             ("actors_per_series", 2, "field 'actors_per_series' must be >= 6"),
             ("series", ["alpha", "alpha"], "field 'series' names 'alpha' twice"),
-            ("series", ["alpha", ""], "field 'series' has a blank name"),
-            ("series", [], "field 'series' must name at least one series"),
+            ("series", ["alpha", ""], "field 'series' must be a non-empty list of non-empty strings"),
+            ("series", [], "field 'series' must be a non-empty list of non-empty strings"),
             ("series", ["a/b", "c", "d"], "field 'series' name 'a/b' must not start with '.' or hold a path separator"),
             ("series", ["../x", "c", "d"], "field 'series' name '../x' must not start with '.' or hold a path separator"),
             ("series", [".", "c", "d"], "field 'series' name '.' must not start with '.' or hold a path separator"),
@@ -1074,7 +1087,7 @@ class TestSyntheticSpecFile:
         out = tmp_path / "out"
         assert run(["synth", "--spec", spec, "--out-dir", out, "--quiet"]) == 2
         err = capsys.readouterr().err
-        assert err.startswith(f"error: invalid synthetic spec {spec}: ") and message in err
+        assert err.startswith(f"error: {spec}: ") and message in err
         assert not out.exists()
 
 
@@ -1096,7 +1109,8 @@ class TestSynthCountsNoListCanHold:
         spec.write_text(json.dumps({field: 10**30}), encoding="utf-8")
         out = tmp_path / "out"
         assert run(["synth", "--spec", spec, "--out-dir", out, "--quiet"]) == 2
-        message = f"error: invalid synthetic spec {spec}: field '{field}' must be <= {sys.maxsize}, got {10**30}\n"
+        least = 0 if field == "mentions_per_hit" else 1
+        message = f"error: {spec}: field '{field}' must be an integer in [{least}, {sys.maxsize}]\n"
         assert capsys.readouterr().err == message
         assert not out.exists()
 
@@ -1364,9 +1378,9 @@ class TestRunner:
             argv = [*argv, "--config", _write_config(tmp_path, {"seed": -1})]
         out = tmp_path / "out"
         assert run([command, *argv, "--out-dir", out, "--quiet"]) == 2
-        message = "error: --seed must be >= 0, got -1\n"
+        message = f"error: --seed must be an integer in [0, {INT64_MAX}]\n"
         if source == "config":
-            message = f"error: config file {argv[-1]}: key 'seed': -1 is not a valid --seed value\n"
+            message = f"error: {argv[-1]}: field 'seed' must be an integer in [0, {INT64_MAX}]\n"
         assert capsys.readouterr().err == message
         assert not out.exists()
 
@@ -1381,9 +1395,9 @@ class TestRunner:
             argv = [*argv, "--config", _write_config(tmp_path, {"per_series_cap": cap})]
         out = tmp_path / "out"
         assert run([command, *argv, "--out-dir", out, "--quiet"]) == 2
-        message = f"error: --per-series-cap must be >= 1, got {cap}\n"
+        message = f"error: --per-series-cap must be an integer in [1, {INT64_MAX}]\n"
         if source == "config":
-            message = f"error: config file {argv[-1]}: key 'per_series_cap': {cap} is not a valid --per-series-cap value\n"
+            message = f"error: {argv[-1]}: field 'per_series_cap' must be an integer in [1, {INT64_MAX}]\n"
         assert capsys.readouterr().err == message
         assert not out.exists()
 
@@ -1446,7 +1460,7 @@ class TestNonFiniteFloatSettings:
         out = tmp_path / "out"
         # "--flag=-inf": argparse reads a separate "-inf" as an option
         assert run([command, *_small_run(command, pipeline), f"{flag}={value}", "--out-dir", out, "--quiet"]) == 2
-        assert capsys.readouterr().err == f"error: {flag} must be a finite number, got {float(value)}\n"
+        assert capsys.readouterr().err == f"error: {flag} must be {_float_phrase(command)}\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf"), 10**400])
@@ -1455,13 +1469,10 @@ class TestNonFiniteFloatSettings:
         config = _write_config(tmp_path, {key: value})
         out = tmp_path / "out"
         assert run([command, *_small_run(command, pipeline), "--config", config, "--out-dir", out, "--quiet"]) == 2
-        flag = "--" + key.replace("_", "-")
-        message = f"error: config file {config}: key '{key}': {json.dumps(value)} is not a valid {flag} value\n"
-        assert capsys.readouterr().err == message
+        assert capsys.readouterr().err == f"error: {config}: field '{key}' must be {_float_phrase(command)}\n"
         assert not out.exists()
 
 
-INT64_MAX = 2**63 - 1
 # (command, key, least valid value): every integer setting of every command.
 _INT_SETTINGS = [
     *((command, "seed", 0) for command in sorted(_SETTINGS)),
@@ -1499,9 +1510,8 @@ def _without(argv, flag):
 @pytest.mark.usefixtures("pipeline_unreachable")
 class TestIntegerSettings:
     @staticmethod
-    def _message(key, flag, bound, value):
-        name = "--topics: the topic count K" if key == "topics" else flag
-        return f"error: {name} must be {bound}, got {value}\n"
+    def _phrase(least):
+        return f"an integer in [{least}, {INT64_MAX}]"
 
     @pytest.mark.parametrize("beyond", ["below", "above", "far_above", "far_below"])
     @pytest.mark.parametrize("command, key, least", _INT_SETTINGS)
@@ -1513,8 +1523,7 @@ class TestIntegerSettings:
         out = tmp_path / "out"
         # "--flag=-1": argparse reads a separate "-1" as an option
         assert run([command, *_small_run(command, pipeline), f"{flag}={value}", "--out-dir", out, "--quiet"]) == 2
-        bound = f">= {least}" if value < least else f"<= {INT64_MAX}"
-        assert capsys.readouterr().err == self._message(key, flag, bound, value)
+        assert capsys.readouterr().err == f"error: {flag} must be {self._phrase(least)}\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("command, key, least", _INT_SETTINGS)
@@ -1526,7 +1535,7 @@ class TestIntegerSettings:
         argv = _without(_small_run(command, pipeline), flag)
         out = tmp_path / "out"
         assert run([command, *argv, "--config", config, "--out-dir", out, "--quiet"]) == 2
-        message = f"error: config file {config}: key '{key}': {least - 1} is not a valid {flag} value\n"
+        message = f"error: {config}: field '{key}' must be {self._phrase(least)}\n"
         assert capsys.readouterr().err == message
         assert not out.exists()
 
@@ -1540,7 +1549,7 @@ class TestIntegerSettings:
         argv = _without(_small_run(command, pipeline), flag)
         out = tmp_path / "out"
         assert run([command, *argv, "--config", config, "--out-dir", out, "--quiet"]) == 2
-        message = f"error: config file {config}: key '{key}': {value} is not a valid {flag} value\n"
+        message = f"error: {config}: field '{key}' must be {self._phrase(least)}\n"
         assert capsys.readouterr().err == message
         assert not out.exists()
 
@@ -1572,7 +1581,7 @@ class TestIntegerSettings:
     def test_size_list_outside_int64_exits_2_naming_the_flag(self, pipeline, tmp_path, capsys, command, flag, value):
         out = tmp_path / "out"
         assert run([command, *_small_run(command, pipeline), flag, value, "--out-dir", out, "--quiet"]) == 2
-        assert capsys.readouterr().err == f"error: {flag} must be integers in [1, {INT64_MAX}], got {value!r}\n"
+        assert capsys.readouterr().err == f"error: {flag} must be {_sizes_phrase(command)}\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("command, flag", [("sweep", "--sizes"), ("cross-series", "--budgets")])
@@ -1581,7 +1590,7 @@ class TestIntegerSettings:
         argv[argv.index("--corpus") + 1] = tmp_path / "missing.jsonl"
         out = tmp_path / "out"
         assert run([command, *argv, flag, "10,x", "--out-dir", out, "--quiet"]) == 2
-        assert capsys.readouterr().err == f"error: {flag} must be integers in [1, {INT64_MAX}], got '10,x'\n"
+        assert capsys.readouterr().err == f"error: {flag} must be {_sizes_phrase(command)}\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("command, key", [("train", "sizes"), ("cross-series", "budgets")])
@@ -1593,7 +1602,7 @@ class TestIntegerSettings:
         out = tmp_path / "out"
         argv = _without(_small_run(command, pipeline), f"--{key}")
         assert run([command, *argv, "--config", config, "--out-dir", out, "--quiet"]) == 2
-        message = f"error: config file {config}: key '{key}': {json.dumps(value)} is not a valid --{key} value\n"
+        message = f"error: {config}: field '{key}' must be {_sizes_phrase(command)}\n"
         assert capsys.readouterr().err == message
         assert not out.exists()
 
@@ -1699,7 +1708,7 @@ class TestTableBounds:
         table = table.format(**self._sizes(tokens))
         assert run(self._argv(pipeline, command, value, out)) == 2
         cells = self._cells(tokens, command, value)
-        assert capsys.readouterr().err == f"error: {flag}: {table} would hold {cells} cells, more than {2**24}\n"
+        assert capsys.readouterr().err == f"error: {flag}: {table} must be at most {2**24} cells, not {cells}\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("command, value", [("lda", 3), ("train", 2)])
@@ -1709,7 +1718,7 @@ class TestTableBounds:
         assert run(self._argv(pipeline, command, value, tmp_path / "at")) == 0
         monkeypatch.setattr(cli, "MAX_TABLE_CELLS", cells - 1)
         assert run(self._argv(pipeline, command, value, tmp_path / "over")) == 2
-        assert f"would hold {cells} cells, more than {cells - 1}\n" in capsys.readouterr().err
+        assert f"must be at most {cells - 1} cells, not {cells}\n" in capsys.readouterr().err
         assert not (tmp_path / "over").exists()
 
     @pytest.mark.parametrize("method", ["nb", "lr"])
@@ -1728,3 +1737,118 @@ class TestTableBounds:
         tokens = tmp_path / "tokens" / "tokens.jsonl"
         assert self._cells(tokens, "lda", 8) <= cli.MAX_TABLE_CELLS
         assert self._cells(tokens, "train", classify.Hyperparams().svm_epochs) <= cli.MAX_TABLE_CELLS
+
+
+@pytest.mark.usefixtures("pipeline_unreachable")
+class TestExperimentSvmEpochs:
+    """sweep and cross-series bound --svm-epochs as train does, by the largest
+    training split after the per-series cap, before any training; the
+    experiments are stubbed, so no test allocates."""
+
+    @staticmethod
+    def _largest_split(pipeline, command, cap):
+        corpus = load_corpus(pipeline["ingest"] / "corpus.filtered.jsonl")
+        counts = {s: min(len(ix), cap) for s, ix in corpus.series_index.items()}
+        names = sorted(counts)
+        pairs = [names[1:]] if command == "sweep" else [[a, b] for a in names for b in names if a < b]
+        return max(counts[a] + counts[b] for a, b in pairs)
+
+    @staticmethod
+    def _argv(pipeline, command, epochs, cap, out):
+        method = ["--method", "svm"] if command == "sweep" else ["--methods", "nb,svm"]
+        argv = [*_small_run(command, pipeline), *method, "--svm-epochs", epochs, "--per-series-cap", cap]
+        return [command, *argv, "--out-dir", out, "--quiet"]
+
+    @pytest.mark.parametrize("cap", [5000, 7])
+    @pytest.mark.parametrize("command", ["sweep", "cross-series"])
+    def test_a_huge_value_exits_2_naming_the_flag(self, pipeline, tmp_path, capsys, command, cap):
+        out = tmp_path / "out"
+        assert run(self._argv(pipeline, command, 10**12, cap, out)) == 2
+        n = self._largest_split(pipeline, command, cap)
+        table = f"the SVM's harmonic sums over {n} reviews"
+        message = f"error: --svm-epochs: {table} must be at most {2**24} cells, not {10**12 * n // 2}\n"
+        assert capsys.readouterr().err == message
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["sweep", "cross-series"])
+    def test_a_table_of_exactly_the_bound_reaches_the_experiment(self, pipeline, tmp_path, capsys, monkeypatch, command):
+        cells = 3 * self._largest_split(pipeline, command, 5000) // 2
+        monkeypatch.setattr(cli, "MAX_TABLE_CELLS", cells)
+        assert run(self._argv(pipeline, command, 3, 5000, tmp_path / "at")) == 1
+        assert capsys.readouterr().err == "runtime error: a rejected setting reached the pipeline\n"
+        monkeypatch.setattr(cli, "MAX_TABLE_CELLS", cells - 1)
+        assert run(self._argv(pipeline, command, 3, 5000, tmp_path / "over")) == 2
+        assert capsys.readouterr().err.startswith("error: --svm-epochs: ")
+
+    @pytest.mark.parametrize("command, methods", [("sweep", ["--method", "lr"]), ("cross-series", ["--methods", "nb,lr"])])
+    def test_only_an_svm_member_checks_its_epochs(self, pipeline, tmp_path, capsys, command, methods):
+        argv = [command, *_small_run(command, pipeline), *methods, "--svm-epochs", 10**12, "--out-dir", tmp_path / "out"]
+        assert run(argv) == 1
+        assert capsys.readouterr().err == "runtime error: a rejected setting reached the pipeline\n"
+
+
+_DELETED = object()
+
+
+def _boundary_file(reader, pipeline, tmp_path):
+    """A copy of a file that ``reader`` names, and the arguments of a run that reads it."""
+    tokens, corpus = pipeline["tokens"] / "tokens.jsonl", pipeline["ingest"] / "corpus.filtered.jsonl"
+    if reader in ("manifest", "member"):
+        shutil.copytree(pipeline["train"] / "model", tmp_path / "model")
+        name = "model_manifest.json" if reader == "manifest" else "member_3.json"
+        return tmp_path / "model" / name, ["evaluate", "--model", tmp_path / "model", "--tokens", tokens]
+    if reader == "kb":
+        shutil.copytree(pipeline["synth"] / "kb", tmp_path / "kb")
+        argv = ["preprocess", "--corpus", corpus, "--kb-dir", tmp_path / "kb", "--surrogates", "on"]
+        return tmp_path / "kb" / "alpha.json", argv
+    if reader in ("corpus", "tokens"):
+        path = tmp_path / f"{reader}.jsonl"
+        shutil.copy(corpus if reader == "corpus" else tokens, path)
+        return path, ["ingest", "--corpus", path] if reader == "corpus" else ["train", "--tokens", path, "--sizes", 10]
+    path = tmp_path / f"{reader}.json"
+    if reader == "spec":
+        path.write_text(json.dumps({"reviews_per_series": 8, "noise_vocab": ["n"]}), encoding="utf-8")
+        return path, ["synth", "--spec", path]
+    config = {"method": "nb", "sizes": "10"} if reader == "train_config" else {"topics": 2, "iterations": 2}
+    path.write_text(json.dumps(config), encoding="utf-8")
+    return path, ["train" if reader == "train_config" else "lda", "--tokens", tokens, "--config", path]
+
+
+@pytest.mark.parametrize(
+    "reader, key, value",
+    [
+        ("train_config", "sizes", [True]),
+        ("lda_config", "iterations", 2.0),
+        ("manifest", "seed", "42"),
+        ("manifest", "selector", _DELETED),
+        ("member", "category", 3.0),
+        ("member", "vocabulary", _DELETED),
+        ("kb", "roles", {}),
+        ("kb", "series", _DELETED),
+        ("spec", "planted_fraction", "0.5"),
+        ("corpus", "annotations", "3"),
+        ("corpus", "text", _DELETED),
+        ("tokens", "label", "0"),
+        ("tokens", "tokens", _DELETED),
+    ],
+    ids=lambda v: "deleted" if v is _DELETED else None,
+)
+def test_a_boundary_file_with_a_bad_or_missing_field_exits_2_naming_both(pipeline, tmp_path, capsys, reader, key, value):
+    """One wrong-typed value or deleted key per boundary reader.  Config-file
+    and spec keys are optional, so those readers take wrong types only."""
+    path, argv = _boundary_file(reader, pipeline, tmp_path)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    first = json.loads(lines[0] if path.suffix == ".jsonl" else "\n".join(lines))
+    if value is _DELETED:
+        del first[key]
+    else:
+        first[key] = value
+    path.write_text("\n".join([json.dumps(first), *lines[1:]] if path.suffix == ".jsonl" else [json.dumps(first)]) + "\n",
+                    encoding="utf-8")
+    out = tmp_path / "out"
+    assert run([*argv, "--out-dir", out, "--quiet"]) == 2
+    err = capsys.readouterr().err
+    where = f"{path}: line 1" if path.suffix == ".jsonl" else str(path)
+    field = f"missing field '{key}'" if value is _DELETED else f"field '{key}' must be "
+    assert err.startswith(f"error: {where}: {field}") and err.count("\n") == 1
+    assert not out.exists()

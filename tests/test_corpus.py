@@ -335,13 +335,13 @@ def test_tokens_file_is_json_dumps_bytes(tmp_path):
 @pytest.mark.parametrize(
     "annotations, message",
     [
-        ("[true, 1]", "field 'annotations' must be a list of integers"),
-        ("[1, true]", "field 'annotations' must be a list of integers"),
-        ("[1.0, 1]", "field 'annotations' must be a list of integers"),
-        ('[1, "1"]', "field 'annotations' must be a list of integers"),
-        ("[1, -1]", "field 'annotations' has a value outside [0, 7]"),
-        ("[8, 1]", "field 'annotations' has a value outside [0, 7]"),
-        ("[-1, 8.5]", "field 'annotations' must be a list of integers"),
+        ("[true, 1]", "field 'annotations' must be a list of integers in [0, 7]"),
+        ("[1, true]", "field 'annotations' must be a list of integers in [0, 7]"),
+        ("[1.0, 1]", "field 'annotations' must be a list of integers in [0, 7]"),
+        ('[1, "1"]', "field 'annotations' must be a list of integers in [0, 7]"),
+        ("[1, -1]", "field 'annotations' must be a list of integers in [0, 7]"),
+        ("[8, 1]", "field 'annotations' must be a list of integers in [0, 7]"),
+        ("[-1, 8.5]", "field 'annotations' must be a list of integers in [0, 7]"),
     ],
     ids=["true", "true_second", "float", "string", "minus_one", "eight", "range_and_type"],
 )
@@ -358,8 +358,8 @@ def test_annotation_messages(tmp_path, annotations, message):
     [
         ({"id": ""}, "field 'id' must be a non-empty string"),
         ({"series": 5}, "field 'series' must be a non-empty string"),
-        ({"text": ["还不错"]}, "field 'text' must be a string"),
-        ({"text": ""}, "field 'text' is empty after normalization"),
+        ({"text": ["还不错"]}, "field 'text' must be a non-empty string"),
+        ({"text": ""}, "field 'text' must be a non-empty string"),
         ({"episode": True}, "field 'episode' must be a non-negative integer"),
         ({"episode": -1}, "field 'episode' must be a non-negative integer"),
     ],

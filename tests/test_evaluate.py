@@ -584,20 +584,20 @@ class TestSyntheticSpecChecks:
     @pytest.mark.parametrize(
         "field, value, message",
         [
-            ("series", "abc", "field 'series' must be list of str"),
-            ("series", ["a", 2, "c"], "field 'series' must be list of str"),
-            ("planted_vocab", [["a"]] * 7 + [[1]], "field 'planted_vocab' must be list of list of str"),
-            ("mention_rate", [0.5] * 7 + ["x"], "field 'mention_rate' must be list of float"),
-            ("tokens_per_review", "x", "field 'tokens_per_review' must be int"),
-            ("tokens_per_review", 12.0, "field 'tokens_per_review' must be int"),
-            ("seed", True, "field 'seed' must be int"),
-            ("planted_fraction", None, "field 'planted_fraction' must be float"),
-            ("reviews_per_series", -5, "field 'reviews_per_series' must be >= 1"),
-            ("reviews_per_series", 0, "field 'reviews_per_series' must be >= 1"),
-            ("tokens_per_review", 0, "field 'tokens_per_review' must be >= 1"),
-            ("roles_per_series", -1, "field 'roles_per_series' must be >= 0"),
-            ("mentions_per_hit", -1, "field 'mentions_per_hit' must be >= 0"),
-            ("seed", -1, "field 'seed' must be >= 0"),
+            ("series", "abc", "field 'series' must be a non-empty list of non-empty strings"),
+            ("series", ["a", 2, "c"], "field 'series' must be a non-empty list of non-empty strings"),
+            ("planted_vocab", [["a"]] * 7 + [[1]], "field 'planted_vocab[7]' must be a list of strings"),
+            ("mention_rate", [0.5] * 7 + ["x"], "field 'mention_rate' must be a list of 8 numbers in [0, 1]"),
+            ("tokens_per_review", "x", f"field 'tokens_per_review' must be an integer in [1, {sys.maxsize}]"),
+            ("tokens_per_review", 12.0, f"field 'tokens_per_review' must be an integer in [1, {sys.maxsize}]"),
+            ("seed", True, "field 'seed' must be an integer >= 0"),
+            ("planted_fraction", None, "field 'planted_fraction' must be a number in [0, 1]"),
+            ("reviews_per_series", -5, f"field 'reviews_per_series' must be an integer in [1, {sys.maxsize}]"),
+            ("reviews_per_series", 0, f"field 'reviews_per_series' must be an integer in [1, {sys.maxsize}]"),
+            ("tokens_per_review", 0, f"field 'tokens_per_review' must be an integer in [1, {sys.maxsize}]"),
+            ("roles_per_series", -1, f"field 'roles_per_series' must be an integer in [0, {sys.maxsize}]"),
+            ("mentions_per_hit", -1, f"field 'mentions_per_hit' must be an integer in [0, {sys.maxsize}]"),
+            ("seed", -1, "field 'seed' must be an integer >= 0"),
         ],
     )
     def test_field_of_the_wrong_type_or_range_is_named(self, field, value, message):
@@ -610,7 +610,8 @@ class TestSyntheticSpecChecks:
     )
     @pytest.mark.parametrize("value", [sys.maxsize + 1, 10**30])
     def test_count_no_list_can_hold_is_named(self, field, value):
-        with pytest.raises(ValueError, match=f"^field '{field}' must be <= {sys.maxsize}, got {value}$"):
+        least = 1 if field in ("reviews_per_series", "tokens_per_review") else 0
+        with pytest.raises(ValueError, match=f"^{re.escape(f'field {field!r} must be an integer in [{least}, {sys.maxsize}]')}$"):
             SyntheticSpec.from_dict({field: value})
 
     def test_more_reviews_than_a_list_can_hold_is_named(self):

@@ -440,7 +440,7 @@ class TestNonFinitePriors:
     @pytest.mark.parametrize("field", ["alpha", "beta"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
     def test_rejected(self, field, value):
-        with pytest.raises(ValueError, match="alpha and beta must be finite and > 0"):
+        with pytest.raises(ValueError, match=f"^field '{field}' must be a finite number > 0$"):
             LdaConfig(K=2, **{field: value})
 
 
