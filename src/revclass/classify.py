@@ -10,7 +10,8 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from revclass.corpus import NUMBER, Category, Field, N_CATEGORIES, check, integer, one_of, read_json, write_json_atomic
+from revclass.corpus import NUMBER, POSITIVE, Category, Field, N_CATEGORIES, check, integer, one_of, read_json
+from revclass.corpus import write_json_atomic
 from revclass.feature_select import CHI2, METHODS, FeatureRanking, rank_features
 from revclass.preprocess import SparseRows, VectorizedCorpus, Vocabulary
 
@@ -96,8 +97,7 @@ def train_nb(X: np.ndarray | SparseRows, y: np.ndarray, l: float = 1.0) -> NbMod
     priors are empirical label frequencies.  0/1 values are counted as
     integers, exact in float64 below 2**53.
     """
-    if l <= 0:
-        raise ValueError("smoothing l must be > 0")
+    check(l, HYPER_FIELDS["l"], "l", ValueError)
     X = _sparse(X)
     y = np.asarray(y)
     if len(y) != X.shape[0]:
@@ -215,12 +215,9 @@ def train_lr(
     gives both its objective and the next step's gradient; z comes from
     :func:`_row_sums`.
     """
-    if eta <= 0:
-        raise ValueError("eta must be > 0")
-    if lam < 0:
-        raise ValueError("lambda must be >= 0")
-    if epochs < 1:
-        raise ValueError("epochs must be >= 1")
+    check(eta, HYPER_FIELDS["eta"], "eta", ValueError)
+    check(lam, HYPER_FIELDS["lam"], "lam", ValueError)
+    check(epochs, HYPER_FIELDS["lr_epochs"], "epochs", ValueError)
     X = _sparse(X)
     y = np.asarray(y, dtype=np.float64)
     n, d = X.shape
@@ -321,10 +318,8 @@ def train_svm(
     each row's margin instead, so a step reads one number and only an update
     pays (:func:`_svm_sums`).  The model is bit-identical either way.
     """
-    if C <= 0:
-        raise ValueError("C must be > 0")
-    if epochs < 1:
-        raise ValueError("epochs must be >= 1")
+    check(C, HYPER_FIELDS["C"], "C", ValueError)
+    check(epochs, HYPER_FIELDS["svm_epochs"], "epochs", ValueError)
     X = _sparse(X)
     y = np.asarray(y, dtype=np.float64)
     n, d = X.shape
@@ -476,6 +471,13 @@ STUB_NO_POSITIVES = "no_positives"
 STUB_NO_NEGATIVES = "no_negatives"
 
 
+# Hyperparams' fields, which the trainers' arguments and the CLI's hyperparameter settings take too.
+HYPER_FIELDS = {
+    "l": POSITIVE, "eta": POSITIVE, "lam": Field(float, 0, phrase="a finite number >= 0"),
+    "lr_epochs": integer(1), "C": POSITIVE, "svm_epochs": integer(1),
+}
+
+
 @dataclass(frozen=True)
 class Hyperparams:
     """Training knobs shared by all eight members; every field overridable."""
@@ -486,6 +488,9 @@ class Hyperparams:
     lr_epochs: int = 200
     C: float = 1.0  # SVM cost
     svm_epochs: int = 50  # SVM runs svm_epochs * N steps
+
+    def __post_init__(self):
+        check(vars(self), Field(dict, fields=HYPER_FIELDS), "", ValueError)
 
 
 @dataclass(frozen=True)
@@ -615,8 +620,6 @@ def train_ovr(
     from its class's ranking, which it keeps.  A degenerate class trains a
     flagged constant stub instead of a model, but is still ranked.
     """
-    if selector not in METHODS:
-        raise ValueError(f"unknown selector {selector!r}; expected one of {METHODS}")
     budgets = tuple(per_class_feature_sizes) if per_class_feature_sizes else DEFAULT_BUDGETS
     hp = hyperparams or Hyperparams()
     members = tuple(train_member(corpus, r, method, hp, seed) for r in rank_classes(corpus, budgets, selector))

@@ -21,6 +21,7 @@ from revclass import __version__
 from revclass.classify import (
     CLASSIFIERS,
     DEFAULT_BUDGETS,
+    HYPER_FIELDS,
     Hyperparams,
     SVM,
     load_ovr,
@@ -29,11 +30,12 @@ from revclass.classify import (
 )
 from revclass.corpus import (
     INT64_MAX,
+    MAX_TABLE_CELLS,
     N_CATEGORIES,
-    NUMBER,
     Field,
     agreement_filter,
     check,
+    fits,
     integer,
     one_of,
     load_corpus,
@@ -44,6 +46,7 @@ from revclass.corpus import (
     write_text_atomic,
 )
 from revclass.evaluate import (
+    EXPERIMENT_FIELDS,
     ExperimentConfig,
     SURROGATE_OFF,
     SURROGATE_ON,
@@ -55,7 +58,7 @@ from revclass.evaluate import (
     ovr_accuracies,
     tokenize_reviews,
 )
-from revclass.feature_select import CHI2, METHODS
+from revclass.feature_select import CHI2
 from revclass.preprocess import (
     KnowledgeBase,
     TokenizedCorpus,
@@ -92,12 +95,6 @@ def _sha256(path) -> str:
         for chunk in iter(lambda: fh.read(1 << 16), b""):
             digest.update(chunk)
     return digest.hexdigest()
-
-
-# The most cells a setting may make one table hold, checked before it is built:
-# lda's K x (D + V) Gibbs counts (about 40 bytes a cell while sampling) and
-# the SVM's table of epochs x N / 2 harmonic sums (8 bytes a cell).
-MAX_TABLE_CELLS = 2**24
 
 
 def _check_cells(cells: int, flag: str, table: str) -> None:
@@ -157,20 +154,23 @@ def _load_kb_dir(path) -> tuple[dict[str, KnowledgeBase], list[str]]:
 
 
 def _sizes(raw, n: int = 0) -> tuple[int, ...]:
-    """The integers in [1, INT64_MAX] that a size-list value, a list or a
-    comma-separated string, lists, one of them repeated ``n`` times; () when
-    it lists anything else."""
+    """The integers that a size-list value, a list or a comma-separated
+    string, lists, one of them repeated ``n`` times; () when it lists
+    anything else."""
     try:
         text = ",".join(map(str, raw)) if isinstance(raw, list) else raw
         sizes = tuple(int(part) for part in text.split(",") if part.strip())
     except ValueError:
         return ()
-    if not all(1 <= s <= INT64_MAX for s in sizes):
-        return ()
     return sizes * n if n and len(sizes) == 1 else sizes
 
 
 _class_sizes = functools.partial(_sizes, n=N_CATEGORIES)
+
+
+def _methods(raw) -> tuple:
+    """The classifiers that a list or a comma-separated string names."""
+    return tuple(raw.split(",") if isinstance(raw, str) else raw)
 
 
 def _parse_rotation(raw: str):
@@ -249,9 +249,8 @@ def cmd_lda(args, config):
     return [args.tokens], [model_out, heatmap_out, words_out], f"fitted {cfg.K}-topic model on {model.n_docs} documents"
 
 
-# Setting -> Hyperparams field.  Each setting's flag (--nb-smoothing for
-# nb_smoothing) is typed as the field's default.
-_HYPER_FIELDS = {
+# Setting -> the Hyperparams field it sets (--nb-smoothing sets l).
+_HYPER_SETTINGS = {
     "nb_smoothing": "l",
     "lr_eta": "eta",
     "lr_lambda": "lam",
@@ -262,7 +261,7 @@ _HYPER_FIELDS = {
 
 
 def _hyperparams_from_config(config: dict) -> Hyperparams:
-    return Hyperparams(**{name: config[key] for key, name in _HYPER_FIELDS.items()})
+    return Hyperparams(**{name: config[key] for key, name in _HYPER_SETTINGS.items()})
 
 
 def cmd_train(args, config):
@@ -362,12 +361,11 @@ def cmd_cross_series(args, config):
     out_dir = args.out_dir
     corpus, kbs, stoplist, seg, inputs = _load_text_inputs(args)
     rotations = tuple(_parse_rotation(part) for part in (args.rotations or "").split(";") if part.strip())
-    methods = config["methods"]
     table_out = os.path.join(out_dir, "crossseries.csv")
     exp = _experiment_config(
         config,
         stoplist,
-        methods=tuple(methods.split(",") if isinstance(methods, str) else methods),
+        methods=_methods(config["methods"]),
         per_class_budgets=_class_sizes(config["budgets"]),
         rotations=rotations,
     )
@@ -424,9 +422,8 @@ def _setting(parser: argparse.ArgumentParser, key: str, default, field: Field, *
     """Declare setting ``key`` of a command as its flag ``--key`` (underscores
     as dashes), the one place the setting, its default and its values are
     defined: ``field`` declares the values that :func:`_resolve_config` takes
-    (null too, where the default is None), and types the flag."""
-    if default is None:
-        field = dataclasses.replace(field, nullable=True)
+    (null only where the default is None), and types the flag."""
+    field = dataclasses.replace(field, nullable=default is None)
     kind = field.type if field.type in (int, float) else None
     choices = field.choices or None
     parser.add_argument("--" + key.replace("_", "-"), dest=key, default=None, type=kind, choices=choices, **flag)
@@ -434,17 +431,22 @@ def _setting(parser: argparse.ArgumentParser, key: str, default, field: Field, *
 
 
 def _add_hyper_flags(parser: argparse.ArgumentParser) -> None:
-    for key, name in _HYPER_FIELDS.items():
-        default = getattr(Hyperparams(), name)
-        # The int hyperparameters are epoch counts, at least 1.
-        _setting(parser, key, default, integer(1) if type(default) is int else NUMBER)
+    for key, name in _HYPER_SETTINGS.items():
+        _setting(parser, key, getattr(Hyperparams(), name), HYPER_FIELDS[name])
 
 
 def _add_experiment_settings(parser: argparse.ArgumentParser) -> None:
     """The settings that :func:`_experiment_config` reads for both experiments."""
-    _setting(parser, "selector", CHI2, one_of(METHODS))
-    _setting(parser, "per_series_cap", 5000, integer(1))
+    _setting(parser, "selector", CHI2, EXPERIMENT_FIELDS["selector"])
+    _setting(parser, "per_series_cap", 5000, EXPERIMENT_FIELDS["per_series_cap"])
     _add_hyper_flags(parser)
+
+
+def _listed(field: Field, parse) -> Field:
+    """A setting given as a list or a comma-separated string, which ``parse``
+    turns into a value that ``field`` declares."""
+    phrase = f"{field.phrase}, listed or comma-separated"
+    return Field((str, list), phrase=phrase, test=lambda raw: fits(parse(raw), field))
 
 
 def _add_text_inputs(parser: argparse.ArgumentParser, kb_required: bool = False) -> None:
@@ -455,12 +457,10 @@ def _add_text_inputs(parser: argparse.ArgumentParser, kb_required: bool = False)
 
 
 _BUDGETS = ",".join(str(s) for s in DEFAULT_BUDGETS)
-_LISTED = f"integers in [1, {INT64_MAX}], listed or comma-separated"
-_SIZES = Field((str, list), phrase=_LISTED, test=lambda raw: bool(_sizes(raw)))
-_CLASS_SIZES = Field(
-    (str, list), phrase=f"1 or {N_CATEGORIES} {_LISTED}", test=lambda raw: len(_class_sizes(raw)) == N_CATEGORIES
+_CLASS_SIZES = _listed(
+    Field(tuple, N_CATEGORIES, N_CATEGORIES, f"1 or {N_CATEGORIES} integers in [1, {INT64_MAX}]", integer(1)),
+    _class_sizes,
 )
-_SURROGATES = one_of((SURROGATE_ON, SURROGATE_OFF))
 _PRESETS = {"ablation": SyntheticSpec.ablation_default, "sweep": SyntheticSpec.sweep_default}
 
 
@@ -474,7 +474,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = _command(sub, "preprocess", "substitute surrogate tags, tokenize, remove stop words")
     _add_text_inputs(p)
-    _setting(p, "surrogates", SURROGATE_OFF, _SURROGATES)
+    _setting(p, "surrogates", SURROGATE_OFF, EXPERIMENT_FIELDS["surrogate_mode"])
 
     p = _command(sub, "lda", "fit a collapsed-Gibbs topic model and export heat-map data")
     p.add_argument("--tokens", required=True)
@@ -486,8 +486,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = _command(sub, "train", "train the eight one-vs-rest members")
     p.add_argument("--tokens", required=True)
-    _setting(p, "method", SVM, one_of(CLASSIFIERS))
-    _setting(p, "selector", CHI2, one_of(METHODS))
+    _setting(p, "method", SVM, EXPERIMENT_FIELDS["sweep_method"])
+    _setting(p, "selector", CHI2, EXPERIMENT_FIELDS["selector"])
     _setting(p, "sizes", _BUDGETS, _CLASS_SIZES, help="per-class feature budgets (1 or 8 comma-separated)")
     _add_hyper_flags(p)
 
@@ -497,15 +497,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = _command(sub, "sweep", "accuracy vs feature size grid")
     _add_text_inputs(p)
-    _setting(p, "surrogates", SURROGATE_OFF, _SURROGATES)
-    _setting(p, "sizes", "250,500,1000,2000,4000", _SIZES, help="comma-separated feature sizes")
-    _setting(p, "method", SVM, one_of(CLASSIFIERS), help="sweep classifier")
+    _setting(p, "surrogates", SURROGATE_OFF, EXPERIMENT_FIELDS["surrogate_mode"])
+    sizes = _listed(EXPERIMENT_FIELDS["feature_sizes"], _sizes)
+    _setting(p, "sizes", "250,500,1000,2000,4000", sizes, help="comma-separated feature sizes")
+    _setting(p, "method", SVM, EXPERIMENT_FIELDS["sweep_method"], help="sweep classifier")
     p.add_argument("--rotation", default=None, help="train pair and test series, 'a,b:c'")
     _add_experiment_settings(p)
 
     p = _command(sub, "cross-series", "train-two/test-one rotations, surrogates on vs off")
     _add_text_inputs(p, kb_required=True)
-    methods = Field((str, list), phrase="a string or a list")
+    methods = _listed(EXPERIMENT_FIELDS["methods"], _methods)
     _setting(p, "methods", ",".join(CLASSIFIERS), methods, help="comma-separated classifiers to average over")
     _setting(p, "budgets", _BUDGETS, _CLASS_SIZES, help="per-class feature budgets (1 or 8 values)")
     p.add_argument("--rotations", default=None, help="semicolon-separated rotations 'a,b:c;...'")

@@ -107,6 +107,10 @@ class Corpus:
 
 INT64_MAX = 2**63 - 1
 
+# The most cells a setting or a synth spec may make one table hold, checked before it is built: lda's K x (D + V)
+# Gibbs counts (about 40 bytes a cell), the SVM's epochs x N / 2 harmonic sums and the tokens of a synthetic corpus.
+MAX_TABLE_CELLS = 2**24
+
 
 @dataclass(frozen=True)
 class Field:
@@ -139,6 +143,7 @@ def one_of(choices: tuple) -> Field:
 
 NON_EMPTY = Field(str, 1, phrase="a non-empty string")
 NUMBER = Field(float, phrase="a finite number")
+POSITIVE = Field(float, math.nextafter(0.0, 1.0), phrase="a finite number > 0")
 
 
 def check(value, field: Field, where, error: type[Exception], path: str = ""):
@@ -149,7 +154,7 @@ def check(value, field: Field, where, error: type[Exception], path: str = ""):
     missing field '<path>'"``; ``where`` may be empty, and without a path it
     names the value itself, such as a flag: ``"<where> must be <phrase>"``."""
     at = f"{where}: " if where else ""
-    if not _fits(value, field):
+    if not fits(value, field):
         raise error(f"{at}field {path!r} must be {field.phrase}" if path else f"{where} must be {field.phrase}")
     if value is None:
         return value
@@ -165,7 +170,7 @@ def check(value, field: Field, where, error: type[Exception], path: str = ""):
     return value
 
 
-def _fits(value, f: Field) -> bool:
+def fits(value, f: Field) -> bool:
     """Whether ``value`` is as ``f`` declares, but for what :func:`check` takes in turn."""
     if value is None or f.choices:
         return f.nullable if value is None else value in f.choices
@@ -173,13 +178,27 @@ def _fits(value, f: Field) -> bool:
     if kind not in kinds and not (kind is int and float in kinds):
         return False
     if kind is int or kind is float:  # NaN fails the bounds
-        fits = f.least <= value <= f.most and (float not in kinds or abs(value) <= sys.float_info.max)
+        ok = f.least <= value <= f.most and (float not in kinds or abs(value) <= sys.float_info.max)
     else:
         item = f.items
-        fits = f.least <= len(value) <= f.most and (
-            item is None or item.type in (list, dict) or all(_fits(v, item) for v in value)
-        )
-    return fits and (f.test is None or f.test(value))
+        ok = f.least <= len(value) <= f.most and (item is None or item.type in (list, dict) or _all_fit(value, item))
+    return ok and (f.test is None or f.test(value))
+
+
+def _all_fit(values, f: Field) -> bool:
+    """Whether every item of ``values`` fits ``f``: as a :func:`fits` call per
+    item decides, but for a field of one scalar type without test, choices or
+    null in C-level passes over the whole list."""
+    if f.type not in (int, float, str) or f.test or f.choices or f.nullable:
+        return all(fits(v, f) for v in values)
+    if not values or not set(map(type, values)) <= ({int, float} if f.type is float else {f.type}):
+        return not values
+    values = list(map(len, values)) if f.type is str else values  # a string's bounds are on its length
+    big = sys.float_info.max if f.type is float else math.inf
+    # min and max pass over a NaN unless it comes first, where it fails the bounds; isnan comes last, when no int
+    # is too large to be a float.
+    return max(f.least, -big) <= min(values) and max(values) <= min(f.most, big) and not (
+        f.type is float and any(map(math.isnan, values)))
 
 
 # A corpus line's fields: _parse_line tests them in one pass, and words its errors by them.

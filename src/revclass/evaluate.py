@@ -7,7 +7,7 @@ from __future__ import annotations
 import os
 import sys
 import warnings
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from itertools import chain
 from typing import Iterator, Optional, Sequence
 
@@ -26,7 +26,7 @@ from revclass.classify import (
     train_svm,  # unused here; perfbench's tracing self-test reads this binding
 )
 from revclass.corpus import _CATEGORIES, NON_EMPTY, N_CATEGORIES, Category, Corpus, Field, Review, check, integer
-from revclass.corpus import write_csv
+from revclass.corpus import INT64_MAX, MAX_TABLE_CELLS, one_of, write_csv
 from revclass.feature_select import CHI2, METHODS
 from revclass.preprocess import (
     KnowledgeBase,
@@ -166,8 +166,11 @@ class SyntheticSpec:
 
     def __post_init__(self):
         check(self.to_dict(), _SPEC, "", ValueError)
-        if len(self.series) * self.reviews_per_series > sys.maxsize:
-            raise ValueError(f"field 'reviews_per_series' times the series count must be <= {sys.maxsize}")
+        # A review draws tokens_per_review tokens and at most mentions_per_hit names.
+        cells = len(self.series) * self.reviews_per_series * (self.tokens_per_review + self.mentions_per_hit)
+        if cells > MAX_TABLE_CELLS:
+            raise ValueError(f"fields 'series' x 'reviews_per_series' x ('tokens_per_review' + 'mentions_per_hit') "
+                             f"must be at most {MAX_TABLE_CELLS} tokens, not {cells}")
         seen: set[str] = set()
         for group in self.planted_vocab:
             for word in group:
@@ -207,6 +210,9 @@ class SyntheticSpec:
     @classmethod
     def from_dict(cls, obj: dict) -> "SyntheticSpec":
         """Inverse of :meth:`to_dict`; omitted fields take their defaults."""
+        unknown = sorted(set(obj) - {f.name for f in fields(cls)})
+        if unknown:
+            raise TypeError(f"unknown key(s) {', '.join(map(repr, unknown))}")
         return cls(**{key: _as_tuples(value) for key, value in obj.items()})
 
     @classmethod
@@ -334,6 +340,18 @@ def generate_synthetic(spec: SyntheticSpec) -> tuple[Corpus, dict[str, Knowledge
 # ---------------------------------------------------------------------------
 
 
+# ExperimentConfig's fields that the sweep and cross-series settings take too.
+EXPERIMENT_FIELDS = {
+    "methods": Field((list, tuple), 1, phrase=f"one or more of {CLASSIFIERS}", items=one_of(CLASSIFIERS)),
+    "selector": one_of(METHODS),
+    "feature_sizes": Field((list, tuple), 1, phrase=f"strictly ascending integers in [1, {INT64_MAX}]",
+                           items=integer(1), test=lambda sizes: all(a < b for a, b in zip(sizes, sizes[1:]))),
+    "surrogate_mode": one_of((SURROGATE_ON, SURROGATE_OFF)),
+    "sweep_method": one_of(CLASSIFIERS),
+    "per_series_cap": replace(integer(1), nullable=True),
+}
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Shared knobs for the sweep and cross-series experiments."""
@@ -352,22 +370,7 @@ class ExperimentConfig:
     seed: int = 42
 
     def __post_init__(self):
-        if not self.methods:
-            raise ValueError("methods must name at least one classifier")
-        for m in self.methods:
-            if m not in CLASSIFIERS:
-                raise ValueError(f"unknown classifier method {m!r}")
-        if self.selector not in METHODS:
-            raise ValueError(f"unknown selector {self.selector!r}")
-        if self.sweep_method not in CLASSIFIERS:
-            raise ValueError(f"unknown sweep method {self.sweep_method!r}")
-        sizes = self.feature_sizes
-        if any(s < 1 for s in sizes) or list(sizes) != sorted(set(sizes)):
-            raise ValueError("feature sizes must be positive and strictly ascending")
-        if self.surrogate_mode not in (SURROGATE_ON, SURROGATE_OFF):
-            raise ValueError("surrogate_mode must be 'on' or 'off'")
-        if self.per_series_cap is not None and self.per_series_cap < 1:
-            raise ValueError(f"per_series_cap must be >= 1 or None, got {self.per_series_cap}")
+        check(vars(self), Field(dict, fields=EXPERIMENT_FIELDS), "", ValueError)
         explicit = ((self.rotation,) if self.rotation else ()) + (self.rotations or ())
         for rot in explicit:
             (a, b), t = rot

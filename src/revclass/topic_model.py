@@ -7,7 +7,6 @@ by the seed and document order.
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass, replace
 from functools import partial
@@ -16,7 +15,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from revclass.corpus import Field, check, integer, write_csv, write_json_atomic
+from revclass.corpus import POSITIVE, Field, check, integer, write_csv, write_json_atomic
 from revclass.preprocess import Vocabulary
 
 try:
@@ -34,8 +33,7 @@ except ImportError:  # numba is the optional `fast` extra
 
 
 # LdaConfig's fields, which lda's settings take too; a null alpha is 50/K.
-_PRIOR = Field(float, math.nextafter(0.0, 1.0), phrase="a finite number > 0")
-LDA_FIELDS = {"K": integer(1), "alpha": replace(_PRIOR, nullable=True), "beta": _PRIOR, "iterations": integer(1)}
+LDA_FIELDS = {"K": integer(1), "alpha": replace(POSITIVE, nullable=True), "beta": POSITIVE, "iterations": integer(1)}
 
 
 @dataclass(frozen=True)

@@ -1625,3 +1625,51 @@ class TestNonFiniteMember:
         with np.errstate(all="ignore"), pytest.raises(ValueError) as exc:
             train_member(vc, self._ranking(vc), method, hp, 7)
         assert str(exc.value) == f"{method} member for category 0 has non-finite weights at {named}"
+
+
+_INT64 = f"an integer in [1, {2**63 - 1}]"
+
+
+@pytest.mark.parametrize(
+    "field, value, phrase",
+    [
+        ("l", 0, "a finite number > 0"),
+        ("l", -1.0, "a finite number > 0"),
+        ("eta", math.nan, "a finite number > 0"),
+        ("lam", -1, "a finite number >= 0"),
+        ("lam", math.inf, "a finite number >= 0"),
+        ("C", 0.0, "a finite number > 0"),
+        ("C", "1", "a finite number > 0"),
+        ("lr_epochs", 0, _INT64),
+        ("svm_epochs", 2.0, _INT64),
+        ("svm_epochs", True, _INT64),
+    ],
+)
+def test_hyperparams_outside_their_declared_fields_are_named(field, value, phrase):
+    with pytest.raises(ValueError, match=f"^{re.escape(f'field {field!r} must be {phrase}')}$"):
+        Hyperparams(**{field: value})
+
+
+def test_hyperparams_at_the_edges_of_their_fields_are_accepted():
+    edge = Hyperparams(l=5e-324, eta=1, lam=0, lr_epochs=1, C=2, svm_epochs=1)
+    assert (edge.lam, edge.C, edge.lr_epochs) == (0, 2, 1)
+
+
+_X01 = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [0.0, 0.0]])
+
+
+@pytest.mark.parametrize(
+    "train, kwargs, message",
+    [
+        (train_nb, {"l": 0}, "l must be a finite number > 0"),
+        (train_lr, {"eta": -0.1}, "eta must be a finite number > 0"),
+        (train_lr, {"lam": -1.0}, "lam must be a finite number >= 0"),
+        (train_lr, {"epochs": 0}, f"epochs must be {_INT64}"),
+        (train_svm, {"C": math.inf}, "C must be a finite number > 0"),
+        (train_svm, {"epochs": 0}, f"epochs must be {_INT64}"),
+    ],
+)
+def test_trainers_check_their_arguments_by_the_hyperparams_fields(train, kwargs, message):
+    y = np.array([1, -1, 1, -1]) if train is not train_lr else np.array([1.0, 0.0, 1.0, 0.0])
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        train(_X01, y, **kwargs)

@@ -887,14 +887,14 @@ def _small_run(command, pipeline):
 
 
 def _sizes_phrase(command):
-    """What a size-list setting must be: sweep's sizes, or 1 or 8 per-class sizes."""
-    count = "" if command == "sweep" else "1 or 8 "
+    """What a size-list setting must be: sweep's ascending sizes, or 1 or 8 per-class sizes."""
+    count = "strictly ascending " if command == "sweep" else "1 or 8 "
     return f"{count}integers in [1, {INT64_MAX}], listed or comma-separated"
 
 
-def _float_phrase(command):
-    """What a float setting must be: lda's priors lie above 0."""
-    return "a finite number > 0" if command == "lda" else "a finite number"
+def _float_phrase(key):
+    """What a float setting must be: the LR prior's precision may be 0."""
+    return "a finite number >= 0" if key == "lr_lambda" else "a finite number > 0"
 
 
 def _write_config(tmp_path, obj):
@@ -1046,9 +1046,9 @@ class TestExperimentFlagErrors:
     @pytest.mark.parametrize(
         "command, flags, message",
         [
-            ("cross-series", ["--methods", "nb,forest"], "unknown classifier method 'forest'"),
+            ("cross-series", ["--methods", "nb,forest"], f"--methods must be one or more of {classify.CLASSIFIERS}"),
             ("sweep", ["--rotation", "alpha,beta:alpha"], "rotation series must be disjoint"),
-            ("sweep", ["--sizes", "30,10"], "feature sizes must be positive and strictly ascending"),
+            ("sweep", ["--sizes", "30,10"], f"--sizes must be {_sizes_phrase('sweep')}"),
             ("cross-series", ["--budgets", "1,2"], f"--budgets must be {_sizes_phrase('cross-series')}"),
         ],
     )
@@ -1057,6 +1057,45 @@ class TestExperimentFlagErrors:
         assert run([command, *_small_run(command, pipeline), *flags, "--out-dir", out, "--quiet"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
+        assert not out.exists()
+
+
+# (command, key, out-of-range value, what the setting must be): the decimal
+# hyperparameters at 0 and -1 (lr_lambda may be 0), and the experiment values
+# that passed the settings' old fields.
+_OUT_OF_RANGE = [
+    *((command, key, value, "a finite number > 0")
+      for command in ("train", "sweep", "cross-series")
+      for key in ("nb_smoothing", "lr_eta", "svm_c")
+      for value in (0, -1)),
+    *((command, "lr_lambda", -1, "a finite number >= 0") for command in ("train", "sweep", "cross-series")),
+    ("sweep", "sizes", "30,10", _sizes_phrase("sweep")),
+    ("cross-series", "methods", ["nb", 3], f"one or more of {classify.CLASSIFIERS}, listed or comma-separated"),
+]
+
+
+class TestOutOfRangeSettings:
+    """An out-of-range setting exits 2 from _resolve_config, naming its flag
+    or its config file and key, before any input is read: the input named
+    here does not exist."""
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize("command, key, value, phrase", _OUT_OF_RANGE)
+    def test_exits_2_naming_the_setting_before_reading_input(self, tmp_path, capsys, command, key, value, phrase, source):
+        argv = [command, "--tokens" if command == "train" else "--corpus", tmp_path / "missing.jsonl"]
+        if command == "cross-series":
+            argv += ["--kb-dir", tmp_path / "kb"]
+        flag = "--" + key.replace("_", "-")
+        if source == "flag":
+            argv.append(f"{flag}={','.join(map(str, value)) if isinstance(value, list) else value}")
+            message = f"error: {flag} must be {phrase}\n"
+        else:
+            config = _write_config(tmp_path, {key: value})
+            argv += ["--config", config]
+            message = f"error: {config}: field '{key}' must be {phrase}\n"
+        out = tmp_path / "out"
+        assert run([*argv, "--out-dir", out, "--quiet"]) == 2
+        assert capsys.readouterr().err == message
         assert not out.exists()
 
 
@@ -1079,6 +1118,7 @@ class TestSyntheticSpecFile:
             ("series", [".", "c", "d"], "field 'series' name '.' must not start with '.' or hold a path separator"),
             ("series", ["c", ".."], "field 'series' name '..' must not start with '.' or hold a path separator"),
             ("series", [".c", "d"], "field 'series' name '.c' must not start with '.' or hold a path separator"),
+            ("bogus", 1, "unknown key(s) 'bogus'"),
         ],
     )
     def test_bad_spec_field_exits_2_naming_file_and_field(self, tmp_path, capsys, field, value, message):
@@ -1114,6 +1154,20 @@ class TestSynthCountsNoListCanHold:
         assert capsys.readouterr().err == message
         assert not out.exists()
 
+    @pytest.mark.parametrize("field, value, cells", [("tokens_per_review", 10**10, 3 * 200 * (10**10 + 3)),
+                                                     ("reviews_per_series", 10**9, 3 * 10**9 * (12 + 3))])
+    def test_more_tokens_than_the_table_bound_exits_2_naming_the_fields(
+        self, monkeypatch, tmp_path, capsys, field, value, cells
+    ):
+        self._stub_generator(monkeypatch)
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({field: value}), encoding="utf-8")
+        out = tmp_path / "out"
+        assert run(["synth", "--spec", spec, "--out-dir", out, "--quiet"]) == 2
+        fields = "fields 'series' x 'reviews_per_series' x ('tokens_per_review' + 'mentions_per_hit')"
+        assert capsys.readouterr().err == f"error: {spec}: {fields} must be at most 16777216 tokens, not {cells}\n"
+        assert not out.exists()
+
     def test_an_exception_without_a_message_is_named_by_its_type(self, monkeypatch, tmp_path, capsys):
         self._stub_generator(monkeypatch)
         out = tmp_path / "out"
@@ -1130,7 +1184,7 @@ class TestCrossSeriesNeedsAMethod:
         corpus, kb_dir = pipeline["ingest"] / "corpus.filtered.jsonl", pipeline["synth"] / "kb"
         args = ["cross-series", "--corpus", corpus, "--kb-dir", kb_dir, "--config", config, "--out-dir", out, "--quiet"]
         assert run(args) == 2
-        assert capsys.readouterr().err.startswith("error: methods must name at least one classifier")
+        assert capsys.readouterr().err.startswith(f"error: {config}: field 'methods' must be one or more of ")
         assert not out.exists()
 
 
@@ -1460,7 +1514,7 @@ class TestNonFiniteFloatSettings:
         out = tmp_path / "out"
         # "--flag=-inf": argparse reads a separate "-inf" as an option
         assert run([command, *_small_run(command, pipeline), f"{flag}={value}", "--out-dir", out, "--quiet"]) == 2
-        assert capsys.readouterr().err == f"error: {flag} must be {_float_phrase(command)}\n"
+        assert capsys.readouterr().err == f"error: {flag} must be {_float_phrase(key)}\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf"), 10**400])
@@ -1469,7 +1523,7 @@ class TestNonFiniteFloatSettings:
         config = _write_config(tmp_path, {key: value})
         out = tmp_path / "out"
         assert run([command, *_small_run(command, pipeline), "--config", config, "--out-dir", out, "--quiet"]) == 2
-        assert capsys.readouterr().err == f"error: {config}: field '{key}' must be {_float_phrase(command)}\n"
+        assert capsys.readouterr().err == f"error: {config}: field '{key}' must be {_float_phrase(key)}\n"
         assert not out.exists()
 
 

@@ -3,6 +3,7 @@ import json
 import math
 import pickle
 import random
+import sys
 
 import numpy as np
 import pytest
@@ -12,10 +13,13 @@ from revclass.corpus import (
     Category,
     Corpus,
     CorpusFormatError,
+    Field,
     Review,
     agreement_filter,
+    integer,
     iter_json_lines,
     load_corpus,
+    one_of,
     read_json_lines,
     write_corpus,
     write_csv,
@@ -747,3 +751,48 @@ def test_read_json_lines_by_block_equals_the_whole_text_split_on_random_files(tm
             read.append(got)
         # What is read before an error does not depend on the block size either.
         assert all(got == read[0] for got in read), (case, data)
+
+
+_FMAX = sys.float_info.max
+# Fields of one scalar type without test, choices or null: a list of them is
+# checked in C-level passes over the whole list.
+_PLAIN_FIELDS = {
+    "number": revclass.corpus.NUMBER,
+    "positive": revclass.corpus.POSITIVE,
+    "unit": Field(float, 0, 1),
+    "open_unit": Field(float, math.nextafter(0.0, 1.0), math.nextafter(1.0, 0.0)),
+    "category": integer(0, 7),
+    "int_at_least_1": Field(int, 1),
+    "string": Field(str),
+    "non_empty": revclass.corpus.NON_EMPTY,
+    "short": Field(str, 1, 3),
+}
+_ITEM_LISTS = [
+    [], [0], [1], [7, 8], [0.0], [-0.0], [0.5, 1], [1, 2.5], [5e-324], [True], [False, 1], [1, True], [None],
+    [math.nan], [1.0, math.nan], [math.nan, 1.0], [math.nan, -1.0], [math.inf], [-math.inf, 0.0],
+    [_FMAX, -_FMAX], [int(_FMAX)], [int(_FMAX) + 1], [1.0, 10**400], [-(10**400), 1], [10**400, math.nan],
+    [2**63 - 1], [2**63], [-(2**63)], [""], ["a", ""], ["abc"], ["abcd", "a"], ["a", 1], [1, "a"], [[1]], [{}],
+]
+
+
+@pytest.mark.parametrize("field", _PLAIN_FIELDS.values(), ids=_PLAIN_FIELDS)
+class TestListItemsInOnePass:
+    def test_items_are_accepted_and_rejected_as_by_one_check_each(self, field):
+        for values in _ITEM_LISTS:
+            one_each = all(revclass.corpus.fits(v, field) for v in values)
+            assert revclass.corpus._all_fit(values, field) == one_each, values
+            assert revclass.corpus.fits(values, Field(list, items=field)) == one_each, values
+
+    def test_no_item_is_checked_on_its_own(self, field, monkeypatch):
+        monkeypatch.setattr(revclass.corpus, "fits", lambda value, f: pytest.fail("an item was checked on its own"))
+        for values in _ITEM_LISTS:
+            revclass.corpus._all_fit(values, field)
+
+
+def test_items_of_fields_with_a_test_or_choices_are_checked_one_by_one():
+    for field, values, ok in [
+        (one_of(("a", "b")), ["a", "b"], True), (one_of(("a", "b")), ["a", "c"], False),
+        (Field(int, test=lambda v: v % 2 == 0), [2, 4], True), (Field(int, test=lambda v: v % 2 == 0), [2, 3], False),
+        (Field(int, nullable=True), [1, None], True), (Field(list, items=Field(int)), [[1], [2]], True),
+    ]:
+        assert revclass.corpus._all_fit(values, field) is ok

@@ -181,6 +181,33 @@ class TestSyntheticSpecDict:
             SyntheticSpec.from_dict({"sed": 3})
 
 
+@pytest.mark.parametrize(
+    "field, value, phrase",
+    [
+        ("methods", ("nb", 3), "one or more of ('nb', 'lr', 'svm')"),
+        ("methods", (), "one or more of ('nb', 'lr', 'svm')"),
+        ("methods", "nb", "one or more of ('nb', 'lr', 'svm')"),
+        ("selector", "gini", "one of ('chi2', 'drc')"),
+        ("feature_sizes", (30, 10), f"strictly ascending integers in [1, {2**63 - 1}]"),
+        ("feature_sizes", (10, 10), f"strictly ascending integers in [1, {2**63 - 1}]"),
+        ("feature_sizes", (0, 10), f"strictly ascending integers in [1, {2**63 - 1}]"),
+        ("feature_sizes", (), f"strictly ascending integers in [1, {2**63 - 1}]"),
+        ("surrogate_mode", "maybe", "one of ('on', 'off')"),
+        ("sweep_method", "forest", "one of ('nb', 'lr', 'svm')"),
+        ("per_series_cap", 0, f"an integer in [1, {2**63 - 1}]"),
+        ("per_series_cap", 5.0, f"an integer in [1, {2**63 - 1}]"),
+    ],
+)
+def test_experiment_config_outside_its_declared_fields_is_named(field, value, phrase):
+    with pytest.raises(ValueError, match=f"^{re.escape(f'field {field!r} must be {phrase}')}$"):
+        ExperimentConfig(**{field: value})
+
+
+def test_experiment_config_takes_lists_tuples_and_no_series_cap():
+    config = ExperimentConfig(methods=["nb"], feature_sizes=[5, 20], per_series_cap=None)
+    assert (config.methods, config.feature_sizes, config.per_series_cap) == (["nb"], [5, 20], None)
+
+
 class TestRotations:
     def test_derive_three(self):
         rotations = derive_rotations(["b", "a", "c"])
@@ -477,7 +504,7 @@ class TestPerSeriesCap:
     @pytest.mark.parametrize("experiment", [feature_size_sweep, cross_series_experiment], ids=["sweep", "cross-series"])
     def test_cap_below_1_is_named_before_the_experiment_runs(self, experiment, cap):
         corpus, kbs = generate_synthetic(_small_spec(reviews_per_series=24))
-        with pytest.raises(ValueError, match=rf"^per_series_cap must be >= 1 or None, got {cap}$"):
+        with pytest.raises(ValueError, match=r"^field 'per_series_cap' must be an integer in \[1, 9223372036854775807\]$"):
             experiment(corpus, kbs=kbs, config=ExperimentConfig(methods=("nb",), per_series_cap=cap))
 
 
@@ -614,12 +641,17 @@ class TestSyntheticSpecChecks:
         with pytest.raises(ValueError, match=f"^{re.escape(f'field {field!r} must be an integer in [{least}, {sys.maxsize}]')}$"):
             SyntheticSpec.from_dict({field: value})
 
-    def test_more_reviews_than_a_list_can_hold_is_named(self):
-        with pytest.raises(ValueError, match="^field 'reviews_per_series' times the series count must be <= "):
-            SyntheticSpec(reviews_per_series=sys.maxsize // 3 + 1)
-        # The bounds alone allocate nothing: these are accepted, not generated.
-        assert SyntheticSpec(reviews_per_series=sys.maxsize // 3).reviews_per_series == sys.maxsize // 3
-        assert SyntheticSpec(series=("a",), reviews_per_series=sys.maxsize, seed=10**30).seed == 10**30
+    def test_more_tokens_than_the_table_bound_is_named(self):
+        prefix = "fields 'series' x 'reviews_per_series' x ('tokens_per_review' + 'mentions_per_hit') must be at most "
+        for spec in ({"reviews_per_series": sys.maxsize // 3 + 1}, {"reviews_per_series": sys.maxsize // 3},
+                     {"series": ("a",), "reviews_per_series": sys.maxsize, "seed": 10**30}):
+            with pytest.raises(ValueError, match=f"^{re.escape(prefix)}"):
+                SyntheticSpec(**spec)
+        # One series of 2**20 reviews of 15 tokens and 1 mention is exactly the bound; the checks allocate nothing.
+        at_bound = {"series": ("a",), "reviews_per_series": 2**20, "tokens_per_review": 15, "mentions_per_hit": 1}
+        assert SyntheticSpec(**at_bound).reviews_per_series == 2**20
+        with pytest.raises(ValueError, match=f"^{re.escape(prefix)}16777216 tokens, not 16777232$"):
+            SyntheticSpec(**{**at_bound, "reviews_per_series": 2**20 + 1})
 
     def test_presets_zero_counts_and_int_for_float_are_accepted(self):
         assert SyntheticSpec.ablation_default() == SyntheticSpec()
