@@ -59,6 +59,28 @@ def _decision_value(m: NbModel | LrModel | SvmModel, x: np.ndarray) -> float:
     return float(m.weights @ x + m.bias)
 
 
+# Hyperparams' fields, which the trainers' arguments and the CLI's hyperparameter settings take too.
+HYPER_FIELDS = {
+    "l": POSITIVE, "eta": POSITIVE, "lam": Field(float, 0, phrase="a finite number >= 0"),
+    "lr_epochs": integer(1), "C": POSITIVE, "svm_epochs": integer(1),
+}
+
+
+@dataclass(frozen=True)
+class Hyperparams:
+    """Training knobs shared by all eight members; every field overridable."""
+
+    l: float = 1.0  # NB smoothing
+    eta: float = 0.1  # LR learning rate
+    lam: float = 0.1  # LR Gaussian-prior precision
+    lr_epochs: int = 200
+    C: float = 1.0  # SVM cost
+    svm_epochs: int = 50  # SVM runs svm_epochs * N steps
+
+    def __post_init__(self):
+        check(vars(self), Field(dict, fields=HYPER_FIELDS), "", ValueError)
+
+
 # ---------------------------------------------------------------------------
 # Naive Bayes (Bernoulli event model)
 # ---------------------------------------------------------------------------
@@ -89,7 +111,7 @@ class NbModel:
         object.__setattr__(self, "weights", present - absent)
 
 
-def train_nb(X: np.ndarray | SparseRows, y: np.ndarray, l: float = 1.0) -> NbModel:
+def train_nb(X: np.ndarray | SparseRows, y: np.ndarray, l: float = Hyperparams.l) -> NbModel:
     """Fit smoothed Bernoulli NB from binary vectors X (dense or
     :class:`SparseRows`) and labels y in {-1, +1}.
 
@@ -202,9 +224,9 @@ def _row_sums(X: SparseRows, ones: bool):
 def train_lr(
     X: np.ndarray | SparseRows,
     y: np.ndarray,
-    eta: float = 0.1,
-    lam: float = 0.1,
-    epochs: int = 200,
+    eta: float = Hyperparams.eta,
+    lam: float = Hyperparams.lam,
+    epochs: int = Hyperparams.lr_epochs,
 ) -> LrModel:
     """Full-batch gradient ascent on the penalized log-likelihood.
 
@@ -288,8 +310,8 @@ _DRAW_BLOCK = 2**16
 def train_svm(
     X: np.ndarray | SparseRows,
     y: np.ndarray,
-    C: float = 1.0,
-    epochs: int = 50,
+    C: float = Hyperparams.C,
+    epochs: int = Hyperparams.svm_epochs,
     seed: int = 42,
 ) -> SvmModel:
     """Minimize the primal soft-margin objective by seeded stochastic
@@ -417,19 +439,14 @@ def _svm_sums(X: SparseRows, y, gain, draws, epochs, start, harmonic) -> tuple[l
                 if yi * (s[i] + b) < t:  # t > 0: the first epoch runs direct
                     g = gain * yi
                     b += g
-                    if t >= start:
-                        gh = g * float(harmonic[t - start])
-                        late_b += gh
-                        for j in rows[i]:
-                            v[j] += g
-                            late[j] += gh
-                            for q in postings[j]:
-                                s[q] += g
-                    else:
-                        for j in rows[i]:
-                            v[j] += g
-                            for q in postings[j]:
-                                s[q] += g
+                    # Adding 0.0 leaves a late sum as it is.
+                    gh = g * float(harmonic[t - start]) if t >= start else 0.0
+                    late_b += gh
+                    for j in rows[i]:
+                        v[j] += g
+                        late[j] += gh
+                        for q in postings[j]:
+                            s[q] += g
                     work += touches[i]
                     if work >= reads:
                         break
@@ -469,28 +486,6 @@ def svm_decision(m: SvmModel, x: np.ndarray) -> float:
 
 STUB_NO_POSITIVES = "no_positives"
 STUB_NO_NEGATIVES = "no_negatives"
-
-
-# Hyperparams' fields, which the trainers' arguments and the CLI's hyperparameter settings take too.
-HYPER_FIELDS = {
-    "l": POSITIVE, "eta": POSITIVE, "lam": Field(float, 0, phrase="a finite number >= 0"),
-    "lr_epochs": integer(1), "C": POSITIVE, "svm_epochs": integer(1),
-}
-
-
-@dataclass(frozen=True)
-class Hyperparams:
-    """Training knobs shared by all eight members; every field overridable."""
-
-    l: float = 1.0  # NB smoothing
-    eta: float = 0.1  # LR learning rate
-    lam: float = 0.1  # LR Gaussian-prior precision
-    lr_epochs: int = 200
-    C: float = 1.0  # SVM cost
-    svm_epochs: int = 50  # SVM runs svm_epochs * N steps
-
-    def __post_init__(self):
-        check(vars(self), Field(dict, fields=HYPER_FIELDS), "", ValueError)
 
 
 @dataclass(frozen=True)
@@ -638,7 +633,6 @@ def predict(m: OvrModel, tokens: Iterable[str]) -> Category:
 # ---------------------------------------------------------------------------
 
 
-_INTEGER = Field(int, phrase="an integer")
 _VECTOR = Field(list, items=NUMBER, phrase="a list of finite numbers")
 # NB's conditionals: the floats strictly between 0 and 1.
 _OPEN_UNIT = Field(float, math.nextafter(0.0, 1.0), math.nextafter(1.0, 0.0))
@@ -646,12 +640,15 @@ _PROBABILITIES = Field(list, items=_OPEN_UNIT, phrase="a list of probabilities s
 # Per method: the model type and the fields of a member file's "parameters"
 # and "hyperparameters" objects, named as the model's constructor arguments
 # (NB also writes its smoothing as hyperparameter "l", which is not read);
-# a list parameter holds one value per vocabulary term.
+# a list parameter holds one value per vocabulary term, and a hyperparameter
+# takes what its trainer takes.
 _MEMBER_FIELDS = {
     NB: (NbModel, {"log_prior_pos": NUMBER, "log_prior_neg": NUMBER, "cond_pos": _PROBABILITIES,
-                   "cond_neg": _PROBABILITIES, "smoothing": NUMBER}, {}),
-    LR: (LrModel, {"weights": _VECTOR, "bias": NUMBER}, {"eta": NUMBER, "lam": NUMBER, "epochs": _INTEGER}),
-    SVM: (SvmModel, {"weights": _VECTOR, "bias": NUMBER}, {"C": NUMBER, "epochs": _INTEGER, "seed": _INTEGER}),
+                   "cond_neg": _PROBABILITIES, "smoothing": HYPER_FIELDS["l"]}, {}),
+    LR: (LrModel, {"weights": _VECTOR, "bias": NUMBER},
+         {"eta": HYPER_FIELDS["eta"], "lam": HYPER_FIELDS["lam"], "epochs": HYPER_FIELDS["lr_epochs"]}),
+    SVM: (SvmModel, {"weights": _VECTOR, "bias": NUMBER},
+          {"C": HYPER_FIELDS["C"], "epochs": HYPER_FIELDS["svm_epochs"], "seed": integer(0)}),
 }
 # The "format_version" save_ovr writes; a manifest without one is version 1.
 MODEL_FORMAT_VERSION = 1

@@ -212,9 +212,7 @@ def cmd_ingest(args, config):
 
 def cmd_preprocess(args, config):
     mode = config["surrogates"]
-    corpus, kbs, stoplist, seg, inputs = _load_text_inputs(args)
-    if mode == SURROGATE_ON and not kbs:
-        raise CliError("surrogates on requires --kb-dir")
+    corpus, kbs, stoplist, seg, inputs = _load_text_inputs(args, config)
     docs = tokenize_reviews(corpus, seg, stoplist, kbs, mode)
     tokens_out = os.path.join(args.out_dir, "tokens.jsonl")
     # Each review's line is written as it is tokenized; json writes a Category label as its int.
@@ -305,22 +303,24 @@ def cmd_evaluate(args, config):
     return inputs, [eval_out], f"multiclass accuracy {multi:.4f} on {len(tokenized)} reviews"
 
 
-def _experiment_config(config: dict, stoplist, **fields) -> ExperimentConfig:
+def _experiment_config(config: dict, **fields) -> ExperimentConfig:
     """The settings that sweep and cross-series share, plus a command's own
-    ``fields``; any other ExperimentConfig field keeps its default."""
+    ``fields``; the stop list and any other field keep their defaults."""
     return ExperimentConfig(
         selector=config["selector"],
         hyperparams=_hyperparams_from_config(config),
-        stopwords=stoplist,
         per_series_cap=config["per_series_cap"],
         seed=config["seed"],
         **fields,
     )
 
 
-def _load_text_inputs(args):
+def _load_text_inputs(args, config: dict):
     """The filtered corpus, knowledge bases, stoplist and segmenter that the
-    text pipeline reads, and the input files they came from."""
+    text pipeline reads, and the input files they came from; surrogates on
+    without --kb-dir fails before any of them is read."""
+    if config.get("surrogates") == SURROGATE_ON and args.kb_dir is None:
+        raise CliError("surrogates on requires --kb-dir")
     corpus, _ = agreement_filter(load_corpus(args.corpus))
     kbs, kb_files = _load_kb_dir(args.kb_dir)
     stoplist = load_stopwords(args.stopwords) if args.stopwords else frozenset()
@@ -341,16 +341,16 @@ def _check_svm_epochs(config: dict, corpus, rotations, derived: int) -> None:
 
 
 def cmd_sweep(args, config):
-    corpus, kbs, stoplist, seg, inputs = _load_text_inputs(args)
-    sweep_out = os.path.join(args.out_dir, "sweep.csv")
     exp = _experiment_config(
         config,
-        stoplist,
         feature_sizes=_sizes(config["sizes"]),
         rotation=_parse_rotation(args.rotation) if args.rotation else None,
         surrogate_mode=config["surrogates"],
         sweep_method=config["method"],
     )
+    corpus, kbs, stoplist, seg, inputs = _load_text_inputs(args, config)
+    exp = dataclasses.replace(exp, stopwords=stoplist)
+    sweep_out = os.path.join(args.out_dir, "sweep.csv")
     if exp.sweep_method == SVM:
         _check_svm_epochs(config, corpus, exp.rotation and (exp.rotation,), 1)
     feature_size_sweep(corpus, exp, kbs=kbs, seg=seg, out_csv=sweep_out)
@@ -359,16 +359,16 @@ def cmd_sweep(args, config):
 
 def cmd_cross_series(args, config):
     out_dir = args.out_dir
-    corpus, kbs, stoplist, seg, inputs = _load_text_inputs(args)
     rotations = tuple(_parse_rotation(part) for part in (args.rotations or "").split(";") if part.strip())
-    table_out = os.path.join(out_dir, "crossseries.csv")
     exp = _experiment_config(
         config,
-        stoplist,
         methods=_methods(config["methods"]),
         per_class_budgets=_class_sizes(config["budgets"]),
         rotations=rotations,
     )
+    corpus, kbs, stoplist, seg, inputs = _load_text_inputs(args, config)
+    exp = dataclasses.replace(exp, stopwords=stoplist)
+    table_out = os.path.join(out_dir, "crossseries.csv")
     if SVM in exp.methods:
         _check_svm_epochs(config, corpus, rotations, 3)
     table = cross_series_experiment(corpus, kbs, exp, seg=seg, out_csv=table_out)

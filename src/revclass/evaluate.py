@@ -411,14 +411,6 @@ class ResultTable:
     generalization: dict[tuple[int, str, str], float] = field(default_factory=dict)
     multiclass: dict[tuple[str, str], float] = field(default_factory=dict)
 
-    def validate(self) -> None:
-        for cell in self.sweep.values():
-            if not (0.0 <= cell.train_acc <= 1.0 and 0.0 <= cell.test_acc <= 1.0):
-                raise ValueError("sweep accuracy outside [0, 1]")
-        for value in (*self.generalization.values(), *self.multiclass.values()):
-            if not 0.0 <= value <= 1.0:
-                raise ValueError("accuracy outside [0, 1]")
-
 
 def write_sweep_csv(table: ResultTable, path) -> None:
     rows = [(cat, cell.actual_size, cell.train_acc, cell.test_acc) for (cat, _), cell in sorted(table.sweep.items())]
@@ -542,7 +534,6 @@ def feature_size_sweep(
     for size, (train_acc, _), (test_acc, _) in zip(sizes, _readouts(members, train), _readouts(members, test)):
         for cat in range(N_CATEGORIES):
             table.sweep[(cat, size)] = SweepCell(min(size, V), train_acc[cat], test_acc[cat])
-    table.validate()
     if out_csv is not None:
         write_sweep_csv(table, out_csv)
     return table
@@ -576,7 +567,6 @@ def cross_series_experiment(
         for cat in Category:
             table.generalization[(int(cat), label, mode)] = float(np.mean([p[cat] for p in per_cat]))
         table.multiclass[(label, mode)] = float(np.mean(multi))
-    table.validate()
     if out_csv is not None:
         write_generalization_csv(table, out_csv)
     return table

@@ -616,23 +616,35 @@ def saved_models(tmp_path_factory):
     return root
 
 
-@pytest.mark.parametrize("method", ["lr", "svm"])
+# (section, key, value): a field that LR and SVM member files both hold, at a value load_ovr rejects.
+_BAD_MEMBER_FIELDS = [
+    ("parameters", "weights", "0.5"),
+    ("parameters", "weights", None),
+    ("parameters", "weights", [0.5]),
+    ("parameters", "weights", True),
+    ("parameters", "weights", float("inf")),
+    ("parameters", "bias", "0.1"),
+    ("parameters", "bias", None),
+    ("parameters", "bias", False),
+    ("parameters", "bias", float("nan")),
+    ("parameters", "bias", [0.1]),
+    ("hyperparameters", "epochs", 2.0),
+    ("hyperparameters", "epochs", True),
+    ("hyperparameters", "epochs", 0),
+]
+# (method, key, value): one method's own hyperparameter, at a value its trainer rejects.
+_BAD_OWN_HYPERPARAMETERS = [("lr", "eta", 0), ("lr", "lam", -1), ("svm", "C", -5), ("svm", "seed", -1)]
+
+
 @pytest.mark.parametrize(
-    "section, key, value",
+    "section, key, value, method",
     [
-        ("parameters", "weights", "0.5"),
-        ("parameters", "weights", None),
-        ("parameters", "weights", [0.5]),
-        ("parameters", "weights", True),
-        ("parameters", "weights", float("inf")),
-        ("parameters", "bias", "0.1"),
-        ("parameters", "bias", None),
-        ("parameters", "bias", False),
-        ("parameters", "bias", float("nan")),
-        ("parameters", "bias", [0.1]),
-        ("hyperparameters", "epochs", 2.0),
-        ("hyperparameters", "epochs", True),
-    ],
+        # A list value, which has no printed id, is named by its row.
+        pytest.param(*row, method, id=f"{row[0]}-{row[1]}-{f'value{i}' if isinstance(row[2], list) else row[2]}-{method}")
+        for i, row in enumerate(_BAD_MEMBER_FIELDS)
+        for method in ("lr", "svm")
+    ]
+    + [("hyperparameters", key, value, method) for method, key, value in _BAD_OWN_HYPERPARAMETERS],
 )
 def test_bad_weights_bias_or_epochs_raise_naming_file_and_field(saved_models, tmp_path, method, section, key, value):
     model_dir = tmp_path / "model"

@@ -565,12 +565,13 @@ class TestBoundaryValidation:
             (_edit(lambda d: d.update(parameters=5)), "field 'parameters' must be a JSON object"),
             (_edit(lambda d: d.update(hyperparameters=[])), "field 'hyperparameters' must be a JSON object"),
             (_edit(lambda d: d["parameters"].update(stub="maybe")), "field 'parameters.stub' must be one of ('no_positives', 'no_negatives')"),
+            (_edit(lambda d: d["parameters"].update(smoothing=0)), "field 'parameters.smoothing' must be a finite number > 0"),
         ],
         ids=[
             "truncated", "short_cond_pos", "missing_field", "other_method",
             "string_cond_pos", "null_cond_pos", "nested_cond_pos", "cond_pos_above_1", "cond_pos_0", "negative_cond_neg",
             "nan_cond_neg", "string_log_prior", "infinite_log_prior", "bool_smoothing", "bool_cond_pos", "int_term", "repeated_term",
-            "string_vocabulary", "number_parameters", "list_hyperparameters", "unknown_stub",
+            "string_vocabulary", "number_parameters", "list_hyperparameters", "unknown_stub", "zero_smoothing",
         ],
     )
     def test_bad_model_exits_2_naming_file_and_field(self, pipeline, tmp_path, capsys, corrupt, field):
@@ -1096,6 +1097,34 @@ class TestOutOfRangeSettings:
         out = tmp_path / "out"
         assert run([*argv, "--out-dir", out, "--quiet"]) == 2
         assert capsys.readouterr().err == message
+        assert not out.exists()
+
+
+class TestFlagsCheckedBeforeInput:
+    """The rotation flags, and --surrogates on without --kb-dir, exit 2 before
+    any input is read: the corpus named here does not exist."""
+
+    @pytest.mark.parametrize(
+        "command, flags, message",
+        [
+            ("sweep", ["--rotation", "alpha,beta:alpha"], "rotation series must be disjoint: (('alpha', 'beta'), 'alpha')"),
+            ("sweep", ["--rotation", "garbage"], "invalid rotation 'garbage'; expected 'trainA,trainB:test'"),
+            ("cross-series", ["--rotations", "alpha,beta:gamma;alpha,beta:alpha"],
+             "rotation series must be disjoint: (('alpha', 'beta'), 'alpha')"),
+            ("cross-series", ["--rotations", "garbage"], "invalid rotation 'garbage'; expected 'trainA,trainB:test'"),
+            ("sweep", ["--surrogates", "on"], "surrogates on requires --kb-dir"),
+            ("preprocess", ["--surrogates", "on"], "surrogates on requires --kb-dir"),
+        ],
+        ids=["sweep_joint_rotation", "sweep_bad_rotation", "cross_joint_rotation", "cross_bad_rotation",
+             "sweep_surrogates_without_kb", "preprocess_surrogates_without_kb"],
+    )
+    def test_exits_2_before_reading_input(self, tmp_path, capsys, command, flags, message):
+        argv = [command, "--corpus", tmp_path / "missing.jsonl", *flags]
+        if command == "cross-series":
+            argv += ["--kb-dir", tmp_path / "kb"]
+        out = tmp_path / "out"
+        assert run([*argv, "--out-dir", out, "--quiet"]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
 
