@@ -10,7 +10,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from revclass.corpus import NUMBER, POSITIVE, Category, Field, N_CATEGORIES, check, integer, one_of, read_json
+from revclass.corpus import NUMBER, POSITIVE, SEED, Category, Field, N_CATEGORIES, check, integer, one_of, read_json
 from revclass.corpus import write_json_atomic
 from revclass.feature_select import CHI2, METHODS, FeatureRanking, rank_features
 from revclass.preprocess import SparseRows, VectorizedCorpus, Vocabulary
@@ -342,6 +342,7 @@ def train_svm(
     """
     check(C, HYPER_FIELDS["C"], "C", ValueError)
     check(epochs, HYPER_FIELDS["svm_epochs"], "epochs", ValueError)
+    check(seed, SEED, "seed", ValueError)  # as a member file's seed, which train_member writes as seed + category
     X = _sparse(X)
     y = np.asarray(y, dtype=np.float64)
     n, d = X.shape
@@ -515,6 +516,7 @@ class OvrModel:
     selector: str
     budgets: tuple[int, ...]
     seed: int
+    files: tuple[str, ...] = field(default=(), repr=False, compare=False)  # the files load_ovr read it from
 
     def __post_init__(self):
         members = tuple(sorted(self.members, key=lambda m: int(m.category)))
@@ -587,7 +589,7 @@ def train_member(
     terms = tuple(map(corpus.vocab.terms.__getitem__, positions.tolist()))
     member = BinaryMember(cat, method, terms, model, ranking=ranking)
     if not (math.isfinite(model.bias) and np.isfinite(model.weights).all()):
-        raise ValueError(f"{method} member for category {int(cat)} has non-finite weights at {_member_hyperparameters(member)}")
+        raise ValueError(f"{method} member for category {int(cat)} has non-finite weights at {_member_sections(member)[1]}")
     return member
 
 
@@ -637,50 +639,45 @@ _VECTOR = Field(list, items=NUMBER, phrase="a list of finite numbers")
 # NB's conditionals: the floats strictly between 0 and 1.
 _OPEN_UNIT = Field(float, math.nextafter(0.0, 1.0), math.nextafter(1.0, 0.0))
 _PROBABILITIES = Field(list, items=_OPEN_UNIT, phrase="a list of probabilities strictly between 0 and 1")
-# Per method: the model type and the fields of a member file's "parameters"
+# Per method: the model type and every field of a member file's "parameters"
 # and "hyperparameters" objects, named as the model's constructor arguments
-# (NB also writes its smoothing as hyperparameter "l", which is not read);
-# a list parameter holds one value per vocabulary term, and a hyperparameter
-# takes what its trainer takes.
+# (NB also writes its smoothing as hyperparameter "l", which is checked, not
+# read); a list parameter holds one value per vocabulary term, and a
+# hyperparameter takes what its trainer takes.
 _MEMBER_FIELDS = {
     NB: (NbModel, {"log_prior_pos": NUMBER, "log_prior_neg": NUMBER, "cond_pos": _PROBABILITIES,
-                   "cond_neg": _PROBABILITIES, "smoothing": HYPER_FIELDS["l"]}, {}),
+                   "cond_neg": _PROBABILITIES, "smoothing": HYPER_FIELDS["l"]}, {"l": HYPER_FIELDS["l"]}),
     LR: (LrModel, {"weights": _VECTOR, "bias": NUMBER},
          {"eta": HYPER_FIELDS["eta"], "lam": HYPER_FIELDS["lam"], "epochs": HYPER_FIELDS["lr_epochs"]}),
     SVM: (SvmModel, {"weights": _VECTOR, "bias": NUMBER},
-          {"C": HYPER_FIELDS["C"], "epochs": HYPER_FIELDS["svm_epochs"], "seed": integer(0)}),
+          {"C": HYPER_FIELDS["C"], "epochs": HYPER_FIELDS["svm_epochs"], "seed": SEED}),
 }
 # The "format_version" save_ovr writes; a manifest without one is version 1.
 MODEL_FORMAT_VERSION = 1
 
 
-def _member_parameters(member: BinaryMember) -> dict:
+def _member_sections(member: BinaryMember) -> tuple[dict, dict]:
+    """A member file's "parameters" and "hyperparameters" objects."""
     if member.stub:
-        return {"stub": member.stub}
-    fields = _MEMBER_FIELDS[member.method][1]
-    params = {key: getattr(member.model, key) for key in fields}
-    return {key: [float(v) for v in value] if fields[key].type is list else value for key, value in params.items()}
-
-
-def _member_hyperparameters(member: BinaryMember) -> dict:
-    if member.stub:
-        return {}
-    if member.method == NB:
-        return {"l": member.model.smoothing}
-    return {key: getattr(member.model, key) for key in _MEMBER_FIELDS[member.method][2]}
+        return {"stub": member.stub}, {}
+    _, params, hypers = _MEMBER_FIELDS[member.method]
+    m = member.model
+    return ({key: [float(v) for v in getattr(m, key)] if f.type is list else getattr(m, key) for key, f in params.items()},
+            {key: getattr(m, "smoothing" if key == "l" else key) for key in hypers})
 
 
 def save_ovr(m: OvrModel, out_dir) -> list[str]:
     """Write one JSON file per member plus a manifest; returns written paths."""
     paths = []
     for member in m.members:
+        parameters, hyperparameters = _member_sections(member)
         doc = {
             "method": member.method,
             "category": int(member.category),
             "category_name": member.category.display_name,
             "vocabulary": list(member.terms),
-            "parameters": _member_parameters(member),
-            "hyperparameters": _member_hyperparameters(member),
+            "parameters": parameters,
+            "hyperparameters": hyperparameters,
             "seed": m.seed,
         }
         path = os.path.join(out_dir, f"member_{int(member.category)}.json")
@@ -710,7 +707,7 @@ _MANIFEST = Field(dict, fields={
     "method": one_of(CLASSIFIERS),
     "selector": one_of(METHODS),
     "budgets": Field(list, N_CATEGORIES, N_CATEGORIES, f"a list of {N_CATEGORIES} positive integers", Field(int, 1)),
-    "seed": Field(int, 0, phrase="an integer >= 0"),
+    "seed": SEED,
     "members": Field(list, items=Field(str), phrase="a list of file names in the model directory",
                      test=lambda names: all(n not in ("", ".", "..") and os.path.basename(n) == n for n in names)),
 })
@@ -722,6 +719,12 @@ _MEMBER = Field(dict, fields={
     "parameters": Field(dict, phrase="a JSON object", fields={"stub": replace(one_of(_STUBS), optional=True)}),
     "hyperparameters": Field(dict, phrase="a JSON object"),
 })
+
+
+def _sections(parameters: dict, hyperparameters: dict) -> Field:
+    """A member file whose "parameters" and "hyperparameters" hold these fields and no others."""
+    return Field(dict, fields={"parameters": Field(dict, fields=parameters, closed=True),
+                               "hyperparameters": Field(dict, fields=hyperparameters, closed=True)})
 
 
 def load_ovr(model_dir) -> OvrModel:
@@ -737,8 +740,7 @@ def load_ovr(model_dir) -> OvrModel:
     manifest = check(read_json(manifest_path, ModelFormatError), _MANIFEST, manifest_path, ModelFormatError)
     method = manifest["method"]
     model_type, params, hypers = _MEMBER_FIELDS[method]
-    trained = Field(dict, fields={"parameters": Field(dict, fields=params),
-                                  "hyperparameters": Field(dict, fields=hypers)})
+    trained, stubbed = _sections(params, hypers), _sections(_MEMBER.fields["parameters"].fields, {})
     members = []
     files = {}  # category -> member file that holds it
     for name in manifest["members"]:
@@ -755,11 +757,12 @@ def load_ovr(model_dir) -> OvrModel:
             )
         files[cat] = name
         terms = tuple(doc["vocabulary"])
-        if "stub" in doc["parameters"]:
-            members.append(BinaryMember(cat, method, terms, None, stub=doc["parameters"]["stub"]))
+        stub = doc["parameters"].get("stub")
+        check(doc, stubbed if stub else trained, path, ModelFormatError)
+        if stub:
+            members.append(BinaryMember(cat, method, terms, None, stub=stub))
             continue
-        check(doc, trained, path, ModelFormatError)
-        fields = {key: doc["hyperparameters"][key] for key in hypers}
+        fields = {key: doc["hyperparameters"][key] for key in hypers if key in model_type.__dataclass_fields__}
         for key, f in params.items():
             fields[key] = doc["parameters"][key]
             if f.type is list:
@@ -778,4 +781,5 @@ def load_ovr(model_dir) -> OvrModel:
         selector=manifest["selector"],
         budgets=tuple(manifest["budgets"]),
         seed=manifest["seed"],
+        files=(manifest_path, *(os.path.join(model_dir, name) for name in manifest["members"])),
     )

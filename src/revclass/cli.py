@@ -13,63 +13,19 @@ import datetime
 import functools
 import glob
 import hashlib
+import inspect
 import itertools
 import os
 import sys
 
 from revclass import __version__
-from revclass.classify import (
-    CLASSIFIERS,
-    DEFAULT_BUDGETS,
-    HYPER_FIELDS,
-    Hyperparams,
-    SVM,
-    load_ovr,
-    save_ovr,
-    train_ovr,
-)
-from revclass.corpus import (
-    INT64_MAX,
-    MAX_TABLE_CELLS,
-    N_CATEGORIES,
-    Field,
-    agreement_filter,
-    check,
-    fits,
-    integer,
-    one_of,
-    load_corpus,
-    read_json,
-    write_corpus,
-    write_csv,
-    write_json_atomic,
-    write_text_atomic,
-)
-from revclass.evaluate import (
-    EXPERIMENT_FIELDS,
-    ExperimentConfig,
-    SURROGATE_OFF,
-    SURROGATE_ON,
-    SyntheticSpec,
-    cross_series_experiment,
-    derive_rotations,
-    feature_size_sweep,
-    generate_synthetic,
-    ovr_accuracies,
-    tokenize_reviews,
-)
-from revclass.feature_select import CHI2
-from revclass.preprocess import (
-    KnowledgeBase,
-    TokenizedCorpus,
-    VectorizedCorpus,
-    load_dictionary,
-    load_knowledge_base,
-    load_stopwords,
-    token_lines,
-    write_knowledge_base,
-    WhitespaceSegmenter,
-)
+from revclass.classify import DEFAULT_BUDGETS, HYPER_FIELDS, Hyperparams, SVM, load_ovr, save_ovr, train_ovr
+from revclass.corpus import INT64_MAX, MAX_TABLE_CELLS, N_CATEGORIES, Field, agreement_filter, check, fits, integer, one_of
+from revclass.corpus import load_corpus, read_json, write_corpus, write_csv, write_json_atomic, write_text_atomic
+from revclass.evaluate import EXPERIMENT_FIELDS, ExperimentConfig, SURROGATE_ON, SyntheticSpec, cross_series_experiment
+from revclass.evaluate import derive_rotations, feature_size_sweep, generate_synthetic, ovr_accuracies, tokenize_reviews
+from revclass.preprocess import KnowledgeBase, TokenizedCorpus, VectorizedCorpus, WhitespaceSegmenter, load_dictionary
+from revclass.preprocess import load_knowledge_base, load_stopwords, token_lines, write_knowledge_base
 from revclass.topic_model import LDA_FIELDS, LdaConfig, export_heatmap, fit_lda, top_words
 
 MANIFEST_NAME = "run_manifest.json"
@@ -104,18 +60,14 @@ def _check_cells(cells: int, flag: str, table: str) -> None:
 
 def _resolve_config(args) -> dict:
     """The command's settings (see :func:`_setting`): a flag's value over the
-    config file's over the default.  A config-file key the command does not
-    have is an error naming the file; a value that the setting's field does
-    not take is one naming the file and the key, or the flag, raised before
-    the command reads any input."""
+    config file's over the default.  The config file is checked as one closed
+    object of the command's settings, naming the file and the key, and a flag
+    by its setting's field, naming the flag, before the command reads any input."""
     file_config = read_json(args.config, CliError) if args.config else {}
-    unknown = sorted(set(file_config) - set(args.settings))
-    if unknown:
-        raise CliError(f"config file {args.config}: unknown key(s) {', '.join(map(repr, unknown))}")
+    settings = Field(dict, fields={key: field for key, (_, field) in args.settings.items()}, closed=True)
+    check(file_config, settings, args.config, CliError)
     config = {}
     for key, (default, field) in args.settings.items():
-        if key in file_config:
-            check(file_config[key], field, args.config, CliError, key)
         flag = getattr(args, key)
         if flag is not None:
             check(flag, field, "--" + key.replace("_", "-"), CliError)
@@ -299,8 +251,7 @@ def cmd_evaluate(args, config):
     per_category, multi = ovr_accuracies(model, tokenized)
     eval_out = os.path.join(args.out_dir, "evaluation.csv")
     write_csv(eval_out, ("category", "accuracy"), [*enumerate(per_category), ("multiclass", multi)])
-    inputs = [args.tokens, *sorted(glob.glob(os.path.join(args.model, "*.json")))]
-    return inputs, [eval_out], f"multiclass accuracy {multi:.4f} on {len(tokenized)} reviews"
+    return [args.tokens, *model.files], [eval_out], f"multiclass accuracy {multi:.4f} on {len(tokenized)} reviews"
 
 
 def _experiment_config(config: dict, **fields) -> ExperimentConfig:
@@ -423,7 +374,7 @@ def _setting(parser: argparse.ArgumentParser, key: str, default, field: Field, *
     as dashes), the one place the setting, its default and its values are
     defined: ``field`` declares the values that :func:`_resolve_config` takes
     (null only where the default is None), and types the flag."""
-    field = dataclasses.replace(field, nullable=default is None)
+    field = dataclasses.replace(field, nullable=default is None, optional=True)
     kind = field.type if field.type in (int, float) else None
     choices = field.choices or None
     parser.add_argument("--" + key.replace("_", "-"), dest=key, default=None, type=kind, choices=choices, **flag)
@@ -437,8 +388,8 @@ def _add_hyper_flags(parser: argparse.ArgumentParser) -> None:
 
 def _add_experiment_settings(parser: argparse.ArgumentParser) -> None:
     """The settings that :func:`_experiment_config` reads for both experiments."""
-    _setting(parser, "selector", CHI2, EXPERIMENT_FIELDS["selector"])
-    _setting(parser, "per_series_cap", 5000, EXPERIMENT_FIELDS["per_series_cap"])
+    _setting(parser, "selector", ExperimentConfig.selector, EXPERIMENT_FIELDS["selector"])
+    _setting(parser, "per_series_cap", ExperimentConfig.per_series_cap, EXPERIMENT_FIELDS["per_series_cap"])
     _add_hyper_flags(parser)
 
 
@@ -461,6 +412,7 @@ _CLASS_SIZES = _listed(
     Field(tuple, N_CATEGORIES, N_CATEGORIES, f"1 or {N_CATEGORIES} integers in [1, {INT64_MAX}]", integer(1)),
     _class_sizes,
 )
+_TRAIN_OVR = inspect.signature(train_ovr).parameters  # train's defaults
 _PRESETS = {"ablation": SyntheticSpec.ablation_default, "sweep": SyntheticSpec.sweep_default}
 
 
@@ -474,20 +426,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = _command(sub, "preprocess", "substitute surrogate tags, tokenize, remove stop words")
     _add_text_inputs(p)
-    _setting(p, "surrogates", SURROGATE_OFF, EXPERIMENT_FIELDS["surrogate_mode"])
+    _setting(p, "surrogates", ExperimentConfig.surrogate_mode, EXPERIMENT_FIELDS["surrogate_mode"])
 
     p = _command(sub, "lda", "fit a collapsed-Gibbs topic model and export heat-map data")
     p.add_argument("--tokens", required=True)
-    _setting(p, "topics", 8, LDA_FIELDS["K"])
-    _setting(p, "alpha", None, LDA_FIELDS["alpha"], help="document-topic prior (default 50/topics)")
-    _setting(p, "beta", 0.01, LDA_FIELDS["beta"])
-    _setting(p, "iterations", 1000, LDA_FIELDS["iterations"])
+    _setting(p, "topics", LdaConfig.K, LDA_FIELDS["K"])
+    _setting(p, "alpha", LdaConfig.alpha, LDA_FIELDS["alpha"], help="document-topic prior (default 50/topics)")
+    _setting(p, "beta", LdaConfig.beta, LDA_FIELDS["beta"])
+    _setting(p, "iterations", LdaConfig.iterations, LDA_FIELDS["iterations"])
     _setting(p, "top_words", 15, integer(1))
 
     p = _command(sub, "train", "train the eight one-vs-rest members")
     p.add_argument("--tokens", required=True)
-    _setting(p, "method", SVM, EXPERIMENT_FIELDS["sweep_method"])
-    _setting(p, "selector", CHI2, EXPERIMENT_FIELDS["selector"])
+    _setting(p, "method", _TRAIN_OVR["method"].default, EXPERIMENT_FIELDS["sweep_method"])
+    _setting(p, "selector", _TRAIN_OVR["selector"].default, EXPERIMENT_FIELDS["selector"])
     _setting(p, "sizes", _BUDGETS, _CLASS_SIZES, help="per-class feature budgets (1 or 8 comma-separated)")
     _add_hyper_flags(p)
 
@@ -497,17 +449,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = _command(sub, "sweep", "accuracy vs feature size grid")
     _add_text_inputs(p)
-    _setting(p, "surrogates", SURROGATE_OFF, EXPERIMENT_FIELDS["surrogate_mode"])
+    _setting(p, "surrogates", ExperimentConfig.surrogate_mode, EXPERIMENT_FIELDS["surrogate_mode"])
     sizes = _listed(EXPERIMENT_FIELDS["feature_sizes"], _sizes)
-    _setting(p, "sizes", "250,500,1000,2000,4000", sizes, help="comma-separated feature sizes")
-    _setting(p, "method", SVM, EXPERIMENT_FIELDS["sweep_method"], help="sweep classifier")
+    _setting(p, "sizes", ",".join(map(str, ExperimentConfig.feature_sizes)), sizes, help="comma-separated feature sizes")
+    _setting(p, "method", ExperimentConfig.sweep_method, EXPERIMENT_FIELDS["sweep_method"], help="sweep classifier")
     p.add_argument("--rotation", default=None, help="train pair and test series, 'a,b:c'")
     _add_experiment_settings(p)
 
     p = _command(sub, "cross-series", "train-two/test-one rotations, surrogates on vs off")
     _add_text_inputs(p, kb_required=True)
     methods = _listed(EXPERIMENT_FIELDS["methods"], _methods)
-    _setting(p, "methods", ",".join(CLASSIFIERS), methods, help="comma-separated classifiers to average over")
+    _setting(p, "methods", ",".join(ExperimentConfig.methods), methods, help="comma-separated classifiers to average over")
     _setting(p, "budgets", _BUDGETS, _CLASS_SIZES, help="per-class feature budgets (1 or 8 values)")
     p.add_argument("--rotations", default=None, help="semicolon-separated rotations 'a,b:c;...'")
     _add_experiment_settings(p)

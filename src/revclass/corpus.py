@@ -118,8 +118,9 @@ class Field:
     type or types (``int`` is never a bool; ``float`` is any finite number),
     its least and most value (a length, for a string, list or object), what
     each item of a list is, the fields of an object, each required unless
-    ``optional``, the ``choices`` it takes, whether it takes null, a last
-    ``test``, and the ``phrase`` that says what it must be."""
+    ``optional``, whether the object is ``closed`` to keys it does not list,
+    the ``choices`` it takes, whether it takes null, a last ``test``, and the
+    ``phrase`` that says what it must be."""
 
     type: Union[type, tuple[type, ...]]
     least: float = -math.inf
@@ -130,6 +131,7 @@ class Field:
     choices: tuple = ()
     nullable: bool = False
     optional: bool = False
+    closed: bool = False
     test: Optional[Callable[[object], bool]] = None
 
 
@@ -144,6 +146,7 @@ def one_of(choices: tuple) -> Field:
 NON_EMPTY = Field(str, 1, phrase="a non-empty string")
 NUMBER = Field(float, phrase="a finite number")
 POSITIVE = Field(float, math.nextafter(0.0, 1.0), phrase="a finite number > 0")
+SEED = Field(int, 0, phrase="an integer >= 0")  # a seed is not a count, so it has no most value
 
 
 def check(value, field: Field, where, error: type[Exception], path: str = ""):
@@ -152,8 +155,13 @@ def check(value, field: Field, where, error: type[Exception], path: str = ""):
     in turn as ``<path>.<name>`` and ``<path>[<i>]``.  Otherwise raises
     ``error("<where>: field '<path>' must be <phrase>")``, or ``"<where>:
     missing field '<path>'"``; ``where`` may be empty, and without a path it
-    names the value itself, such as a flag: ``"<where> must be <phrase>"``."""
+    names the value itself, such as a flag: ``"<where> must be <phrase>"``.
+    Before any value, a call without a path rejects every key that a closed
+    object declaration does not list: ``"<where>: unknown key(s) '<path>', ..."``."""
     at = f"{where}: " if where else ""
+    unknown = [] if path else sorted(_unknown_keys(value, field))
+    if unknown:
+        raise error(f"{at}unknown key(s) {', '.join(map(repr, unknown))}")
     if not fits(value, field):
         raise error(f"{at}field {path!r} must be {field.phrase}" if path else f"{where} must be {field.phrase}")
     if value is None:
@@ -168,6 +176,15 @@ def check(value, field: Field, where, error: type[Exception], path: str = ""):
         for i, item in enumerate(value):
             check(item, field.items, where, error, f"{path}[{i}]")
     return value
+
+
+def _unknown_keys(value, f: Field, prefix: str = "") -> Iterator[str]:
+    """The paths of the keys of object ``value``, and of the objects it holds, that a closed ``f`` does not list."""
+    for name, item in value.items() if type(value) is dict and f.fields is not None else ():
+        if name in f.fields:
+            yield from _unknown_keys(item, f.fields[name], f"{prefix}{name}.")
+        elif f.closed:
+            yield prefix + name
 
 
 def fits(value, f: Field) -> bool:

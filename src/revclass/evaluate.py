@@ -25,7 +25,7 @@ from revclass.classify import (
     train_member,
     train_svm,  # unused here; perfbench's tracing self-test reads this binding
 )
-from revclass.corpus import _CATEGORIES, NON_EMPTY, N_CATEGORIES, Category, Corpus, Field, Review, check, integer
+from revclass.corpus import _CATEGORIES, NON_EMPTY, N_CATEGORIES, SEED, Category, Corpus, Field, Review, check, integer
 from revclass.corpus import INT64_MAX, MAX_TABLE_CELLS, one_of, write_csv
 from revclass.feature_select import CHI2, METHODS
 from revclass.preprocess import (
@@ -128,16 +128,20 @@ def _as_tuples(value):
 
 _STRINGS = Field(list, items=Field(str), phrase="a list of strings")
 _FRACTION = Field(float, 0, 1, phrase="a number in [0, 1]")
-# A spec's fields in their JSON form (to_dict).  No list holds more than sys.maxsize items; the seed is not a count.
-_SPEC = Field(dict, fields={
+# A spec's fields in their JSON form (to_dict), each of which from_dict may omit.  No list holds more than
+# sys.maxsize items.
+_SPEC = Field(dict, phrase="a JSON object", closed=True, fields={name: replace(f, optional=True) for name, f in {
     "series": Field(list, 1, items=NON_EMPTY, phrase="a non-empty list of non-empty strings"),
     "reviews_per_series": integer(1, sys.maxsize), "tokens_per_review": integer(1, sys.maxsize),
     "planted_vocab": Field(list, N_CATEGORIES, N_CATEGORIES, f"a list of {N_CATEGORIES} lists of strings", _STRINGS),
     "noise_vocab": _STRINGS, "roles_per_series": integer(0, sys.maxsize), "actors_per_series": integer(0, sys.maxsize),
     "mention_rate": Field(list, N_CATEGORIES, N_CATEGORIES, f"a list of {N_CATEGORIES} numbers in [0, 1]", _FRACTION),
-    "mentions_per_hit": integer(0, sys.maxsize), "planted_fraction": _FRACTION,
-    "seed": Field(int, 0, phrase="an integer >= 0"),
-})
+    "mentions_per_hit": integer(0, sys.maxsize), "planted_fraction": _FRACTION, "seed": SEED,
+}.items()})
+
+
+class SpecError(ValueError, TypeError):
+    """A spec that :meth:`SyntheticSpec.from_dict` rejects; a TypeError too, as a constructor's unknown argument is."""
 
 
 @dataclass(frozen=True)
@@ -166,11 +170,16 @@ class SyntheticSpec:
 
     def __post_init__(self):
         check(self.to_dict(), _SPEC, "", ValueError)
-        # A review draws tokens_per_review tokens and at most mentions_per_hit names.
-        cells = len(self.series) * self.reviews_per_series * (self.tokens_per_review + self.mentions_per_hit)
-        if cells > MAX_TABLE_CELLS:
-            raise ValueError(f"fields 'series' x 'reviews_per_series' x ('tokens_per_review' + 'mentions_per_hit') "
-                             f"must be at most {MAX_TABLE_CELLS} tokens, not {cells}")
+        # A review draws tokens_per_review tokens and at most mentions_per_hit names; each series' knowledge base
+        # holds roles_per_series + actors_per_series entries.
+        n = len(self.series)
+        for cells, factors, unit in (
+            (n * self.reviews_per_series * (self.tokens_per_review + self.mentions_per_hit),
+             "'reviews_per_series' x ('tokens_per_review' + 'mentions_per_hit')", "tokens"),
+            (n * (self.roles_per_series + self.actors_per_series), "('roles_per_series' + 'actors_per_series')", "entries"),
+        ):
+            if cells > MAX_TABLE_CELLS:
+                raise ValueError(f"fields 'series' x {factors} must be at most {MAX_TABLE_CELLS} {unit}, not {cells}")
         seen: set[str] = set()
         for group in self.planted_vocab:
             for word in group:
@@ -209,10 +218,9 @@ class SyntheticSpec:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "SyntheticSpec":
-        """Inverse of :meth:`to_dict`; omitted fields take their defaults."""
-        unknown = sorted(set(obj) - {f.name for f in fields(cls)})
-        if unknown:
-            raise TypeError(f"unknown key(s) {', '.join(map(repr, unknown))}")
+        """Inverse of :meth:`to_dict`; omitted fields take their defaults, and
+        an unknown key, or a value its field does not take, raises :class:`SpecError`."""
+        check(obj, _SPEC, "", SpecError)
         return cls(**{key: _as_tuples(value) for key, value in obj.items()})
 
     @classmethod

@@ -1685,3 +1685,16 @@ def test_trainers_check_their_arguments_by_the_hyperparams_fields(train, kwargs,
     y = np.array([1, -1, 1, -1]) if train is not train_lr else np.array([1.0, 0.0, 1.0, 0.0])
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         train(_X01, y, **kwargs)
+
+
+@pytest.mark.parametrize("seed", [-1, True, 1.5, "3", None])
+def test_train_svm_checks_its_seed_as_a_member_file_does(seed):
+    with pytest.raises(ValueError, match="^seed must be an integer >= 0$"):
+        train_svm(np.eye(2), np.array([1.0, -1.0]), seed=seed)
+
+
+def test_train_svm_takes_every_seed_that_train_member_writes():
+    """train_member samples with seed + category, so a top --seed gives
+    member seeds past 2**63 - 1, which a member file's seed takes too."""
+    for seed in (0, 2**63 - 1, 2**63 + 6):
+        assert train_svm(np.eye(2), np.array([1.0, -1.0]), epochs=1, seed=seed).seed == seed

@@ -1935,3 +1935,103 @@ def test_a_boundary_file_with_a_bad_or_missing_field_exits_2_naming_both(pipelin
     field = f"missing field '{key}'" if value is _DELETED else f"field '{key}' must be "
     assert err.startswith(f"error: {where}: {field}") and err.count("\n") == 1
     assert not out.exists()
+
+
+@pytest.fixture(scope="module")
+def top_seed_svm(pipeline):
+    """An SVM model trained at the top --seed, whose members sample with
+    seeds seed + category past 2**63 - 1."""
+    out = pipeline["root"] / "top_seed_svm"
+    argv = ["train", "--tokens", pipeline["tokens"] / "tokens.jsonl", "--method", "svm", "--sizes", 10,
+            "--svm-epochs", 2, "--seed", INT64_MAX, "--out-dir", out, "--quiet"]
+    assert run(argv) == 0
+    return out / "model"
+
+
+class TestClosedKeys:
+    """Config files and a member file's "parameters" and "hyperparameters"
+    hold only the keys their declarations list, named by path before any
+    value is checked."""
+
+    @pytest.mark.parametrize(
+        "config, keys",
+        [
+            ({"sizs": "5"}, "'sizs'"),
+            ({"method": "nb", "zz": 1, "sizs": "5"}, "'sizs', 'zz'"),
+            ({"sizs": "5", "svm_c": 0}, "'sizs'"),
+        ],
+    )
+    def test_a_config_file_names_itself_and_its_unknown_keys(self, pipeline, tmp_path, capsys, config, keys):
+        path = _write_config(tmp_path, config)
+        out = tmp_path / "out"
+        assert run(["train", *_small_run("train", pipeline), "--config", path, "--out-dir", out, "--quiet"]) == 2
+        assert capsys.readouterr().err == f"error: {path}: unknown key(s) {keys}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "model, change, keys",
+        [
+            ("svm", lambda d: d["hyperparameters"].update(eta=0), "'hyperparameters.eta'"),
+            ("svm", lambda d: d["hyperparameters"].update(eta=0, C=-5), "'hyperparameters.eta'"),
+            ("svm", lambda d: d["parameters"].update(cond_pos=[]), "'parameters.cond_pos'"),
+            ("nb", lambda d: d["hyperparameters"].update(C=1.0), "'hyperparameters.C'"),
+            ("nb", lambda d: (d["parameters"].update(zz=1), d["hyperparameters"].update(eta=0)),
+             "'hyperparameters.eta', 'parameters.zz'"),
+            ("nb", lambda d: d.update(vocabulary=[], parameters={"stub": "no_positives", "cond_pos": []},
+                                      hyperparameters={}), "'parameters.cond_pos'"),
+            ("nb", lambda d: d.update(vocabulary=[], parameters={"stub": "no_positives"}), "'hyperparameters.l'"),
+        ],
+        ids=["svm_eta", "svm_eta_and_bad_C", "svm_nb_parameter", "nb_svm_cost", "nb_two", "stub_parameter",
+             "stub_hyperparameter"],
+    )
+    def test_a_member_file_names_itself_and_its_unknown_keys(self, pipeline, top_seed_svm, tmp_path, capsys,
+                                                             model, change, keys):
+        copy = tmp_path / "model"
+        shutil.copytree(top_seed_svm if model == "svm" else pipeline["train"] / "model", copy)
+        _edit(change)(copy / "member_2.json")
+        out = tmp_path / "eval"
+        assert run(["evaluate", "--model", copy, "--tokens", pipeline["tokens"] / "tokens.jsonl", "--out-dir", out]) == 2
+        assert capsys.readouterr().err == f"error: {copy / 'member_2.json'}: unknown key(s) {keys}\n"
+        assert not out.exists()
+
+    def test_a_stub_member_without_other_keys_evaluates(self, pipeline, tmp_path):
+        copy = tmp_path / "model"
+        shutil.copytree(pipeline["train"] / "model", copy)
+        stub = {"vocabulary": [], "parameters": {"stub": "no_positives"}, "hyperparameters": {}}
+        _edit(lambda d: d.update(stub))(copy / "member_2.json")
+        tokens = pipeline["tokens"] / "tokens.jsonl"
+        assert run(["evaluate", "--model", copy, "--tokens", tokens, "--out-dir", tmp_path / "eval", "--quiet"]) == 0
+
+
+class TestTopSeedRoundTrip:
+    def test_evaluate_reads_the_model_that_train_writes_at_the_top_seed(self, pipeline, top_seed_svm, tmp_path):
+        for c in range(8):
+            member = json.loads((top_seed_svm / f"member_{c}.json").read_text(encoding="utf-8"))
+            assert member["hyperparameters"]["seed"] == INT64_MAX + c
+        out = tmp_path / "eval"
+        assert run(["evaluate", "--model", top_seed_svm, "--tokens", pipeline["tokens"] / "tokens.jsonl",
+                    "--out-dir", out, "--quiet"]) == 0
+        assert (out / "evaluation.csv").exists()
+
+
+class TestEvaluateDigestsWhatItRead:
+    def _inputs(self, pipeline, model, out):
+        tokens = pipeline["tokens"] / "tokens.jsonl"
+        assert run(["evaluate", "--model", model, "--tokens", tokens, "--out-dir", out, "--quiet"]) == 0
+        inputs = _read_manifest(out)["inputs"]
+        assert inputs == {path: hashlib.sha256(open(path, "rb").read()).hexdigest() for path in inputs}
+        return set(inputs) - {str(tokens)}
+
+    def test_a_plain_model_digests_every_file_of_its_directory(self, pipeline, tmp_path):
+        model = pipeline["train"] / "model"
+        assert self._inputs(pipeline, model, tmp_path / "eval") == {str(p) for p in model.glob("*.json")}
+
+    def test_the_member_files_the_manifest_names_and_no_other_file(self, pipeline, tmp_path):
+        model = tmp_path / "model"
+        shutil.copytree(pipeline["train"] / "model", model)
+        (model / "member_0.json").rename(model / "member_0")
+        manifest = model / "model_manifest.json"
+        _edit(lambda d: d["members"].__setitem__(0, "member_0"))(manifest)
+        (model / "notes.json").write_text("{}", encoding="utf-8")
+        read = {str(manifest), str(model / "member_0"), *(str(model / f"member_{c}.json") for c in range(1, 8))}
+        assert self._inputs(pipeline, model, tmp_path / "eval") == read

@@ -796,3 +796,40 @@ def test_items_of_fields_with_a_test_or_choices_are_checked_one_by_one():
         (Field(int, nullable=True), [1, None], True), (Field(list, items=Field(int)), [[1], [2]], True),
     ]:
         assert revclass.corpus._all_fit(values, field) is ok
+
+
+def _closed() -> Field:
+    return Field(dict, closed=True, fields={
+        "a": integer(0),
+        "inner": Field(dict, closed=True, optional=True, fields={"x": integer(0)}),
+        "open": Field(dict, optional=True, fields={"y": integer(0)}),
+    })
+
+
+@pytest.mark.parametrize(
+    "value, message",
+    [
+        # The unknown keys are named, sorted and by path, before any value is checked.
+        ({"a": 1, "z": 2}, "f.json: unknown key(s) 'z'"),
+        ({"a": "bad", "k": 2, "j": 3}, "f.json: unknown key(s) 'j', 'k'"),
+        ({"a": 1, "inner": {"x": -1, "w": 0}}, "f.json: unknown key(s) 'inner.w'"),
+        ({"z": 0, "inner": {"w": 0}}, "f.json: unknown key(s) 'inner.w', 'z'"),
+        # An open object inside a closed one holds any other key; its fields are still checked.
+        ({"a": 1, "open": {"y": 0, "other": 1}}, None),
+        ({"a": 1, "open": {"y": -1, "other": 1}}, "f.json: field 'open.y' must be an integer in [0, "),
+        # A value that is not an object is no object's keys: its type is the error.
+        ({"a": 1, "inner": [1]}, "f.json: field 'inner' must be "),
+    ],
+)
+def test_check_rejects_the_keys_that_a_closed_declaration_does_not_list(value, message):
+    if message is None:
+        assert revclass.corpus.check(value, _closed(), "f.json", ValueError) is value
+        return
+    with pytest.raises(ValueError) as info:
+        revclass.corpus.check(value, _closed(), "f.json", ValueError)
+    assert str(info.value).startswith(message)
+
+
+def test_check_without_a_file_names_the_unknown_keys_alone():
+    with pytest.raises(LookupError, match=r"^unknown key\(s\) 'b'$"):
+        revclass.corpus.check({"a": 0, "b": 1}, _closed(), "", LookupError)

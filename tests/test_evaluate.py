@@ -867,3 +867,31 @@ class TestSeriesCapOverTheSeriesIndex:
         assert c.series_index == {"a": (0, 1), "b": (2,)}
         capped = _apply_series_cap(dataclasses.replace(c, reviews=rs[::-1]), 1)
         assert [r.id for r in capped.reviews] == ["r2", "r1"]
+
+
+class TestSpecKnowledgeBaseBound:
+    """The knowledge bases a spec builds hold len(series) x (roles_per_series
+    + actors_per_series) entries, checked when the spec is built; no test
+    here generates a corpus."""
+
+    _PREFIX = "fields 'series' x ('roles_per_series' + 'actors_per_series') must be at most 16777216 entries, not "
+
+    def test_more_entries_than_the_table_bound_is_named(self):
+        with pytest.raises(ValueError, match=f"^{re.escape(self._PREFIX + str(6 * 10**12))}$"):
+            SyntheticSpec.from_dict({"roles_per_series": 10**12, "actors_per_series": 10**12})
+        with pytest.raises(ValueError, match=f"^{re.escape(self._PREFIX)}"):
+            SyntheticSpec(series=("a",), roles_per_series=2**23, actors_per_series=2**23 + 1)
+
+    def test_exactly_the_bound_is_built(self):
+        spec = SyntheticSpec(series=("a",), roles_per_series=2**23, actors_per_series=2**23)
+        assert len(spec.series) * (spec.roles_per_series + spec.actors_per_series) == 2**24
+
+    def test_the_presets_are_far_inside_the_bound(self):
+        for spec in (SyntheticSpec.ablation_default(), SyntheticSpec.sweep_default()):
+            assert len(spec.series) * (spec.roles_per_series + spec.actors_per_series) <= 36
+
+    def test_an_unknown_key_is_named_before_a_bad_value(self):
+        with pytest.raises(TypeError, match=r"^unknown key\(s\) 'sed'$"):
+            SyntheticSpec.from_dict({"sed": 3, "seed": -1})
+        with pytest.raises(ValueError, match=r"^unknown key\(s\) 'rols', 'sed'$"):
+            SyntheticSpec.from_dict({"sed": 3, "rols": 1})
