@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import math
 import os
+import warnings
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Optional, Sequence
 
@@ -593,6 +594,16 @@ def train_member(
     return member
 
 
+def train_members(corpus: VectorizedCorpus, rankings: Sequence[FeatureRanking], methods: Sequence[str], hp: Hyperparams,
+                  seed: int, sizes: Sequence[int | None] = (None,)) -> list[BinaryMember]:
+    """:func:`train_member` per ranking, in runs of one member per ranking: a run per method, and within a
+    method per feature size (None trains on the whole ranking).  A size past the vocabulary warns first."""
+    V = len(corpus.vocab)
+    for size in [s for s in sizes if s is not None and s > V]:
+        warnings.warn(f"feature size {size} exceeds vocabulary size {V}; using full vocabulary", stacklevel=2)
+    return [train_member(corpus, r, method, hp, seed, size) for method in methods for size in sizes for r in rankings]
+
+
 def rank_classes(corpus: VectorizedCorpus, budgets: Sequence[int], selector: str) -> list[FeatureRanking]:
     """Every class's feature ranking in category order, each at its budget
     clamped to the vocabulary size."""
@@ -613,13 +624,12 @@ def train_ovr(
     """Train the eight one-vs-rest members, each on its own selected features.
 
     Relevance for member c is (label == c); the classes are ranked by
-    :func:`rank_classes`, and each member is trained by :func:`train_member`
-    from its class's ranking, which it keeps.  A degenerate class trains a
+    :func:`rank_classes`, and the members are trained by :func:`train_members`
+    from their classes' rankings, which they keep.  A degenerate class trains a
     flagged constant stub instead of a model, but is still ranked.
     """
     budgets = tuple(per_class_feature_sizes) if per_class_feature_sizes else DEFAULT_BUDGETS
-    hp = hyperparams or Hyperparams()
-    members = tuple(train_member(corpus, r, method, hp, seed) for r in rank_classes(corpus, budgets, selector))
+    members = train_members(corpus, rank_classes(corpus, budgets, selector), (method,), hyperparams or Hyperparams(), seed)
     return OvrModel(members=members, method=method, selector=selector, budgets=budgets, seed=seed)
 
 
@@ -710,15 +720,17 @@ _MANIFEST = Field(dict, fields={
     "seed": SEED,
     "members": Field(list, items=Field(str), phrase="a list of file names in the model directory",
                      test=lambda names: all(n not in ("", ".", "..") and os.path.basename(n) == n for n in names)),
-})
+}, closed=True)
 _STUBS = (STUB_NO_POSITIVES, STUB_NO_NEGATIVES)
 _MEMBER = Field(dict, fields={
     "method": Field(str, phrase="a string"),
     "category": integer(0, N_CATEGORIES - 1),
+    "category_name": one_of(tuple(cat.display_name for cat in Category)),
     "vocabulary": Field(list, phrase="a list of distinct strings", items=Field(str), test=lambda v: len({*v}) == len(v)),
     "parameters": Field(dict, phrase="a JSON object", fields={"stub": replace(one_of(_STUBS), optional=True)}),
     "hyperparameters": Field(dict, phrase="a JSON object"),
-})
+    "seed": SEED,
+}, closed=True)
 
 
 def _sections(parameters: dict, hyperparameters: dict) -> Field:

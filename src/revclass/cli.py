@@ -23,7 +23,7 @@ from revclass.classify import DEFAULT_BUDGETS, HYPER_FIELDS, Hyperparams, SVM, l
 from revclass.corpus import INT64_MAX, MAX_TABLE_CELLS, N_CATEGORIES, Field, agreement_filter, check, fits, integer, one_of
 from revclass.corpus import load_corpus, read_json, write_corpus, write_csv, write_json_atomic, write_text_atomic
 from revclass.evaluate import EXPERIMENT_FIELDS, ExperimentConfig, SURROGATE_ON, SyntheticSpec, cross_series_experiment
-from revclass.evaluate import derive_rotations, feature_size_sweep, generate_synthetic, ovr_accuracies, tokenize_reviews
+from revclass.evaluate import feature_size_sweep, generate_synthetic, ovr_accuracies, plan_splits, tokenize_reviews
 from revclass.preprocess import KnowledgeBase, TokenizedCorpus, VectorizedCorpus, WhitespaceSegmenter, load_dictionary
 from revclass.preprocess import load_knowledge_base, load_stopwords, token_lines, write_knowledge_base
 from revclass.topic_model import LDA_FIELDS, LdaConfig, export_heatmap, fit_lda, top_words
@@ -280,14 +280,9 @@ def _load_text_inputs(args, config: dict):
     return corpus, (kbs or None), stoplist, seg, inputs
 
 
-def _check_svm_epochs(config: dict, corpus, rotations, derived: int) -> None:
-    """Bound --svm-epochs as train does, before any training, by the largest
-    training split after the per-series cap: of the experiment's rotations,
-    or else of the first ``derived`` it derives (a corpus of other than 3
-    series derives none, and the experiment fails before it trains)."""
-    capped = {s: min(len(ix), config["per_series_cap"]) for s, ix in corpus.series_index.items()}
-    rotations = rotations or (derive_rotations(list(capped))[:derived] if len(capped) == 3 else ())
-    n = max((capped.get(a, 0) + capped.get(b, 0) for (a, b), _ in rotations), default=0)
+def _check_svm_epochs(config: dict, corpus, rotations) -> None:
+    """Bound --svm-epochs as train does, before any training, by the largest training split of :func:`plan_splits`."""
+    n = max(sum(len(corpus.series_index.get(s, ())) for s in pair) for pair, _ in rotations)
     _check_cells(config["svm_epochs"] * n // 2, "--svm-epochs", f"the SVM's harmonic sums over {n} reviews")
 
 
@@ -303,25 +298,24 @@ def cmd_sweep(args, config):
     exp = dataclasses.replace(exp, stopwords=stoplist)
     sweep_out = os.path.join(args.out_dir, "sweep.csv")
     if exp.sweep_method == SVM:
-        _check_svm_epochs(config, corpus, exp.rotation and (exp.rotation,), 1)
+        _check_svm_epochs(config, *plan_splits(corpus, exp, sweep=True))
     feature_size_sweep(corpus, exp, kbs=kbs, seg=seg, out_csv=sweep_out)
     return inputs, [sweep_out], f"swept {len(exp.feature_sizes)} feature sizes x 8 categories"
 
 
 def cmd_cross_series(args, config):
     out_dir = args.out_dir
-    rotations = tuple(_parse_rotation(part) for part in (args.rotations or "").split(";") if part.strip())
     exp = _experiment_config(
         config,
         methods=_methods(config["methods"]),
         per_class_budgets=_class_sizes(config["budgets"]),
-        rotations=rotations,
+        rotations=tuple(_parse_rotation(part) for part in (args.rotations or "").split(";") if part.strip()),
     )
     corpus, kbs, stoplist, seg, inputs = _load_text_inputs(args, config)
     exp = dataclasses.replace(exp, stopwords=stoplist)
     table_out = os.path.join(out_dir, "crossseries.csv")
     if SVM in exp.methods:
-        _check_svm_epochs(config, corpus, rotations, 3)
+        _check_svm_epochs(config, *plan_splits(corpus, exp))
     table = cross_series_experiment(corpus, kbs, exp, seg=seg, out_csv=table_out)
     multi_out = os.path.join(out_dir, "crossseries_multiclass.csv")
     write_csv(multi_out, ("rotation", "surrogate", "accuracy"), [(*k, v) for k, v in sorted(table.multiclass.items())])

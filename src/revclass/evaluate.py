@@ -6,7 +6,6 @@ from __future__ import annotations
 
 import os
 import sys
-import warnings
 from dataclasses import dataclass, field, fields, replace
 from itertools import chain
 from typing import Iterator, Optional, Sequence
@@ -22,7 +21,7 @@ from revclass.classify import (
     OvrModel,
     rank_classes,
     score_documents,
-    train_member,
+    train_members,
     train_svm,  # unused here; perfbench's tracing self-test reads this binding
 )
 from revclass.corpus import _CATEGORIES, NON_EMPTY, N_CATEGORIES, SEED, Category, Corpus, Field, Review, check, integer
@@ -218,10 +217,14 @@ class SyntheticSpec:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "SyntheticSpec":
-        """Inverse of :meth:`to_dict`; omitted fields take their defaults, and
-        an unknown key, or a value its field does not take, raises :class:`SpecError`."""
-        check(obj, _SPEC, "", SpecError)
-        return cls(**{key: _as_tuples(value) for key, value in obj.items()})
+        """Inverse of :meth:`to_dict`; omitted fields take their defaults.  An
+        unknown key, or an ``obj`` that is no object, raises :class:`SpecError`
+        before any value is checked, and a value its field does not take raises ValueError."""
+        try:  # __post_init__ checks each value once
+            return cls(**{key: _as_tuples(value) for key, value in obj.items()})
+        except (TypeError, AttributeError):
+            check(obj, _SPEC, "", SpecError)
+            raise
 
     @classmethod
     def ablation_default(cls) -> "SyntheticSpec":
@@ -435,6 +438,18 @@ def write_generalization_csv(table: ResultTable, path) -> None:
 # ---------------------------------------------------------------------------
 
 
+def plan_splits(corpus: Corpus, config: ExperimentConfig, sweep: bool = False) -> tuple[Corpus, tuple[Rotation, ...]]:
+    """The corpus an experiment trains on, each series cut to its first ``config.per_series_cap`` reviews, and
+    its rotations: the sweep's one (``config.rotation``, or the first derived), or else every cross-series
+    rotation (``config.rotations``, or all derived), which needs at least 3 series."""
+    corpus = _apply_series_cap(corpus, config.per_series_cap)
+    if sweep:
+        return corpus, (config.rotation or derive_rotations(list(corpus.series_index))[0],)
+    if len(corpus.series_index) < 3:
+        raise ValueError("cross-series experiment needs at least 3 series")
+    return corpus, config.rotations or derive_rotations(list(corpus.series_index))
+
+
 def _apply_series_cap(corpus: Corpus, cap: Optional[int]) -> Corpus:
     if cap is None:
         return corpus
@@ -524,24 +539,15 @@ def feature_size_sweep(
     train/test accuracy; optionally emit the grid as CSV.  The classes are
     ranked once, at the largest size, and all members are scored together,
     so each split is vectorized once."""
-    corpus = _apply_series_cap(corpus, config.per_series_cap)
-    rotation = config.rotation or derive_rotations(list(corpus.series_index))[0]
-    [(_, _, train, test, vc_train)] = _splits(corpus, config, kbs, seg, (config.surrogate_mode,), (rotation,))
-    V = len(vc_train.vocab)
+    corpus, rotations = plan_splits(corpus, config, sweep=True)
+    [(_, _, train, test, vc_train)] = _splits(corpus, config, kbs, seg, (config.surrogate_mode,), rotations)
     sizes = config.feature_sizes
     rankings = rank_classes(vc_train, (max(sizes),) * N_CATEGORIES, config.selector)
-
-    members = []  # eight per size, in category order
-    for size in sizes:
-        if size > V:
-            warnings.warn(f"feature size {size} exceeds vocabulary size {V}; using full vocabulary", stacklevel=2)
-        members += [
-            train_member(vc_train, r, config.sweep_method, config.hyperparams, config.seed, size) for r in rankings
-        ]
+    members = train_members(vc_train, rankings, (config.sweep_method,), config.hyperparams, config.seed, sizes)
     table = ResultTable()
     for size, (train_acc, _), (test_acc, _) in zip(sizes, _readouts(members, train), _readouts(members, test)):
         for cat in range(N_CATEGORIES):
-            table.sweep[(cat, size)] = SweepCell(min(size, V), train_acc[cat], test_acc[cat])
+            table.sweep[(cat, size)] = SweepCell(min(size, len(vc_train.vocab)), train_acc[cat], test_acc[cat])
     if out_csv is not None:
         write_sweep_csv(table, out_csv)
     return table
@@ -558,19 +564,12 @@ def cross_series_experiment(
     and both surrogate modes; per-category accuracies are averaged over the
     configured classifier methods.  Each split is ranked and vectorized once
     for all methods, and all their members are scored together."""
-    corpus = _apply_series_cap(corpus, config.per_series_cap)
-    if len(corpus.series_index) < 3:
-        raise ValueError("cross-series experiment needs at least 3 series")
-    rotations = config.rotations or derive_rotations(list(corpus.series_index))
+    corpus, rotations = plan_splits(corpus, config)
     table = ResultTable()
     for mode, rot, _, test, vc_train in _splits(corpus, config, kbs, seg, (SURROGATE_OFF, SURROGATE_ON), rotations):
         label = rotation_label(rot)
         rankings = rank_classes(vc_train, config.per_class_budgets, config.selector)
-        members = [
-            train_member(vc_train, r, method, config.hyperparams, config.seed)
-            for method in config.methods
-            for r in rankings
-        ]
+        members = train_members(vc_train, rankings, config.methods, config.hyperparams, config.seed)
         per_cat, multi = zip(*_readouts(members, test))
         for cat in Category:
             table.generalization[(int(cat), label, mode)] = float(np.mean([p[cat] for p in per_cat]))

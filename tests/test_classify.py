@@ -1,7 +1,9 @@
+import dataclasses
 import json
 import math
 import re
 import shutil
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -30,6 +32,7 @@ from revclass.classify import (
     svm_objective,
     train_lr,
     train_member,
+    train_members,
     train_nb,
     train_ovr,
     train_svm,
@@ -1698,3 +1701,73 @@ def test_train_svm_takes_every_seed_that_train_member_writes():
     member seeds past 2**63 - 1, which a member file's seed takes too."""
     for seed in (0, 2**63 - 1, 2**63 + 6):
         assert train_svm(np.eye(2), np.array([1.0, -1.0]), epochs=1, seed=seed).seed == seed
+
+
+class TestTrainMembers:
+    """train_members trains one member per ranking in runs: per method, and
+    within a method per feature size, each member the train_member call for
+    it, stubs included."""
+
+    HP = Hyperparams(lr_epochs=5, svm_epochs=3)
+
+    @staticmethod
+    def _split():
+        """A training split in which categories 5 to 7 have no reviews."""
+        spec = SyntheticSpec.from_dict({**SyntheticSpec.ablation_default().to_dict(), "reviews_per_series": 5})
+        tokenized = tokenize_corpus(generate_synthetic(spec)[0])
+        vc = VectorizedCorpus.from_tokens(tokenized.docs, tokenized.labels)
+        return vc, rank_classes(vc, (6,) * 8, "chi2")
+
+    @staticmethod
+    def _assert_equal(a, b):
+        assert (a.category, a.method, a.terms, a.stub) == (b.category, b.method, b.terms, b.stub)
+        assert a.ranking is b.ranking
+        if a.model is None:
+            assert b.model is None
+            return
+        assert type(a.model) is type(b.model)
+        for f in dataclasses.fields(a.model):
+            assert np.array_equal(getattr(a.model, f.name), getattr(b.model, f.name)), f.name
+
+    def test_runs_go_per_method_then_per_size_and_equal_train_member(self):
+        vc, rankings = self._split()
+        methods, sizes = ("svm", "nb", "lr"), (2, None, 4)
+        members = train_members(vc, rankings, methods, self.HP, 9, sizes)
+        assert len(members) == len(methods) * len(sizes) * 8
+        runs = [(method, size) for method in methods for size in sizes]
+        for i, member in enumerate(members):
+            method, size = runs[i // 8]
+            self._assert_equal(member, train_member(vc, rankings[i % 8], method, self.HP, 9, size))
+        stubs = [m.stub for m in members[:8]]
+        assert stubs == [None] * 5 + [STUB_NO_POSITIVES] * 3
+
+    def test_the_default_trains_each_ranking_whole_once_per_method(self):
+        vc, rankings = self._split()
+        members = train_members(vc, rankings, ("nb",), self.HP, 9)
+        assert len(members) == 8 and all(m.ranking is r for m, r in zip(members, rankings))
+        for member, ranking in zip(members, rankings):
+            self._assert_equal(member, train_member(vc, ranking, "nb", self.HP, 9))
+        assert train_members(vc, rankings, (), self.HP, 9) == []
+
+    def test_train_ovr_keeps_the_members_of_one_run(self):
+        vc, _ = self._split()
+        model = train_ovr(vc, method="svm", per_class_feature_sizes=(6,) * 8, hyperparams=self.HP, seed=9)
+        want = train_members(vc, rank_classes(vc, (6,) * 8, "chi2"), ("svm",), self.HP, 9)
+        for got, member in zip(model.members, want):
+            assert got.ranking.positions.tolist() == member.ranking.positions.tolist()
+            assert (got.category, got.terms, got.stub) == (member.category, member.terms, member.stub)
+            if member.model is not None:
+                assert np.array_equal(got.model.weights, member.model.weights) and got.model.bias == member.model.bias
+
+    def test_a_size_past_the_vocabulary_warns_once_before_training(self):
+        vc, rankings = self._split()
+        V = len(vc.vocab)
+        with pytest.warns(UserWarning) as record:
+            members = train_members(vc, rankings, ("nb", "lr"), self.HP, 9, (3, V + 1, None, V + 5))
+        assert [str(w.message) for w in record] == [
+            f"feature size {size} exceeds vocabulary size {V}; using full vocabulary" for size in (V + 1, V + 5)
+        ]
+        assert len(members) == 2 * 4 * 8
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            train_members(vc, rankings, ("nb",), self.HP, 9, (1, V, None))

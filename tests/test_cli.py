@@ -2035,3 +2035,59 @@ class TestEvaluateDigestsWhatItRead:
         (model / "notes.json").write_text("{}", encoding="utf-8")
         read = {str(manifest), str(model / "member_0"), *(str(model / f"member_{c}.json") for c in range(1, 8))}
         assert self._inputs(pipeline, model, tmp_path / "eval") == read
+
+
+class TestClosedModelFiles:
+    """A model manifest, and a member file's top level, hold only the keys
+    that save_ovr writes; a member file's seed and category name are checked."""
+
+    _NAMES = tuple(cat.display_name for cat in Category)
+
+    @staticmethod
+    def _evaluate(pipeline, tmp_path, name, change):
+        model = tmp_path / "model"
+        shutil.copytree(pipeline["train"] / "model", model)
+        _edit(change)(model / name)
+        out = tmp_path / "eval"
+        code = run(["evaluate", "--model", model, "--tokens", pipeline["tokens"] / "tokens.jsonl", "--out-dir", out])
+        assert not out.exists()
+        return code, model / name
+
+    def test_a_misspelt_format_version_is_named(self, pipeline, tmp_path, capsys):
+        def misspell(d):
+            d["format_versoin"] = d.pop("format_version") + 1
+
+        code, path = self._evaluate(pipeline, tmp_path, "model_manifest.json", misspell)
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {path}: unknown key(s) 'format_versoin'\n"
+
+    def test_an_added_manifest_key_is_named_before_a_bad_value(self, pipeline, tmp_path, capsys):
+        code, path = self._evaluate(pipeline, tmp_path, "model_manifest.json", lambda d: d.update(zz=1, seed="x"))
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {path}: unknown key(s) 'zz'\n"
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            (lambda d: d.update(seed="x"), "field 'seed' must be an integer >= 0"),
+            (lambda d: d.update(seed=-1), "field 'seed' must be an integer >= 0"),
+            (lambda d: d.pop("seed"), "missing field 'seed'"),
+            (lambda d: d.update(category_name=5), f"field 'category_name' must be one of {_NAMES}"),
+            (lambda d: d.update(category_name="plots"), f"field 'category_name' must be one of {_NAMES}"),
+            (lambda d: d.pop("category_name"), "missing field 'category_name'"),
+            (lambda d: d.update(zz=1), "unknown key(s) 'zz'"),
+            (lambda d: d.update(zz=1, seed="x"), "unknown key(s) 'zz'"),
+        ],
+        ids=["seed_string", "seed_negative", "seed_missing", "name_number", "name_unknown", "name_missing",
+             "added_key", "added_key_and_bad_seed"],
+    )
+    def test_a_member_file_with_a_bad_top_level_key_exits_2_naming_it(self, pipeline, tmp_path, capsys, change, message):
+        code, path = self._evaluate(pipeline, tmp_path, "member_3.json", change)
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {path}: {message}\n"
+
+    def test_train_writes_each_members_seed_and_category_name(self, pipeline):
+        manifest = json.loads((pipeline["train"] / "model" / "model_manifest.json").read_text(encoding="utf-8"))
+        for cat in Category:
+            member = json.loads((pipeline["train"] / "model" / f"member_{int(cat)}.json").read_text(encoding="utf-8"))
+            assert (member["seed"], member["category_name"]) == (manifest["seed"], cat.display_name)

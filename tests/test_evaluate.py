@@ -13,11 +13,14 @@ from revclass.corpus import Category, Corpus, N_CATEGORIES, Review
 from revclass.evaluate import (
     _MENTION_SIGNATURES,
     ExperimentConfig,
+    SpecError,
     SURROGATE_OFF,
     SURROGATE_ON,
     SyntheticSpec,
+    _apply_series_cap,
     _draws,
     _series_kb,
+    _splits,
     accuracy,
     binary_accuracy,
     cross_series_experiment,
@@ -25,6 +28,7 @@ from revclass.evaluate import (
     feature_size_sweep,
     generate_synthetic,
     ovr_accuracies,
+    plan_splits,
     rotation_label,
     tokenize_corpus,
     write_generalization_csv,
@@ -895,3 +899,85 @@ class TestSpecKnowledgeBaseBound:
             SyntheticSpec.from_dict({"sed": 3, "seed": -1})
         with pytest.raises(ValueError, match=r"^unknown key\(s\) 'rols', 'sed'$"):
             SyntheticSpec.from_dict({"sed": 3, "rols": 1})
+
+
+class TestPlanSplits:
+    """plan_splits gives an experiment its capped corpus and its rotations,
+    which both experiments and the CLI's --svm-epochs bound read."""
+
+    @staticmethod
+    def _uneven(sizes=(("alpha", 48), ("beta", 30), ("gamma", 20))):
+        """A corpus whose series hold the first ``n`` reviews each of a synthetic one."""
+        corpus, kbs = generate_synthetic(_small_spec(reviews_per_series=48))
+        keep = [i for s, n in sizes for i in corpus.series_index[s][:n]]
+        return Corpus(tuple(corpus.reviews[i] for i in sorted(keep)), tuple(corpus.labels[i] for i in sorted(keep))), kbs
+
+    def test_the_cap_keeps_each_series_first_reviews(self):
+        corpus, _ = self._uneven()
+        capped, _ = plan_splits(corpus, ExperimentConfig(per_series_cap=25))
+        assert [r.id for r in capped.reviews] == [r.id for r in _apply_series_cap(corpus, 25).reviews]
+        assert {s: len(ix) for s, ix in capped.series_index.items()} == {"alpha": 25, "beta": 25, "gamma": 20}
+        assert plan_splits(corpus, ExperimentConfig(per_series_cap=None))[0] is corpus
+
+    def test_rotations_are_named_or_derived(self):
+        corpus, _ = self._uneven()
+        derived = derive_rotations(list(corpus.series_index))
+        named = ((("gamma", "alpha"), "beta"),)
+        assert plan_splits(corpus, ExperimentConfig())[1] == derived and len(derived) == 3
+        assert plan_splits(corpus, ExperimentConfig(rotations=named))[1] == named
+        assert plan_splits(corpus, ExperimentConfig(), sweep=True)[1] == derived[:1]
+        assert plan_splits(corpus, ExperimentConfig(rotation=named[0], rotations=derived), sweep=True)[1] == named
+
+    def test_cross_series_needs_three_series_and_the_sweep_a_rotation(self):
+        corpus, _ = self._uneven((("alpha", 48), ("beta", 30)))
+        rotation = (("alpha", "beta"), "gamma")
+        for config in (ExperimentConfig(), ExperimentConfig(rotations=(rotation,))):
+            with pytest.raises(ValueError, match="^cross-series experiment needs at least 3 series$"):
+                plan_splits(corpus, config)
+        with pytest.raises(ValueError, match="derived for exactly 3 series, found 2"):
+            plan_splits(corpus, ExperimentConfig(), sweep=True)
+        assert plan_splits(corpus, ExperimentConfig(rotation=rotation), sweep=True)[1] == (rotation,)
+
+    @pytest.mark.parametrize("sweep", [True, False], ids=["sweep", "cross-series"])
+    @pytest.mark.parametrize("cap", [25, 5000])
+    def test_the_cli_bound_reads_the_largest_training_split(self, monkeypatch, sweep, cap):
+        from revclass import cli
+
+        corpus, _ = self._uneven()
+        config = ExperimentConfig(per_series_cap=cap)
+        capped, rotations = plan_splits(corpus, config, sweep=sweep)
+        largest = max(len(train) for _, _, train, _, _ in _splits(capped, config, None, None, (SURROGATE_OFF,), rotations))
+        # The sweep holds out alpha, the first series in sorted order.
+        assert largest == {(25, True): 25 + 20, (5000, True): 30 + 20, (25, False): 25 + 25, (5000, False): 48 + 30}[cap, sweep]
+        monkeypatch.setattr(cli, "MAX_TABLE_CELLS", 0)
+        with pytest.raises(cli.CliError, match=f"harmonic sums over {largest} reviews must be at most 0 cells, not {largest}$"):
+            cli._check_svm_epochs({"svm_epochs": 2}, capped, rotations)
+
+
+class TestSpecFromDictChecksOnce:
+    """from_dict leaves the values to __post_init__ and checks the raw object
+    only when the constructor refuses it."""
+
+    def test_a_valid_spec_is_checked_once(self, monkeypatch):
+        from revclass import evaluate
+
+        checked = []
+
+        def counted(value, field, *args, **kwargs):
+            checked.append(field)
+            return real(value, field, *args, **kwargs)
+
+        real, preset = evaluate.check, SyntheticSpec.sweep_default()
+        monkeypatch.setattr(evaluate, "check", counted)
+        assert SyntheticSpec.from_dict(preset.to_dict()) == preset
+        assert checked == [evaluate._SPEC]
+
+    def test_a_bad_value_is_a_value_error_and_an_unknown_key_a_spec_error(self):
+        with pytest.raises(ValueError, match="^field 'seed' must be an integer >= 0$") as info:
+            SyntheticSpec.from_dict({"seed": -1})
+        assert type(info.value) is ValueError
+        with pytest.raises(SpecError, match=r"^unknown key\(s\) 'planted_per_review'$"):
+            SyntheticSpec.from_dict({"planted_per_review": 3, "seed": -1})
+        for obj in ([1], "x", None):
+            with pytest.raises(SpecError, match="must be a JSON object$"):
+                SyntheticSpec.from_dict(obj)
