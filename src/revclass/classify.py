@@ -742,11 +742,11 @@ def _sections(parameters: dict, hyperparameters: dict) -> Field:
 def load_ovr(model_dir) -> OvrModel:
     """Reload an OvrModel written by :func:`save_ovr`.
 
-    Every file is checked on load against its declared fields, and each
-    member's method must be the manifest's, every parameter vector needs one
-    value per vocabulary term, and the manifest must list one member file
-    per category.  A failed check raises :class:`ModelFormatError` naming
-    the file and the field.
+    Every file is checked on load against its declared fields; each member's
+    method and seed must be the manifest's and its category name its
+    category's, every parameter vector needs one value per vocabulary term,
+    and the manifest must list one member file per category.  A failed check
+    raises :class:`ModelFormatError` naming the file and the field.
     """
     manifest_path = os.path.join(model_dir, "model_manifest.json")
     manifest = check(read_json(manifest_path, ModelFormatError), _MANIFEST, manifest_path, ModelFormatError)
@@ -760,9 +760,14 @@ def load_ovr(model_dir) -> OvrModel:
         if not os.path.isfile(path):
             raise ModelFormatError(f"{manifest_path}: field 'members' names {name!r}, which is not a file")
         doc = check(read_json(path, ModelFormatError), _MEMBER, path, ModelFormatError)
-        if doc["method"] != method:
-            raise ModelFormatError(f"{path}: field 'method' is {doc['method']!r}, but the manifest's is {method!r}")
+        for key in ("method", "seed"):
+            if doc[key] != manifest[key]:
+                theirs = f"{doc[key]!r}, but the manifest's is {manifest[key]!r}"
+                raise ModelFormatError(f"{path}: field {key!r} is {theirs}")
         cat = Category(doc["category"])
+        if doc["category_name"] != cat.display_name:
+            named = f"{doc['category_name']!r}, but category {int(cat)} is {cat.display_name!r}"
+            raise ModelFormatError(f"{path}: field 'category_name' is {named}")
         if cat in files:
             raise ModelFormatError(
                 f"{manifest_path}: field 'members' lists category {int(cat)} twice ({files[cat]} and {name})"

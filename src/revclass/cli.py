@@ -21,7 +21,7 @@ import sys
 from revclass import __version__
 from revclass.classify import DEFAULT_BUDGETS, HYPER_FIELDS, Hyperparams, SVM, load_ovr, save_ovr, train_ovr
 from revclass.corpus import INT64_MAX, MAX_TABLE_CELLS, N_CATEGORIES, Field, agreement_filter, check, fits, integer, one_of
-from revclass.corpus import load_corpus, read_json, write_corpus, write_csv, write_json_atomic, write_text_atomic
+from revclass.corpus import NON_EMPTY, load_corpus, read_json, write_corpus, write_csv, write_json_atomic, write_text_atomic
 from revclass.evaluate import EXPERIMENT_FIELDS, ExperimentConfig, SURROGATE_ON, SyntheticSpec, cross_series_experiment
 from revclass.evaluate import feature_size_sweep, generate_synthetic, ovr_accuracies, plan_splits, tokenize_reviews
 from revclass.preprocess import KnowledgeBase, TokenizedCorpus, VectorizedCorpus, WhitespaceSegmenter, load_dictionary
@@ -56,6 +56,18 @@ def _sha256(path) -> str:
 def _check_cells(cells: int, flag: str, table: str) -> None:
     phrase = f"at most {MAX_TABLE_CELLS} cells, not {cells}"
     check(cells, Field(int, most=MAX_TABLE_CELLS, phrase=phrase), f"{flag}: {table}", CliError)
+
+
+def _claim_out_dir(args) -> None:
+    """One run per directory: an ``--out-dir`` whose run manifest names
+    another command is refused before any input is read.  A rerun of the same
+    command overwrites its own outputs, and other files refuse no directory."""
+    path = os.path.join(args.out_dir, MANIFEST_NAME)
+    if os.path.exists(path):
+        manifest = check(read_json(path, CliError), Field(dict, fields={"command": NON_EMPTY}), path, CliError)
+        if manifest["command"] != args.command:
+            run = f"its {MANIFEST_NAME} is of command {manifest['command']!r}"
+            raise CliError(f"--out-dir {args.out_dir}: {run}, so command {args.command!r} needs another directory")
 
 
 def _resolve_config(args) -> dict:
@@ -480,6 +492,7 @@ def main(argv=None) -> int:
     # The command is looked up when it runs, so a patched cmd_<name> is the one called.
     command = globals()["cmd_" + args.command.replace("-", "_")]
     try:
+        _claim_out_dir(args)
         config = _resolve_config(args)
         inputs, outputs, summary = command(args, config)
         _say(args, summary)

@@ -264,33 +264,36 @@ class SparseRows(NamedTuple):
     shape: tuple[int, int]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class VectorizedCorpus:
     """Binary bag-of-words view of a labeled corpus.
 
-    ``doc_terms[i]`` holds the distinct vocabulary positions present in
-    document i and ``labels[i]`` its resolved category index.  Ranking and
-    training read this matrix in CSR form, built once (document i's positions
-    are ``indices[indptr[i]:indptr[i + 1]]``); scoring builds its own.
+    The matrix is kept once, in CSR form: document i's distinct vocabulary
+    positions are ``indices[indptr[i]:indptr[i + 1]]``, in ascending order,
+    and ``labels[i]`` is its resolved category index.  Ranking and training
+    read these arrays; scoring builds its own.
     """
 
     vocab: Vocabulary
-    doc_terms: tuple[tuple[int, ...], ...]
     labels: tuple[int, ...]
-    indptr: np.ndarray = field(init=False, repr=False, compare=False)
-    indices: np.ndarray = field(init=False, repr=False, compare=False)
+    indptr: np.ndarray = field(repr=False)
+    indices: np.ndarray = field(repr=False)
 
-    def __post_init__(self):
-        if len(self.doc_terms) != len(self.labels):
+    def __init__(self, vocab: Vocabulary, doc_terms: Sequence[Sequence[int]], labels: tuple[int, ...]):
+        if len(doc_terms) != len(labels):
             raise ValueError("doc_terms and labels must align")
-        indptr = np.zeros(len(self.doc_terms) + 1, dtype=np.int64)
-        np.cumsum(np.fromiter(map(len, self.doc_terms), np.int64, len(self.doc_terms)), out=indptr[1:])
-        indices = np.fromiter(itertools.chain.from_iterable(self.doc_terms), np.int64, int(indptr[-1]))
-        object.__setattr__(self, "indptr", indptr)
-        object.__setattr__(self, "indices", indices)
+        indptr = np.zeros(len(doc_terms) + 1, dtype=np.int64)
+        np.cumsum(np.fromiter(map(len, doc_terms), np.int64, len(doc_terms)), out=indptr[1:])
+        indices = np.fromiter(itertools.chain.from_iterable(doc_terms), np.int64, int(indptr[-1]))
+        self.__dict__.update(vocab=vocab, labels=labels, indptr=indptr, indices=indices)  # frozen: no __setattr__
 
     def __len__(self) -> int:
-        return len(self.doc_terms)
+        return len(self.labels)
+
+    @functools.cached_property
+    def doc_terms(self) -> tuple[tuple[int, ...], ...]:
+        """Each document's positions as a tuple, built from the CSR arrays on first read, for the oracles."""
+        return tuple(tuple(self.indices[a:b].tolist()) for a, b in itertools.pairwise(self.indptr.tolist()))
 
     @property
     def rows(self) -> np.ndarray:
@@ -329,7 +332,7 @@ class VectorizedCorpus:
         if vocab is None:
             vocab = Vocabulary.from_documents(docs)
         index = vocab.index
-        doc_terms = tuple(tuple(sorted({index[t] for t in doc if t in index})) for doc in docs)
+        doc_terms = [sorted({index[t] for t in doc if t in index}) for doc in docs]
         return cls(vocab=vocab, doc_terms=doc_terms, labels=tuple(int(y) for y in labels))
 
     def select(self, term_positions: Sequence[int]) -> SparseRows:

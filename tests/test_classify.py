@@ -1395,6 +1395,53 @@ def test_manifest_selector_budgets_and_seed_load_as_saved(saved_models):
     assert (loaded.selector, loaded.budgets, loaded.seed) == ("chi2", DEFAULT_BUDGETS, 42)
 
 
+@pytest.mark.parametrize("stub", [False, True], ids=["trained", "stub"])
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("category_name", "plot", "field 'category_name' is 'plot', but category 3 is 'dialogue'"),
+        ("category_name", "noise/others", "field 'category_name' is 'noise/others', but category 3 is 'dialogue'"),
+        ("seed", 7, "field 'seed' is 7, but the manifest's is 42"),
+        ("seed", 43, "field 'seed' is 43, but the manifest's is 42"),
+    ],
+)
+def test_a_member_category_name_or_seed_unlike_its_category_or_manifest_raises(saved_models, tmp_path, stub, key,
+                                                                               value, message):
+    model_dir = tmp_path / "model"
+    shutil.copytree(saved_models / "svm", model_dir)
+    path = model_dir / "member_3.json"
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    assert (doc["category"], doc["category_name"], doc["seed"]) == (3, "dialogue", 42)
+    if stub:
+        doc.update(vocabulary=[], parameters={"stub": "no_positives"}, hyperparameters={})
+    doc[key] = value
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(ModelFormatError, match=f"^{re.escape(str(path))}: {re.escape(message)}$"):
+        load_ovr(model_dir)
+
+
+def test_a_manifest_seed_unlike_its_members_raises_naming_the_first_member(saved_models, tmp_path):
+    model_dir = tmp_path / "model"
+    shutil.copytree(saved_models / "lr", model_dir)
+    path = model_dir / "model_manifest.json"
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    doc["seed"] = 7
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    first = model_dir / doc["members"][0]
+    with pytest.raises(ModelFormatError, match=f"^{re.escape(str(first))}: field 'seed' is 42, but the manifest's is 7$"):
+        load_ovr(model_dir)
+
+
+def test_a_stub_member_whose_category_name_and_seed_agree_loads(saved_models, tmp_path):
+    model_dir = tmp_path / "model"
+    shutil.copytree(saved_models / "svm", model_dir)
+    path = model_dir / "member_3.json"
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    doc.update(vocabulary=[], parameters={"stub": "no_positives"}, hyperparameters={})
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert load_ovr(model_dir).members[3].stub == "no_positives"
+
+
 # ---------------------------------------------------------------------------
 # LR row sums, the SVM's single draw and score_documents' term lookup
 # ---------------------------------------------------------------------------

@@ -2091,3 +2091,96 @@ class TestClosedModelFiles:
         for cat in Category:
             member = json.loads((pipeline["train"] / "model" / f"member_{int(cat)}.json").read_text(encoding="utf-8"))
             assert (member["seed"], member["category_name"]) == (manifest["seed"], cat.display_name)
+
+
+class TestMemberCrossChecks:
+    """A member file's category name is its category's, and its seed the manifest's."""
+
+    @pytest.mark.parametrize("stub", [False, True], ids=["trained", "stub"])
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            (lambda d: d.update(category_name="plot"), "field 'category_name' is 'plot', but category 3 is 'dialogue'"),
+            (lambda d: d.update(seed=7), "field 'seed' is 7, but the manifest's is 42"),
+            (lambda d: d.update(seed=7, category_name="plot"), "field 'seed' is 7, but the manifest's is 42"),
+        ],
+        ids=["name", "seed", "both"],
+    )
+    def test_evaluate_exits_2_naming_the_member_file(self, pipeline, tmp_path, capsys, stub, change, message):
+        def edit(d):
+            if stub:
+                d.update(vocabulary=[], parameters={"stub": "no_positives"}, hyperparameters={})
+            change(d)
+
+        code, path = TestClosedModelFiles._evaluate(pipeline, tmp_path, "member_3.json", edit)
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {path}: {message}\n"
+
+
+class TestOneRunPerDirectory:
+    """An --out-dir whose run manifest names another command is refused before
+    any input is read; the same command may rerun there, and other files
+    refuse no directory."""
+
+    @staticmethod
+    def _refusal(out, previous, command):
+        return (f"error: --out-dir {out}: its run_manifest.json is of command {previous!r}, "
+                f"so command {command!r} needs another directory\n")
+
+    @pytest.mark.parametrize(
+        "first, second",
+        [("lda", "train"), ("train", "lda"), ("ingest", "preprocess"), ("train", "evaluate"), ("sweep", "cross-series")],
+    )
+    def test_another_commands_directory_exits_2_and_keeps_its_files(self, pipeline, tmp_path, capsys, first, second):
+        out = tmp_path / "out"
+        assert run([first, *_small_run(first, pipeline), "--out-dir", out, "--quiet"]) == 0
+        before = {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
+        capsys.readouterr()
+        assert run([second, *_small_run(second, pipeline), "--out-dir", out, "--quiet"]) == 2
+        assert capsys.readouterr().err == self._refusal(out, first, second)
+        assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == before
+        assert _read_manifest(out)["command"] == first
+
+    def test_the_refusal_comes_before_settings_and_input(self, pipeline, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run(["lda", *_small_run("lda", pipeline), "--out-dir", out, "--quiet"]) == 0
+        capsys.readouterr()
+        argv = ["train", "--tokens", tmp_path / "missing.jsonl", "--svm-c", 0, "--config", tmp_path / "missing.json"]
+        assert run([*argv, "--out-dir", out]) == 2
+        assert capsys.readouterr().err == self._refusal(out, "lda", "train")
+
+    def test_a_rerun_of_the_same_command_overwrites_its_outputs(self, pipeline, tmp_path):
+        # Kept behaviour: a command may rerun into its own directory.
+        out = tmp_path / "out"
+        for seed in (1, 2):
+            assert run(["lda", *_small_run("lda", pipeline), "--seed", seed, "--out-dir", out, "--quiet"]) == 0
+            assert _read_manifest(out)["seed"] == seed
+
+    def test_other_files_refuse_no_directory(self, pipeline, tmp_path):
+        # Kept behaviour: only another command's run manifest refuses a directory.
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "spec.json").write_text("{}", encoding="utf-8")
+        (out / "notes.txt").write_text("x", encoding="utf-8")
+        assert run(["lda", *_small_run("lda", pipeline), "--out-dir", out, "--quiet"]) == 0
+        assert _read_manifest(out)["command"] == "lda"
+
+    @pytest.mark.parametrize(
+        "text, problem",
+        [
+            ("{", ": invalid JSON ("),
+            ("[]", ": expected a JSON object"),
+            ("{}", "missing field 'command'"),
+            ('{"command": 3}', "field 'command' must be a non-empty string"),
+            ('{"command": ""}', "field 'command' must be a non-empty string"),
+        ],
+        ids=["truncated", "array", "no_command", "number", "empty"],
+    )
+    def test_a_manifest_that_does_not_parse_exits_2_naming_it(self, pipeline, tmp_path, capsys, text, problem):
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "run_manifest.json").write_text(text, encoding="utf-8")
+        assert run(["lda", *_small_run("lda", pipeline), "--out-dir", out, "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {out / 'run_manifest.json'}") and problem in err and err.count("\n") == 1
+        assert os.listdir(out) == ["run_manifest.json"]

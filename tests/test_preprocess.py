@@ -445,3 +445,80 @@ class TestDerivedFieldsCannotBePassed:
             SurrogateMap({"白子画": "role_1"}, _pattern=re.compile("x"))
         replaced = dataclasses.replace(SurrogateMap({"白子画": "role_1"}), entries={"花千骨": "role_2"})
         assert substitute("白子画 花千骨", replaced) == "白子画 role_2"
+
+
+def _tuple_corpus(docs, labels, vocab):
+    """``from_tokens`` as it was: every document a tuple of its sorted
+    distinct positions, then the CSR arrays built from those tuples."""
+    index = vocab.index
+    doc_terms = tuple(tuple(sorted({index[t] for t in doc if t in index})) for doc in docs)
+    indptr = np.zeros(len(doc_terms) + 1, dtype=np.int64)
+    np.cumsum([len(d) for d in doc_terms], out=indptr[1:])
+    indices = np.array([t for d in doc_terms for t in d], dtype=np.int64)
+    return doc_terms, tuple(int(y) for y in labels), indptr, indices
+
+
+class TestVectorizedCorpusStoresCsrOnly:
+    """The CSR arrays are a corpus's only per-document store; ``doc_terms``
+    is read back from them on first read, and no pipeline step reads it."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_from_tokens_equals_the_tuple_construction(self, seed):
+        rng = np.random.default_rng(seed)
+        terms = [f"t{i}" for i in range(int(rng.integers(1, 20)))]
+        # Repeated and out-of-vocabulary tokens, and empty documents.
+        pool = terms + ["oov1", "oov2"]
+        docs = [[pool[j] for j in rng.integers(0, len(pool), rng.integers(0, 12))] for _ in range(int(rng.integers(1, 80)))]
+        docs[0] = []
+        docs.append([terms[0]] * 5)
+        labels = rng.integers(-1, 9, len(docs))
+        for vocab in (Vocabulary(tuple(terms)), Vocabulary(tuple(rng.permutation(terms))), None):
+            vc = VectorizedCorpus.from_tokens(docs, labels, vocab)
+            doc_terms, want_labels, indptr, indices = _tuple_corpus(docs, labels, vc.vocab)
+            assert vc.indptr.dtype == vc.indices.dtype == np.int64
+            assert vc.indptr.tolist() == indptr.tolist() and vc.indices.tolist() == indices.tolist()
+            assert vc.labels == want_labels and len(vc) == len(docs)
+            assert "doc_terms" not in vars(vc)
+            assert vc.doc_terms == doc_terms
+            assert all(type(t) is int for d in vc.doc_terms for t in d)
+            assert vc.doc_terms is vc.doc_terms  # cached after the first read
+
+    def test_a_corpus_holds_its_vocabulary_labels_and_csr_arrays_only(self):
+        vc = VectorizedCorpus.from_tokens([["b", "a"], [], ["c", "c"]], [0, 1, 2])
+        assert [f.name for f in dataclasses.fields(vc)] == ["vocab", "labels", "indptr", "indices"]
+        assert set(vars(vc)) == {"vocab", "labels", "indptr", "indices"}
+        assert vc.doc_terms == ((0, 1), (), (2,))
+
+    def test_positional_and_keyword_construction_and_misaligned_labels(self):
+        vocab = Vocabulary(("a", "b", "c"))
+        by_position = VectorizedCorpus(vocab, ((0, 2), ()), (3, 4))
+        by_keyword = VectorizedCorpus(vocab=vocab, doc_terms=[[0, 2], []], labels=(3, 4))
+        for vc in (by_position, by_keyword):
+            assert vc.indptr.tolist() == [0, 2, 2] and vc.indices.tolist() == [0, 2] and vc.labels == (3, 4)
+        with pytest.raises(ValueError, match="doc_terms and labels must align"):
+            VectorizedCorpus(vocab, ((0,),), (1, 2))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            by_position.labels = (0, 0)
+
+    def test_ranking_training_and_scoring_a_split_never_build_the_view(self, monkeypatch):
+        from revclass.classify import DEFAULT_BUDGETS, Hyperparams, rank_classes, score_documents, train_members
+
+        built = []
+        init = VectorizedCorpus.__init__
+
+        def record(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            built.append(self)
+
+        monkeypatch.setattr(VectorizedCorpus, "__init__", record)
+        rng = np.random.default_rng(11)
+        docs = [[f"c{c}w{int(rng.integers(0, 5))}" for _ in range(4)] + [f"bg{int(rng.integers(0, 9))}"]
+                for c in range(8) for _ in range(10)]
+        labels = [c for c in range(8) for _ in range(10)]
+        train, test = [i for i in range(len(docs)) if i % 4], [i for i in range(len(docs)) if not i % 4]
+        vc = VectorizedCorpus.from_tokens([docs[i] for i in train], [labels[i] for i in train])
+        rankings = rank_classes(vc, DEFAULT_BUDGETS, "chi2")
+        members = train_members(vc, rankings, ("nb", "lr", "svm"), Hyperparams(lr_epochs=5, svm_epochs=2), 42)
+        scores = score_documents(members, [docs[i] for i in test])
+        assert scores.shape == (len(test), 24) and len(built) >= 2
+        assert all("doc_terms" not in vars(corpus) for corpus in built)
