@@ -35,14 +35,21 @@ def _sigmoid(z: np.ndarray | float) -> np.ndarray:
     return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
-def _sparse(X: np.ndarray | SparseRows) -> SparseRows:
-    """A training matrix as :class:`SparseRows`: one passes through, and a
-    dense array becomes its nonzeros in row-major order."""
-    if isinstance(X, SparseRows):
-        return X
-    X = np.asarray(X, dtype=np.float64)
-    rows, cols = np.nonzero(X)
-    return SparseRows(rows, cols, X[rows, cols], X.shape)
+def _training_set(X: np.ndarray | SparseRows, y) -> tuple[SparseRows, np.ndarray, bool]:
+    """Every trainer's input: X as :class:`SparseRows`, its entries grouped by
+    row by a stable sort (a dense X's nonzeros in row-major order), y as one
+    float label per row, and whether every stored value of X is 1.0."""
+    if not isinstance(X, SparseRows):
+        X = np.asarray(X, dtype=np.float64)
+        rows, cols = np.nonzero(X)
+        X = SparseRows(rows, cols, X[rows, cols], X.shape)
+    elif (X.rows[1:] < X.rows[:-1]).any():
+        order = np.argsort(X.rows, kind="stable")
+        X = SparseRows(X.rows[order], X.cols[order], X.vals[order], X.shape)
+    y = np.asarray(y, dtype=np.float64)
+    if len(y) != X.shape[0]:
+        raise ValueError(f"X has {X.shape[0]} rows but y has {len(y)} labels")
+    return X, y, bool(np.all(X.vals == 1.0))
 
 
 def _times(X: SparseRows, w: np.ndarray, ones: bool = False) -> np.ndarray:
@@ -121,10 +128,7 @@ def train_nb(X: np.ndarray | SparseRows, y: np.ndarray, l: float = Hyperparams.l
     integers, exact in float64 below 2**53.
     """
     check(l, HYPER_FIELDS["l"], "l", ValueError)
-    X = _sparse(X)
-    y = np.asarray(y)
-    if len(y) != X.shape[0]:
-        raise ValueError(f"X has {X.shape[0]} rows but y has {len(y)} labels")
+    X, y, ones = _training_set(X, y)
     pos = y > 0
     n_pos = int(pos.sum())
     n_neg = len(y) - n_pos
@@ -132,7 +136,7 @@ def train_nb(X: np.ndarray | SparseRows, y: np.ndarray, l: float = Hyperparams.l
         raise ValueError("training set must contain both labels")
     on_pos = pos[X.rows]
     d = X.shape[1]
-    if np.all(X.vals == 1.0):
+    if ones:
         count_pos = np.bincount(X.cols[on_pos], minlength=d)
         count_neg = np.bincount(X.cols, minlength=d) - count_pos
     else:
@@ -180,7 +184,7 @@ def lr_gradient(
     w: np.ndarray, w0: float, X: np.ndarray | SparseRows, y: np.ndarray, lam: float
 ) -> tuple[np.ndarray, float]:
     """Gradient of the penalized log-likelihood: (d/dw, d/dw0)."""
-    X = _sparse(X)
+    X, y, _ = _training_set(X, y)
     with np.errstate(over="ignore", invalid="ignore"):
         residual = y - _sigmoid(_times(X, w) + w0)
         grad_w = np.bincount(X.cols, weights=X.vals * residual[X.rows], minlength=X.shape[1]) - lam * w
@@ -241,15 +245,11 @@ def train_lr(
     check(eta, HYPER_FIELDS["eta"], "eta", ValueError)
     check(lam, HYPER_FIELDS["lam"], "lam", ValueError)
     check(epochs, HYPER_FIELDS["lr_epochs"], "epochs", ValueError)
-    X = _sparse(X)
-    y = np.asarray(y, dtype=np.float64)
+    X, y, ones = _training_set(X, y)
     n, d = X.shape
-    if len(y) != n:
-        raise ValueError(f"X has {n} rows but y has {len(y)} labels")
     # sum of log sigma(s) = -log(1 + e^-s) with s = +z for y=1 and -z for
     # y=0, computed stably as -logaddexp(0, neg_flip * z).
     neg_flip = np.where(y > 0, -1.0, 1.0)
-    ones = bool(np.all(X.vals == 1.0))
     times = _row_sums(X, ones)
     padded = np.zeros(d + 1)  # w and the row sums' pad column, kept 0.0
     w = padded[:d]
@@ -344,11 +344,8 @@ def train_svm(
     check(C, HYPER_FIELDS["C"], "C", ValueError)
     check(epochs, HYPER_FIELDS["svm_epochs"], "epochs", ValueError)
     check(seed, SEED, "seed", ValueError)  # as a member file's seed, which train_member writes as seed + category
-    X = _sparse(X)
-    y = np.asarray(y, dtype=np.float64)
+    X, y, ones = _training_set(X, y)
     n, d = X.shape
-    if len(y) != n:
-        raise ValueError(f"X has {n} rows but y has {len(y)} labels")
     if not ((y > 0).any() and (y < 0).any()):
         raise ValueError("training set must contain both labels")
     gain = C * n
@@ -363,7 +360,7 @@ def train_svm(
     # add.accumulate adds in order, as a running sum would.
     harmonic = np.zeros(steps - start + 1)
     np.cumsum(1.0 / np.arange(start + 1, steps + 1), out=harmonic[1:])
-    v, late = _svm_sums(X, y, gain, draws, epochs, start, harmonic)
+    v, late = _svm_sums(X, y, ones, gain, draws, epochs, start, harmonic)
     averaged = (np.array(v) * harmonic[-1] - np.array(late)) / (steps - start)
     return SvmModel(weights=averaged[:d], bias=float(averaged[d]), C=C, epochs=epochs, seed=seed)
 
@@ -375,8 +372,9 @@ def _row_lists(rows: np.ndarray, cols: np.ndarray, n: int) -> list[list[int]]:
     return [cols[a:b] for a, b in zip(ends, ends[1:])]
 
 
-def _svm_sums(X: SparseRows, y, gain, draws, epochs, start, harmonic) -> tuple[list, list]:
-    """:func:`train_svm`'s v and late sums, with the bias as coordinate d.
+def _svm_sums(X: SparseRows, y, ones, gain, draws, epochs, start, harmonic) -> tuple[list, list]:
+    """:func:`train_svm`'s v and late sums, with the bias as coordinate d, from
+    X grouped by row and ``ones`` as :func:`_training_set` returns them.
 
     A step tests z = (the row's sum of v * x) + v_d, and an update adds
     g * x to v over the row's columns, with g = C * N * y_i, and g to the
@@ -402,13 +400,8 @@ def _svm_sums(X: SparseRows, y, gain, draws, epochs, start, harmonic) -> tuple[l
     bit for bit the same either way.
     """
     n, d = X.shape
-    # Grouped by row, as _row_lists needs; select and dense input already are.
-    if (np.diff(X.rows) < 0).any():
-        order = np.argsort(X.rows, kind="stable")
-        X = SparseRows(X.rows[order], X.cols[order], X.vals[order], X.shape)
     rows = _row_lists(X.rows, X.cols, n)
     longest = max(map(len, rows))
-    ones = bool(np.all(X.vals == 1.0))
     vals = [[1.0] * longest] * n if ones else _row_lists(X.rows, X.vals, n)
     labels = y.tolist()
     gains = gain * y
@@ -628,7 +621,7 @@ def train_ovr(
     from their classes' rankings, which they keep.  A degenerate class trains a
     flagged constant stub instead of a model, but is still ranked.
     """
-    budgets = tuple(per_class_feature_sizes) if per_class_feature_sizes else DEFAULT_BUDGETS
+    budgets = DEFAULT_BUDGETS if per_class_feature_sizes is None else tuple(per_class_feature_sizes)
     members = train_members(corpus, rank_classes(corpus, budgets, selector), (method,), hyperparams or Hyperparams(), seed)
     return OvrModel(members=members, method=method, selector=selector, budgets=budgets, seed=seed)
 

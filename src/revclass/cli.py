@@ -138,12 +138,12 @@ def _methods(raw) -> tuple:
 
 
 def _parse_rotation(raw: str):
-    try:
-        train_part, test = raw.split(":")
-        a, b = train_part.split(",")
-    except ValueError:
-        raise CliError(f"invalid rotation {raw!r}; expected 'trainA,trainB:test'") from None
-    return ((a.strip(), b.strip()), test.strip())
+    """'a,b:c' as ((a, b), c): three names, none of them empty."""
+    parts = raw.split(":")
+    names = [name.strip() for name in (*parts[0].split(","), *parts[1:])]
+    if len(parts) != 2 or len(names) != 3 or not all(names):
+        raise CliError(f"invalid rotation {raw!r}; expected 'trainA,trainB:test'")
+    return (tuple(names[:2]), names[2])
 
 
 def _require_labeled(tokenized: TokenizedCorpus, source: str) -> None:
@@ -266,18 +266,6 @@ def cmd_evaluate(args, config):
     return [args.tokens, *model.files], [eval_out], f"multiclass accuracy {multi:.4f} on {len(tokenized)} reviews"
 
 
-def _experiment_config(config: dict, **fields) -> ExperimentConfig:
-    """The settings that sweep and cross-series share, plus a command's own
-    ``fields``; the stop list and any other field keep their defaults."""
-    return ExperimentConfig(
-        selector=config["selector"],
-        hyperparams=_hyperparams_from_config(config),
-        per_series_cap=config["per_series_cap"],
-        seed=config["seed"],
-        **fields,
-    )
-
-
 def _load_text_inputs(args, config: dict):
     """The filtered corpus, knowledge bases, stoplist and segmenter that the
     text pipeline reads, and the input files they came from; surrogates on
@@ -292,6 +280,16 @@ def _load_text_inputs(args, config: dict):
     return corpus, (kbs or None), stoplist, seg, inputs
 
 
+def _experiment(args, config: dict, **fields):
+    """The ExperimentConfig of sweep and cross-series, from their shared
+    settings and a command's own ``fields`` and checked before any input is
+    read, holding the stop list; then :func:`_load_text_inputs`' other returns."""
+    exp = ExperimentConfig(selector=config["selector"], hyperparams=_hyperparams_from_config(config),
+                           per_series_cap=config["per_series_cap"], seed=config["seed"], **fields)
+    corpus, kbs, stoplist, seg, inputs = _load_text_inputs(args, config)
+    return dataclasses.replace(exp, stopwords=stoplist), corpus, kbs, seg, inputs
+
+
 def _check_svm_epochs(config: dict, corpus, rotations) -> None:
     """Bound --svm-epochs as train does, before any training, by the largest training split of :func:`plan_splits`."""
     n = max(sum(len(corpus.series_index.get(s, ())) for s in pair) for pair, _ in rotations)
@@ -299,15 +297,9 @@ def _check_svm_epochs(config: dict, corpus, rotations) -> None:
 
 
 def cmd_sweep(args, config):
-    exp = _experiment_config(
-        config,
-        feature_sizes=_sizes(config["sizes"]),
-        rotation=_parse_rotation(args.rotation) if args.rotation else None,
-        surrogate_mode=config["surrogates"],
-        sweep_method=config["method"],
-    )
-    corpus, kbs, stoplist, seg, inputs = _load_text_inputs(args, config)
-    exp = dataclasses.replace(exp, stopwords=stoplist)
+    exp, corpus, kbs, seg, inputs = _experiment(
+        args, config, feature_sizes=_sizes(config["sizes"]), sweep_method=config["method"],
+        surrogate_mode=config["surrogates"], rotation=_parse_rotation(args.rotation) if args.rotation else None)
     sweep_out = os.path.join(args.out_dir, "sweep.csv")
     if exp.sweep_method == SVM:
         _check_svm_epochs(config, *plan_splits(corpus, exp, sweep=True))
@@ -317,14 +309,9 @@ def cmd_sweep(args, config):
 
 def cmd_cross_series(args, config):
     out_dir = args.out_dir
-    exp = _experiment_config(
-        config,
-        methods=_methods(config["methods"]),
-        per_class_budgets=_class_sizes(config["budgets"]),
-        rotations=tuple(_parse_rotation(part) for part in (args.rotations or "").split(";") if part.strip()),
-    )
-    corpus, kbs, stoplist, seg, inputs = _load_text_inputs(args, config)
-    exp = dataclasses.replace(exp, stopwords=stoplist)
+    exp, corpus, kbs, seg, inputs = _experiment(
+        args, config, methods=_methods(config["methods"]), per_class_budgets=_class_sizes(config["budgets"]),
+        rotations=tuple(_parse_rotation(part) for part in (args.rotations or "").split(";") if part.strip()))
     table_out = os.path.join(out_dir, "crossseries.csv")
     if SVM in exp.methods:
         _check_svm_epochs(config, *plan_splits(corpus, exp))
@@ -393,7 +380,7 @@ def _add_hyper_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_experiment_settings(parser: argparse.ArgumentParser) -> None:
-    """The settings that :func:`_experiment_config` reads for both experiments."""
+    """The settings that :func:`_experiment` reads for both experiments."""
     _setting(parser, "selector", ExperimentConfig.selector, EXPERIMENT_FIELDS["selector"])
     _setting(parser, "per_series_cap", ExperimentConfig.per_series_cap, EXPERIMENT_FIELDS["per_series_cap"])
     _add_hyper_flags(parser)

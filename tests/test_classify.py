@@ -948,6 +948,54 @@ def test_lr_labels_must_match_the_rows(n_labels):
         train_lr(X, np.array([1.0, 0.0, 1.0, 0.0][:n_labels]))
 
 
+# Every trainer, and lr_gradient, takes its input through one entry.
+_TRAINERS = {
+    "nb": lambda X, y: train_nb(X, y, l=0.5),
+    "lr": lambda X, y: train_lr(X, (y > 0).astype(float), eta=0.05, lam=0.1, epochs=30),
+    "svm": lambda X, y: train_svm(X, y, C=1.0, epochs=3, seed=4),
+    "lr_gradient": lambda X, y: lr_gradient(np.linspace(-1.0, 1.0, X.shape[1]), 0.3, X, (y > 0).astype(float), 0.1),
+}
+
+
+@pytest.mark.parametrize("seed", range(5))
+@pytest.mark.parametrize("kind", ["binary", "valued"])
+@pytest.mark.parametrize("method", ["nb", "lr", "svm"])
+def test_entries_not_grouped_by_row_train_the_model_of_the_stably_grouped_entries(method, kind, seed):
+    rng = np.random.default_rng(seed)
+    X = (rng.random((40, 12)) < 0.3) * (1.0 if kind == "binary" else rng.random((40, 12)) + 0.5)
+    y = np.where(rng.random(40) < 0.4, 1.0, -1.0)
+    y[:2] = (1.0, -1.0)
+    rows, cols = np.nonzero(X)
+    order = rng.permutation(rows.size)
+    rows, cols = rows[order], cols[order]
+    assert np.any(np.diff(rows) < 0)
+    grouped = np.argsort(rows, kind="stable")
+    got = _TRAINERS[method](SparseRows(rows, cols, X[rows, cols], X.shape), y)
+    rows, cols = rows[grouped], cols[grouped]
+    want = _TRAINERS[method](SparseRows(rows, cols, X[rows, cols], X.shape), y)
+    assert vars(got).keys() == vars(want).keys()
+    for key, value in vars(want).items():
+        assert np.asarray(getattr(got, key)).tobytes() == np.asarray(value).tobytes(), key
+
+
+@pytest.mark.parametrize("n_labels", [2, 4])
+@pytest.mark.parametrize("sparse", [False, True])
+@pytest.mark.parametrize("method", list(_TRAINERS))
+def test_every_trainer_names_a_label_count_that_differs_from_the_rows(method, sparse, n_labels):
+    X = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+    if sparse:  # entries not grouped by row
+        X = SparseRows(np.array([2, 0, 2, 1]), np.array([0, 0, 1, 1]), np.ones(4), (3, 2))
+    with pytest.raises(ValueError, match=f"^X has 3 rows but y has {n_labels} labels$"):
+        _TRAINERS[method](X, np.array([1.0, -1.0, 1.0, -1.0][:n_labels]))
+
+
+@pytest.mark.parametrize("sizes", [(), (5,) * 7, (5,) * 9])
+def test_train_ovr_needs_eight_budgets_and_takes_no_empty_tuple_for_the_defaults(sizes):
+    vc = _synthetic_vc(np.random.default_rng(13))
+    with pytest.raises(ValueError, match=f"^need 8 per-class feature sizes, got {len(sizes)}$"):
+        train_ovr(vc, method="nb", per_class_feature_sizes=sizes)
+
+
 # ---------------------------------------------------------------------------
 # Training steps against transcriptions of the loops they replaced
 # ---------------------------------------------------------------------------

@@ -1114,9 +1114,13 @@ class TestFlagsCheckedBeforeInput:
             ("cross-series", ["--rotations", "garbage"], "invalid rotation 'garbage'; expected 'trainA,trainB:test'"),
             ("sweep", ["--surrogates", "on"], "surrogates on requires --kb-dir"),
             ("preprocess", ["--surrogates", "on"], "surrogates on requires --kb-dir"),
+            ("sweep", ["--rotation", "alpha,beta:"], "invalid rotation 'alpha,beta:'; expected 'trainA,trainB:test'"),
+            ("cross-series", ["--rotations", "alpha, :gamma"],
+             "invalid rotation 'alpha, :gamma'; expected 'trainA,trainB:test'"),
         ],
         ids=["sweep_joint_rotation", "sweep_bad_rotation", "cross_joint_rotation", "cross_bad_rotation",
-             "sweep_surrogates_without_kb", "preprocess_surrogates_without_kb"],
+             "sweep_surrogates_without_kb", "preprocess_surrogates_without_kb", "sweep_empty_rotation_name",
+             "cross_empty_rotation_name"],
     )
     def test_exits_2_before_reading_input(self, tmp_path, capsys, command, flags, message):
         argv = [command, "--corpus", tmp_path / "missing.jsonl", *flags]
